@@ -20,7 +20,6 @@ from .chain import (
     hausdorff_distance,
     invariant_core,
     isolated_classes,
-    maximal_classes,
     neighborhood,
     omega_cycle,
     reaches,

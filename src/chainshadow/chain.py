@@ -16,7 +16,7 @@ from functools import cached_property
 from .bits import bits as _bits
 from .errors import BadParams, EmptySet, NotDecreasing
 from .rational import format_rational, parse_nonnegative
-from .system import FiniteMetricSystem
+from .system import FiniteMetricSystem, check_point
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,11 @@ class DeltaGraph:
 
     def is_cyclic_point(self, p: int) -> bool:
         scc_of, sccs, _ = self._components
-        members = sccs[scc_of[p]]
-        return len(members) > 1 or p in self.succ[p]
+        return self._is_cyclic(sccs[scc_of[p]])
+
+    def _is_cyclic(self, members: tuple[int, ...]) -> bool:
+        """Whether an SCC carries a directed cycle (a self-loop if a singleton)."""
+        return len(members) > 1 or members[0] in self.succ[members[0]]
 
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
@@ -105,8 +108,8 @@ def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
 
 def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
     """True when a directed path of length >= 1 runs from x to y."""
-    _check_point(graph.system, x)
-    _check_point(graph.system, y)
+    check_point(graph.system, x)
+    check_point(graph.system, y)
     scc_of, _, reach = graph._components
     target = 1 << scc_of[y]
     return any(reach[scc_of[z]] & target for z in graph.succ[x])
@@ -117,7 +120,7 @@ def chain_recurrent_set(graph: DeltaGraph) -> frozenset[int]:
     _, sccs, _ = graph._components
     out = []
     for members in sccs:
-        if len(members) > 1 or members[0] in graph.succ[members[0]]:
+        if graph._is_cyclic(members):
             out.extend(members)
     return frozenset(out)
 
@@ -174,11 +177,7 @@ class ChainDecomposition:
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
     scc_of, sccs, reach = graph._components
-    cyclic = [
-        sid
-        for sid, members in enumerate(sccs)
-        if len(members) > 1 or members[0] in graph.succ[members[0]]
-    ]
+    cyclic = [sid for sid, members in enumerate(sccs) if graph._is_cyclic(members)]
     cyclic.sort(key=lambda sid: sccs[sid][0])
     classes = tuple(frozenset(sccs[sid]) for sid in cyclic)
     index_of_sid = {sid: i for i, sid in enumerate(cyclic)}
@@ -223,15 +222,6 @@ def class_order(dec: ChainDecomposition, a: int, b: int) -> bool:
     return a == b or bool(dec.class_reach[b] & (1 << a))
 
 
-def maximal_classes(dec: ChainDecomposition) -> tuple[int, ...]:
-    """Classes with nothing else above them (no other class reaches them)."""
-    return tuple(
-        i
-        for i in range(len(dec.classes))
-        if not any(class_order(dec, i, j) for j in range(len(dec.classes)) if j != i)
-    )
-
-
 def neighborhood(system: FiniteMetricSystem, points, r) -> frozenset[int]:
     """Closed r-neighborhood of a nonempty point set."""
     r = parse_nonnegative(r)
@@ -239,7 +229,7 @@ def neighborhood(system: FiniteMetricSystem, points, r) -> frozenset[int]:
     if not points:
         raise EmptySet("neighborhood of the empty set")
     for p in points:
-        _check_point(system, p)
+        check_point(system, p)
     return frozenset(
         x for x in system.points if min(system.dist[x][s] for s in points) <= r
     )
@@ -263,7 +253,7 @@ def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
     if not a or not b:
         raise EmptySet("Hausdorff distance needs nonempty sets")
     for p in a | b:
-        _check_point(system, p)
+        check_point(system, p)
     d = system.dist
     forward = max(min(d[x][y] for y in b) for x in a)
     backward = max(min(d[y][x] for x in a) for y in b)
@@ -272,7 +262,7 @@ def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
 
 def omega_cycle(system: FiniteMetricSystem, x: int) -> frozenset[int]:
     """The eventual periodic cycle of the forward orbit of x."""
-    _check_point(system, x)
+    check_point(system, x)
     seen: dict[int, int] = {}
     trail: list[int] = []
     while x not in seen:
@@ -286,7 +276,7 @@ def invariant_core(system: FiniteMetricSystem, points) -> frozenset[int]:
     """Greatest forward-invariant subset of the given point set."""
     core = set(points)
     for p in core:
-        _check_point(system, p)
+        check_point(system, p)
     while True:
         leaving = {p for p in core if system.map[p] not in core}
         if not leaving:
@@ -380,15 +370,13 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
     if isolation_radius is not None:
         isolation_radius = parse_nonnegative(isolation_radius)
     lines = ["digraph chain_components {", "  node [shape=box];"]
-    maximal = set(maximal_classes(dec))
     for i, cls in enumerate(dec.classes):
         flags = []
         if dec.is_terminal(i):
             flags.append("terminal")
         if dec.is_initial(i):
-            flags.append("initial")
-        if i in maximal:
-            flags.append("maximal")
+            # initial classes are exactly the maximal ones of the class order
+            flags += ["initial", "maximal"]
         sep = dec.separation[i]
         if isolation_radius is not None and (sep is None or sep > isolation_radius):
             flags.append("isolated")
@@ -408,12 +396,6 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
                 lines.append(f"  C{a} -> C{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-
-def _check_point(system: FiniteMetricSystem, p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < system.n:
-        raise BadParams(f"point index out of range: {p!r}")
 
 
 def _check_class(dec: ChainDecomposition, i) -> None:

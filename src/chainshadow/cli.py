@@ -57,7 +57,6 @@ def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None
     sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
-    sub.add_argument("--workers", type=_positive_int, default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,9 +150,7 @@ def _cmd_shadow(args) -> int:
     system = _load(args)
     _warn_below_quantization(system, [args.delta])
     check = check_slimit_property if args.property == "slimit" else check_shadowing_property
-    verdict = check(
-        system, args.delta, args.eps, state_cap=args.state_cap, workers=args.workers
-    )
+    verdict = check(system, args.delta, args.eps, state_cap=args.state_cap)
     text = _dumps(verdict.to_json()) if args.format == "json" else _shadow_table(verdict)
     _emit(text, args.out)
     return 0 if verdict.passed else 1
@@ -200,7 +197,6 @@ def _cmd_verify(args) -> int:
         name=args.gen or args.file,
         grid=grid,
         state_cap=args.state_cap,
-        workers=args.workers,
     )
     text = _dumps(report.to_json()) if args.format == "json" else _verify_table(report)
     _emit(text, args.out)

@@ -18,7 +18,6 @@ decreasing chain of nonempty finite sets.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -34,7 +33,7 @@ from .errors import (
     TooLarge,
 )
 from .rational import format_rational, parse_nonnegative
-from .system import FiniteMetricSystem
+from .system import FiniteMetricSystem, check_point
 
 PLAIN = "plain"
 EVENTUALLY_EXACT = "eventually_exact"
@@ -123,7 +122,7 @@ class OrbitViolation(NamedTuple):
 def first_violation(system: FiniteMetricSystem, po: PseudoOrbit) -> OrbitViolation | None:
     """First step breaking the orbit's own error bounds, if any."""
     for p in po.points:
-        _check_point(system, p)
+        check_point(system, p)
     zero = Fraction(0)
     for i, err in enumerate(po.errors(system)):
         if po.tail_start is not None and i >= po.tail_start:
@@ -244,7 +243,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 
 
 def check_shadowing_property(
-    system, delta, eps, domain=None, *, state_cap=None, workers=1
+    system, delta, eps, domain=None, *, state_cap=None
 ) -> ShadowVerdict:
     """Decide whether every delta pseudo-orbit is eps-shadowed.
 
@@ -255,15 +254,13 @@ def check_shadowing_property(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    path, explored = _explore(
-        system, delta, eps, dmask, lambda p, y: y == 0, state_cap, workers
-    )
+    visited, path = _explore(system, delta, eps, dmask, lambda p, y: y == 0, state_cap)
     witness = None if path is None else PseudoOrbit.plain(path, delta)
-    return ShadowVerdict("shadowing", delta, eps, path is None, witness, explored)
+    return ShadowVerdict("shadowing", delta, eps, path is None, witness, len(visited))
 
 
 def check_slimit_property(
-    system, delta, eps, domain=None, *, state_cap=None, workers=1
+    system, delta, eps, domain=None, *, state_cap=None
 ) -> ShadowVerdict:
     """Decide whether every eventually-exact delta pseudo-orbit is
     eps-limit shadowed.
@@ -277,13 +274,13 @@ def check_slimit_property(
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
     asymp = _asymp_masks(system, eps, dmask)
-    path, explored = _explore(
-        system, delta, eps, dmask, lambda p, y: y & asymp[p] == 0, state_cap, workers
+    visited, path = _explore(
+        system, delta, eps, dmask, lambda p, y: y & asymp[p] == 0, state_cap
     )
     witness = None
     if path is not None:
         witness = PseudoOrbit.eventually_exact(path, delta, len(path) - 1)
-    return ShadowVerdict("slimit", delta, eps, path is None, witness, explored)
+    return ShadowVerdict("slimit", delta, eps, path is None, witness, len(visited))
 
 
 def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
@@ -301,29 +298,8 @@ def reachable_shadow_states(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    balls = _ball_masks(system, eps, dmask)
-    succ = _succ_in_domain(system, delta, dmask)
-    image = _image_fn(system)
-    seen: dict[tuple[int, int], None] = {}
-    level = []
-    for p in bits(dmask):
-        state = (p, balls[p])
-        if state not in seen:
-            seen[state] = None
-            level.append(state)
-    while level:
-        nxt = []
-        for p, y in level:
-            iy = image(y)
-            for q in succ[p]:
-                child = (q, iy & balls[q])
-                if child not in seen:
-                    seen[child] = None
-                    nxt.append(child)
-        if state_cap is not None and len(seen) > state_cap:
-            raise Inconclusive(len(seen), state_cap)
-        level = nxt
-    return [ShadowState(p, to_frozenset(y)) for p, y in seen]
+    visited, _ = _explore(system, delta, eps, dmask, lambda p, y: False, state_cap)
+    return [ShadowState(p, to_frozenset(y)) for p, y in visited]
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +434,6 @@ def brute_force_oracle(
 # internals
 
 
-def _check_point(system: FiniteMetricSystem, p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < system.n:
-        raise BadParams(f"point index out of range: {p!r}")
-
-
 def _require_valid(system, po: PseudoOrbit) -> None:
     hit = first_violation(system, po)
     if hit is not None:
@@ -479,7 +450,7 @@ def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     if not pts:
         raise EmptyDomain("domain must contain at least one point")
     for p in pts:
-        _check_point(system, p)
+        check_point(system, p)
     for p in pts:
         if system.map[p] not in pts:
             raise DomainNotInvariant(
@@ -576,55 +547,50 @@ def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
     return masks
 
 
-def _explore(system, delta, eps, dmask, failing, state_cap, workers):
+def _explore(system, delta, eps, dmask, failing, state_cap):
     """Level-synchronized BFS over determinized states.
 
-    Returns (witness path | None, states explored). Frontier order is the
-    lexicographic order of shortest realizing prefixes, and failing levels
-    are resolved by taking the smallest reconstructed path, so the outcome
-    is identical for every worker count.
+    Returns (visited, witness path | None). ``visited`` maps every
+    discovered state to its BFS parent in discovery order. Frontier order
+    is the lexicographic order of shortest realizing prefixes, and a failing
+    level is resolved by taking the smallest reconstructed path, so the
+    witness is the lexicographically smallest shortest failing prefix.
+    ``failing`` is tested once per level, before the level is expanded;
+    ``state_cap`` is checked on every inserted state.
     """
     balls = _ball_masks(system, eps, dmask)
     succ = _succ_in_domain(system, delta, dmask)
     image = _image_fn(system)
 
     visited: dict[tuple[int, int], tuple[int, int] | None] = {}
-    level: list[tuple[int, int]] = []
+
+    def insert(state, parent) -> bool:
+        if state in visited:
+            return False
+        visited[state] = parent
+        if state_cap is not None and len(visited) > state_cap:
+            raise Inconclusive(len(visited), state_cap)
+        return True
+
+    level = []
     for p in bits(dmask):
         state = (p, balls[p])
-        if state not in visited:
-            visited[state] = None
+        if insert(state, None):
             level.append(state)
-
-    def expand(chunk):
-        out = []
-        for state in chunk:
-            p, y = state
-            iy = image(y)
-            for q in succ[p]:
-                out.append(((q, iy & balls[q]), state))
-        return out
-
     while level:
         bad = [s for s in level if failing(*s)]
         if bad:
-            return min(_path_to(visited, s) for s in bad), len(visited)
-        if workers > 1 and len(level) > 1:
-            chunks = _chunked(level, workers)
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                produced = list(pool.map(expand, chunks))
-        else:
-            produced = [expand(level)]
+            return visited, min(_path_to(visited, s) for s in bad)
         nxt = []
-        for batch in produced:
-            for child, parent in batch:
-                if child not in visited:
-                    visited[child] = parent
+        for state in level:
+            p, y = state
+            iy = image(y)
+            for q in succ[p]:
+                child = (q, iy & balls[q])
+                if insert(child, state):
                     nxt.append(child)
-        if state_cap is not None and len(visited) > state_cap:
-            raise Inconclusive(len(visited), state_cap)
         level = nxt
-    return None, len(visited)
+    return visited, None
 
 
 def _path_to(visited, state) -> tuple[int, ...]:
@@ -634,15 +600,3 @@ def _path_to(visited, state) -> tuple[int, ...]:
         points.append(cur[0])
         cur = visited[cur]
     return tuple(reversed(points))
-
-
-def _chunked(items, pieces: int):
-    pieces = max(1, min(pieces, len(items)))
-    size, extra = divmod(len(items), pieces)
-    out = []
-    start = 0
-    for i in range(pieces):
-        stop = start + size + (1 if i < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out

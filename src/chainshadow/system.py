@@ -95,6 +95,12 @@ class FiniteMetricSystem:
         }
 
 
+def check_point(system: FiniteMetricSystem, p) -> None:
+    """Reject anything but an int index of a point of ``system``."""
+    if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < system.n:
+        raise BadParams(f"point index out of range: {p!r}")
+
+
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries)."""
     n = len(dist)

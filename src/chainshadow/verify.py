@@ -62,16 +62,12 @@ class TheoremResult:
         }
 
 
-def verify_slimit_implies_shadowing(
-    system, delta, eps, *, state_cap=None, workers=1
-) -> TheoremResult:
+def verify_slimit_implies_shadowing(system, delta, eps, *, state_cap=None) -> TheoremResult:
     """slimit passing at (delta, eps) must force shadowing to pass too."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
-    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap, workers=workers)
-    shadowing = check_shadowing_property(
-        system, delta, eps, state_cap=state_cap, workers=workers
-    )
+    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap)
+    shadowing = check_shadowing_property(system, delta, eps, state_cap=state_cap)
     broken = slimit.passed and not shadowing.passed
     details = {"slimit_pass": slimit.passed, "shadowing_pass": shadowing.passed}
     witnesses = ()
@@ -87,7 +83,7 @@ def verify_slimit_implies_shadowing(
 
 
 def verify_shadowing_class_denseness(
-    system, delta_coarse, delta_fine, eps, *, state_cap=None, workers=1
+    system, delta_coarse, delta_fine, eps, *, state_cap=None
 ) -> TheoremResult:
     """Under a passing slimit check, every coarse class must contain a fine
     class whose invariant core has the shadowing property.
@@ -101,9 +97,7 @@ def verify_shadowing_class_denseness(
     if delta_fine > delta_coarse:
         raise BadParams("delta_fine must not exceed delta_coarse")
     params = _params(delta_coarse=delta_coarse, delta_fine=delta_fine, eps=eps)
-    slimit = check_slimit_property(
-        system, delta_fine, eps, state_cap=state_cap, workers=workers
-    )
+    slimit = check_slimit_property(system, delta_fine, eps, state_cap=state_cap)
     if not slimit.passed:
         return TheoremResult(
             CLASS_DENSENESS, params, VACUOUS, {"slimit_pass": False}
@@ -125,7 +119,7 @@ def verify_shadowing_class_denseness(
                 degenerate.append(j)
                 continue
             verdict = check_shadowing_property(
-                system, delta_fine, eps, domain=core, state_cap=state_cap, workers=workers
+                system, delta_fine, eps, domain=core, state_cap=state_cap
             )
             if verdict.passed:
                 certifier = j
@@ -159,7 +153,6 @@ def verify_initial_classes_shadow(
     *,
     allow_noninvertible: bool = False,
     state_cap=None,
-    workers=1,
 ) -> TheoremResult:
     """Under a passing slimit check, the invariant core of every initial
     class must have the shadowing property.
@@ -177,7 +170,7 @@ def verify_initial_classes_shadow(
     if not system.invertible and not allow_noninvertible:
         raise NotInvertible("system is not invertible; pass allow_noninvertible=True")
     params = _params(delta=delta, eps=eps)
-    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap, workers=workers)
+    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap)
     if not slimit.passed:
         return TheoremResult(INITIAL_CLASSES, params, VACUOUS, {"slimit_pass": False})
     dec = decompose(build_delta_graph(system, delta))
@@ -192,30 +185,14 @@ def verify_initial_classes_shadow(
         details["inverse_cross_check"] = _inverse_cross_check(system, delta, dec)
     else:
         details["inverse_cross_check"] = None
-    witnesses: list[PseudoOrbit] = []
-    checked = []
-    ok = True
-    for i in initial:
-        core = invariant_core(system, dec.classes[i])
-        if not core:
-            details["degenerate"].append(i)
-            continue
-        verdict = check_shadowing_property(
-            system, delta, eps, domain=core, state_cap=state_cap, workers=workers
-        )
-        checked.append({"class": i, "pass": verdict.passed})
-        if not verdict.passed:
-            ok = False
-            if verdict.witness is not None:
-                witnesses.append(verdict.witness)
-    details["checked"] = checked
-    return TheoremResult(
-        INITIAL_CLASSES, params, HOLDS if ok else FAILS, details, tuple(witnesses)
+    status, witnesses = _check_class_cores(
+        system, dec, initial, delta, eps, state_cap, details
     )
+    return TheoremResult(INITIAL_CLASSES, params, status, details, witnesses)
 
 
 def verify_isolated_implies_shadowing(
-    system, delta, eps, *, state_cap=None, workers=1
+    system, delta, eps, *, state_cap=None
 ) -> TheoremResult:
     """Under a passing full-system shadowing check, every class separated
     from all others by more than 2*eps + delta must pass the restricted
@@ -228,7 +205,7 @@ def verify_isolated_implies_shadowing(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     params = _params(delta=delta, eps=eps)
-    full = check_shadowing_property(system, delta, eps, state_cap=state_cap, workers=workers)
+    full = check_shadowing_property(system, delta, eps, state_cap=state_cap)
     if not full.passed:
         return TheoremResult(ISOLATED_CLASSES, params, VACUOUS, {"shadowing_pass": False})
     margin = 2 * eps + delta
@@ -244,26 +221,10 @@ def verify_isolated_implies_shadowing(
         "isolated_classes": isolated,
         "degenerate": [],
     }
-    witnesses: list[PseudoOrbit] = []
-    checked = []
-    ok = True
-    for i in isolated:
-        core = invariant_core(system, dec.classes[i])
-        if not core:
-            details["degenerate"].append(i)
-            continue
-        verdict = check_shadowing_property(
-            system, delta, eps, domain=core, state_cap=state_cap, workers=workers
-        )
-        checked.append({"class": i, "pass": verdict.passed})
-        if not verdict.passed:
-            ok = False
-            if verdict.witness is not None:
-                witnesses.append(verdict.witness)
-    details["checked"] = checked
-    return TheoremResult(
-        ISOLATED_CLASSES, params, HOLDS if ok else FAILS, details, tuple(witnesses)
+    status, witnesses = _check_class_cores(
+        system, dec, isolated, delta, eps, state_cap, details
     )
+    return TheoremResult(ISOLATED_CLASSES, params, status, details, witnesses)
 
 
 @dataclass(frozen=True)
@@ -285,12 +246,12 @@ class SlimitViolation:
 
 
 def find_slimit_violation(
-    system, delta, eps, *, state_cap=None, workers=1
+    system, delta, eps, *, state_cap=None
 ) -> SlimitViolation | None:
     """Canonical slimit counterexample at (delta, eps), if one exists."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
-    verdict = check_slimit_property(system, delta, eps, state_cap=state_cap, workers=workers)
+    verdict = check_slimit_property(system, delta, eps, state_cap=state_cap)
     if verdict.passed:
         return None
     orbit = verdict.witness
@@ -369,7 +330,6 @@ def run_harness(
     grid=None,
     *,
     state_cap=None,
-    workers=1,
 ) -> HarnessReport:
     """Run every theorem analog over a parameter grid."""
     if grid is None:
@@ -385,37 +345,19 @@ def run_harness(
             raise BadParams("grid entries need delta_fine <= delta_coarse")
     results = []
     violations = []
-    for entry in entries:
+    for coarse, fine, eps in entries:
         bundle = (
-            verify_slimit_implies_shadowing(
-                system, entry.delta_fine, entry.eps, state_cap=state_cap, workers=workers
-            ),
+            verify_slimit_implies_shadowing(system, fine, eps, state_cap=state_cap),
             verify_shadowing_class_denseness(
-                system,
-                entry.delta_coarse,
-                entry.delta_fine,
-                entry.eps,
-                state_cap=state_cap,
-                workers=workers,
+                system, coarse, fine, eps, state_cap=state_cap
             ),
             verify_initial_classes_shadow(
-                system,
-                entry.delta_fine,
-                entry.eps,
-                allow_noninvertible=True,
-                state_cap=state_cap,
-                workers=workers,
+                system, fine, eps, allow_noninvertible=True, state_cap=state_cap
             ),
-            verify_isolated_implies_shadowing(
-                system, entry.delta_fine, entry.eps, state_cap=state_cap, workers=workers
-            ),
+            verify_isolated_implies_shadowing(system, fine, eps, state_cap=state_cap),
         )
         results.append(bundle)
-        violations.append(
-            find_slimit_violation(
-                system, entry.delta_fine, entry.eps, state_cap=state_cap, workers=workers
-            )
-        )
+        violations.append(find_slimit_violation(system, fine, eps, state_cap=state_cap))
     return HarnessReport(name, entries, tuple(results), tuple(violations))
 
 
@@ -425,6 +367,33 @@ def run_harness(
 
 def _params(**values: Fraction) -> dict:
     return {key: format_rational(val) for key, val in values.items()}
+
+
+def _check_class_cores(
+    system, dec: ChainDecomposition, indices, delta, eps, state_cap, details: dict
+) -> tuple[str, tuple[PseudoOrbit, ...]]:
+    """Run the restricted shadowing check on the invariant core of each
+    listed class.
+
+    Classes with an empty core go to ``details["degenerate"]``; the others
+    are listed under ``details["checked"]``. Returns the status and the
+    witnesses of the failing classes.
+    """
+    witnesses: list[PseudoOrbit] = []
+    checked = []
+    for i in indices:
+        core = invariant_core(system, dec.classes[i])
+        if not core:
+            details["degenerate"].append(i)
+            continue
+        verdict = check_shadowing_property(
+            system, delta, eps, domain=core, state_cap=state_cap
+        )
+        checked.append({"class": i, "pass": verdict.passed})
+        if not verdict.passed:
+            witnesses.append(verdict.witness)
+    details["checked"] = checked
+    return (FAILS if witnesses else HOLDS), tuple(witnesses)
 
 
 def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:

@@ -113,16 +113,15 @@ class TestShadow:
         assert code == 1
         assert "pass: no" in out and "witness" in out
 
-    def test_worker_counts_byte_identical(self, capsys):
-        outputs = []
-        for workers in ("1", "3"):
-            _, out, _ = run_cli(
-                capsys,
-                "shadow", "--gen", "doubling:6", "--property", "slimit",
-                "--delta", "1/6", "--eps", "1/6", "--workers", workers,
-            )
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+    def test_workers_option_is_gone(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainshadow.cli", "shadow",
+             "--gen", "parallel-cycles", "--delta", "1", "--eps", "1", "--workers", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "--workers" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_negative_rational_rejected(self, capsys):
         assert main(

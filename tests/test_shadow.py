@@ -259,12 +259,27 @@ class TestSystemChecks:
         with pytest.raises(Inconclusive):
             check_shadowing_property(parallel, 1, 1, state_cap=2)
 
-    def test_worker_counts_agree(self, parallel, ns6):
+    @pytest.mark.parametrize("cap", [1, 100, 1000])
+    def test_state_cap_checked_per_state(self, cap):
+        """The cap stops the search at its first excess state, not at the
+        end of the BFS level that crosses it."""
+        system = rotation(64, 5)
+        for check in (check_shadowing_property, check_slimit_property):
+            with pytest.raises(Inconclusive) as caught:
+                check(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
+            assert caught.value.states_explored == cap + 1
+        with pytest.raises(Inconclusive) as caught:
+            reachable_shadow_states(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
+        assert caught.value.states_explored == cap + 1
+
+    def test_state_cap_keeps_verdicts_within_it(self, parallel, ns6):
         for system, delta, eps in ((parallel, 1, 1), (ns6, Fraction(1, 24), Fraction(1, 24))):
-            verdicts = [
-                check_slimit_property(system, delta, eps, workers=w) for w in (1, 2, 3)
-            ]
-            assert len({v.to_json().__str__() for v in verdicts}) == 1
+            for check in (check_shadowing_property, check_slimit_property):
+                verdict = check(system, delta, eps)
+                capped = check(system, delta, eps, state_cap=verdict.states_explored)
+                assert capped == verdict
+                with pytest.raises(Inconclusive):
+                    check(system, delta, eps, state_cap=verdict.states_explored - 1)
 
     def test_domain_errors(self, parallel):
         with pytest.raises(EmptyDomain):
