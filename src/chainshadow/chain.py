@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bits import bits as _bits
+from .bits import bits as _bits, mask_of
 from .errors import BadParams, EmptySet, NotDecreasing
 from .rational import format_rational, parse_nonnegative
 from .system import FiniteMetricSystem, check_point
@@ -88,10 +88,6 @@ class DeltaGraph:
                     stack.pop()
         return order
 
-    def is_cyclic_point(self, p: int) -> bool:
-        scc_of, sccs, _ = self._components
-        return self._is_cyclic(sccs[scc_of[p]])
-
     def _is_cyclic(self, members: tuple[int, ...]) -> bool:
         """Whether an SCC carries a directed cycle (a self-loop if a singleton)."""
         return len(members) > 1 or members[0] in self.succ[members[0]]
@@ -99,10 +95,7 @@ class DeltaGraph:
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
-    succ = tuple(
-        tuple(q for q in system.points if system.dist[system.map[p]][q] <= delta)
-        for p in system.points
-    )
+    succ = tuple(tuple(_bits(system.ball(fp, delta))) for fp in system.map)
     return DeltaGraph(system, delta, succ)
 
 
@@ -162,6 +155,11 @@ class ChainDecomposition:
     def is_initial(self, i: int) -> bool:
         return self._incoming[i] == 0
 
+    def is_isolated(self, i: int, r: Fraction) -> bool:
+        """Whether class i lies farther than r from every other class."""
+        sep = self.separation[i]
+        return sep is None or sep > r
+
     def terminal_classes(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.classes)) if self.is_terminal(i))
 
@@ -193,18 +191,16 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
                 mask |= 1 << index_of_sid[other]
         class_reach.append(mask)
     dist = graph.system.dist
-    separation: list[Fraction | None] = []
-    for i, cls in enumerate(classes):
-        best: Fraction | None = None
-        for j, other in enumerate(classes):
-            if i == j:
-                continue
-            for p in cls:
-                row = dist[p]
-                for q in other:
-                    if best is None or row[q] < best:
-                        best = row[q]
-        separation.append(best)
+    separation: list[Fraction | None] = [None] * len(classes)
+    for p, i in enumerate(class_index):
+        if i is None:
+            continue
+        for q in graph.system.nearest_first(p):
+            if class_index[q] not in (None, i):
+                d = dist[p][q]
+                if separation[i] is None or d < separation[i]:
+                    separation[i] = d
+                break
     return ChainDecomposition(
         graph.system,
         graph.delta,
@@ -230,9 +226,8 @@ def neighborhood(system: FiniteMetricSystem, points, r) -> frozenset[int]:
         raise EmptySet("neighborhood of the empty set")
     for p in points:
         check_point(system, p)
-    return frozenset(
-        x for x in system.points if min(system.dist[x][s] for s in points) <= r
-    )
+    pmask = mask_of(points)
+    return frozenset(x for x in system.points if system.ball(x, r) & pmask)
 
 
 def isolated_classes(dec: ChainDecomposition, r) -> tuple[int, ...]:
@@ -240,11 +235,7 @@ def isolated_classes(dec: ChainDecomposition, r) -> tuple[int, ...]:
     r = parse_nonnegative(r)
     if r == 0:
         raise BadParams("isolation radius must be positive")
-    return tuple(
-        i
-        for i, sep in enumerate(dec.separation)
-        if sep is None or sep > r
-    )
+    return tuple(i for i in range(len(dec.classes)) if dec.is_isolated(i, r))
 
 
 def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
@@ -377,9 +368,9 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
         if dec.is_initial(i):
             # initial classes are exactly the maximal ones of the class order
             flags += ["initial", "maximal"]
-        sep = dec.separation[i]
-        if isolation_radius is not None and (sep is None or sep > isolation_radius):
+        if isolation_radius is not None and dec.is_isolated(i, isolation_radius):
             flags.append("isolated")
+        sep = dec.separation[i]
         label = f"C{i}|size={len(cls)}"
         if flags:
             label += "|" + ",".join(flags)

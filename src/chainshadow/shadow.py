@@ -459,31 +459,6 @@ def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     return mask_of(pts)
 
 
-def _ball_masks(system, eps: Fraction, dmask: int) -> list[int]:
-    balls = []
-    domain_points = list(bits(dmask))
-    for p in system.points:
-        row = system.dist[p]
-        m = 0
-        for q in domain_points:
-            if row[q] <= eps:
-                m |= 1 << q
-        balls.append(m)
-    return balls
-
-
-def _succ_in_domain(system, delta: Fraction, dmask: int) -> list[tuple[int, ...]]:
-    domain_points = list(bits(dmask))
-    out = []
-    for p in system.points:
-        if not (dmask >> p) & 1:
-            out.append(())
-            continue
-        row = system.dist[system.map[p]]
-        out.append(tuple(q for q in domain_points if row[q] <= delta))
-    return out
-
-
 def _image_fn(system):
     image_bit = [1 << t for t in system.map]
 
@@ -499,11 +474,10 @@ def _image_fn(system):
 
 
 def _shadow_masks(system, points, eps: Fraction, dmask: int) -> list[int]:
-    balls = _ball_masks(system, eps, dmask)
     image = _image_fn(system)
-    masks = [balls[points[0]]]
+    masks = [system.ball(points[0], eps) & dmask]
     for x in points[1:]:
-        masks.append(image(masks[-1]) & balls[x])
+        masks.append(image(masks[-1]) & system.ball(x, eps) & dmask)
     return masks
 
 
@@ -519,7 +493,6 @@ def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
     within eps beforehand; least fixpoint over the deterministic pair map."""
     n = system.n
     fmap = system.map
-    dist = system.dist
     points = list(bits(dmask))
     member = bytearray(n * n)
     queue = []
@@ -528,9 +501,8 @@ def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
         queue.append(x * n + x)
     preds: dict[int, list[int]] = {}
     for x in points:
-        row = dist[x]
-        for p in points:
-            if x != p and row[p] <= eps:
+        for p in bits(system.ball(x, eps) & dmask):
+            if x != p:
                 preds.setdefault(fmap[x] * n + fmap[p], []).append(x * n + p)
     while queue:
         cur = queue.pop()
@@ -558,8 +530,9 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     ``failing`` is tested once per level, before the level is expanded;
     ``state_cap`` is checked on every inserted state.
     """
-    balls = _ball_masks(system, eps, dmask)
-    succ = _succ_in_domain(system, delta, dmask)
+    domain = list(bits(dmask))
+    balls = {p: system.ball(p, eps) & dmask for p in domain}
+    succ = {p: tuple(bits(system.ball(system.map[p], delta) & dmask)) for p in domain}
     image = _image_fn(system)
 
     visited: dict[tuple[int, int], tuple[int, int] | None] = {}
@@ -573,7 +546,7 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
         return True
 
     level = []
-    for p in bits(dmask):
+    for p in domain:
         state = (p, balls[p])
         if insert(state, None):
             level.append(state)

@@ -10,10 +10,13 @@ is exact, so systems built here never depend on float rounding.
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .bits import mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
 from .rational import format_rational, parse_rational
 
@@ -53,6 +56,25 @@ class FiniteMetricSystem:
             out.append(x)
             x = self.map[x]
         return tuple(out)
+
+    @cached_property
+    def _nearest_first(self) -> tuple[array, ...]:
+        """Per point p, every point sorted by d(p, .), ties by index."""
+        return tuple(
+            array("i", sorted(self.points, key=row.__getitem__)) for row in self.dist
+        )
+
+    def nearest_first(self, p: int) -> memoryview:
+        """Every point ordered by its distance from ``p``, nearest first.
+
+        A read-only view: the order is cached and shared by every query.
+        """
+        return memoryview(self._nearest_first[p]).toreadonly()
+
+    def ball(self, p: int, r) -> int:
+        """Bitmask of the closed ball: every q with d(p, q) <= r."""
+        order = self._nearest_first[p]
+        return mask_of(order[: bisect_right(order, r, key=self.dist[p].__getitem__)])
 
     @cached_property
     def diameter(self) -> Fraction:
@@ -171,7 +193,15 @@ def validate_system(spec) -> FiniteMetricSystem:
     missing = {"n", "dist", "map"} - spec.keys()
     if missing:
         raise BadParams(f"system spec missing keys: {sorted(missing)}")
-    system = make_system(spec["dist"], spec["map"], spec.get("invertible", False))
+    dist, fmap = spec["dist"], spec["map"]
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise BadParams("dist must be a list of row lists")
+    if not isinstance(fmap, list):
+        raise BadParams("map must be a list of image indices")
+    invertible = spec.get("invertible", False)
+    if not isinstance(invertible, bool):
+        raise BadParams(f"invertible must be true or false, got {invertible!r}")
+    system = make_system(dist, fmap, invertible)
     if system.n != spec["n"]:
         raise BadParams(f"declared n={spec['n']} but dist has {system.n} rows")
     return system
@@ -442,9 +472,11 @@ def generator_names() -> tuple[str, ...]:
 
 def build_corpus_system(name: str, params=()) -> FiniteMetricSystem:
     """Instantiate a named generator with positional or keyword params."""
-    if name not in _GENERATORS:
+    if not isinstance(name, str) or name not in _GENERATORS:
         raise UnknownGenerator(f"unknown generator {name!r}; known: {', '.join(generator_names())}")
     param_names, fn = _GENERATORS[name]
+    if not isinstance(params, (dict, list, tuple)):
+        raise BadParams(f"{name}: params must be a list or a mapping, got {params!r}")
     if isinstance(params, dict):
         unknown = set(params) - set(param_names)
         if unknown:

@@ -29,7 +29,7 @@ from chainshadow import (
     refine_ladder,
     rotation,
 )
-from conftest import metric_systems, system_and_scales
+from conftest import metric_systems, sweep_values, system_and_scales
 
 
 def closure_reaches(graph, x, y):
@@ -164,6 +164,24 @@ class TestDecomposition:
 
     @given(system_and_scales())
     @settings(max_examples=40)
+    def test_separation_is_least_cross_class_distance(self, data):
+        system, delta, _ = data
+        dec = decompose(build_delta_graph(system, delta))
+        for i, cls in enumerate(dec.classes):
+            expected = min(
+                (
+                    system.dist[p][q]
+                    for p in cls
+                    for j, other in enumerate(dec.classes)
+                    if j != i
+                    for q in other
+                ),
+                default=None,
+            )
+            assert dec.separation[i] == expected
+
+    @given(system_and_scales())
+    @settings(max_examples=40)
     def test_terminal_classes_absorb_edges(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
@@ -227,6 +245,16 @@ class TestSetUtilities:
         with pytest.raises(EmptySet):
             neighborhood(parallel, set(), 1)
 
+    @given(metric_systems(max_n=5), st.data())
+    @settings(max_examples=40)
+    def test_neighborhood_matches_definition(self, system, picks):
+        points = picks.draw(st.sets(st.sampled_from(list(system.points)), min_size=1))
+        for r in [Fraction(0), *sweep_values(system)]:
+            expected = {
+                x for x in system.points if min(system.dist[x][s] for s in points) <= r
+            }
+            assert neighborhood(system, points, r) == expected
+
     def test_isolated_classes(self, far_cycles):
         dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
         assert isolated_classes(dec, 1) == (0, 1)
@@ -235,6 +263,8 @@ class TestSetUtilities:
         assert isolated_classes(single, 1000) == (0,)
         with pytest.raises(BadParams):
             isolated_classes(dec, 0)
+        assert single.is_isolated(0, 0)  # the harness margin may be 0
+        assert dec.is_isolated(0, Fraction(39, 10)) and not dec.is_isolated(0, 4)
 
     def test_hausdorff(self, parallel):
         assert hausdorff_distance(parallel, {1, 2}, {1, 2}) == 0

@@ -46,6 +46,25 @@ class TestAnalyze:
         assert code == 2
         assert "triangle" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n": 1, "dist": 5, "map": [0]},
+            {"n": 1, "dist": [5], "map": [0]},
+            {"n": 1, "dist": ["0"], "map": [0]},
+            {"n": 1, "dist": [[0]], "map": 5},
+            {"n": 1, "dist": [[0]], "map": [0], "invertible": "no"},
+            {"generator": "rotation", "params": 5},
+            {"generator": ["rotation"], "params": [4, 1]},
+        ],
+    )
+    def test_malformed_file_exits_2(self, capsys, tmp_path, spec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "analyze", "--file", str(bad), "--delta", "1")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_missing_source_is_usage_error(self, capsys):
         assert main(["analyze", "--delta", "1"]) == 2
 

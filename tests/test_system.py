@@ -27,7 +27,8 @@ from chainshadow import (
     tent,
     validate_system,
 )
-from conftest import metric_systems
+from chainshadow.bits import to_frozenset
+from conftest import metric_systems, sweep_values
 
 
 class TestValidation:
@@ -94,6 +95,28 @@ class TestValidation:
     @settings(max_examples=40)
     def test_random_specs_pass_all_axioms(self, system):
         assert metric_violations(system.dist, system.map, system.invertible) == []
+
+
+class TestDistanceOrder:
+    @given(metric_systems())
+    @settings(max_examples=40)
+    def test_ball_is_the_closed_ball(self, system):
+        radii = [Fraction(0), *sweep_values(system), system.diameter + 1]
+        for p in system.points:
+            row = system.dist[p]
+            order = list(system.nearest_first(p))
+            assert sorted(order) == list(system.points)
+            assert [row[q] for q in order] == sorted(row)
+            for r in radii:
+                expected = {q for q in system.points if row[q] <= r}
+                assert to_frozenset(system.ball(p, r)) == expected
+
+    def test_nearest_first_is_read_only(self):
+        system = rotation(4, 1)
+        assert list(system.nearest_first(0)) == [0, 1, 3, 2]
+        with pytest.raises(TypeError):
+            system.nearest_first(0)[0] = 2
+        assert system.ball(0, Fraction(1, 4)) == 0b1011
 
 
 class TestGenerators:
