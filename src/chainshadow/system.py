@@ -157,7 +157,7 @@ def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     return out
 
 
-def make_system(dist_rows, fmap, invertible=False, quantization=None) -> FiniteMetricSystem:
+def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     """Build a system from raw rows, validating every axiom exactly."""
     dist = tuple(tuple(parse_rational(v) for v in row) for row in dist_rows)
     n = len(dist)
@@ -171,9 +171,7 @@ def make_system(dist_rows, fmap, invertible=False, quantization=None) -> FiniteM
     violations = metric_violations(dist, fmap, bool(invertible))
     if violations:
         raise InvalidSystem(violations)
-    if quantization is not None:
-        quantization = parse_rational(quantization)
-    return FiniteMetricSystem(n, dist, fmap, bool(invertible), quantization)
+    return FiniteMetricSystem(n, dist, fmap, bool(invertible))
 
 
 def validate_system(spec) -> FiniteMetricSystem:
@@ -193,7 +191,9 @@ def validate_system(spec) -> FiniteMetricSystem:
     missing = {"n", "dist", "map"} - spec.keys()
     if missing:
         raise BadParams(f"system spec missing keys: {sorted(missing)}")
-    dist, fmap = spec["dist"], spec["map"]
+    declared_n, dist, fmap = spec["n"], spec["dist"], spec["map"]
+    if not isinstance(declared_n, int) or isinstance(declared_n, bool):
+        raise BadParams(f"n must be an integer, got {declared_n!r}")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise BadParams("dist must be a list of row lists")
     if not isinstance(fmap, list):
@@ -202,8 +202,8 @@ def validate_system(spec) -> FiniteMetricSystem:
     if not isinstance(invertible, bool):
         raise BadParams(f"invertible must be true or false, got {invertible!r}")
     system = make_system(dist, fmap, invertible)
-    if system.n != spec["n"]:
-        raise BadParams(f"declared n={spec['n']} but dist has {system.n} rows")
+    if system.n != declared_n:
+        raise BadParams(f"declared n={declared_n} but dist has {system.n} rows")
     return system
 
 

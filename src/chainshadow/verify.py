@@ -10,7 +10,7 @@ flagged degenerate and excluded from the quantifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,6 +25,7 @@ from .errors import BadParams, NotInvertible
 from .rational import format_rational, parse_nonnegative
 from .shadow import (
     PseudoOrbit,
+    ShadowVerdict,
     check_shadowing_property,
     check_slimit_property,
 )
@@ -62,23 +63,68 @@ class TheoremResult:
         }
 
 
+class _Answers:
+    """The verdicts and decompositions of one system, each computed on
+    first use and read back after that.
+
+    One object serves one public call; ``run_harness`` shares one across
+    its grid. The deciders are looked up as module globals each time they
+    run, so a caller that swaps them still sees every computation.
+    """
+
+    def __init__(self, system: FiniteMetricSystem, state_cap):
+        self.system = system
+        self.state_cap = state_cap
+        self.memo: dict = {}
+
+    def verdict(self, check: str, delta, eps, domain=None) -> ShadowVerdict:
+        """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
+        ``domain`` (the whole system when None)."""
+        key = (check, delta, eps, domain)
+        if key not in self.memo:
+            decide = check_slimit_property if check == "slimit" else check_shadowing_property
+            self.memo[key] = decide(
+                self.system, delta, eps, domain=domain, state_cap=self.state_cap
+            )
+        return self.memo[key]
+
+    def decomposition(self, delta) -> ChainDecomposition:
+        key = ("decompose", delta)
+        if key not in self.memo:
+            self.memo[key] = decompose(build_delta_graph(self.system, delta))
+        return self.memo[key]
+
+    def core_verdict(self, dec: ChainDecomposition, i: int, delta, eps) -> ShadowVerdict | None:
+        """Shadowing verdict on the invariant core of class ``i``, or None
+        when that core is empty (a degenerate class)."""
+        core = invariant_core(self.system, dec.classes[i])
+        return self.verdict("shadowing", delta, eps, core) if core else None
+
+    def reversed(self) -> _Answers:
+        """The answers for the inverse map of an invertible system."""
+        if "reversed" not in self.memo:
+            # Sorting the points by their image inverts a bijection.
+            inverse = tuple(sorted(self.system.points, key=self.system.map.__getitem__))
+            self.memo["reversed"] = _Answers(replace(self.system, map=inverse), self.state_cap)
+        return self.memo["reversed"]
+
+
 def verify_slimit_implies_shadowing(system, delta, eps, *, state_cap=None) -> TheoremResult:
     """slimit passing at (delta, eps) must force shadowing to pass too."""
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
-    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap)
-    shadowing = check_shadowing_property(system, delta, eps, state_cap=state_cap)
+    return _slimit_implies_shadowing(_Answers(system, state_cap), *_rationals(delta, eps))
+
+
+def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
+    slimit = ans.verdict("slimit", delta, eps)
+    shadowing = ans.verdict("shadowing", delta, eps)
     broken = slimit.passed and not shadowing.passed
-    details = {"slimit_pass": slimit.passed, "shadowing_pass": shadowing.passed}
-    witnesses = ()
-    if broken and shadowing.witness is not None:
-        witnesses = (shadowing.witness,)
+    witness = shadowing.witness if broken else None
     return TheoremResult(
         SLIMIT_IMPLIES_SHADOWING,
         _params(delta=delta, eps=eps),
         FAILS if broken else HOLDS,
-        details,
-        witnesses,
+        {"slimit_pass": slimit.passed, "shadowing_pass": shadowing.passed},
+        () if witness is None else (witness,),
     )
 
 
@@ -91,56 +137,41 @@ def verify_shadowing_class_denseness(
     Fine classes inside a coarse class are tried maximal-first under the
     fine class order, but any certifying class is accepted.
     """
-    delta_coarse = parse_nonnegative(delta_coarse)
-    delta_fine = parse_nonnegative(delta_fine)
-    eps = parse_nonnegative(eps)
+    delta_coarse, delta_fine, eps = _rationals(delta_coarse, delta_fine, eps)
     if delta_fine > delta_coarse:
         raise BadParams("delta_fine must not exceed delta_coarse")
+    return _class_denseness(_Answers(system, state_cap), delta_coarse, delta_fine, eps)
+
+
+def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremResult:
     params = _params(delta_coarse=delta_coarse, delta_fine=delta_fine, eps=eps)
-    slimit = check_slimit_property(system, delta_fine, eps, state_cap=state_cap)
-    if not slimit.passed:
-        return TheoremResult(
-            CLASS_DENSENESS, params, VACUOUS, {"slimit_pass": False}
-        )
-    coarse = decompose(build_delta_graph(system, delta_coarse))
-    fine = decompose(build_delta_graph(system, delta_fine))
+    if not ans.verdict("slimit", delta_fine, eps).passed:
+        return TheoremResult(CLASS_DENSENESS, params, VACUOUS, {"slimit_pass": False})
+    coarse = ans.decomposition(delta_coarse)
+    fine = ans.decomposition(delta_fine)
     per_class = []
     witnesses: list[PseudoOrbit] = []
-    all_certified = True
     for i, coarse_cls in enumerate(coarse.classes):
         inside = [j for j, cls in enumerate(fine.classes) if cls <= coarse_cls]
-        ordered = _maximal_first(fine, inside)
-        certifier = None
-        degenerate = []
-        failing_witness = None
-        for j in ordered:
-            core = invariant_core(system, fine.classes[j])
-            if not core:
-                degenerate.append(j)
-                continue
-            verdict = check_shadowing_property(
-                system, delta_fine, eps, domain=core, state_cap=state_cap
-            )
-            if verdict.passed:
-                certifier = j
-                break
-            if failing_witness is None:
-                failing_witness = verdict.witness
-        entry = {
-            "coarse": i,
-            "fine_classes": inside,
-            "certifier": certifier,
-            "degenerate": degenerate,
-        }
+        entry = {"coarse": i, "fine_classes": inside, "certifier": None, "degenerate": []}
         per_class.append(entry)
-        if certifier is None:
-            all_certified = False
-            if failing_witness is not None:
-                witnesses.append(failing_witness)
+        failing_witness = None
+        for j in _maximal_first(fine, inside):
+            verdict = ans.core_verdict(fine, j, delta_fine, eps)
+            if verdict is None:
+                entry["degenerate"].append(j)
+            elif verdict.passed:
+                entry["certifier"] = j
+                break
+            elif failing_witness is None:
+                failing_witness = verdict.witness
+        if entry["certifier"] is None and failing_witness is not None:
+            witnesses.append(failing_witness)
+    certified = all(entry["certifier"] is not None for entry in per_class)
     return TheoremResult(
         CLASS_DENSENESS,
         params,
-        HOLDS if all_certified else FAILS,
+        HOLDS if certified else FAILS,
         {"slimit_pass": True, "coarse_classes": per_class},
         tuple(witnesses),
     )
@@ -165,30 +196,33 @@ def verify_initial_classes_shadow(
     the two scale collapses can genuinely differ, so a mismatch is
     reported but does not fail the theorem.
     """
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
+    delta, eps = _rationals(delta, eps)
     if not system.invertible and not allow_noninvertible:
         raise NotInvertible("system is not invertible; pass allow_noninvertible=True")
+    return _initial_classes_shadow(_Answers(system, state_cap), delta, eps)
+
+
+def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
     params = _params(delta=delta, eps=eps)
-    slimit = check_slimit_property(system, delta, eps, state_cap=state_cap)
-    if not slimit.passed:
+    if not ans.verdict("slimit", delta, eps).passed:
         return TheoremResult(INITIAL_CLASSES, params, VACUOUS, {"slimit_pass": False})
-    dec = decompose(build_delta_graph(system, delta))
+    dec = ans.decomposition(delta)
     initial = dec.initial_classes()
+    cross_check = None
+    if ans.system.invertible:
+        # Initial classes of the map against terminal classes of its inverse
+        # at the same resolution, as point sets.
+        rev_dec = ans.reversed().decomposition(delta)
+        terminal = {rev_dec.classes[i] for i in rev_dec.terminal_classes()}
+        cross_check = terminal == {dec.classes[i] for i in initial}
     details: dict = {
         "slimit_pass": True,
-        "invertible": system.invertible,
+        "invertible": ans.system.invertible,
         "initial_classes": list(initial),
         "degenerate": [],
+        "inverse_cross_check": cross_check,
     }
-    if system.invertible:
-        details["inverse_cross_check"] = _inverse_cross_check(system, delta, dec)
-    else:
-        details["inverse_cross_check"] = None
-    status, witnesses = _check_class_cores(
-        system, dec, initial, delta, eps, state_cap, details
-    )
-    return TheoremResult(INITIAL_CLASSES, params, status, details, witnesses)
+    return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, delta, eps, details)
 
 
 def verify_isolated_implies_shadowing(
@@ -202,29 +236,23 @@ def verify_isolated_implies_shadowing(
     their shadows, cannot involve any other class, which is what makes the
     restriction meaningful.
     """
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
+    return _isolated_implies_shadowing(_Answers(system, state_cap), *_rationals(delta, eps))
+
+
+def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     params = _params(delta=delta, eps=eps)
-    full = check_shadowing_property(system, delta, eps, state_cap=state_cap)
-    if not full.passed:
+    if not ans.verdict("shadowing", delta, eps).passed:
         return TheoremResult(ISOLATED_CLASSES, params, VACUOUS, {"shadowing_pass": False})
     margin = 2 * eps + delta
-    dec = decompose(build_delta_graph(system, delta))
-    isolated = [
-        i
-        for i, sep in enumerate(dec.separation)
-        if sep is None or sep > margin
-    ]
+    dec = ans.decomposition(delta)
+    isolated = [i for i in range(len(dec.classes)) if dec.is_isolated(i, margin)]
     details: dict = {
         "shadowing_pass": True,
         "margin": format_rational(margin),
         "isolated_classes": isolated,
         "degenerate": [],
     }
-    status, witnesses = _check_class_cores(
-        system, dec, isolated, delta, eps, state_cap, details
-    )
-    return TheoremResult(ISOLATED_CLASSES, params, status, details, witnesses)
+    return _check_class_cores(ans, ISOLATED_CLASSES, params, dec, isolated, delta, eps, details)
 
 
 @dataclass(frozen=True)
@@ -249,14 +277,16 @@ def find_slimit_violation(
     system, delta, eps, *, state_cap=None
 ) -> SlimitViolation | None:
     """Canonical slimit counterexample at (delta, eps), if one exists."""
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
-    verdict = check_slimit_property(system, delta, eps, state_cap=state_cap)
+    return _slimit_violation(_Answers(system, state_cap), *_rationals(delta, eps))
+
+
+def _slimit_violation(ans: _Answers, delta, eps) -> SlimitViolation | None:
+    verdict = ans.verdict("slimit", delta, eps)
     if verdict.passed:
         return None
     orbit = verdict.witness
     assert orbit is not None and orbit.tail_start is not None
-    dec = decompose(build_delta_graph(system, delta))
+    dec = ans.decomposition(delta)
     start_cls = dec.class_of(orbit.points[0])
     tail_cls = dec.class_of(orbit.points[orbit.tail_start])
     return SlimitViolation(
@@ -298,25 +328,19 @@ class HarnessReport:
 
     @property
     def nonvacuous_failures(self) -> int:
-        return sum(
-            1
-            for bundle in self.results
-            for result in bundle
-            if result.is_nonvacuous_failure
-        )
+        return sum(r.is_nonvacuous_failure for bundle in self.results for r in bundle)
 
     def to_json(self) -> dict:
-        entries = []
-        for entry, bundle, violation in zip(self.entries, self.results, self.violations):
-            entries.append(
-                {
-                    "delta_coarse": format_rational(entry.delta_coarse),
-                    "delta_fine": format_rational(entry.delta_fine),
-                    "eps": format_rational(entry.eps),
-                    "results": [r.to_json() for r in bundle],
-                    "slimit_violation": None if violation is None else violation.to_json(),
-                }
-            )
+        entries = [
+            {
+                "delta_coarse": format_rational(entry.delta_coarse),
+                "delta_fine": format_rational(entry.delta_fine),
+                "eps": format_rational(entry.eps),
+                "results": [r.to_json() for r in bundle],
+                "slimit_violation": None if violation is None else violation.to_json(),
+            }
+            for entry, bundle, violation in zip(self.entries, self.results, self.violations)
+        ]
         return {
             "system": self.system_name,
             "entries": entries,
@@ -334,30 +358,22 @@ def run_harness(
     """Run every theorem analog over a parameter grid."""
     if grid is None:
         grid = default_grid(system)
-    entries = tuple(
-        GridEntry(
-            parse_nonnegative(e[0]), parse_nonnegative(e[1]), parse_nonnegative(e[2])
-        )
-        for e in grid
-    )
+    entries = tuple(GridEntry(*_rationals(e[0], e[1], e[2])) for e in grid)
     for entry in entries:
         if entry.delta_fine > entry.delta_coarse:
             raise BadParams("grid entries need delta_fine <= delta_coarse")
+    ans = _Answers(system, state_cap)
     results = []
     violations = []
     for coarse, fine, eps in entries:
         bundle = (
-            verify_slimit_implies_shadowing(system, fine, eps, state_cap=state_cap),
-            verify_shadowing_class_denseness(
-                system, coarse, fine, eps, state_cap=state_cap
-            ),
-            verify_initial_classes_shadow(
-                system, fine, eps, allow_noninvertible=True, state_cap=state_cap
-            ),
-            verify_isolated_implies_shadowing(system, fine, eps, state_cap=state_cap),
+            _slimit_implies_shadowing(ans, fine, eps),
+            _class_denseness(ans, coarse, fine, eps),
+            _initial_classes_shadow(ans, fine, eps),
+            _isolated_implies_shadowing(ans, fine, eps),
         )
         results.append(bundle)
-        violations.append(find_slimit_violation(system, fine, eps, state_cap=state_cap))
+        violations.append(_slimit_violation(ans, fine, eps))
     return HarnessReport(name, entries, tuple(results), tuple(violations))
 
 
@@ -365,59 +381,41 @@ def run_harness(
 # helpers
 
 
+def _rationals(*values) -> tuple[Fraction, ...]:
+    return tuple(parse_nonnegative(v) for v in values)
+
+
 def _params(**values: Fraction) -> dict:
     return {key: format_rational(val) for key, val in values.items()}
 
 
 def _check_class_cores(
-    system, dec: ChainDecomposition, indices, delta, eps, state_cap, details: dict
-) -> tuple[str, tuple[PseudoOrbit, ...]]:
+    ans: _Answers, theorem, params, dec: ChainDecomposition, indices, delta, eps, details
+) -> TheoremResult:
     """Run the restricted shadowing check on the invariant core of each
     listed class.
 
     Classes with an empty core go to ``details["degenerate"]``; the others
-    are listed under ``details["checked"]``. Returns the status and the
-    witnesses of the failing classes.
+    are listed under ``details["checked"]``. The theorem fails with the
+    witnesses of the failing classes, if any.
     """
     witnesses: list[PseudoOrbit] = []
     checked = []
     for i in indices:
-        core = invariant_core(system, dec.classes[i])
-        if not core:
+        verdict = ans.core_verdict(dec, i, delta, eps)
+        if verdict is None:
             details["degenerate"].append(i)
             continue
-        verdict = check_shadowing_property(
-            system, delta, eps, domain=core, state_cap=state_cap
-        )
         checked.append({"class": i, "pass": verdict.passed})
         if not verdict.passed:
             witnesses.append(verdict.witness)
     details["checked"] = checked
-    return (FAILS if witnesses else HOLDS), tuple(witnesses)
+    status = FAILS if witnesses else HOLDS
+    return TheoremResult(theorem, params, status, details, tuple(witnesses))
 
 
 def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:
     """Order a subset of classes maximal-first under the class order
     restricted to that subset."""
-    maximal = [
-        j
-        for j in subset
-        if not any(class_order(dec, j, k) for k in subset if k != j)
-    ]
-    rest = [j for j in subset if j not in maximal]
-    return maximal + rest
-
-
-def _inverse_cross_check(system, delta: Fraction, dec: ChainDecomposition) -> bool:
-    """Compare initial classes of the map with terminal classes of its
-    inverse at the same resolution (point sets, not indices)."""
-    inverse = [0] * system.n
-    for p, q in enumerate(system.map):
-        inverse[q] = p
-    reversed_system = FiniteMetricSystem(
-        system.n, system.dist, tuple(inverse), invertible=True
-    )
-    rev_dec = decompose(build_delta_graph(reversed_system, delta))
-    initial_sets = {dec.classes[i] for i in dec.initial_classes()}
-    terminal_sets = {rev_dec.classes[i] for i in rev_dec.terminal_classes()}
-    return initial_sets == terminal_sets
+    # A stable sort on "lies below another class" puts the maximal ones first.
+    return sorted(subset, key=lambda j: any(class_order(dec, j, k) for k in subset if k != j))

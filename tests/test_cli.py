@@ -56,6 +56,8 @@ class TestAnalyze:
             {"n": 1, "dist": [[0]], "map": [0], "invertible": "no"},
             {"generator": "rotation", "params": 5},
             {"generator": ["rotation"], "params": [4, 1]},
+            {"n": True, "dist": [[0]], "map": [0]},
+            {"n": 1.0, "dist": [[0]], "map": [0]},
         ],
     )
     def test_malformed_file_exits_2(self, capsys, tmp_path, spec):
@@ -225,6 +227,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--gen", "rotation:4:1")
         assert code == 1
         assert json.loads(out)["nonvacuous_failures"] > 0
+
+    def test_harness_state_cap_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--gen", "rotation:6:2", "--state-cap", "5"
+        )
+        assert code == 3 and out == ""
+        assert err == "inconclusive: state cap 5 exceeded after 6 states\n"
 
 
 class TestPlumbing:

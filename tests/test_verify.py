@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from chainshadow import (
     VACUOUS,
     BadParams,
     GridEntry,
+    HarnessReport,
     NotInvertible,
     brute_force_oracle,
     cantor_identity,
@@ -20,6 +22,7 @@ from chainshadow import (
     is_shadowed,
     rotation,
     run_harness,
+    standard_corpus,
     validate_pseudo_orbit,
     verify_initial_classes_shadow,
     verify_isolated_implies_shadowing,
@@ -229,3 +232,61 @@ class TestHarness:
         report = run_harness(parallel, "pc")
         flat = [r for bundle in report.results for r in bundle]
         assert sum(r.status == FAILS for r in flat) == report.nonvacuous_failures
+
+
+class TestSharedAnswers:
+    """One harness run computes each verdict and decomposition once, and
+    answers exactly as the public functions do when called on their own."""
+
+    @pytest.mark.parametrize("name", ["cantor-identity:3", "north-south:6"])
+    def test_no_question_is_asked_twice(self, monkeypatch, name):
+        import chainshadow.verify as verify_mod
+
+        system = dict(standard_corpus())[name]
+        asked = []
+
+        def counting(prop, real):
+            def wrapper(system, delta, eps=None, domain=None, **kwargs):
+                # The reversed system of the inverse cross-check is its own
+                # object, so systems are told apart by identity.
+                asked.append((prop, id(system), delta, eps, domain))
+                if prop == "graph":
+                    return real(system, delta)
+                return real(system, delta, eps, domain=domain, **kwargs)
+
+            return wrapper
+
+        for prop, attr in [
+            ("slimit", "check_slimit_property"),
+            ("shadowing", "check_shadowing_property"),
+            ("graph", "build_delta_graph"),
+        ]:
+            monkeypatch.setattr(verify_mod, attr, counting(prop, getattr(verify_mod, attr)))
+        report = run_harness(system, name)
+        assert report.results
+        assert {prop for prop, *_ in asked} == {"slimit", "shadowing", "graph"}
+        assert len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
+    @pytest.mark.parametrize(
+        "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
+    )
+    def test_harness_matches_the_public_functions(self, name, system, crossed):
+        grid = default_grid(system)
+        if crossed:
+            # Every fine delta against every eps, so that entries share a
+            # delta but not an eps.
+            values = [entry.eps for entry in grid]
+            grid = tuple(GridEntry(grid[0].delta_coarse, d, e) for d in values for e in values)
+        results = tuple(
+            (
+                verify_slimit_implies_shadowing(system, fine, eps),
+                verify_shadowing_class_denseness(system, coarse, fine, eps),
+                verify_initial_classes_shadow(system, fine, eps, allow_noninvertible=True),
+                verify_isolated_implies_shadowing(system, fine, eps),
+            )
+            for coarse, fine, eps in grid
+        )
+        violations = tuple(find_slimit_violation(system, fine, eps) for _, fine, eps in grid)
+        expected = HarnessReport(name, grid, results, violations).to_json()
+        assert json.dumps(run_harness(system, name, grid).to_json()) == json.dumps(expected)
