@@ -10,11 +10,13 @@ is exact, so systems built here never depend on float rounding.
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .bits import mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -26,6 +28,12 @@ _HALF = Fraction(1, 2)
 
 _MAX_VIOLATIONS = 50
 _MAX_CANTOR_DEPTH = 10
+# Widest common denominator, in bits, at which metric_violations works on
+# integer rows. Up to it the rows take a small multiple of the memory of the
+# Fraction table they check. Past it they can grow without bound (as n**4
+# when every entry has its own large denominator), so such a table is
+# checked on Fractions.
+_MAX_COMMON_DENOMINATOR_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,14 @@ class FiniteMetricSystem:
 
     @cached_property
     def _nearest_first(self) -> tuple[array, ...]:
-        """Per point p, every point sorted by d(p, .), ties by index."""
+        """Per point p, every point sorted by d(p, .), ties by index.
+
+        Each row is sorted on its entries over that row's own common
+        denominator, so the sort compares ints, not Fractions.
+        """
         return tuple(
-            array("i", sorted(self.points, key=row.__getitem__)) for row in self.dist
+            array("i", sorted(self.points, key=scaled.__getitem__))
+            for scaled in (_over_common_denominator((row,))[0] for row in self.dist)
         )
 
     def nearest_first(self, p: int) -> memoryview:
@@ -123,6 +136,20 @@ def check_point(system: FiniteMetricSystem, p) -> None:
         raise BadParams(f"point index out of range: {p!r}")
 
 
+def _over_common_denominator(rows, max_bits=None) -> list[list[int]] | None:
+    """The rows multiplied by L, the least common denominator of all their
+    entries: exact integers that compare, and differ in sign, as the
+    entries do. None when L is wider than ``max_bits`` bits."""
+    denominators = {v.denominator for row in rows for v in row}
+    common = 1
+    for q in denominators:
+        common = math.lcm(common, q)
+        if max_bits is not None and common.bit_length() > max_bits:
+            return None
+    scale = {q: common // q for q in denominators}
+    return [[v.numerator * scale[v.denominator] for v in row] for row in rows]
+
+
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries)."""
     n = len(dist)
@@ -132,21 +159,34 @@ def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
         if len(out) < _MAX_VIOLATIONS:
             out.append(Violation(kind, tuple(indices)))
 
+    rows = _over_common_denominator(dist, _MAX_COMMON_DENOMINATOR_BITS)
+    table = dist if rows is None else rows
     for i in range(n):
-        if dist[i][i] != 0:
+        if table[i][i] != 0:
             add("identity", i, i)
         for j in range(i):
-            if dist[i][j] <= 0:
+            if table[i][j] <= 0:
                 add("positivity", i, j)
-            if dist[i][j] != dist[j][i]:
+            if table[i][j] != table[j][i]:
                 add("symmetry", i, j)
-    for i in range(n):
-        for j in range(n):
-            dij = dist[i][j]
-            row_j = dist[j]
-            for k in range(n):
-                if dist[i][k] > dij + row_j[k]:
-                    add("triangle", i, j, k)
+    if rows is None:
+        for i in range(n):
+            for j in range(n):
+                dij = dist[i][j]
+                row_j = dist[j]
+                for k in range(n):
+                    if dist[i][k] > dij + row_j[k]:
+                        add("triangle", i, j, k)
+    else:
+        # d(i, k) > d(i, j) + d(j, k) for some k exactly when the largest
+        # row_i[k] - row_j[k] exceeds row_i[j]; only such pairs walk k.
+        for i, row_i in enumerate(rows):
+            for j, row_j in enumerate(rows):
+                dij = row_i[j]
+                if max(map(sub, row_i, row_j)) > dij:
+                    for k in range(n):
+                        if row_i[k] - row_j[k] > dij:
+                            add("triangle", i, j, k)
     total = True
     for i, target in enumerate(fmap):
         if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < n:
@@ -201,10 +241,9 @@ def validate_system(spec) -> FiniteMetricSystem:
     invertible = spec.get("invertible", False)
     if not isinstance(invertible, bool):
         raise BadParams(f"invertible must be true or false, got {invertible!r}")
-    system = make_system(dist, fmap, invertible)
-    if system.n != declared_n:
-        raise BadParams(f"declared n={declared_n} but dist has {system.n} rows")
-    return system
+    if declared_n != len(dist):
+        raise BadParams(f"declared n={declared_n} but dist has {len(dist)} rows")
+    return make_system(dist, fmap, invertible)
 
 
 def system_from_json(text: str) -> FiniteMetricSystem:

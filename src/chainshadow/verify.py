@@ -101,12 +101,18 @@ class _Answers:
         return self.verdict("shadowing", delta, eps, core) if core else None
 
     def reversed(self) -> _Answers:
-        """The answers for the inverse map of an invertible system."""
+        """The answers for the inverse map of an invertible system: these
+        same answers when the map is its own inverse (such as the identity)."""
         if "reversed" not in self.memo:
             # Sorting the points by their image inverts a bijection.
             inverse = tuple(sorted(self.system.points, key=self.system.map.__getitem__))
-            self.memo["reversed"] = _Answers(replace(self.system, map=inverse), self.state_cap)
-        return self.memo["reversed"]
+            # None stands for this object, which so never holds itself.
+            self.memo["reversed"] = (
+                None
+                if inverse == self.system.map
+                else _Answers(replace(self.system, map=inverse), self.state_cap)
+            )
+        return self.memo["reversed"] or self
 
 
 def verify_slimit_implies_shadowing(system, delta, eps, *, state_cap=None) -> TheoremResult:

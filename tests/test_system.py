@@ -5,13 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainshadow import (
     BadParams,
     GridSystem1D,
     InvalidSystem,
     UnknownGenerator,
+    Violation,
     build_corpus_system,
     cantor_identity,
     discretize,
@@ -27,8 +29,75 @@ from chainshadow import (
     tent,
     validate_system,
 )
+from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
 from conftest import metric_systems, sweep_values
+
+
+def reference_violations(dist, fmap, invertible):
+    """The axiom check on Fractions, with the O(n^3) triangle loop: the
+    reference that ``metric_violations`` must match, order included."""
+    n = len(dist)
+    out = []
+
+    def add(kind, *indices):
+        if len(out) < 50:
+            out.append(Violation(kind, tuple(indices)))
+
+    for i in range(n):
+        if dist[i][i] != 0:
+            add("identity", i, i)
+        for j in range(i):
+            if dist[i][j] <= 0:
+                add("positivity", i, j)
+            if dist[i][j] != dist[j][i]:
+                add("symmetry", i, j)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    add("triangle", i, j, k)
+    total = True
+    for i, target in enumerate(fmap):
+        if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < n:
+            add("map_not_total", i)
+            total = False
+    if total and invertible and len(set(fmap)) != n:
+        add("not_bijective")
+    return out
+
+
+_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(2**62), 2**62), st.integers(2**40, 2**61 - 1)),
+)
+
+
+@st.composite
+def square_tables(draw, max_n: int = 8):
+    """Square tables of mixed small and huge denominators, zero and negative
+    entries, mostly (not always) symmetric with a zero diagonal."""
+    n = draw(st.integers(1, max_n))
+    dist = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            dist[i][i] = Fraction(0)
+            for j in range(i):
+                dist[i][j] = dist[j][i]
+    fmap = tuple(draw(st.integers(-1, n)) for _ in range(n))
+    return tuple(map(tuple, dist)), fmap, draw(st.booleans())
+
+
+def _wide_table(first_denominator: int, n: int = 10):
+    """d(i, j) = 1 + 1/q with one q per pair, counting up from
+    ``first_denominator``, and d(0, 1) stretched past every two-step path."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    for q, (i, j) in enumerate(pairs, start=first_denominator):
+        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
+    dist[0][1] = dist[1][0] = Fraction(5)
+    return tuple(map(tuple, dist))
 
 
 class TestValidation:
@@ -80,6 +149,14 @@ class TestValidation:
         with pytest.raises(BadParams):
             validate_system({"n": 3, "dist": [[0, 1], [1, 0]], "map": [0, 1]})
 
+    def test_n_mismatch_is_found_before_the_table_is_checked(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("metric_violations called")
+
+        monkeypatch.setattr(system_mod, "metric_violations", never)
+        with pytest.raises(BadParams, match="declared n=1 but dist has 2 rows"):
+            validate_system({"n": 1, "dist": [[0, 1], [1, 0]], "map": [0, 1]})
+
     def test_floats_rejected(self):
         with pytest.raises(BadParams):
             make_system([[0, 0.5], [0.5, 0]], (0, 1))
@@ -95,6 +172,23 @@ class TestValidation:
     @settings(max_examples=40)
     def test_random_specs_pass_all_axioms(self, system):
         assert metric_violations(system.dist, system.map, system.invertible) == []
+
+    @given(square_tables())
+    @example((((Fraction(-1, 3),) * 6,) * 6, (0,) * 6, True))  # past the 50-entry cap
+    @settings(max_examples=200)
+    def test_matches_the_fraction_reference(self, table):
+        assert metric_violations(*table) == reference_violations(*table)
+
+    @pytest.mark.parametrize("first_denominator", [2, 2**40])
+    def test_both_sides_of_the_denominator_width_limit(self, first_denominator):
+        dist = _wide_table(first_denominator)
+        rows = system_mod._over_common_denominator(
+            dist, system_mod._MAX_COMMON_DENOMINATOR_BITS
+        )
+        assert (rows is None) == (first_denominator == 2**40)
+        found = metric_violations(dist, tuple(range(len(dist))), False)
+        assert found == reference_violations(dist, tuple(range(len(dist))), False)
+        assert Violation("triangle", (0, 2, 1)) in found
 
 
 class TestDistanceOrder:

@@ -267,6 +267,21 @@ class TestSharedAnswers:
         assert {prop for prop, *_ in asked} == {"slimit", "shadowing", "graph"}
         assert len(asked) == len(set(asked))
 
+    def test_a_self_inverse_map_reuses_its_answers(self, monkeypatch):
+        import chainshadow.verify as verify_mod
+
+        system = dict(standard_corpus())["cantor-identity:3"]
+        deltas = []
+        real = verify_mod.build_delta_graph
+
+        def counting(system, delta):
+            deltas.append(delta)
+            return real(system, delta)
+
+        monkeypatch.setattr(verify_mod, "build_delta_graph", counting)
+        run_harness(system, "cantor-identity:3")
+        assert deltas and len(deltas) == len(set(deltas))
+
     @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
     @pytest.mark.parametrize(
         "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
