@@ -23,11 +23,22 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise BadParams("floating point rejected; pass a 'p/q' or decimal string")
     if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
         try:
-            return Fraction(value.strip())
+            # Plain "[-]digits" and "[-]digits/digits" skip Fraction's regex.
+            if _is_ascii_digits(num.removeprefix("-")) and (
+                not slash or _is_ascii_digits(den)
+            ):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"cannot parse rational {value!r}") from exc
     raise BadParams(f"not a rational: {value!r}")
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def parse_nonnegative(value) -> Fraction:

@@ -529,27 +529,28 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     witness is the lexicographically smallest shortest failing prefix.
     ``failing`` is tested once per level, before the level is expanded;
     ``state_cap`` is checked on every inserted state.
+
+    Far fewer candidate sets than states are reachable (4,705 sets for
+    117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
+    set's image is computed once and kept for the rest of this call.
     """
     domain = list(bits(dmask))
     balls = {p: system.ball(p, eps) & dmask for p in domain}
-    succ = {p: tuple(bits(system.ball(system.map[p], delta) & dmask)) for p in domain}
+    succ = {
+        p: tuple((q, balls[q]) for q in bits(system.ball(system.map[p], delta) & dmask))
+        for p in domain
+    }
     image = _image_fn(system)
+    images: dict[int, int] = {}
 
     visited: dict[tuple[int, int], tuple[int, int] | None] = {}
-
-    def insert(state, parent) -> bool:
-        if state in visited:
-            return False
-        visited[state] = parent
-        if state_cap is not None and len(visited) > state_cap:
-            raise Inconclusive(len(visited), state_cap)
-        return True
-
     level = []
     for p in domain:
         state = (p, balls[p])
-        if insert(state, None):
-            level.append(state)
+        visited[state] = None
+        if state_cap is not None and len(visited) > state_cap:
+            raise Inconclusive(len(visited), state_cap)
+        level.append(state)
     while level:
         bad = [s for s in level if failing(*s)]
         if bad:
@@ -557,10 +558,15 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
         nxt = []
         for state in level:
             p, y = state
-            iy = image(y)
-            for q in succ[p]:
-                child = (q, iy & balls[q])
-                if insert(child, state):
+            iy = images.get(y)
+            if iy is None:
+                iy = images[y] = image(y)
+            for q, ball in succ[p]:
+                child = (q, iy & ball)
+                if child not in visited:
+                    visited[child] = state
+                    if state_cap is not None and len(visited) > state_cap:
+                        raise Inconclusive(len(visited), state_cap)
                     nxt.append(child)
         level = nxt
     return visited, None

@@ -28,6 +28,9 @@ _HALF = Fraction(1, 2)
 
 _MAX_VIOLATIONS = 50
 _MAX_CANTOR_DEPTH = 10
+# Most points a generator builds or a spec may list; a larger dist table is
+# refused on its row count, before any entry is parsed.
+_MAX_POINTS = 4096
 # Widest common denominator, in bits, at which metric_violations works on
 # integer rows. Up to it the rows take a small multiple of the memory of the
 # Fraction table they check. Past it they can grow without bound (as n**4
@@ -236,6 +239,10 @@ def validate_system(spec) -> FiniteMetricSystem:
         raise BadParams(f"n must be an integer, got {declared_n!r}")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise BadParams("dist must be a list of row lists")
+    if len(dist) > _MAX_POINTS:
+        raise BadParams(
+            f"dist has {len(dist)} rows; at most {_MAX_POINTS} points are allowed"
+        )
     if not isinstance(fmap, list):
         raise BadParams("map must be a list of image indices")
     invertible = spec.get("invertible", False)
@@ -398,7 +405,7 @@ def cantor_identity(depth: int) -> FiniteMetricSystem:
 
 def rotation(n: int, k: int) -> FiniteMetricSystem:
     """Rigid rotation p -> p + k on n equally spaced circle points."""
-    _require_int("n", n, 1, 4096)
+    _require_int("n", n, 1, _MAX_POINTS)
     if not isinstance(k, int) or isinstance(k, bool):
         raise BadParams("rotation step k must be an integer")
     dist = tuple(
@@ -418,7 +425,7 @@ def north_south(n: int) -> FiniteMetricSystem:
     step, the chain structure is exactly two classes: the source (initial)
     and the sink (terminal).
     """
-    _require_int("n", n, 3, 4096)
+    _require_int("n", n, 3, _MAX_POINTS)
     interior = n - 2
     side_a = (interior + 1) // 2
     side_b = interior // 2
@@ -467,13 +474,13 @@ def parallel_cycles() -> FiniteMetricSystem:
 
 def doubling(cells: int) -> FiniteMetricSystem:
     """Angle doubling on the circle, discretized to ``cells`` centers."""
-    _require_int("cells", cells, 1, 4096)
+    _require_int("cells", cells, 1, _MAX_POINTS)
     return discretize(GridSystem1D(cells, "circle", "doubling"))
 
 
 def tent(cells: int) -> FiniteMetricSystem:
     """Tent map on the unit interval, discretized to ``cells`` centers."""
-    _require_int("cells", cells, 1, 4096)
+    _require_int("cells", cells, 1, _MAX_POINTS)
     return discretize(GridSystem1D(cells, "interval", "tent"))
 
 

@@ -67,6 +67,16 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_too_many_points_exits_2(self, capsys, tmp_path):
+        rows = 4097
+        row = [0]
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"n": rows, "dist": [row] * rows, "map": [0] * rows}))
+        code, out, err = run_cli(capsys, "analyze", "--file", str(big), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "4096" in err
+        assert "Traceback" not in err
+
     def test_missing_source_is_usage_error(self, capsys):
         assert main(["analyze", "--delta", "1"]) == 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,72 @@ from chainshadow import (
     shadow_sets,
     validate_pseudo_orbit,
 )
+from chainshadow import shadow as shadow_mod
+from chainshadow.bits import bits
 from conftest import metric_systems, system_and_chain, system_and_scales
+
+
+def reference_explore(system, delta, eps, dmask, failing, state_cap):
+    """The subset-automaton BFS before image memoisation: the image of a
+    candidate set is recomputed bit by bit for every state that holds it,
+    and every child goes through one ``insert`` call."""
+    domain = list(bits(dmask))
+    balls = {p: system.ball(p, eps) & dmask for p in domain}
+    succ = {p: tuple(bits(system.ball(system.map[p], delta) & dmask)) for p in domain}
+
+    def image(mask):
+        out = 0
+        for y in bits(mask):
+            out |= 1 << system.map[y]
+        return out
+
+    visited = {}
+
+    def insert(state, parent):
+        if state in visited:
+            return False
+        visited[state] = parent
+        if state_cap is not None and len(visited) > state_cap:
+            raise Inconclusive(len(visited), state_cap)
+        return True
+
+    level = []
+    for p in domain:
+        state = (p, balls[p])
+        if insert(state, None):
+            level.append(state)
+    while level:
+        bad = [s for s in level if failing(*s)]
+        if bad:
+            return visited, min(shadow_mod._path_to(visited, s) for s in bad)
+        nxt = []
+        for state in level:
+            p, y = state
+            iy = image(y)
+            for q in succ[p]:
+                child = (q, iy & balls[q])
+                if insert(child, state):
+                    nxt.append(child)
+        level = nxt
+    return visited, None
+
+
+@st.composite
+def capped_checks(draw):
+    """A system, scales, a forward-invariant domain (or None) and a small
+    state cap (or None)."""
+    system, delta, eps = draw(system_and_scales())
+    domain = None
+    if draw(st.booleans()):
+        domain = set(draw(st.lists(st.integers(0, system.n - 1), min_size=1, max_size=3)))
+        frontier = list(domain)
+        while frontier:
+            image = system.map[frontier.pop()]
+            if image not in domain:
+                domain.add(image)
+                frontier.append(image)
+    cap = draw(st.one_of(st.none(), st.integers(0, 12)))
+    return system, delta, eps, domain, cap
 
 
 class TestPseudoOrbit:
@@ -297,8 +363,13 @@ class TestSystemChecks:
     @settings(max_examples=30, deadline=None)
     def test_slimit_implies_shadowing(self, data):
         system, delta, eps = data
-        if check_slimit_property(system, delta, eps).passed:
-            assert check_shadowing_property(system, delta, eps).passed
+        slimit = check_slimit_property(system, delta, eps)
+        shadowing = check_shadowing_property(system, delta, eps)
+        if slimit.passed:
+            assert shadowing.passed
+        # Both run the same BFS, and slimit's failing test holds wherever
+        # shadowing's does, so slimit stops no later.
+        assert slimit.states_explored <= shadowing.states_explored
 
     def test_monotonicity_on_grid(self, parallel):
         values = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
@@ -313,6 +384,31 @@ class TestSystemChecks:
                     for e2 in values:
                         if d2 <= d and e2 >= e:
                             assert verdicts[(d2, e2)], (d, e, d2, e2)
+
+
+class TestExploreAgainstReference:
+    @staticmethod
+    def _outcomes(system, delta, eps, domain, cap):
+        def run(fn, render):
+            try:
+                return render(fn(system, delta, eps, domain, state_cap=cap))
+            except Inconclusive as exc:
+                return ("inconclusive", exc.states_explored, str(exc))
+
+        to_json = shadow_mod.ShadowVerdict.to_json
+        return (
+            run(reachable_shadow_states, list),
+            run(check_shadowing_property, to_json),
+            run(check_slimit_property, to_json),
+        )
+
+    @given(capped_checks())
+    @settings(max_examples=200, deadline=None)
+    def test_same_states_verdicts_and_caps(self, data):
+        ours = self._outcomes(*data)
+        with mock.patch.object(shadow_mod, "_explore", reference_explore):
+            theirs = self._outcomes(*data)
+        assert ours == theirs
 
 
 class TestReachableStates:

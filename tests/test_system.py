@@ -22,6 +22,7 @@ from chainshadow import (
     metric_violations,
     north_south,
     parse_generator_string,
+    parse_rational,
     rotation,
     shortest_path_metric,
     standard_corpus,
@@ -156,6 +157,23 @@ class TestValidation:
         monkeypatch.setattr(system_mod, "metric_violations", never)
         with pytest.raises(BadParams, match="declared n=1 but dist has 2 rows"):
             validate_system({"n": 1, "dist": [[0, 1], [1, 0]], "map": [0, 1]})
+
+    def test_point_count_guard_comes_before_parsing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("parse_rational called")
+
+        monkeypatch.setattr(system_mod, "parse_rational", never)
+        rows = system_mod._MAX_POINTS + 1
+        row = [0]
+        spec = {"n": rows, "dist": [row] * rows, "map": [0] * rows}
+        with pytest.raises(BadParams, match=f"dist has {rows} rows"):
+            validate_system(spec)
+
+    def test_generators_share_the_point_cap(self):
+        with pytest.raises(BadParams, match="4096"):
+            rotation(system_mod._MAX_POINTS + 1, 1)
+        with pytest.raises(BadParams, match="4096"):
+            tent(system_mod._MAX_POINTS + 1)
 
     def test_floats_rejected(self):
         with pytest.raises(BadParams):
@@ -320,3 +338,43 @@ class TestShortestPathMetric:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(BadParams):
             shortest_path_metric(2, [(0, 1, 0)])
+
+
+def _fraction_or_bad(text: str):
+    """Fraction's own reading of ``text``: the reference for parse_rational."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return BadParams
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789-+/._e \t\u00b2\u0663", max_size=10),
+    st.builds(
+        "{}/{}".format, st.integers(-(10**30), 10**30), st.integers(-5, 10**30)
+    ),
+    st.builds(str, st.integers(-(10**30), 10**30)),
+)
+
+
+class TestParseRational:
+    @given(_RATIONAL_TEXT)
+    @example(" 7/2\n")
+    @example("+3")
+    @example("1/-2")
+    @example("1/0")
+    @example("1_0")
+    @example("\u00b2")  # superscript two: isdigit() but not a decimal digit
+    @example("\u0663")  # Arabic-Indic three: a decimal digit, not ASCII
+    @example("0.25")
+    @example("-")
+    @example("")
+    @settings(max_examples=300)
+    def test_matches_fraction(self, text):
+        expected = _fraction_or_bad(text)
+        if expected is BadParams:
+            with pytest.raises(BadParams):
+                parse_rational(text)
+        else:
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == expected
