@@ -21,11 +21,9 @@ from .chain import (
 )
 from .errors import ChainShadowError, Inconclusive
 from .rational import format_rational, parse_nonnegative
-from .shadow import check_shadowing_property, check_slimit_property
+from .shadow import DEFAULT_STATE_CAP, check_shadowing_property, check_slimit_property
 from .system import generator_names, load_system, parse_generator_string
 from .verify import GridEntry, default_grid, run_harness
-
-DEFAULT_STATE_CAP = 1_000_000
 
 
 def _rational_arg(text: str):

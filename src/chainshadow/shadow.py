@@ -39,6 +39,9 @@ PLAIN = "plain"
 EVENTUALLY_EXACT = "eventually_exact"
 
 DEFAULT_MAX_LEN = 8
+# States a check may visit before it gives up with Inconclusive, unless the
+# caller passes another cap (None for no cap).
+DEFAULT_STATE_CAP = 1_000_000
 _ORACLE_POINT_GUARD = 12
 _ORACLE_LENGTH_GUARD = 8
 
@@ -243,7 +246,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 
 
 def check_shadowing_property(
-    system, delta, eps, domain=None, *, state_cap=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> ShadowVerdict:
     """Decide whether every delta pseudo-orbit is eps-shadowed.
 
@@ -260,7 +263,7 @@ def check_shadowing_property(
 
 
 def check_slimit_property(
-    system, delta, eps, domain=None, *, state_cap=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> ShadowVerdict:
     """Decide whether every eventually-exact delta pseudo-orbit is
     eps-limit shadowed.
@@ -292,7 +295,7 @@ def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
 
 
 def reachable_shadow_states(
-    system, delta, eps, domain=None, *, state_cap=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> list[ShadowState]:
     """Every reachable determinized state, in canonical BFS order."""
     delta = parse_nonnegative(delta)

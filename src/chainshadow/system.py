@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import sub
 
 from .bits import mask_of
@@ -31,12 +32,36 @@ _MAX_CANTOR_DEPTH = 10
 # Most points a generator builds or a spec may list; a larger dist table is
 # refused on its row count, before any entry is parsed.
 _MAX_POINTS = 4096
-# Widest common denominator, in bits, at which metric_violations works on
-# integer rows. Up to it the rows take a small multiple of the memory of the
-# Fraction table they check. Past it they can grow without bound (as n**4
-# when every entry has its own large denominator), so such a table is
-# checked on Fractions.
+# Widest common denominator, in bits, at which a table is kept as integer
+# rows. Up to it the rows take a small multiple of the memory of the
+# Fraction table they stand for. Past it they can grow without bound (as
+# n**4 when every entry has its own large denominator), so such a table is
+# kept, checked and queried as Fractions.
 _MAX_COMMON_DENOMINATOR_BITS = 1024
+
+
+class _Table:
+    """The distance table as entries that order, and compare with 0, as the
+    distances do: integer rows over L, the least common denominator of the
+    table, or the Fraction rows themselves (``denominator`` None) when L is
+    wider than ``_MAX_COMMON_DENOMINATOR_BITS``."""
+
+    __slots__ = ("rows", "denominator")
+
+    def __init__(self, rows, denominator):
+        self.rows = rows
+        self.denominator = denominator
+
+    def bound(self, r):
+        """What a row entry is at most exactly when its distance is at most
+        ``r``: floor(r * L) on integer rows, r itself on Fraction rows."""
+        if self.denominator is None:
+            return r
+        return r.numerator * self.denominator // r.denominator
+
+    def value(self, entry) -> Fraction:
+        """The distance that a row entry stands for."""
+        return entry if self.denominator is None else Fraction(entry, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -52,6 +77,14 @@ class FiniteMetricSystem:
     map: tuple[int, ...]
     invertible: bool = False
     quantization: Fraction | None = None
+    # Every distance comparison reads this table. Builders that already hold
+    # it pass it in, and dataclasses.replace hands it on; otherwise it is
+    # made from dist here.
+    _table: _Table | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._table is None:
+            object.__setattr__(self, "_table", _table_of(self.dist))
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -70,14 +103,9 @@ class FiniteMetricSystem:
 
     @cached_property
     def _nearest_first(self) -> tuple[array, ...]:
-        """Per point p, every point sorted by d(p, .), ties by index.
-
-        Each row is sorted on its entries over that row's own common
-        denominator, so the sort compares ints, not Fractions.
-        """
+        """Per point p, every point sorted by d(p, .), ties by index."""
         return tuple(
-            array("i", sorted(self.points, key=scaled.__getitem__))
-            for scaled in (_over_common_denominator((row,))[0] for row in self.dist)
+            array("i", sorted(self.points, key=row.__getitem__)) for row in self._table.rows
         )
 
     def nearest_first(self, p: int) -> memoryview:
@@ -90,17 +118,20 @@ class FiniteMetricSystem:
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
         order = self._nearest_first[p]
-        return mask_of(order[: bisect_right(order, r, key=self.dist[p].__getitem__)])
+        table = self._table
+        end = bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)
+        return mask_of(order[:end])
 
     @cached_property
     def diameter(self) -> Fraction:
-        return max((v for row in self.dist for v in row), default=_ZERO)
+        rows = self._table.rows
+        return self._table.value(max(map(max, rows))) if rows else _ZERO
 
     @cached_property
     def distance_values(self) -> tuple[Fraction, ...]:
         """Distinct positive distances, ascending."""
-        values = {self.dist[i][j] for i in self.points for j in range(i)}
-        return tuple(sorted(values))
+        values = set().union(*(row[:i] for i, row in enumerate(self._table.rows)))
+        return tuple(map(self._table.value, sorted(values)))
 
     @cached_property
     def min_gap(self) -> Fraction | None:
@@ -115,13 +146,11 @@ class FiniteMetricSystem:
         p -> f(p), so refining delta further cannot change anything.
         None for a one-point system.
         """
-        best = None
-        for p in self.points:
-            row = self.dist[self.map[p]]
-            for q in self.points:
-                if q != self.map[p] and (best is None or row[q] < best):
-                    best = row[q]
-        return best
+        if self.n < 2:
+            return None
+        rows = self._table.rows
+        best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
+        return self._table.value(best)
 
     def to_spec(self) -> dict:
         """Explicit JSON-ready description (rationals as strings)."""
@@ -139,9 +168,9 @@ def check_point(system: FiniteMetricSystem, p) -> None:
         raise BadParams(f"point index out of range: {p!r}")
 
 
-def _over_common_denominator(rows, max_bits=None) -> list[list[int]] | None:
+def _over_common_denominator(rows, max_bits=None) -> tuple[tuple, int] | None:
     """The rows multiplied by L, the least common denominator of all their
-    entries: exact integers that compare, and differ in sign, as the
+    entries, and L: exact integers that compare, and differ in sign, as the
     entries do. None when L is wider than ``max_bits`` bits."""
     denominators = {v.denominator for row in rows for v in row}
     common = 1
@@ -150,46 +179,46 @@ def _over_common_denominator(rows, max_bits=None) -> list[list[int]] | None:
         if max_bits is not None and common.bit_length() > max_bits:
             return None
     scale = {q: common // q for q in denominators}
-    return [[v.numerator * scale[v.denominator] for v in row] for row in rows]
+    return tuple(tuple(v.numerator * scale[v.denominator] for v in row) for row in rows), common
+
+
+def _table_of(dist) -> _Table:
+    """The table of a Fraction ``dist``: integer rows where L is narrow
+    enough, the Fraction rows otherwise."""
+    scaled = _over_common_denominator(dist, _MAX_COMMON_DENOMINATOR_BITS)
+    return _Table(tuple(map(tuple, dist)), None) if scaled is None else _Table(*scaled)
 
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries)."""
-    n = len(dist)
+    return _violations(_table_of(dist).rows, fmap, invertible)
+
+
+def _violations(rows, fmap, invertible: bool) -> list[Violation]:
+    n = len(rows)
     out: list[Violation] = []
 
     def add(kind, *indices):
         if len(out) < _MAX_VIOLATIONS:
             out.append(Violation(kind, tuple(indices)))
 
-    rows = _over_common_denominator(dist, _MAX_COMMON_DENOMINATOR_BITS)
-    table = dist if rows is None else rows
     for i in range(n):
-        if table[i][i] != 0:
+        if rows[i][i] != 0:
             add("identity", i, i)
         for j in range(i):
-            if table[i][j] <= 0:
+            if rows[i][j] <= 0:
                 add("positivity", i, j)
-            if table[i][j] != table[j][i]:
+            if rows[i][j] != rows[j][i]:
                 add("symmetry", i, j)
-    if rows is None:
-        for i in range(n):
-            for j in range(n):
-                dij = dist[i][j]
-                row_j = dist[j]
+    # d(i, k) > d(i, j) + d(j, k) for some k exactly when the largest
+    # row_i[k] - row_j[k] exceeds row_i[j]; only such pairs walk k.
+    for i, row_i in enumerate(rows):
+        for j, row_j in enumerate(rows):
+            dij = row_i[j]
+            if max(map(sub, row_i, row_j)) > dij:
                 for k in range(n):
-                    if dist[i][k] > dij + row_j[k]:
+                    if row_i[k] - row_j[k] > dij:
                         add("triangle", i, j, k)
-    else:
-        # d(i, k) > d(i, j) + d(j, k) for some k exactly when the largest
-        # row_i[k] - row_j[k] exceeds row_i[j]; only such pairs walk k.
-        for i, row_i in enumerate(rows):
-            for j, row_j in enumerate(rows):
-                dij = row_i[j]
-                if max(map(sub, row_i, row_j)) > dij:
-                    for k in range(n):
-                        if row_i[k] - row_j[k] > dij:
-                            add("triangle", i, j, k)
     total = True
     for i, target in enumerate(fmap):
         if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < n:
@@ -211,10 +240,11 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     fmap = tuple(fmap)
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
-    violations = metric_violations(dist, fmap, bool(invertible))
+    table = _table_of(dist)
+    violations = _violations(table.rows, fmap, bool(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(n, dist, fmap, bool(invertible))
+    return FiniteMetricSystem(n, dist, fmap, bool(invertible), _table=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:
@@ -363,26 +393,60 @@ class GridSystem1D:
 
 def discretize(grid: GridSystem1D) -> FiniteMetricSystem:
     """Round the grid's source map to nearest centers and tabulate the metric."""
-    centers = grid.centers
-    fmap = []
-    for c in centers:
-        image = grid.apply(c)
-        best = 0
-        best_d = grid.metric(image, centers[0])
-        for j in range(1, grid.cells):
-            dj = grid.metric(image, centers[j])
-            if dj < best_d:  # strict: ties keep the smaller index
-                best, best_d = j, dj
-        fmap.append(best)
-    dist = tuple(
-        tuple(grid.metric(a, b) for b in centers) for a in centers
+    n = grid.cells
+    circle = grid.geometry == "circle"
+    images = [grid.apply(c) for c in grid.centers]
+    (centers, images), unit = _over_common_denominator((grid.centers, images))
+    fmap = [_nearest_center(centers, y, unit, circle) for y in images]
+    # Centers (2i + 1) / 2n lie i / n apart.
+    return _points_system(
+        range(n), n, circle, fmap, len(set(fmap)) == n, grid.quantization or grid.half_cell
     )
+
+
+def _nearest_center(centers, y: int, unit: int, circle: bool) -> int:
+    """Index of the center nearest to y (all over ``unit``), ties broken
+    toward the smaller index.
+
+    Distance from y falls and then rises along the sorted centers, so the
+    nearest are the two around y, or the two ends across 0 on a circle.
+    """
+    k = bisect_left(centers, y)
+    near = {max(k - 1, 0), min(k, len(centers) - 1)}
+    if circle:
+        near |= {0, len(centers) - 1}
+    near = sorted(near)
+    gaps = _gaps(y, [centers[j] for j in near], unit, circle)
+    return near[gaps.index(min(gaps))]
+
+
+def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
+    """|a - b| for each position b, or the shorter arc on a circle of
+    length ``unit``."""
+    gaps = [abs(a - b) for b in positions]
+    return [g if g + g <= unit else unit - g for g in gaps] if circle else gaps
+
+
+def _points_system(
+    positions, unit: int, circle: bool, fmap, invertible: bool, quantization=None
+) -> FiniteMetricSystem:
+    """The points positions[i] / unit of [0, 1], or of the circle of length
+    1, with the line or arc-length metric.
+
+    The table is built on integers over ``unit``, which is its least common
+    denominator when one position is 0 and the positions have no factor in
+    common with ``unit``. Both tables hold one shared object per distinct
+    value: an int in the rows, a Fraction in ``dist``.
+    """
+    ints: dict[int, int] = {}
+    rows = tuple(
+        tuple(map(ints.setdefault, gaps, gaps))
+        for gaps in (_gaps(a, positions, unit, circle) for a in positions)
+    )
+    shared = {v: Fraction(v, unit) for v in ints}
+    dist = tuple(tuple(map(shared.__getitem__, row)) for row in rows)
     return FiniteMetricSystem(
-        n=grid.cells,
-        dist=dist,
-        map=tuple(fmap),
-        invertible=len(set(fmap)) == grid.cells,
-        quantization=grid.quantization or grid.half_cell,
+        len(rows), dist, tuple(fmap), invertible, quantization, _table=_Table(rows, unit)
     )
 
 
@@ -394,13 +458,12 @@ def cantor_identity(depth: int) -> FiniteMetricSystem:
     """Identity map on the 2**depth left endpoints of the level-``depth``
     middle-thirds construction, with the line metric |x - y|."""
     _require_int("depth", depth, 0, _MAX_CANTOR_DEPTH)
-    points = [Fraction(0)]
+    # Positions over 3**depth: the step 2/3**level is 2 * 3**(depth - level).
+    points = [0]
     for level in range(1, depth + 1):
-        step = Fraction(2, 3**level)
-        points = sorted(x + off for x in points for off in (_ZERO, step))
-    dist = tuple(tuple(abs(a - b) for b in points) for a in points)
-    n = len(points)
-    return FiniteMetricSystem(n, dist, tuple(range(n)), invertible=True)
+        step = 2 * 3 ** (depth - level)
+        points = sorted(x + off for x in points for off in (0, step))
+    return _points_system(points, 3**depth, False, range(len(points)), True)
 
 
 def rotation(n: int, k: int) -> FiniteMetricSystem:
@@ -408,12 +471,7 @@ def rotation(n: int, k: int) -> FiniteMetricSystem:
     _require_int("n", n, 1, _MAX_POINTS)
     if not isinstance(k, int) or isinstance(k, bool):
         raise BadParams("rotation step k must be an integer")
-    dist = tuple(
-        tuple(Fraction(min(abs(i - j), n - abs(i - j)), n) for j in range(n))
-        for i in range(n)
-    )
-    fmap = tuple((i + k) % n for i in range(n))
-    return FiniteMetricSystem(n, dist, fmap, invertible=True)
+    return _points_system(range(n), n, True, [(i + k) % n for i in range(n)], True)
 
 
 def north_south(n: int) -> FiniteMetricSystem:
@@ -443,10 +501,8 @@ def north_south(n: int) -> FiniteMetricSystem:
     fmap.append(sink)
     for j in range(1, side_b + 1):
         fmap.append(sink if j == side_b else sink + j + 1)
-    dist = tuple(
-        tuple(min(abs(a - b), _ONE - abs(a - b)) for b in positions) for a in positions
-    )
-    return FiniteMetricSystem(n, dist, tuple(fmap), invertible=False)
+    (positions,), unit = _over_common_denominator((positions,))
+    return _points_system(positions, unit, True, fmap, False)
 
 
 def parallel_cycles() -> FiniteMetricSystem:

@@ -24,6 +24,7 @@ from .chain import (
 from .errors import BadParams, NotInvertible
 from .rational import format_rational, parse_nonnegative
 from .shadow import (
+    DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
     check_shadowing_property,
@@ -115,7 +116,9 @@ class _Answers:
         return self.memo["reversed"] or self
 
 
-def verify_slimit_implies_shadowing(system, delta, eps, *, state_cap=None) -> TheoremResult:
+def verify_slimit_implies_shadowing(
+    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
+) -> TheoremResult:
     """slimit passing at (delta, eps) must force shadowing to pass too."""
     return _slimit_implies_shadowing(_Answers(system, state_cap), *_rationals(delta, eps))
 
@@ -135,7 +138,7 @@ def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
 
 
 def verify_shadowing_class_denseness(
-    system, delta_coarse, delta_fine, eps, *, state_cap=None
+    system, delta_coarse, delta_fine, eps, *, state_cap=DEFAULT_STATE_CAP
 ) -> TheoremResult:
     """Under a passing slimit check, every coarse class must contain a fine
     class whose invariant core has the shadowing property.
@@ -189,7 +192,7 @@ def verify_initial_classes_shadow(
     eps,
     *,
     allow_noninvertible: bool = False,
-    state_cap=None,
+    state_cap=DEFAULT_STATE_CAP,
 ) -> TheoremResult:
     """Under a passing slimit check, the invariant core of every initial
     class must have the shadowing property.
@@ -232,7 +235,7 @@ def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
 
 
 def verify_isolated_implies_shadowing(
-    system, delta, eps, *, state_cap=None
+    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
 ) -> TheoremResult:
     """Under a passing full-system shadowing check, every class separated
     from all others by more than 2*eps + delta must pass the restricted
@@ -280,7 +283,7 @@ class SlimitViolation:
 
 
 def find_slimit_violation(
-    system, delta, eps, *, state_cap=None
+    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
 ) -> SlimitViolation | None:
     """Canonical slimit counterexample at (delta, eps), if one exists."""
     return _slimit_violation(_Answers(system, state_cap), *_rationals(delta, eps))
@@ -359,7 +362,7 @@ def run_harness(
     name: str = "system",
     grid=None,
     *,
-    state_cap=None,
+    state_cap=DEFAULT_STATE_CAP,
 ) -> HarnessReport:
     """Run every theorem analog over a parameter grid."""
     if grid is None:

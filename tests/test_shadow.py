@@ -26,6 +26,7 @@ from chainshadow import (
     first_violation,
     is_limit_shadowed,
     is_shadowed,
+    make_system,
     merge_sets,
     north_south,
     reachable_shadow_states,
@@ -35,7 +36,7 @@ from chainshadow import (
 )
 from chainshadow import shadow as shadow_mod
 from chainshadow.bits import bits
-from conftest import metric_systems, system_and_chain, system_and_scales
+from conftest import metric_systems, sweep_values, system_and_chain, system_and_scales
 
 
 def reference_explore(system, delta, eps, dmask, failing, state_cap):
@@ -384,6 +385,44 @@ class TestSystemChecks:
                     for e2 in values:
                         if d2 <= d and e2 >= e:
                             assert verdicts[(d2, e2)], (d, e, d2, e2)
+
+
+_SCALES = [Fraction(3), Fraction(1, 7), Fraction(10, 3), Fraction(2**61 - 1, 2**40)]
+
+
+class TestMetamorphicLaws:
+    @given(system_and_scales(max_n=5), st.sampled_from(_SCALES))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_the_metric_delta_and_eps(self, data, c):
+        """Multiplying every distance, delta and eps by one c > 0 changes
+        the table's common denominator but no verdict, witness or count."""
+        system, delta, eps = data
+        scaled = make_system(
+            [[c * v for v in row] for row in system.dist], system.map, system.invertible
+        )
+        for check in (check_shadowing_property, check_slimit_property):
+            ours, theirs = check(system, delta, eps), check(scaled, c * delta, c * eps)
+            assert ours.passed == theirs.passed
+            assert ours.states_explored == theirs.states_explored
+            if not ours.passed:
+                assert ours.witness.points == theirs.witness.points
+                assert ours.witness.kind == theirs.witness.kind
+                assert ours.witness.tail_start == theirs.witness.tail_start
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_monotone_in_delta_and_eps(self, data):
+        """A pass at (delta, eps) stays a pass at any smaller delta and any
+        larger eps, for both properties."""
+        system = data.draw(metric_systems(max_n=5))
+        values = st.sampled_from([Fraction(0), *sweep_values(system)])
+        pool = st.lists(values, min_size=1, max_size=4, unique=True)
+        deltas, epss = sorted(data.draw(pool)), sorted(data.draw(pool))
+        for check in (check_shadowing_property, check_slimit_property):
+            passed = {(d, e): check(system, d, e).passed for d in deltas for e in epss}
+            for (d, e), ok in passed.items():
+                if ok:
+                    assert all(passed[d2, e2] for d2, e2 in passed if d2 <= d and e2 >= e)
 
 
 class TestExploreAgainstReference:

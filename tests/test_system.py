@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chainshadow import (
     BadParams,
+    FiniteMetricSystem,
     GridSystem1D,
     InvalidSystem,
     UnknownGenerator,
@@ -229,6 +231,181 @@ class TestDistanceOrder:
         with pytest.raises(TypeError):
             system.nearest_first(0)[0] = 2
         assert system.ball(0, Fraction(1, 4)) == 0b1011
+
+
+# The generators as they were written on Fractions, one Fraction operation
+# per table entry: the reference for the integer-built tables.
+
+
+def reference_cantor_identity(depth):
+    points = [Fraction(0)]
+    for level in range(1, depth + 1):
+        step = Fraction(2, 3**level)
+        points = sorted(x + off for x in points for off in (Fraction(0), step))
+    dist = tuple(tuple(abs(a - b) for b in points) for a in points)
+    n = len(points)
+    return FiniteMetricSystem(n, dist, tuple(range(n)), invertible=True)
+
+
+def reference_rotation(n, k):
+    dist = tuple(
+        tuple(Fraction(min(abs(i - j), n - abs(i - j)), n) for j in range(n))
+        for i in range(n)
+    )
+    return FiniteMetricSystem(n, dist, tuple((i + k) % n for i in range(n)), invertible=True)
+
+
+def reference_north_south(n):
+    half, one = Fraction(1, 2), Fraction(1)
+    side_a, side_b = (n - 1) // 2, (n - 2) // 2
+    gap = Fraction(1, 8 * (side_a + 1))
+    step_a = (half - gap) / side_a
+    positions = [Fraction(0)]
+    positions += [gap + (j - 1) * step_a for j in range(1, side_a + 1)]
+    positions.append(half)
+    if side_b:
+        step_b = (half - gap) / side_b
+        positions += [one - gap - (j - 1) * step_b for j in range(1, side_b + 1)]
+    sink = side_a + 1
+    fmap = [0] + [j + 1 for j in range(1, side_a + 1)] + [sink]
+    fmap += [sink if j == side_b else sink + j + 1 for j in range(1, side_b + 1)]
+    dist = tuple(
+        tuple(min(abs(a - b), one - abs(a - b)) for b in positions) for a in positions
+    )
+    return FiniteMetricSystem(n, dist, tuple(fmap), invertible=False)
+
+
+def reference_discretize(grid):
+    centers = grid.centers
+    fmap = []
+    for c in centers:
+        image = grid.apply(c)
+        best = 0
+        best_d = grid.metric(image, centers[0])
+        for j in range(1, grid.cells):
+            dj = grid.metric(image, centers[j])
+            if dj < best_d:
+                best, best_d = j, dj
+        fmap.append(best)
+    dist = tuple(tuple(grid.metric(a, b) for b in centers) for a in centers)
+    return FiniteMetricSystem(
+        grid.cells, dist, tuple(fmap), len(set(fmap)) == grid.cells,
+        grid.quantization or grid.half_cell,
+    )
+
+
+def _grid(cells, geometry, formula, *params, quantization=None):
+    return GridSystem1D(cells, geometry, formula, params, quantization)
+
+
+def _tent_reference(cells):
+    return reference_discretize(_grid(cells, "interval", "tent"))
+
+
+def _doubling_reference(cells):
+    return reference_discretize(_grid(cells, "circle", "doubling"))
+
+
+_GRIDS = [
+    _grid(5, "interval", "identity"),
+    _grid(4, "circle", "identity"),
+    _grid(5, "circle", "tent"),
+    _grid(6, "interval", "doubling"),
+    _grid(3, "circle", "doubling", quantization=Fraction(1, 2)),
+    _grid(6, "circle", "rotation", Fraction(1, 4)),
+    _grid(7, "interval", "rotation", Fraction(2, 9)),
+    _grid(5, "circle", "rotation", Fraction(-3, 10)),
+    _grid(9, "circle", "rotation", Fraction(1, 2**70 + 1)),
+]
+
+# (id, generator, reference, args) at edge sizes: one point, odd and even
+# counts, rotation steps below 0 and past n.
+_INTEGER_BUILT = [
+    *[
+        (f"cantor-identity:{d}", cantor_identity, reference_cantor_identity, (d,))
+        for d in range(6)
+    ],
+    *[
+        (f"rotation:{n}:{k}", rotation, reference_rotation, (n, k))
+        for n, k in [(1, 0), (2, 1), (5, -2), (6, 13), (7, 3), (8, -8), (12, 5)]
+    ],
+    *[
+        (f"north-south:{n}", north_south, reference_north_south, (n,))
+        for n in (3, 4, 5, 6, 9, 16, 33)
+    ],
+    *[(f"tent:{c}", tent, _tent_reference, (c,)) for c in (1, 2, 3, 5, 7, 16)],
+    *[(f"doubling:{c}", doubling, _doubling_reference, (c,)) for c in (1, 2, 3, 6, 9, 16)],
+    *[(repr(grid), discretize, reference_discretize, (grid,)) for grid in _GRIDS],
+]
+
+
+def _radii(dist):
+    """0, every distance v, v -+ 1/(7L) for the common denominator L of
+    the table, and a radius past the diameter."""
+    values = sorted({v for row in dist for v in row})
+    off = Fraction(1, 7 * math.lcm(*(v.denominator for v in values)))
+    near = [v + sign * off for v in values for sign in (-1, 1)]
+    return [Fraction(0), *values, *near, values[-1] + 1]
+
+
+def reference_queries(dist, fmap, radii):
+    """Every distance query of FiniteMetricSystem, answered on the Fractions."""
+    n = len(dist)
+    points = range(n)
+    return (
+        tuple(sorted({dist[i][j] for i in points for j in range(i)})),
+        max(v for row in dist for v in row),
+        min((dist[fmap[p]][q] for p in points for q in points if q != fmap[p]), default=None),
+        [sorted(points, key=lambda q: (dist[p][q], q)) for p in points],
+        [[{q for q in points if dist[p][q] <= r} for r in radii] for p in points],
+    )
+
+
+def queries(system, radii):
+    return (
+        system.distance_values,
+        system.diameter,
+        system.functional_threshold,
+        [list(system.nearest_first(p)) for p in system.points],
+        [[to_frozenset(system.ball(p, r)) for r in radii] for p in system.points],
+    )
+
+
+class TestIntegerTables:
+    """Generators build their tables on integers; every query reads them."""
+
+    @pytest.mark.parametrize(
+        "build, reference, args", [case[1:] for case in _INTEGER_BUILT],
+        ids=[case[0] for case in _INTEGER_BUILT],
+    )
+    def test_generators_match_the_fraction_reference(self, build, reference, args):
+        system, expected = build(*args), reference(*args)
+        assert system.dist == expected.dist
+        assert system.map == expected.map
+        assert system.invertible is expected.invertible
+        assert system.quantization == expected.quantization
+        # One shared object per distinct value in both tables, and the
+        # integer table is the Fraction table over its least common
+        # denominator.
+        entries = [v for row in system.dist for v in row]
+        ints = [v for row in system._table.rows for v in row]
+        assert all(type(v) is Fraction for v in entries)
+        assert len({id(v) for v in entries}) == len(set(entries))
+        assert len({id(v) for v in ints}) == len(set(ints))
+        table, scaled = system._table, system_mod._table_of(system.dist)
+        assert (table.rows, table.denominator) == (scaled.rows, scaled.denominator)
+        radii = _radii(system.dist)
+        assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
+
+    @pytest.mark.parametrize("first_denominator", [2, 2**40])
+    def test_both_sides_of_the_width_limit_answer_alike(self, first_denominator):
+        dist = [list(row) for row in _wide_table(first_denominator)]
+        dist[0][1] = dist[1][0] = Fraction(3, 2)  # every entry in (1, 2): a metric
+        fmap = [(p + 1) % len(dist) for p in range(len(dist))]
+        system = make_system(dist, fmap)
+        assert (system._table.denominator is None) == (first_denominator == 2**40)
+        radii = _radii(system.dist)
+        assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
 
 class TestGenerators:

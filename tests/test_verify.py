@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -14,12 +15,16 @@ from chainshadow import (
     BadParams,
     GridEntry,
     HarnessReport,
+    Inconclusive,
     NotInvertible,
     brute_force_oracle,
     cantor_identity,
+    check_shadowing_property,
+    check_slimit_property,
     default_grid,
     find_slimit_violation,
     is_shadowed,
+    reachable_shadow_states,
     rotation,
     run_harness,
     standard_corpus,
@@ -29,6 +34,9 @@ from chainshadow import (
     verify_shadowing_class_denseness,
     verify_slimit_implies_shadowing,
 )
+from chainshadow import cli
+from chainshadow import shadow as shadow_mod
+from chainshadow import verify as verify_mod
 
 
 class TestImplication:
@@ -282,6 +290,12 @@ class TestSharedAnswers:
         run_harness(system, "cantor-identity:3")
         assert deltas and len(deltas) == len(set(deltas))
 
+    def test_the_inverse_system_shares_the_integer_table(self):
+        ans = verify_mod._Answers(rotation(6, 2), None)
+        inverse = ans.reversed()
+        assert inverse is not ans and inverse.system.map != ans.system.map
+        assert inverse.system._table is ans.system._table
+
     @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
     @pytest.mark.parametrize(
         "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
@@ -305,3 +319,55 @@ class TestSharedAnswers:
         violations = tuple(find_slimit_violation(system, fine, eps) for _, fine, eps in grid)
         expected = HarnessReport(name, grid, results, violations).to_json()
         assert json.dumps(run_harness(system, name, grid).to_json()) == json.dumps(expected)
+
+
+# Each public function that can run the subset-automaton search, called on
+# parallel-cycles at delta = eps = 1 with any keywords given.
+_CAPPED = [
+    (check_shadowing_property, (1, 1)),
+    (check_slimit_property, (1, 1)),
+    (reachable_shadow_states, (1, 1)),
+    (verify_slimit_implies_shadowing, (1, 1)),
+    (verify_shadowing_class_denseness, (1, 1, 1)),
+    (verify_initial_classes_shadow, (1, 1)),
+    (verify_isolated_implies_shadowing, (1, 1)),
+    (find_slimit_violation, (1, 1)),
+    (run_harness, ()),
+]
+
+
+def _call(fn, args, system, **kwargs):
+    if fn is verify_initial_classes_shadow:
+        kwargs["allow_noninvertible"] = True
+    return fn(system, *args, **kwargs)
+
+
+class TestDefaultStateCap:
+    """The API stops at the CLI's state cap unless told otherwise."""
+
+    def test_every_search_defaults_to_the_cli_cap(self):
+        assert shadow_mod.DEFAULT_STATE_CAP == 1_000_000
+        assert cli.DEFAULT_STATE_CAP is shadow_mod.DEFAULT_STATE_CAP
+        for fn, _ in _CAPPED:
+            default = inspect.signature(fn).parameters["state_cap"].default
+            assert default == shadow_mod.DEFAULT_STATE_CAP, fn.__name__
+
+    @pytest.mark.parametrize("fn, args", _CAPPED, ids=[fn.__name__ for fn, _ in _CAPPED])
+    def test_the_cap_reaches_the_search(self, monkeypatch, parallel, fn, args):
+        caps = []
+        real = shadow_mod._explore
+
+        def recording(*explore_args):
+            caps.append(explore_args[-1])
+            return real(*explore_args)
+
+        monkeypatch.setattr(shadow_mod, "_explore", recording)
+        _call(fn, args, parallel)
+        _call(fn, args, parallel, state_cap=None)
+        explicit = len(caps)
+        assert caps and set(caps) == {shadow_mod.DEFAULT_STATE_CAP, None}
+        # parallel-cycles has five start states, so a cap of 4 stops at once.
+        with pytest.raises(Inconclusive) as err:
+            _call(fn, args, parallel, state_cap=4)
+        assert err.value.states_explored == 5
+        assert caps[explicit:] == [4]
