@@ -50,6 +50,7 @@ from .shadow import (
     ShadowState,
     ShadowVerdict,
     brute_force_oracle,
+    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     extract_witness,

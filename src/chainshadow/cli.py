@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
         grid = None
     report = run_harness(
         system,
-        name=args.gen or args.file,
+        name=args.gen if args.gen is not None else args.file,
         grid=grid,
         state_cap=args.state_cap,
     )
@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _load(args):
-    if args.gen:
+    if args.gen is not None:
         return parse_generator_string(args.gen)
     return load_system(args.file)
 

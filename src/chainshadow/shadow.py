@@ -254,12 +254,7 @@ def check_shadowing_property(
     some reachable state has an empty candidate set, and then reports the
     lexicographically smallest shortest failing prefix as witness.
     """
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
-    dmask = _domain_mask(system, domain)
-    visited, path = _explore(system, delta, eps, dmask, lambda p, y: y == 0, state_cap)
-    witness = None if path is None else PseudoOrbit.plain(path, delta)
-    return ShadowVerdict("shadowing", delta, eps, path is None, witness, len(visited))
+    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[0]
 
 
 def check_slimit_property(
@@ -273,17 +268,21 @@ def check_slimit_property(
     requires a candidate in Y that merges into p's orbit. Failures are
     reported as the prefix plus tail marker.
     """
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
-    dmask = _domain_mask(system, domain)
-    asymp = _asymp_masks(system, eps, dmask)
-    visited, path = _explore(
-        system, delta, eps, dmask, lambda p, y: y & asymp[p] == 0, state_cap
-    )
-    witness = None
-    if path is not None:
-        witness = PseudoOrbit.eventually_exact(path, delta, len(path) - 1)
-    return ShadowVerdict("slimit", delta, eps, path is None, witness, len(visited))
+    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[0]
+
+
+def check_both_properties(
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
+) -> tuple[ShadowVerdict, ShadowVerdict]:
+    """The slimit and the shadowing verdict at (delta, eps), from one BFS.
+
+    Equal to ``check_slimit_property`` followed by
+    ``check_shadowing_property``, verdicts and ``Inconclusive`` alike: an
+    empty candidate set has no merging candidate, so slimit fails no later
+    than shadowing, and each verdict counts the states visited when it
+    resolved.
+    """
+    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))
 
 
 def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
@@ -301,7 +300,7 @@ def reachable_shadow_states(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    visited, _ = _explore(system, delta, eps, dmask, lambda p, y: False, state_cap)
+    visited, _ = _explore(system, delta, eps, dmask, (), state_cap)
     return [ShadowState(p, to_frozenset(y)) for p, y in visited]
 
 
@@ -522,15 +521,42 @@ def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
     return masks
 
 
-def _explore(system, delta, eps, dmask, failing, state_cap):
-    """Level-synchronized BFS over determinized states.
+def _decide(system, delta, eps, domain, state_cap, props) -> tuple[ShadowVerdict, ...]:
+    """The verdicts of ``props`` ("slimit" or "shadowing"), in that order,
+    from one BFS."""
+    delta = parse_nonnegative(delta)
+    eps = parse_nonnegative(eps)
+    dmask = _domain_mask(system, domain)
+    asymp = _asymp_masks(system, eps, dmask) if "slimit" in props else None
+    tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
+    visited, found = _explore(
+        system, delta, eps, dmask, tuple(tests[prop] for prop in props), state_cap
+    )
+    verdicts = []
+    for prop, hit in zip(props, found):
+        if hit is None:
+            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, len(visited)))
+        else:
+            count, path = hit
+            tail = len(path) - 1 if prop == "slimit" else None
+            witness = PseudoOrbit(path, delta, tail)
+            verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, count))
+    return tuple(verdicts)
 
-    Returns (visited, witness path | None). ``visited`` maps every
-    discovered state to its BFS parent in discovery order. Frontier order
-    is the lexicographic order of shortest realizing prefixes, and a failing
-    level is resolved by taking the smallest reconstructed path, so the
-    witness is the lexicographically smallest shortest failing prefix.
-    ``failing`` is tested once per level, before the level is expanded;
+
+def _explore(system, delta, eps, dmask, failing, state_cap):
+    """Level-synchronized BFS over determinized states, for any number of
+    failing predicates.
+
+    Returns (visited, found). ``visited`` maps every discovered state to
+    its BFS parent in discovery order. ``found[i]`` is None when
+    ``failing[i]`` holds on no reachable state, and otherwise is the
+    visited count and the smallest reconstructed path at the first level
+    where it holds. Frontier order is the lexicographic order of shortest
+    realizing prefixes, so that path is the lexicographically smallest
+    shortest failing prefix. Each open predicate is tested once per level,
+    before the level is expanded; the search stops once every predicate
+    has held (never for an empty tuple) or no state is left.
     ``state_cap`` is checked on every inserted state.
 
     Far fewer candidate sets than states are reachable (4,705 sets for
@@ -554,10 +580,15 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
         if state_cap is not None and len(visited) > state_cap:
             raise Inconclusive(len(visited), state_cap)
         level.append(state)
+    found = [None] * len(failing)
     while level:
-        bad = [s for s in level if failing(*s)]
-        if bad:
-            return visited, min(_path_to(visited, s) for s in bad)
+        for i, fails in enumerate(failing):
+            if found[i] is None:
+                bad = [s for s in level if fails(*s)]
+                if bad:
+                    found[i] = (len(visited), min(_path_to(visited, s) for s in bad))
+        if failing and None not in found:
+            break
         nxt = []
         for state in level:
             p, y = state
@@ -572,7 +603,7 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
                         raise Inconclusive(len(visited), state_cap)
                     nxt.append(child)
         level = nxt
-    return visited, None
+    return visited, found
 
 
 def _path_to(visited, state) -> tuple[int, ...]:

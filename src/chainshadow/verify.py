@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .chain import (
     ChainDecomposition,
     build_delta_graph,
-    class_order,
     decompose,
     invariant_core,
 )
@@ -27,6 +26,7 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
+    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
 )
@@ -89,6 +89,15 @@ class _Answers:
             )
         return self.memo[key]
 
+    def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
+        """The whole-system slimit and shadowing verdicts at (delta, eps),
+        from one BFS when neither is known yet."""
+        keys = (("slimit", delta, eps, None), ("shadowing", delta, eps, None))
+        if not any(key in self.memo for key in keys):
+            verdicts = check_both_properties(self.system, delta, eps, state_cap=self.state_cap)
+            self.memo.update(zip(keys, verdicts))
+        return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
+
     def decomposition(self, delta) -> ChainDecomposition:
         key = ("decompose", delta)
         if key not in self.memo:
@@ -124,8 +133,7 @@ def verify_slimit_implies_shadowing(
 
 
 def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
-    slimit = ans.verdict("slimit", delta, eps)
-    shadowing = ans.verdict("shadowing", delta, eps)
+    slimit, shadowing = ans.both(delta, eps)
     broken = slimit.passed and not shadowing.passed
     witness = shadowing.witness if broken else None
     return TheoremResult(
@@ -426,5 +434,9 @@ def _check_class_cores(
 def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:
     """Order a subset of classes maximal-first under the class order
     restricted to that subset."""
-    # A stable sort on "lies below another class" puts the maximal ones first.
-    return sorted(subset, key=lambda j: any(class_order(dec, j, k) for k in subset if k != j))
+    # Class j lies below another class of the subset when one of them reaches
+    # it (class_reach is strict); a stable sort on that puts the maximal first.
+    below = 0
+    for k in subset:
+        below |= dec.class_reach[k]
+    return sorted(subset, key=lambda j: below >> j & 1)

@@ -17,6 +17,46 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The arguments each command needs besides its system source.
+COMMAND_ARGS = {
+    "analyze": ("--delta", "1"),
+    "shadow": ("--delta", "1", "--eps", "1"),
+    "ladder": ("--deltas", "1"),
+    "verify": (),
+}
+
+# Malformed generator shorthands. None names a system of more than 64
+# points; sizes past the generators' cap are refused before any build.
+MALFORMED_GENS = [
+    # unknown or empty names
+    "", " ", "Rotation:4:1", "rotat:4:1", "far-two-cycles", "rotation 4 1",
+    # wrong arity
+    "rotation", "rotation:4", "rotation:4:1:1", "north-south", "north-south:6:1",
+    "parallel-cycles:1", "tent:4:4", "cantor-identity",
+    # non-integer params
+    "rotation:x:1", "rotation:4:y", "rotation:4.5:1", "rotation:4:1/2", "tent:1e2",
+    "doubling:0x10", "cantor-identity:two", "north-south:6.0", "tent:",
+    # out-of-range params
+    "rotation:0:1", "rotation:-4:1", "rotation:4097:1", "north-south:2",
+    "north-south:99999", "tent:0", "doubling:-1", "cantor-identity:-1",
+    "cantor-identity:99",
+    # stray colons
+    ":", "::", ":rotation:4:1", "rotation::4:1", "rotation:4::1", "rotation:4:1:",
+    "parallel-cycles:", "north-south:6:",
+]
+
+
+class TestMalformedGenerators:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    @pytest.mark.parametrize("spec", MALFORMED_GENS, ids=repr)
+    def test_exits_2_with_a_message(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, command, "--gen", spec, *COMMAND_ARGS[command])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+
 class TestAnalyze:
     def test_north_south_two_classes(self, capsys):
         code, out, _ = run_cli(
@@ -66,6 +106,12 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--file", str(bad), "--delta", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_empty_generator_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--gen", "", *COMMAND_ARGS[command])
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown generator ''")
 
     def test_too_many_points_exits_2(self, capsys, tmp_path):
         rows = 4097

@@ -20,6 +20,7 @@ from chainshadow import (
     TooLarge,
     brute_force_oracle,
     cantor_identity,
+    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     extract_witness,
@@ -82,6 +83,18 @@ def reference_explore(system, delta, eps, dmask, failing, state_cap):
                     nxt.append(child)
         level = nxt
     return visited, None
+
+
+def reference_per_predicate(system, delta, eps, dmask, failing, state_cap):
+    """``_explore``'s interface for a tuple of failing predicates, served by
+    one ``reference_explore`` run per predicate (one run that never fails
+    when the tuple is empty)."""
+    runs = [
+        reference_explore(system, delta, eps, dmask, fails, state_cap)
+        for fails in failing or (lambda p, y: False,)
+    ]
+    found = [None if path is None else (len(visited), path) for visited, path in runs]
+    return max((visited for visited, _ in runs), key=len), found[: len(failing)]
 
 
 @st.composite
@@ -409,6 +422,38 @@ class TestMetamorphicLaws:
                 assert ours.witness.kind == theirs.witness.kind
                 assert ours.witness.tail_start == theirs.witness.tail_start
 
+    @given(system_and_scales(max_n=5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabeling_the_points(self, data, more):
+        """Renaming the points by a permutation keeps every verdict and
+        count. Witnesses agree only up to the lexicographic tie-break, so the
+        renamed witness, read back in the old names, must have the same
+        length and still be a valid pseudo-orbit that nothing shadows."""
+        system, delta, eps = data
+        n = system.n
+        new_name = more.draw(st.permutations(range(n)))
+        old_name = sorted(range(n), key=new_name.__getitem__)
+        relabeled = make_system(
+            [[system.dist[old_name[i]][old_name[j]] for j in range(n)] for i in range(n)],
+            tuple(new_name[system.map[old_name[i]]] for i in range(n)),
+            system.invertible,
+        )
+        for check in (check_shadowing_property, check_slimit_property):
+            ours, theirs = check(system, delta, eps), check(relabeled, delta, eps)
+            assert ours.passed == theirs.passed
+            assert ours.states_explored == theirs.states_explored
+            if ours.passed:
+                continue
+            renamed = theirs.witness
+            back = PseudoOrbit(
+                tuple(old_name[p] for p in renamed.points), delta, renamed.tail_start
+            )
+            assert len(back.points) == len(ours.witness.points)
+            assert back.kind == ours.witness.kind
+            assert validate_pseudo_orbit(system, back)
+            tracker = is_shadowed if back.tail_start is None else is_limit_shadowed
+            assert tracker(system, back, eps) is None
+
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_delta_and_eps(self, data):
@@ -439,15 +484,60 @@ class TestExploreAgainstReference:
             run(reachable_shadow_states, list),
             run(check_shadowing_property, to_json),
             run(check_slimit_property, to_json),
+            run(check_both_properties, lambda verdicts: [to_json(v) for v in verdicts]),
         )
 
     @given(capped_checks())
     @settings(max_examples=200, deadline=None)
     def test_same_states_verdicts_and_caps(self, data):
         ours = self._outcomes(*data)
-        with mock.patch.object(shadow_mod, "_explore", reference_explore):
+        with mock.patch.object(shadow_mod, "_explore", reference_per_predicate):
             theirs = self._outcomes(*data)
         assert ours == theirs
+
+
+class TestBothProperties:
+    """One BFS for both properties answers as the two checks run one after
+    the other, slimit first."""
+
+    @staticmethod
+    def _separately(system, delta, eps, domain, cap):
+        try:
+            return tuple(
+                check(system, delta, eps, domain, state_cap=cap).to_json()
+                for check in (check_slimit_property, check_shadowing_property)
+            )
+        except Inconclusive as exc:
+            return str(exc)
+
+    @staticmethod
+    def _jointly(system, delta, eps, domain, cap):
+        try:
+            verdicts = check_both_properties(system, delta, eps, domain, state_cap=cap)
+        except Inconclusive as exc:
+            return str(exc)
+        return tuple(v.to_json() for v in verdicts)
+
+    @given(capped_checks())
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdicts_counts_and_caps(self, data):
+        assert self._jointly(*data) == self._separately(*data)
+
+    def test_cap_passed_after_slimit_resolves(self, parallel):
+        """On parallel cycles at delta = eps = 1, slimit fails after 9
+        states and shadowing passes after 11: caps 9 and 10 stop the joint
+        run where the separate shadowing check stops."""
+        slimit, shadowing = check_both_properties(parallel, 1, 1, state_cap=11)
+        assert (slimit.passed, slimit.states_explored) == (False, 9)
+        assert (shadowing.passed, shadowing.states_explored) == (True, 11)
+        for cap in (9, 10):
+            assert check_slimit_property(parallel, 1, 1, state_cap=cap) == slimit
+            with pytest.raises(Inconclusive) as caught:
+                check_both_properties(parallel, 1, 1, state_cap=cap)
+            assert caught.value.states_explored == cap + 1
+            assert self._jointly(parallel, 1, 1, None, cap) == self._separately(
+                parallel, 1, 1, None, cap
+            )
 
 
 class TestReachableStates:

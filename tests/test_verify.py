@@ -7,6 +7,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshadow import (
     FAILS,
@@ -18,8 +20,11 @@ from chainshadow import (
     Inconclusive,
     NotInvertible,
     brute_force_oracle,
+    build_delta_graph,
     cantor_identity,
     check_shadowing_property,
+    class_order,
+    decompose,
     check_slimit_property,
     default_grid,
     find_slimit_violation,
@@ -37,6 +42,7 @@ from chainshadow import (
 from chainshadow import cli
 from chainshadow import shadow as shadow_mod
 from chainshadow import verify as verify_mod
+from conftest import system_and_scales
 
 
 class TestImplication:
@@ -85,6 +91,18 @@ class TestClassDenseness:
         assert result.status == HOLDS
         for entry in result.details["coarse_classes"]:
             assert entry["certifier"] is not None
+
+    @given(system_and_scales(max_n=7), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_maximal_first_matches_the_class_order(self, data, more):
+        """Maximal-first order read from one OR of reach masks is the stable
+        sort on "some other class of the subset lies above"."""
+        system, delta, _ = data
+        dec = decompose(build_delta_graph(system, delta))
+        subset = more.draw(st.lists(st.sampled_from(range(len(dec.classes))), unique=True))
+        below = [any(class_order(dec, j, k) for k in subset if k != j) for j in subset]
+        expected = [j for _, j in sorted(zip(below, subset), key=lambda pair: pair[0])]
+        assert verify_mod._maximal_first(dec, subset) == expected
 
 
 class TestInitialClasses:
@@ -253,11 +271,17 @@ class TestSharedAnswers:
         system = dict(standard_corpus())[name]
         asked = []
 
+        joint = []
+
         def counting(prop, real):
             def wrapper(system, delta, eps=None, domain=None, **kwargs):
                 # The reversed system of the inverse cross-check is its own
-                # object, so systems are told apart by identity.
-                asked.append((prop, id(system), delta, eps, domain))
+                # object, so systems are told apart by identity. The joint
+                # decider asks the slimit and the shadowing question at once.
+                if prop == "both":
+                    joint.append(delta)
+                for asks in ("slimit", "shadowing") if prop == "both" else (prop,):
+                    asked.append((asks, id(system), delta, eps, domain))
                 if prop == "graph":
                     return real(system, delta)
                 return real(system, delta, eps, domain=domain, **kwargs)
@@ -265,13 +289,14 @@ class TestSharedAnswers:
             return wrapper
 
         for prop, attr in [
+            ("both", "check_both_properties"),
             ("slimit", "check_slimit_property"),
             ("shadowing", "check_shadowing_property"),
             ("graph", "build_delta_graph"),
         ]:
             monkeypatch.setattr(verify_mod, attr, counting(prop, getattr(verify_mod, attr)))
         report = run_harness(system, name)
-        assert report.results
+        assert report.results and joint
         assert {prop for prop, *_ in asked} == {"slimit", "shadowing", "graph"}
         assert len(asked) == len(set(asked))
 
