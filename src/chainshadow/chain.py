@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .bits import bits as _bits, mask_of
 from .errors import BadParams, EmptySet, NotDecreasing
@@ -139,12 +140,9 @@ class ChainDecomposition:
         return frozenset(p for p, c in enumerate(self.class_index) if c is not None)
 
     @cached_property
-    def _incoming(self) -> tuple[int, ...]:
-        masks = [0] * len(self.classes)
-        for j, mask in enumerate(self.class_reach):
-            for i in _bits(mask):
-                masks[i] |= 1 << j
-        return tuple(masks)
+    def _reached(self) -> int:
+        """Bitmask of the classes that some other class reaches."""
+        return reduce(or_, self.class_reach, 0)
 
     def class_of(self, p: int) -> int | None:
         return self.class_index[p]
@@ -153,7 +151,7 @@ class ChainDecomposition:
         return self.class_reach[i] == 0
 
     def is_initial(self, i: int) -> bool:
-        return self._incoming[i] == 0
+        return not self._reached >> i & 1
 
     def is_isolated(self, i: int, r: Fraction) -> bool:
         """Whether class i lies farther than r from every other class."""
@@ -377,14 +375,13 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
         if sep is not None:
             label += f"|sep={format_rational(sep)}"
         lines.append(f'  C{i} [label="{label}"];')
+    # class_reach is strict and transitive, so a reaches b directly exactly
+    # when no class that a reaches also reaches b.
     reach = dec.class_reach
-    for a in range(len(dec.classes)):
-        for b in _bits(reach[a]):
-            through = any(
-                reach[k] & (1 << b) for k in _bits(reach[a]) if k != b
-            )
-            if not through:
-                lines.append(f"  C{a} -> C{b};")
+    for a, mask in enumerate(reach):
+        through = reduce(or_, (reach[k] for k in _bits(mask)), 0)
+        for b in _bits(mask & ~through):
+            lines.append(f"  C{a} -> C{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

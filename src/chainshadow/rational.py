@@ -11,6 +11,10 @@ from fractions import Fraction
 
 from .errors import BadParams
 
+# Largest decimal exponent accepted (int()'s digit limit): Fraction builds
+# 10**exponent at a cost that grows faster than the exponent.
+_MAX_EXPONENT = 4300
+
 
 def parse_rational(value) -> Fraction:
     """Convert ``"p/q"``, ``"0.25"``, an int, or a Fraction to a Fraction."""
@@ -31,6 +35,9 @@ def parse_rational(value) -> Fraction:
                 not slash or _is_ascii_digits(den)
             ):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            _, e, exponent = text.replace("E", "e").rpartition("e")
+            if e and abs(int(exponent)) > _MAX_EXPONENT:
+                raise BadParams(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"cannot parse rational {value!r}") from exc

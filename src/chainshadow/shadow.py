@@ -216,7 +216,7 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 
 
 def merge_sets(system, eps, domain=None) -> MergeSet:
-    """Merge sets for every point, via a fixpoint on the pair graph."""
+    """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
     masks = _asymp_masks(system, eps, dmask)
@@ -492,32 +492,31 @@ def _backtrack(system, masks: list[int]) -> int:
 
 def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
     """masks[p] holds every x merging exactly into p's orbit while staying
-    within eps beforehand; least fixpoint over the deterministic pair map."""
-    n = system.n
-    fmap = system.map
-    points = list(bits(dmask))
-    member = bytearray(n * n)
-    queue = []
-    for x in points:
-        member[x * n + x] = 1
-        queue.append(x * n + x)
-    preds: dict[int, list[int]] = {}
-    for x in points:
-        for p in bits(system.ball(x, eps) & dmask):
-            if x != p:
-                preds.setdefault(fmap[x] * n + fmap[p], []).append(x * n + p)
-    while queue:
-        cur = queue.pop()
-        for pre in preds.get(cur, ()):
-            if not member[pre]:
-                member[pre] = 1
-                queue.append(pre)
-    masks = [0] * n
-    for x in points:
-        base = x * n
-        for p in points:
-            if member[base + p]:
-                masks[p] |= 1 << x
+    within eps beforehand: the least family with p in masks[p] and x in
+    masks[p] whenever d(x, p) <= eps and f(x) is in masks[f(p)].
+
+    The worklist carries (t, bits just added to masks[t]); their preimages
+    are the only new candidates for masks[p] at each p with f(p) = t.
+    """
+    domain = list(bits(dmask))
+    pre = [0] * system.n
+    for x in domain:
+        pre[system.map[x]] |= 1 << x
+    balls = {p: system.ball(p, eps) for p in domain}
+    masks = [0] * system.n
+    for p in domain:
+        masks[p] = 1 << p
+    work = [(p, masks[p]) for p in domain]
+    while work:
+        t, new = work.pop()
+        sources = 0
+        for y in bits(new):
+            sources |= pre[y]
+        for p in bits(pre[t]):
+            gain = sources & balls[p] & ~masks[p]
+            if gain:
+                masks[p] |= gain
+                work.append((p, gain))
     return masks
 
 

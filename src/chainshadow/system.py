@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +21,7 @@ from operator import sub
 
 from .bits import mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
-from .rational import format_rational, parse_rational
+from .rational import _is_ascii_digits, format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -284,12 +284,16 @@ def validate_system(spec) -> FiniteMetricSystem:
 
 
 def system_from_json(text: str) -> FiniteMetricSystem:
-    return validate_system(json.loads(text))
+    try:
+        spec = json.loads(text)
+    except RecursionError as exc:
+        raise BadParams("system description is nested too deeply") from exc
+    return validate_system(spec)
 
 
 def load_system(path) -> FiniteMetricSystem:
     with open(path, "r", encoding="utf-8") as handle:
-        return validate_system(json.load(handle))
+        return system_from_json(handle.read())
 
 
 def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
@@ -395,29 +399,14 @@ def discretize(grid: GridSystem1D) -> FiniteMetricSystem:
     """Round the grid's source map to nearest centers and tabulate the metric."""
     n = grid.cells
     circle = grid.geometry == "circle"
-    images = [grid.apply(c) for c in grid.centers]
-    (centers, images), unit = _over_common_denominator((grid.centers, images))
-    fmap = [_nearest_center(centers, y, unit, circle) for y in images]
+    # Center i, (2i + 1) / 2n, is nearest to every y in (i/n, (i+1)/n], ties
+    # going to the smaller index; on a circle y is read mod 1 (1 is 0).
+    images = (grid.apply(c) for c in grid.centers)
+    fmap = [max(math.ceil((_mod1(y) if circle else y) * n) - 1, 0) for y in images]
     # Centers (2i + 1) / 2n lie i / n apart.
     return _points_system(
         range(n), n, circle, fmap, len(set(fmap)) == n, grid.quantization or grid.half_cell
     )
-
-
-def _nearest_center(centers, y: int, unit: int, circle: bool) -> int:
-    """Index of the center nearest to y (all over ``unit``), ties broken
-    toward the smaller index.
-
-    Distance from y falls and then rises along the sorted centers, so the
-    nearest are the two around y, or the two ends across 0 on a circle.
-    """
-    k = bisect_left(centers, y)
-    near = {max(k - 1, 0), min(k, len(centers) - 1)}
-    if circle:
-        near |= {0, len(centers) - 1}
-    near = sorted(near)
-    gaps = _gaps(y, [centers[j] for j in near], unit, circle)
-    return near[gaps.index(min(gaps))]
 
 
 def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
@@ -597,11 +586,11 @@ def build_corpus_system(name: str, params=()) -> FiniteMetricSystem:
 
 
 def _coerce_int(value):
+    """A str param as the integer its ASCII digits (optional sign) spell."""
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError as exc:
-            raise BadParams(f"expected an integer, got {value!r}") from exc
+        if not _is_ascii_digits(value[1:] if value[:1] in ("+", "-") else value):
+            raise BadParams(f"expected an integer, got {value!r}")
+        return int(value)
     return value
 
 

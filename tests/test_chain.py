@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainshadow import (
@@ -22,6 +23,7 @@ from chainshadow import (
     hausdorff_distance,
     invariant_core,
     isolated_classes,
+    make_system,
     neighborhood,
     north_south,
     omega_cycle,
@@ -30,6 +32,16 @@ from chainshadow import (
     rotation,
 )
 from conftest import metric_systems, sweep_values, system_and_scales
+
+
+# Fixed points at 0, 2 and 4 on a line, each reaching the next one down
+# through a transient point 1/2 away (at 3/2 and 7/2) that f sends there: at
+# delta 1/2 the classes form the chain C2 -> C1 -> C0, and C2 -> C0 is not
+# drawn.
+_STAIRCASE = make_system(
+    [[Fraction(abs(a - b), 2) for b in (0, 3, 4, 7, 8)] for a in (0, 3, 4, 7, 8)],
+    (0, 0, 2, 2, 4),
+)
 
 
 def closure_reaches(graph, x, y):
@@ -191,6 +203,7 @@ class TestDecomposition:
                 assert set(graph.succ[p]) <= dec.classes[i]
 
     @given(system_and_scales())
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
     @settings(max_examples=40)
     def test_order_agrees_with_reachability(self, data):
         system, delta, _ = data
@@ -364,3 +377,24 @@ class TestExports:
         dec = decompose(build_delta_graph(rotation(4, 1), 0))
         report = decomposition_report(dec)
         assert report["classes"][0]["separation"] is None
+
+    @given(system_and_scales())
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
+    @settings(max_examples=60)
+    def test_dot_edges_are_the_covering_pairs(self, data):
+        """A -> B exactly when B lies strictly below A in the class order
+        with no class strictly between them (brute force on class_order)."""
+        system, delta, eps = data
+        dec = decompose(build_delta_graph(system, delta))
+        k = range(len(dec.classes))
+
+        def below(a, b):
+            return a != b and class_order(dec, a, b)
+
+        covers = [
+            (a, b) for a in k for b in k
+            if below(b, a) and not any(below(b, c) and below(c, a) for c in k)
+        ]
+        dot = decomposition_dot(dec, eps)
+        edges = [tuple(map(int, e)) for e in re.findall(r"C(\d+) -> C(\d+);", dot)]
+        assert edges == covers

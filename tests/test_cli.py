@@ -36,6 +36,11 @@ MALFORMED_GENS = [
     # non-integer params
     "rotation:x:1", "rotation:4:y", "rotation:4.5:1", "rotation:4:1/2", "tent:1e2",
     "doubling:0x10", "cantor-identity:two", "north-south:6.0", "tent:",
+    # params are ASCII digits with an optional sign: no other digits,
+    # padding or underscores
+    "rotation:\u0664:1", "rotation: 4 :1", "rotation:4_0:1", "tent:1_6",
+    "rotation:\uff14:1", "rotation:4\n:1", "rotation:+-4:1", "rotation:-:1",
+    "rotation:+:1",
     # out-of-range params
     "rotation:0:1", "rotation:-4:1", "rotation:4097:1", "north-south:2",
     "north-south:99999", "tent:0", "doubling:-1", "cantor-identity:-1",
@@ -98,6 +103,9 @@ class TestAnalyze:
             {"generator": ["rotation"], "params": [4, 1]},
             {"n": True, "dist": [[0]], "map": [0]},
             {"n": 1.0, "dist": [[0]], "map": [0]},
+            {"generator": "rotation", "params": ["4_0", 1]},
+            # one class: no distance is printed, so the parse is what fails
+            {"n": 2, "dist": [[0, "1e4301"], ["1e4301", 0]], "map": [1, 0]},
         ],
     )
     def test_malformed_file_exits_2(self, capsys, tmp_path, spec):
@@ -106,6 +114,19 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--file", str(bad), "--delta", "1")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 2000 + "]" * 2000)
+        code, out, err = run_cli(capsys, "analyze", "--file", str(deep), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", ["1e4301", "1E-4301"])
+    def test_huge_exponent_delta_exits_2(self, capsys, delta):
+        code, out, err = run_cli(capsys, "analyze", "--gen", "rotation:4:1", "--delta", delta)
+        assert code == 2 and out == ""
+        assert "exponent" in err
 
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     def test_empty_generator_exits_2(self, capsys, command):

@@ -97,20 +97,26 @@ def reference_per_predicate(system, delta, eps, dmask, failing, state_cap):
     return max((visited for visited, _ in runs), key=len), found[: len(failing)]
 
 
+def invariant_domains(draw, system):
+    """None, or the forward closure of a few random points of ``system``."""
+    if not draw(st.booleans()):
+        return None
+    domain = set(draw(st.lists(st.integers(0, system.n - 1), min_size=1, max_size=3)))
+    frontier = list(domain)
+    while frontier:
+        image = system.map[frontier.pop()]
+        if image not in domain:
+            domain.add(image)
+            frontier.append(image)
+    return domain
+
+
 @st.composite
 def capped_checks(draw):
     """A system, scales, a forward-invariant domain (or None) and a small
     state cap (or None)."""
     system, delta, eps = draw(system_and_scales())
-    domain = None
-    if draw(st.booleans()):
-        domain = set(draw(st.lists(st.integers(0, system.n - 1), min_size=1, max_size=3)))
-        frontier = list(domain)
-        while frontier:
-            image = system.map[frontier.pop()]
-            if image not in domain:
-                domain.add(image)
-                frontier.append(image)
+    domain = invariant_domains(draw, system)
     cap = draw(st.one_of(st.none(), st.integers(0, 12)))
     return system, delta, eps, domain, cap
 
@@ -252,11 +258,13 @@ class TestMergeSets:
         tracks = merge_sets(parallel, 1, domain={1, 2})
         assert tracks.of(1) == {1} and tracks.of(2) == {2}
 
-    @given(system_and_scales())
-    @settings(max_examples=40)
+    @given(st.data())
+    @settings(max_examples=60)
     def test_against_pair_walk(self, data):
-        system, _, eps = data
-        tracks = merge_sets(system, eps)
+        system, _, eps = data.draw(system_and_scales())
+        domain = invariant_domains(data.draw, system)
+        points = system.points if domain is None else domain
+        tracks = merge_sets(system, eps, domain)
 
         def walks_to_merge(x, p):
             seen = set()
@@ -270,7 +278,8 @@ class TestMergeSets:
             return False
 
         for p in system.points:
-            assert tracks.of(p) == {x for x in system.points if walks_to_merge(x, p)}
+            expected = {x for x in points if walks_to_merge(x, p)} if p in points else set()
+            assert tracks.of(p) == expected
 
 
 class TestIsLimitShadowed:

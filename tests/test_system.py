@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from chainshadow import (
     cantor_identity,
     discretize,
     doubling,
+    load_system,
     make_system,
     metric_violations,
     north_south,
@@ -188,6 +190,15 @@ class TestValidation:
         again = system_from_json(json.dumps(system.to_spec()))
         assert again == system
 
+    def test_deep_nesting_is_bad_params(self, tmp_path):
+        text = "[" * 2000 + "]" * 2000
+        with pytest.raises(BadParams, match="nested too deeply"):
+            system_from_json(text)
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        with pytest.raises(BadParams, match="nested too deeply"):
+            load_system(deep)
+
     @given(metric_systems())
     @settings(max_examples=40)
     def test_random_specs_pass_all_axioms(self, system):
@@ -316,6 +327,24 @@ _GRIDS = [
     _grid(7, "interval", "rotation", Fraction(2, 9)),
     _grid(5, "circle", "rotation", Fraction(-3, 10)),
     _grid(9, "circle", "rotation", Fraction(1, 2**70 + 1)),
+    # tent on a circle sends 1/2 to 1, the point 0
+    _grid(7, "circle", "tent"),
+    _grid(8, "circle", "tent"),
+    # images on cell boundaries: ties between two centers, and on a circle
+    # between the last center and the first
+    *[
+        _grid(cells, geometry, "rotation", Fraction(k, 2 * cells))
+        for cells in (4, 5)
+        for geometry in ("interval", "circle")
+        for k in (1, -1, 2, -2)
+    ],
+    # one cell
+    _grid(1, "interval", "identity"),
+    _grid(1, "interval", "tent"),
+    _grid(1, "circle", "tent"),
+    _grid(1, "circle", "doubling"),
+    _grid(1, "interval", "rotation", Fraction(1, 2)),
+    _grid(1, "circle", "rotation", Fraction(1, 2)),
 ]
 
 # (id, generator, reference, args) at edge sizes: one point, odd and even
@@ -449,6 +478,11 @@ class TestGenerators:
         by_string = parse_generator_string("rotation:4:1")
         assert by_list == by_dict == by_string
 
+    @pytest.mark.parametrize("text", ["rotation:4:-1", "rotation:+4:1", "rotation:04:1"])
+    def test_signed_and_padded_generator_params(self, text):
+        _, n, k = text.split(":")
+        assert parse_generator_string(text) == rotation(int(n), int(k))
+
     def test_generator_errors(self):
         with pytest.raises(UnknownGenerator):
             build_corpus_system("solenoid", [3])
@@ -458,6 +492,9 @@ class TestGenerators:
             build_corpus_system("north-south", [2])
         with pytest.raises(BadParams):
             build_corpus_system("cantor-identity", [-1])
+        for param in ("+-4", "4_0", "\u0664"):  # not ASCII digits with one sign
+            with pytest.raises(BadParams, match="expected an integer"):
+                build_corpus_system("rotation", {"n": param, "k": 1})
 
     def test_corpus_members_are_valid(self):
         for name, system in standard_corpus():
@@ -518,7 +555,14 @@ class TestShortestPathMetric:
 
 
 def _fraction_or_bad(text: str):
-    """Fraction's own reading of ``text``: the reference for parse_rational."""
+    """Fraction's own reading of ``text``: the reference for parse_rational.
+
+    A decimal exponent of magnitude above 4300 is refused unread: Fraction
+    would build a power of ten with that many digits.
+    """
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", text.strip())
+    if exponent and abs(int(exponent[1])) > 4300:
+        return BadParams
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -546,6 +590,11 @@ class TestParseRational:
     @example("0.25")
     @example("-")
     @example("")
+    @example("1e4300")  # exponents of magnitude up to 4300 parse
+    @example("1e-4300")
+    @example("1E4301")
+    @example("1e-4301")
+    @example("1e4_301")
     @settings(max_examples=300)
     def test_matches_fraction(self, text):
         expected = _fraction_or_bad(text)
