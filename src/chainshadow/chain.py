@@ -30,9 +30,11 @@ class DeltaGraph:
 
     @cached_property
     def _components(self):
-        """(scc_of, sccs, reach) with sccs in condensation-topological order.
+        """(scc_of, sccs, reach, k) with sccs numbered in class order.
 
-        reach[s] is a bitmask over scc ids reachable from scc s, s included.
+        Ids 0..k-1 go to the k cyclic SCCs, by least point, so chain class i
+        is SCC i; the acyclic SCCs take the ids after them. reach[s] is a
+        bitmask over scc ids reachable from scc s, s included.
         """
         n = self.system.n
         order = self._finish_order()
@@ -40,32 +42,38 @@ class DeltaGraph:
         for p in range(n):
             for q in self.succ[p]:
                 preds[q].append(p)
-        scc_of = [-1] * n
-        sccs: list[tuple[int, ...]] = []
+        topo_of = [-1] * n
+        topo: list[tuple[int, ...]] = []  # condensation-topological order
         for root in reversed(order):
-            if scc_of[root] >= 0:
+            if topo_of[root] >= 0:
                 continue
-            sid = len(sccs)
+            t = len(topo)
             members = [root]
-            scc_of[root] = sid
+            topo_of[root] = t
             stack = [root]
             while stack:
                 v = stack.pop()
                 for w in preds[v]:
-                    if scc_of[w] < 0:
-                        scc_of[w] = sid
+                    if topo_of[w] < 0:
+                        topo_of[w] = t
                         members.append(w)
                         stack.append(w)
-            sccs.append(tuple(sorted(members)))
+            topo.append(tuple(sorted(members)))
+        # A cyclic SCC carries a directed cycle: a self-loop if a singleton.
+        acyclic = [len(m) == 1 and m[0] not in self.succ[m[0]] for m in topo]
+        by_id = sorted(range(len(topo)), key=lambda t: (acyclic[t], topo[t][0]))
+        sid_of = sorted(range(len(topo)), key=by_id.__getitem__)  # id of topo[t]
+        scc_of = tuple(sid_of[t] for t in topo_of)
+        sccs = tuple(topo[t] for t in by_id)
         reach = [0] * len(sccs)
-        for sid in range(len(sccs) - 1, -1, -1):  # sinks first
+        for sid in reversed(sid_of):  # sinks first
             mask = 1 << sid
             for v in sccs[sid]:
                 for w in self.succ[v]:
                     if scc_of[w] != sid:
                         mask |= reach[scc_of[w]]
             reach[sid] = mask
-        return tuple(scc_of), tuple(sccs), tuple(reach)
+        return scc_of, sccs, tuple(reach), acyclic.count(False)
 
     def _finish_order(self) -> list[int]:
         n = self.system.n
@@ -89,10 +97,6 @@ class DeltaGraph:
                     stack.pop()
         return order
 
-    def _is_cyclic(self, members: tuple[int, ...]) -> bool:
-        """Whether an SCC carries a directed cycle (a self-loop if a singleton)."""
-        return len(members) > 1 or members[0] in self.succ[members[0]]
-
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
@@ -104,19 +108,15 @@ def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
     """True when a directed path of length >= 1 runs from x to y."""
     check_point(graph.system, x)
     check_point(graph.system, y)
-    scc_of, _, reach = graph._components
+    scc_of, _, reach, _ = graph._components
     target = 1 << scc_of[y]
     return any(reach[scc_of[z]] & target for z in graph.succ[x])
 
 
 def chain_recurrent_set(graph: DeltaGraph) -> frozenset[int]:
     """Points lying on a directed cycle of the delta graph."""
-    _, sccs, _ = graph._components
-    out = []
-    for members in sccs:
-        if graph._is_cyclic(members):
-            out.extend(members)
-    return frozenset(out)
+    _, sccs, _, k = graph._components
+    return frozenset(p for members in sccs[:k] for p in members)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,11 @@ class ChainDecomposition:
     @cached_property
     def _reached(self) -> int:
         """Bitmask of the classes that some other class reaches."""
-        return reduce(or_, self.class_reach, 0)
+        return self.reached_from((1 << len(self.classes)) - 1)
+
+    def reached_from(self, mask: int) -> int:
+        """Bitmask of the classes that some class in ``mask`` reaches."""
+        return reduce(or_, (self.class_reach[i] for i in _bits(mask)), 0)
 
     def class_of(self, p: int) -> int | None:
         return self.class_index[p]
@@ -172,22 +176,10 @@ class ChainDecomposition:
 
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
-    scc_of, sccs, reach = graph._components
-    cyclic = [sid for sid, members in enumerate(sccs) if graph._is_cyclic(members)]
-    cyclic.sort(key=lambda sid: sccs[sid][0])
-    classes = tuple(frozenset(sccs[sid]) for sid in cyclic)
-    index_of_sid = {sid: i for i, sid in enumerate(cyclic)}
-    class_index: list[int | None] = [None] * graph.system.n
-    for sid, i in index_of_sid.items():
-        for p in sccs[sid]:
-            class_index[p] = i
-    class_reach = []
-    for sid in cyclic:
-        mask = 0
-        for other in _bits(reach[sid]):
-            if other != sid and other in index_of_sid:
-                mask |= 1 << index_of_sid[other]
-        class_reach.append(mask)
+    scc_of, sccs, reach, k = graph._components
+    classes = tuple(frozenset(members) for members in sccs[:k])
+    class_index = tuple(sid if sid < k else None for sid in scc_of)
+    class_reach = tuple(reach[i] & ((1 << k) - 1) & ~(1 << i) for i in range(k))
     dist = graph.system.dist
     separation: list[Fraction | None] = [None] * len(classes)
     for p, i in enumerate(class_index):
@@ -203,8 +195,8 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
         graph.system,
         graph.delta,
         classes,
-        tuple(class_index),
-        tuple(class_reach),
+        class_index,
+        class_reach,
         tuple(separation),
     )
 
@@ -377,10 +369,8 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
         lines.append(f'  C{i} [label="{label}"];')
     # class_reach is strict and transitive, so a reaches b directly exactly
     # when no class that a reaches also reaches b.
-    reach = dec.class_reach
-    for a, mask in enumerate(reach):
-        through = reduce(or_, (reach[k] for k in _bits(mask)), 0)
-        for b in _bits(mask & ~through):
+    for a, mask in enumerate(dec.class_reach):
+        for b in _bits(mask & ~dec.reached_from(mask)):
             lines.append(f"  C{a} -> C{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

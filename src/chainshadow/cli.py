@@ -20,7 +20,7 @@ from .chain import (
     refine_ladder,
 )
 from .errors import ChainShadowError, Inconclusive
-from .rational import format_rational, parse_nonnegative
+from .rational import _is_ascii_digits, format_rational, parse_nonnegative
 from .shadow import DEFAULT_STATE_CAP, check_shadowing_property, check_slimit_property
 from .system import generator_names, load_system, parse_generator_string
 from .verify import GridEntry, default_grid, run_harness
@@ -38,10 +38,10 @@ def _rational_list_arg(text: str):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    """Plain ASCII digits with an optional '+', as for generator params."""
+    if not _is_ascii_digits(text.removeprefix("+")) or int(text) < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return int(text)
 
 
 def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None:

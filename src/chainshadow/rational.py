@@ -11,13 +11,23 @@ from fractions import Fraction
 
 from .errors import BadParams
 
-# Largest decimal exponent accepted (int()'s digit limit): Fraction builds
-# 10**exponent at a cost that grows faster than the exponent.
-_MAX_EXPONENT = 4300
+# Most digits in a numerator or denominator: str() of a longer int raises,
+# so a report could not print it. A longer decimal exponent is refused
+# unread, as Fraction builds 10**exponent at a cost that grows faster.
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**_MAX_DIGITS
 
 
 def parse_rational(value) -> Fraction:
-    """Convert ``"p/q"``, ``"0.25"``, an int, or a Fraction to a Fraction."""
+    """Convert ``"p/q"``, ``"0.25"``, an int, or a Fraction to a Fraction
+    with at most 4300 digits in its numerator and in its denominator."""
+    q = _read_rational(value)
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise BadParams(f"a numerator or denominator exceeds {_MAX_DIGITS} digits")
+    return q
+
+
+def _read_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -36,8 +46,8 @@ def parse_rational(value) -> Fraction:
             ):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             _, e, exponent = text.replace("E", "e").rpartition("e")
-            if e and abs(int(exponent)) > _MAX_EXPONENT:
-                raise BadParams(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
+            if e and abs(int(exponent)) > _MAX_DIGITS:
+                raise BadParams(f"exponent of {value!r} exceeds {_MAX_DIGITS} in magnitude")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"cannot parse rational {value!r}") from exc

@@ -550,12 +550,13 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     Returns (visited, found). ``visited`` maps every discovered state to
     its BFS parent in discovery order. ``found[i]`` is None when
     ``failing[i]`` holds on no reachable state, and otherwise is the
-    visited count and the smallest reconstructed path at the first level
-    where it holds. Frontier order is the lexicographic order of shortest
-    realizing prefixes, so that path is the lexicographically smallest
-    shortest failing prefix. Each open predicate is tested once per level,
-    before the level is expanded; the search stops once every predicate
-    has held (never for an empty tuple) or no state is left.
+    visited count and the reconstructed path of the first state, in level
+    order, where it holds on the first level where it holds at all. Level
+    order is the lexicographic order of the recorded shortest prefixes, so
+    that path is the lexicographically smallest shortest failing prefix.
+    Each open predicate is tested once per level, before the level is
+    expanded; the search stops once every predicate has held (never for an
+    empty tuple) or no state is left.
     ``state_cap`` is checked on every inserted state.
 
     Far fewer candidate sets than states are reachable (4,705 sets for
@@ -583,9 +584,9 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     while level:
         for i, fails in enumerate(failing):
             if found[i] is None:
-                bad = [s for s in level if fails(*s)]
-                if bad:
-                    found[i] = (len(visited), min(_path_to(visited, s) for s in bad))
+                bad = next((s for s in level if fails(*s)), None)
+                if bad is not None:
+                    found[i] = (len(visited), _path_to(visited, bad))
         if failing and None not in found:
             break
         nxt = []

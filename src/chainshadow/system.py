@@ -255,8 +255,6 @@ def validate_system(spec) -> FiniteMetricSystem:
     InvalidSystem with the full list of violated axioms, or BadParams for
     structural problems.
     """
-    if isinstance(spec, FiniteMetricSystem):
-        spec = spec.to_spec()
     if not isinstance(spec, dict):
         raise BadParams("system spec must be a mapping")
     if "generator" in spec:

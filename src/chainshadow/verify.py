@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
+from .bits import mask_of
 from .chain import (
     ChainDecomposition,
     build_delta_graph,
@@ -436,7 +437,5 @@ def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:
     restricted to that subset."""
     # Class j lies below another class of the subset when one of them reaches
     # it (class_reach is strict); a stable sort on that puts the maximal first.
-    below = 0
-    for k in subset:
-        below |= dec.class_reach[k]
+    below = dec.reached_from(mask_of(subset))
     return sorted(subset, key=lambda j: below >> j & 1)

@@ -44,18 +44,46 @@ _STAIRCASE = make_system(
 )
 
 
-def closure_reaches(graph, x, y):
-    """Transitive-closure oracle for reachability with path length >= 1."""
+def closure(graph):
+    """Transitive-closure matrix: reach[x][y] when a path of length >= 1
+    runs from x to y."""
     n = graph.system.n
-    step = [[q in graph.succ[p] for q in range(n)] for p in range(n)]
-    reach = [row[:] for row in step]
+    reach = [[q in graph.succ[p] for q in range(n)] for p in range(n)]
     for k in range(n):
         for i in range(n):
             if reach[i][k]:
                 for j in range(n):
                     if reach[k][j]:
                         reach[i][j] = True
-    return reach[x][y]
+    return reach
+
+
+def closure_reaches(graph, x, y):
+    """Transitive-closure oracle for reachability with path length >= 1."""
+    return closure(graph)[x][y]
+
+
+def brute_decomposition(graph):
+    """(classes, class_index, class_reach) from the closure alone: classes
+    by mutual reach among the points on a cycle, numbered by least point."""
+    reach = closure(graph)
+    cr = [p for p in graph.system.points if reach[p][p]]
+    classes = sorted(
+        {frozenset(q for q in cr if reach[p][q] and reach[q][p]) for p in cr}, key=min
+    )
+    class_index = tuple(
+        next((i for i, cls in enumerate(classes) if p in cls), None)
+        for p in graph.system.points
+    )
+    class_reach = tuple(
+        sum(
+            1 << j
+            for j, other in enumerate(classes)
+            if j != i and any(reach[p][q] for p in cls for q in other)
+        )
+        for i, cls in enumerate(classes)
+    )
+    return tuple(classes), class_index, class_reach
 
 
 class TestDeltaGraph:
@@ -139,6 +167,21 @@ class TestChainRecurrence:
 
 
 class TestDecomposition:
+    @given(system_and_scales())
+    # An acyclic SCC (a transient point) sits between classes, and class ids
+    # differ from the topological order of the SCCs.
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
+    # Six classes whose ids differ from the topological order of the SCCs.
+    @example((north_south(8), Fraction(5, 32), Fraction(5, 32)))
+    @settings(max_examples=60)
+    def test_matches_brute_force(self, data):
+        system, delta, _ = data
+        graph = build_delta_graph(system, delta)
+        dec = decompose(graph)
+        assert (dec.classes, dec.class_index, dec.class_reach) == brute_decomposition(
+            graph
+        )
+
     def test_far_cycles_disconnected(self, far_cycles):
         dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
         assert [sorted(c) for c in dec.classes] == [[0, 1], [2, 3]]
@@ -239,6 +282,14 @@ class TestClassOrder:
     def test_incomparable_cycles(self, far_cycles):
         dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
         assert not class_order(dec, 0, 1) and not class_order(dec, 1, 0)
+
+    def test_reached_from(self):
+        # the staircase chain C2 -> C1 -> C0
+        dec = decompose(build_delta_graph(_STAIRCASE, Fraction(1, 2)))
+        assert dec.reached_from(0) == 0
+        assert dec.reached_from(0b001) == 0
+        assert dec.reached_from(0b010) == 0b001
+        assert dec.reached_from(0b100) == dec.reached_from(0b110) == 0b011
 
     def test_maximal_classes(self, ns6, far_cycles):
         """The maximal classes of the class order are the initial classes."""

@@ -128,6 +128,12 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "exponent" in err
 
+    @pytest.mark.parametrize("delta", ["1e4300", "1e-4300", "12345e4296"])
+    def test_delta_past_4300_digits_exits_2(self, capsys, delta):
+        code, out, err = run_cli(capsys, "analyze", "--gen", "rotation:4:1", "--delta", delta)
+        assert code == 2 and out == ""
+        assert "argument --delta" in err and "exceeds 4300 digits" in err
+
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     def test_empty_generator_exits_2(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--gen", "", *COMMAND_ARGS[command])
@@ -336,6 +342,18 @@ class TestPlumbing:
             "--state-cap", "2",
         )
         assert code == 3 and "inconclusive" in err
+
+    # Plain ASCII digits only, as for generator params: int() would read
+    # these as 5, 10 and 7.
+    @pytest.mark.parametrize("cap", ["\u0665", "1_0", " 7 "], ids=repr)
+    def test_state_cap_is_ascii_digits(self, capsys, cap):
+        code, out, err = run_cli(
+            capsys,
+            "shadow", "--gen", "parallel-cycles", "--delta", "1", "--eps", "1",
+            "--state-cap", cap,
+        )
+        assert code == 2 and out == ""
+        assert "--state-cap" in err and "Traceback" not in err
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(

@@ -21,6 +21,7 @@ from chainshadow import (
     cantor_identity,
     discretize,
     doubling,
+    format_rational,
     load_system,
     make_system,
     metric_violations,
@@ -149,6 +150,10 @@ class TestValidation:
         with pytest.raises(InvalidSystem) as err:
             make_system([[0, 1], [1, 0]], (0, 0), invertible=True)
         assert any(v.kind == "not_bijective" for v in err.value.violations)
+
+    def test_system_object_is_not_a_description(self):
+        with pytest.raises(BadParams, match="system spec must be a mapping"):
+            validate_system(rotation(4, 1))
 
     def test_n_mismatch(self):
         with pytest.raises(BadParams):
@@ -558,15 +563,20 @@ def _fraction_or_bad(text: str):
     """Fraction's own reading of ``text``: the reference for parse_rational.
 
     A decimal exponent of magnitude above 4300 is refused unread: Fraction
-    would build a power of ten with that many digits.
+    would build a power of ten with that many digits. A value whose
+    numerator or denominator has more than 4300 digits is refused too: it
+    could not be printed.
     """
     exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)$", text.strip())
     if exponent and abs(int(exponent[1])) > 4300:
         return BadParams
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         return BadParams
+    if abs(value.numerator) >= 10**4300 or value.denominator >= 10**4300:
+        return BadParams
+    return value
 
 
 _RATIONAL_TEXT = st.one_of(
@@ -590,8 +600,11 @@ class TestParseRational:
     @example("0.25")
     @example("-")
     @example("")
-    @example("1e4300")  # exponents of magnitude up to 4300 parse
+    @example("1e4299")  # 4300 digits parse and print
+    @example("1e-4299")
+    @example("1e4300")  # 4301 digits are refused
     @example("1e-4300")
+    @example("12345e4296")
     @example("1E4301")
     @example("1e-4301")
     @example("1e4_301")
@@ -604,3 +617,10 @@ class TestParseRational:
         else:
             got = parse_rational(text)
             assert type(got) is Fraction and got == expected
+            assert format_rational(got) == str(expected)
+
+    def test_digit_bound_holds_for_ints_and_fractions(self):
+        assert parse_rational(10**4300 - 1) == 10**4300 - 1
+        for value in (10**4300, -(10**4300), Fraction(1, 10**4300)):
+            with pytest.raises(BadParams, match="exceeds 4300 digits"):
+                parse_rational(value)
