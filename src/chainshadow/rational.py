@@ -21,37 +21,38 @@ _DIGIT_BOUND = 10**_MAX_DIGITS
 def parse_rational(value) -> Fraction:
     """Convert ``"p/q"``, ``"0.25"``, an int, or a Fraction to a Fraction
     with at most 4300 digits in its numerator and in its denominator."""
-    q = _read_rational(value)
-    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
-        raise BadParams(f"a numerator or denominator exceeds {_MAX_DIGITS} digits")
-    return q
-
-
-def _read_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise BadParams(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise BadParams("floating point rejected; pass a 'p/q' or decimal string")
     if isinstance(value, str):
         text = value.strip()
         num, slash, den = text.partition("/")
         try:
-            # Plain "[-]digits" and "[-]digits/digits" skip Fraction's regex.
-            if _is_ascii_digits(num.removeprefix("-")) and (
-                not slash or _is_ascii_digits(den)
+            # Plain "[-]digits" and "[-]digits/digits" of at most 4300 characters
+            # skip Fraction's regex and the digit bound (reducing only shortens
+            # them). Strings go first: isinstance(_, Fraction) is a slow ABC check.
+            if (
+                len(text) <= _MAX_DIGITS
+                and _is_ascii_digits(num.removeprefix("-"))
+                and (not slash or _is_ascii_digits(den))
             ):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             _, e, exponent = text.replace("E", "e").rpartition("e")
             if e and abs(int(exponent)) > _MAX_DIGITS:
                 raise BadParams(f"exponent of {value!r} exceeds {_MAX_DIGITS} in magnitude")
-            return Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParams(f"cannot parse rational {value!r}") from exc
-    raise BadParams(f"not a rational: {value!r}")
+    elif isinstance(value, Fraction):
+        q = value
+    elif isinstance(value, bool):
+        raise BadParams(f"not a rational: {value!r}")
+    elif isinstance(value, int):
+        q = Fraction(value)
+    elif isinstance(value, float):
+        raise BadParams("floating point rejected; pass a 'p/q' or decimal string")
+    else:
+        raise BadParams(f"not a rational: {value!r}")
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise BadParams(f"a numerator or denominator exceeds {_MAX_DIGITS} digits")
+    return q
 
 
 def _is_ascii_digits(text: str) -> bool:
