@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import count
 from operator import or_
 
 from .bits import bits as _bits, mask_of
@@ -36,66 +37,61 @@ class DeltaGraph:
         is SCC i; the acyclic SCCs take the ids after them. reach[s] is a
         bitmask over scc ids reachable from scc s, s included.
         """
+        succ = self.succ
         n = self.system.n
-        order = self._finish_order()
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for p in range(n):
-            for q in self.succ[p]:
-                preds[q].append(p)
-        topo_of = [-1] * n
-        topo: list[tuple[int, ...]] = []  # condensation-topological order
-        for root in reversed(order):
-            if topo_of[root] >= 0:
+        # One iterative Tarjan pass. index[v] is v's discovery number, and n
+        # once v's SCC has closed, so lowlinks skip closed points.
+        index = [-1] * n
+        low = [0] * n
+        ticks = count()
+        open_stack: list[int] = []
+        closed: list[tuple[bool, tuple[int, ...]]] = []  # (acyclic, members) sinks first
+        for root in range(n):
+            if index[root] >= 0:
                 continue
-            t = len(topo)
-            members = [root]
-            topo_of[root] = t
-            stack = [root]
+            index[root] = low[root] = next(ticks)
+            open_stack.append(root)
+            stack = [(root, iter(succ[root]))]
             while stack:
-                v = stack.pop()
-                for w in preds[v]:
-                    if topo_of[w] < 0:
-                        topo_of[w] = t
-                        members.append(w)
-                        stack.append(w)
-            topo.append(tuple(sorted(members)))
-        # A cyclic SCC carries a directed cycle: a self-loop if a singleton.
-        acyclic = [len(m) == 1 and m[0] not in self.succ[m[0]] for m in topo]
-        by_id = sorted(range(len(topo)), key=lambda t: (acyclic[t], topo[t][0]))
-        sid_of = sorted(range(len(topo)), key=by_id.__getitem__)  # id of topo[t]
-        scc_of = tuple(sid_of[t] for t in topo_of)
-        sccs = tuple(topo[t] for t in by_id)
+                v, edges = stack[-1]
+                for w in edges:
+                    if index[w] < 0:
+                        index[w] = low[w] = next(ticks)
+                        open_stack.append(w)
+                        stack.append((w, iter(succ[w])))
+                        break
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    stack.pop()
+                    if low[v] == index[v]:
+                        members = [open_stack.pop()]
+                        while members[-1] != v:
+                            members.append(open_stack.pop())
+                        for w in members:
+                            index[w] = n
+                        # A cyclic SCC holds a cycle: a self-loop if a singleton.
+                        acyclic = len(members) == 1 and v not in succ[v]
+                        closed.append((acyclic, tuple(sorted(members))))
+                    if stack and low[v] < low[stack[-1][0]]:
+                        low[stack[-1][0]] = low[v]
+        # SCCs are disjoint, so (acyclic, members) pairs sort by least point.
+        sccs = tuple(members for _, members in sorted(closed))
+        scc_of = [0] * n
+        for sid, members in enumerate(sccs):
+            for v in members:
+                scc_of[v] = sid
         reach = [0] * len(sccs)
-        for sid in reversed(sid_of):  # sinks first
+        for _, members in closed:  # sinks first
+            sid = scc_of[members[0]]
             mask = 1 << sid
-            for v in sccs[sid]:
-                for w in self.succ[v]:
+            for v in members:
+                for w in succ[v]:
                     if scc_of[w] != sid:
                         mask |= reach[scc_of[w]]
             reach[sid] = mask
-        return scc_of, sccs, tuple(reach), acyclic.count(False)
-
-    def _finish_order(self) -> list[int]:
-        n = self.system.n
-        seen = [False] * n
-        order: list[int] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack: list[tuple[int, int]] = [(start, 0)]
-            while stack:
-                v, i = stack[-1]
-                if i < len(self.succ[v]):
-                    stack[-1] = (v, i + 1)
-                    w = self.succ[v][i]
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, 0))
-                else:
-                    order.append(v)
-                    stack.pop()
-        return order
+        k = sum(not acyclic for acyclic, _ in closed)
+        return tuple(scc_of), sccs, tuple(reach), k
 
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:

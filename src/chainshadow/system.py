@@ -113,10 +113,12 @@ class FiniteMetricSystem:
 
         A read-only view: the order is cached and shared by every query.
         """
+        check_point(self, p)
         return memoryview(self._nearest_first[p]).toreadonly()
 
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
+        check_point(self, p)
         order = self._nearest_first[p]
         table = self._table
         end = bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)
@@ -499,20 +501,14 @@ def parallel_cycles() -> FiniteMetricSystem:
     c-cycle and e-cycle run side by side at distance 1 while everything
     else sits 4 apart (a is 1 from c1 and 2 from e1).
     """
-    d = {
-        (0, 1): 1, (0, 2): 4, (0, 3): 2, (0, 4): 4,
-        (1, 2): 4, (1, 3): 1, (1, 4): 4,
-        (2, 3): 4, (2, 4): 1,
-        (3, 4): 4,
-    }
-    dist = tuple(
-        tuple(
-            Fraction(0) if i == j else Fraction(d[(min(i, j), max(i, j))])
-            for j in range(5)
-        )
-        for i in range(5)
-    )
-    return FiniteMetricSystem(5, dist, (2, 2, 1, 4, 3), invertible=False)
+    rows = [
+        [0, 1, 4, 2, 4],
+        [1, 0, 4, 1, 4],
+        [4, 4, 0, 4, 1],
+        [2, 1, 4, 0, 4],
+        [4, 4, 1, 4, 0],
+    ]
+    return make_system(rows, (2, 2, 1, 4, 3))
 
 
 def doubling(cells: int) -> FiniteMetricSystem:

@@ -105,11 +105,11 @@ class _Answers:
             self.memo[key] = decompose(build_delta_graph(self.system, delta))
         return self.memo[key]
 
-    def core_verdict(self, dec: ChainDecomposition, i: int, delta, eps) -> ShadowVerdict | None:
-        """Shadowing verdict on the invariant core of class ``i``, or None
-        when that core is empty (a degenerate class)."""
+    def core_verdict(self, dec: ChainDecomposition, i: int, eps) -> ShadowVerdict | None:
+        """Shadowing verdict at ``dec.delta`` on the invariant core of class
+        ``i``, or None when that core is empty (a degenerate class)."""
         core = invariant_core(self.system, dec.classes[i])
-        return self.verdict("shadowing", delta, eps, core) if core else None
+        return self.verdict("shadowing", dec.delta, eps, core) if core else None
 
     def reversed(self) -> _Answers:
         """The answers for the inverse map of an invertible system: these
@@ -175,7 +175,7 @@ def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremRes
         per_class.append(entry)
         failing_witness = None
         for j in _maximal_first(fine, inside):
-            verdict = ans.core_verdict(fine, j, delta_fine, eps)
+            verdict = ans.core_verdict(fine, j, eps)
             if verdict is None:
                 entry["degenerate"].append(j)
             elif verdict.passed:
@@ -240,7 +240,7 @@ def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
         "degenerate": [],
         "inverse_cross_check": cross_check,
     }
-    return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, delta, eps, details)
+    return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, eps, details)
 
 
 def verify_isolated_implies_shadowing(
@@ -270,7 +270,7 @@ def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
         "isolated_classes": isolated,
         "degenerate": [],
     }
-    return _check_class_cores(ans, ISOLATED_CLASSES, params, dec, isolated, delta, eps, details)
+    return _check_class_cores(ans, ISOLATED_CLASSES, params, dec, isolated, eps, details)
 
 
 @dataclass(frozen=True)
@@ -408,10 +408,10 @@ def _params(**values: Fraction) -> dict:
 
 
 def _check_class_cores(
-    ans: _Answers, theorem, params, dec: ChainDecomposition, indices, delta, eps, details
+    ans: _Answers, theorem, params, dec: ChainDecomposition, indices, eps, details
 ) -> TheoremResult:
-    """Run the restricted shadowing check on the invariant core of each
-    listed class.
+    """Run the restricted shadowing check at ``dec.delta`` on the invariant
+    core of each listed class.
 
     Classes with an empty core go to ``details["degenerate"]``; the others
     are listed under ``details["checked"]``. The theorem fails with the
@@ -420,7 +420,7 @@ def _check_class_cores(
     witnesses: list[PseudoOrbit] = []
     checked = []
     for i in indices:
-        verdict = ans.core_verdict(dec, i, delta, eps)
+        verdict = ans.core_verdict(dec, i, eps)
         if verdict is None:
             details["degenerate"].append(i)
             continue

@@ -20,6 +20,7 @@ from chainshadow import (
     decompose,
     decomposition_dot,
     decomposition_report,
+    default_grid,
     hausdorff_distance,
     invariant_core,
     isolated_classes,
@@ -27,6 +28,7 @@ from chainshadow import (
     neighborhood,
     north_south,
     omega_cycle,
+    parse_generator_string,
     reaches,
     refine_ladder,
     rotation,
@@ -84,6 +86,111 @@ def brute_decomposition(graph):
         for i, cls in enumerate(classes)
     )
     return tuple(classes), class_index, class_reach
+
+
+def reference_components(graph):
+    """The two-pass (Kosaraju) SCC search: a finish-order DFS, then a DFS
+    over the reversed graph in reverse finish order, which meets the SCCs
+    sources first. Returns the 4-tuple of ``DeltaGraph._components``."""
+    n, succ = graph.system.n, graph.succ
+    seen = [False] * n
+    order = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, 0)]
+        while stack:
+            v, i = stack[-1]
+            if i < len(succ[v]):
+                stack[-1] = (v, i + 1)
+                w = succ[v][i]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, 0))
+            else:
+                order.append(v)
+                stack.pop()
+    preds = [[] for _ in range(n)]
+    for p in range(n):
+        for q in succ[p]:
+            preds[q].append(p)
+    topo_of = [-1] * n
+    topo = []
+    for root in reversed(order):
+        if topo_of[root] >= 0:
+            continue
+        t = len(topo)
+        members = [root]
+        topo_of[root] = t
+        stack = [root]
+        while stack:
+            for w in preds[stack.pop()]:
+                if topo_of[w] < 0:
+                    topo_of[w] = t
+                    members.append(w)
+                    stack.append(w)
+        topo.append(tuple(sorted(members)))
+    acyclic = [len(m) == 1 and m[0] not in succ[m[0]] for m in topo]
+    by_id = sorted(range(len(topo)), key=lambda t: (acyclic[t], topo[t][0]))
+    sid_of = sorted(range(len(topo)), key=by_id.__getitem__)
+    scc_of = tuple(sid_of[t] for t in topo_of)
+    sccs = tuple(topo[t] for t in by_id)
+    reach = [0] * len(sccs)
+    for sid in reversed(sid_of):  # sinks first
+        mask = 1 << sid
+        for v in sccs[sid]:
+            for w in succ[v]:
+                if scc_of[w] != sid:
+                    mask |= reach[scc_of[w]]
+        reach[sid] = mask
+    return scc_of, sccs, tuple(reach), acyclic.count(False)
+
+
+def bench_graphs():
+    """(name, delta) of every delta graph the benchmark builds: the harness
+    systems at their default-grid deltas and north-south:384 at the eight
+    ladder deltas, picked from its distance values as the ladder workload
+    picks them."""
+    cases = []
+    for name in ("cantor-identity:7", "north-south:64"):
+        grid = default_grid(parse_generator_string(name))
+        deltas = {entry.delta_coarse for entry in grid} | {entry.delta_fine for entry in grid}
+        cases += [(name, delta) for delta in sorted(deltas)]
+    v = north_south(384).distance_values
+    ladder = [v[20], v[5], (v[4] + v[5]) / 2, v[4], v[3], v[2], v[1], v[0]]
+    return cases + [("north-south:384", delta) for delta in ladder]
+
+
+class TestComponents:
+    @given(system_and_scales())
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
+    @example((north_south(8), Fraction(5, 32), Fraction(5, 32)))
+    @settings(max_examples=60)
+    def test_matches_reference(self, data):
+        system, delta, _ = data
+        graph = build_delta_graph(system, delta)
+        assert graph._components == reference_components(graph)
+
+    @pytest.mark.parametrize("name,delta", bench_graphs(), ids=str)
+    def test_matches_reference_on_bench_graphs(self, name, delta):
+        graph = build_delta_graph(parse_generator_string(name), delta)
+        assert graph._components == reference_components(graph)
+
+    def test_deep_cycle(self):
+        # One DFS path runs through all 1024 points.
+        dec = decompose(build_delta_graph(rotation(1024, 1), 0))
+        assert dec.classes == (frozenset(range(1024)),)
+
+    def test_deep_transient_chain(self):
+        system = north_south(1024)
+        graph = build_delta_graph(system, 0)
+        sink = 512  # side A runs 1 -> 2 -> ... -> 511 -> 512, a fixed point
+        assert system.orbit(1, sink + 1) == (*range(1, sink + 1), sink)
+        dec = decompose(graph)
+        assert dec.classes == (frozenset({0}), frozenset({sink}))
+        assert reaches(graph, 1, sink)
+        assert not reaches(graph, sink, 1)
 
 
 class TestDeltaGraph:

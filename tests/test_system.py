@@ -248,6 +248,14 @@ class TestDistanceOrder:
             system.nearest_first(0)[0] = 2
         assert system.ball(0, Fraction(1, 4)) == 0b1011
 
+    @pytest.mark.parametrize("p", [-1, 4, 1.0, True, "0"])
+    def test_point_out_of_range(self, p):
+        system = rotation(4, 1)
+        with pytest.raises(BadParams, match="point index out of range"):
+            system.ball(p, Fraction(1, 4))
+        with pytest.raises(BadParams, match="point index out of range"):
+            system.nearest_first(p)
+
 
 # The generators as they were written on Fractions, one Fraction operation
 # per table entry: the reference for the integer-built tables.
