@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import count
-from operator import or_
 
 from .bits import bits as _bits, mask_of
 from .errors import BadParams, EmptySet, NotDecreasing
@@ -31,11 +30,14 @@ class DeltaGraph:
 
     @cached_property
     def _components(self):
-        """(scc_of, sccs, reach, k) with sccs numbered in class order.
+        """(scc_of, sccs, reach, k, covers, above) with sccs numbered in class
+        order.
 
         Ids 0..k-1 go to the k cyclic SCCs, by least point, so chain class i
         is SCC i; the acyclic SCCs take the ids after them. reach[s] is a
-        bitmask over scc ids reachable from scc s, s included.
+        bitmask over scc ids reachable from scc s, s included. For each class
+        i, covers[i] masks the classes i reaches with no class between them,
+        and above[i] the classes that reach i (i excluded).
         """
         succ = self.succ
         n = self.system.n
@@ -81,17 +83,41 @@ class DeltaGraph:
         for sid, members in enumerate(sccs):
             for v in members:
                 scc_of[v] = sid
+        k = sum(not acyclic for acyclic, _ in closed)
+        class_bits = (1 << k) - 1
+        # below[s] masks the classes strictly below some class that s reaches
+        # (s itself if a class), so a class's below is its strict class reach,
+        # and its covers are the classes in it but in no successor's below.
         reach = [0] * len(sccs)
+        below = [0] * len(sccs)
+        covers = [0] * k
         for _, members in closed:  # sinks first
             sid = scc_of[members[0]]
             mask = 1 << sid
+            under = 0
             for v in members:
                 for w in succ[v]:
-                    if scc_of[w] != sid:
-                        mask |= reach[scc_of[w]]
+                    t = scc_of[w]
+                    if t != sid:
+                        mask |= reach[t]
+                        under |= below[t]
             reach[sid] = mask
-        k = sum(not acyclic for acyclic, _ in closed)
-        return tuple(scc_of), sccs, tuple(reach), k
+            if sid < k:
+                below[sid] = mask & class_bits & ~(1 << sid)
+                covers[sid] = below[sid] & ~under
+            else:
+                below[sid] = under
+        # above[s] masks the classes that reach s, s excluded.
+        above = [0] * len(sccs)
+        for _, members in reversed(closed):  # sources first
+            sid = scc_of[members[0]]
+            up = above[sid] | (1 << sid if sid < k else 0)
+            for v in members:
+                for w in succ[v]:
+                    t = scc_of[w]
+                    if t != sid:
+                        above[t] |= up
+        return tuple(scc_of), sccs, tuple(reach), k, tuple(covers), tuple(above[:k])
 
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
@@ -104,14 +130,14 @@ def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
     """True when a directed path of length >= 1 runs from x to y."""
     check_point(graph.system, x)
     check_point(graph.system, y)
-    scc_of, _, reach, _ = graph._components
+    scc_of, _, reach, *_ = graph._components
     target = 1 << scc_of[y]
     return any(reach[scc_of[z]] & target for z in graph.succ[x])
 
 
 def chain_recurrent_set(graph: DeltaGraph) -> frozenset[int]:
     """Points lying on a directed cycle of the delta graph."""
-    _, sccs, _, k = graph._components
+    _, sccs, _, k, *_ = graph._components
     return frozenset(p for members in sccs[:k] for p in members)
 
 
@@ -119,7 +145,9 @@ def chain_recurrent_set(graph: DeltaGraph) -> frozenset[int]:
 class ChainDecomposition:
     """Classes of mutual reachability inside the recurrent set at one delta.
 
-    ``class_reach[i]`` is a bitmask of other classes reachable from class i;
+    ``class_reach[i]`` is a bitmask of other classes reachable from class i,
+    ``class_covers[i]`` the part of it with no class in between, and
+    ``class_above[i]`` a bitmask of the other classes that reach class i;
     ``separation[i]`` is the least distance from class i to any other class
     (None when the decomposition has a single class).
     """
@@ -129,20 +157,13 @@ class ChainDecomposition:
     classes: tuple[frozenset[int], ...]
     class_index: tuple[int | None, ...]
     class_reach: tuple[int, ...]
+    class_covers: tuple[int, ...]
+    class_above: tuple[int, ...]
     separation: tuple[Fraction | None, ...]
 
     @cached_property
     def cr(self) -> frozenset[int]:
         return frozenset(p for p, c in enumerate(self.class_index) if c is not None)
-
-    @cached_property
-    def _reached(self) -> int:
-        """Bitmask of the classes that some other class reaches."""
-        return self.reached_from((1 << len(self.classes)) - 1)
-
-    def reached_from(self, mask: int) -> int:
-        """Bitmask of the classes that some class in ``mask`` reaches."""
-        return reduce(or_, (self.class_reach[i] for i in _bits(mask)), 0)
 
     def class_of(self, p: int) -> int | None:
         return self.class_index[p]
@@ -151,7 +172,7 @@ class ChainDecomposition:
         return self.class_reach[i] == 0
 
     def is_initial(self, i: int) -> bool:
-        return not self._reached >> i & 1
+        return self.class_above[i] == 0
 
     def is_isolated(self, i: int, r: Fraction) -> bool:
         """Whether class i lies farther than r from every other class."""
@@ -165,20 +186,21 @@ class ChainDecomposition:
         return tuple(i for i in range(len(self.classes)) if self.is_initial(i))
 
     def order_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All strict pairs (i, j) with class i below class j."""
+        """All strict pairs (i, j) with class i below class j, sorted."""
         return tuple(
-            (i, j) for j, mask in enumerate(self.class_reach) for i in _bits(mask)
+            (i, j) for i, mask in enumerate(self.class_above) for j in _bits(mask)
         )
 
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
-    scc_of, sccs, reach, k = graph._components
+    scc_of, sccs, reach, k, covers, above = graph._components
     classes = tuple(frozenset(members) for members in sccs[:k])
     class_index = tuple(sid if sid < k else None for sid in scc_of)
     class_reach = tuple(reach[i] & ((1 << k) - 1) & ~(1 << i) for i in range(k))
     dist = graph.system.dist
-    separation: list[Fraction | None] = [None] * len(classes)
-    for p, i in enumerate(class_index):
+    separation: list[Fraction | None] = [None] * k
+    # With one class there is no other class to be apart from.
+    for p, i in enumerate(class_index if k > 1 else ()):
         if i is None:
             continue
         for q in graph.system.nearest_first(p):
@@ -193,6 +215,8 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
         classes,
         class_index,
         class_reach,
+        covers,
+        above,
         tuple(separation),
     )
 
@@ -333,7 +357,7 @@ def decomposition_report(dec: ChainDecomposition) -> dict:
             }
             for i, (cls, sep) in enumerate(zip(dec.classes, dec.separation))
         ],
-        "order": [list(pair) for pair in sorted(dec.order_pairs())],
+        "order": [[i, j] for i, mask in enumerate(dec.class_above) for j in _bits(mask)],
     }
 
 
@@ -363,10 +387,8 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
         if sep is not None:
             label += f"|sep={format_rational(sep)}"
         lines.append(f'  C{i} [label="{label}"];')
-    # class_reach is strict and transitive, so a reaches b directly exactly
-    # when no class that a reaches also reaches b.
-    for a, mask in enumerate(dec.class_reach):
-        for b in _bits(mask & ~dec.reached_from(mask)):
+    for a, mask in enumerate(dec.class_covers):
+        for b in _bits(mask):
             lines.append(f"  C{a} -> C{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

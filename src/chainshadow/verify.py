@@ -436,6 +436,6 @@ def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:
     """Order a subset of classes maximal-first under the class order
     restricted to that subset."""
     # Class j lies below another class of the subset when one of them reaches
-    # it (class_reach is strict); a stable sort on that puts the maximal first.
-    below = dec.reached_from(mask_of(subset))
-    return sorted(subset, key=lambda j: below >> j & 1)
+    # it (class_above is strict); a stable sort on that puts the maximal first.
+    mask = mask_of(subset)
+    return sorted(subset, key=lambda j: dec.class_above[j] & mask != 0)

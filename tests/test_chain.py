@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from chainshadow import (
     BadParams,
     EmptySet,
+    FiniteMetricSystem,
     NotDecreasing,
     build_delta_graph,
     cantor_identity,
@@ -33,6 +37,8 @@ from chainshadow import (
     refine_ladder,
     rotation,
 )
+from chainshadow.bits import bits
+from chainshadow.rational import format_rational
 from conftest import metric_systems, sweep_values, system_and_scales
 
 
@@ -147,19 +153,86 @@ def reference_components(graph):
     return scc_of, sccs, tuple(reach), acyclic.count(False)
 
 
+def reached_from(dec, mask):
+    """Bitmask of the classes that some class in ``mask`` reaches."""
+    return reduce(or_, (dec.class_reach[i] for i in bits(mask)), 0)
+
+
+def reference_report(dec):
+    """``decomposition_report`` as it was written before the class masks:
+    flags and pairs read off ``class_reach`` alone, the pairs sorted."""
+    reached = reached_from(dec, (1 << len(dec.classes)) - 1)
+    pairs = ((i, j) for j, mask in enumerate(dec.class_reach) for i in bits(mask))
+    return {
+        "delta": format_rational(dec.delta),
+        "cr_size": len(dec.cr),
+        "classes": [
+            {
+                "id": i,
+                "points": sorted(cls),
+                "terminal": dec.class_reach[i] == 0,
+                "initial": not reached >> i & 1,
+                "separation": None if sep is None else format_rational(sep),
+            }
+            for i, (cls, sep) in enumerate(zip(dec.classes, dec.separation))
+        ],
+        "order": [list(pair) for pair in sorted(pairs)],
+    }
+
+
+def reference_dot(dec, isolation_radius=None):
+    """``decomposition_dot`` as it was written before the class masks: each
+    class's covers are its reach less what the classes it reaches reach."""
+    reached = reached_from(dec, (1 << len(dec.classes)) - 1)
+    lines = ["digraph chain_components {", "  node [shape=box];"]
+    for i, cls in enumerate(dec.classes):
+        flags = []
+        if dec.class_reach[i] == 0:
+            flags.append("terminal")
+        if not reached >> i & 1:
+            flags += ["initial", "maximal"]
+        if isolation_radius is not None and dec.is_isolated(i, isolation_radius):
+            flags.append("isolated")
+        sep = dec.separation[i]
+        label = f"C{i}|size={len(cls)}"
+        if flags:
+            label += "|" + ",".join(flags)
+        if sep is not None:
+            label += f"|sep={format_rational(sep)}"
+        lines.append(f'  C{i} [label="{label}"];')
+    for a, mask in enumerate(dec.class_reach):
+        for b in bits(mask & ~reached_from(dec, mask)):
+            lines.append(f"  C{a} -> C{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def grid_deltas(name):
+    """Every delta of the generator system's ``default_grid``, ascending."""
+    grid = default_grid(parse_generator_string(name))
+    return sorted({entry.delta_coarse for entry in grid} | {entry.delta_fine for entry in grid})
+
+
+def ladder_deltas():
+    """The eight deltas of the ladder workload on north-south:384, picked
+    from its distance values as ``bench/workloads.ladder_deltas`` picks them."""
+    v = north_south(384).distance_values
+    return [v[20], v[5], (v[4] + v[5]) / 2, v[4], v[3], v[2], v[1], v[0]]
+
+
+LADDER_GRAPHS = [("north-south:384", delta) for delta in ladder_deltas()]
+
+
 def bench_graphs():
     """(name, delta) of every delta graph the benchmark builds: the harness
     systems at their default-grid deltas and north-south:384 at the eight
-    ladder deltas, picked from its distance values as the ladder workload
-    picks them."""
-    cases = []
-    for name in ("cantor-identity:7", "north-south:64"):
-        grid = default_grid(parse_generator_string(name))
-        deltas = {entry.delta_coarse for entry in grid} | {entry.delta_fine for entry in grid}
-        cases += [(name, delta) for delta in sorted(deltas)]
-    v = north_south(384).distance_values
-    ladder = [v[20], v[5], (v[4] + v[5]) / 2, v[4], v[3], v[2], v[1], v[0]]
-    return cases + [("north-south:384", delta) for delta in ladder]
+    ladder deltas."""
+    cases = [
+        (name, delta)
+        for name in ("cantor-identity:7", "north-south:64")
+        for delta in grid_deltas(name)
+    ]
+    return cases + LADDER_GRAPHS
 
 
 class TestComponents:
@@ -170,12 +243,12 @@ class TestComponents:
     def test_matches_reference(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
-        assert graph._components == reference_components(graph)
+        assert graph._components[:4] == reference_components(graph)
 
     @pytest.mark.parametrize("name,delta", bench_graphs(), ids=str)
     def test_matches_reference_on_bench_graphs(self, name, delta):
         graph = build_delta_graph(parse_generator_string(name), delta)
-        assert graph._components == reference_components(graph)
+        assert graph._components[:4] == reference_components(graph)
 
     def test_deep_cycle(self):
         # One DFS path runs through all 1024 points.
@@ -191,6 +264,39 @@ class TestComponents:
         assert dec.classes == (frozenset({0}), frozenset({sink}))
         assert reaches(graph, 1, sink)
         assert not reaches(graph, sink, 1)
+
+
+def check_class_masks(dec):
+    """The covers and above masks against ``class_reach``."""
+    k = len(dec.classes)
+    for a, mask in enumerate(dec.class_reach):
+        assert dec.class_covers[a] == mask & ~reached_from(dec, mask)
+    assert dec.class_above == tuple(
+        sum(1 << j for j in range(k) if dec.class_reach[j] >> i & 1) for i in range(k)
+    )
+    old_pairs = [(i, j) for j, mask in enumerate(dec.class_reach) for i in bits(mask)]
+    assert dec.order_pairs() == tuple(sorted(old_pairs))
+
+
+class TestClassMasks:
+    @given(system_and_scales())
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
+    @example((north_south(8), Fraction(5, 32), Fraction(5, 32)))
+    @settings(max_examples=60)
+    def test_match_class_reach(self, data):
+        system, delta, _ = data
+        check_class_masks(decompose(build_delta_graph(system, delta)))
+
+    @pytest.mark.parametrize("name,delta", LADDER_GRAPHS, ids=str)
+    def test_match_class_reach_on_ladder_graphs(self, name, delta):
+        check_class_masks(decompose(build_delta_graph(parse_generator_string(name), delta)))
+
+    def test_staircase(self):
+        # the chain C2 -> C1 -> C0, with C2 -> C0 not a cover
+        dec = decompose(build_delta_graph(_STAIRCASE, Fraction(1, 2)))
+        assert dec.class_covers == (0, 0b001, 0b010)
+        assert dec.class_above == (0b110, 0b100, 0)
+        assert dec.order_pairs() == ((0, 1), (0, 2), (1, 2))
 
 
 class TestDeltaGraph:
@@ -342,6 +448,19 @@ class TestDecomposition:
             )
             assert dec.separation[i] == expected
 
+    def test_single_class_skips_separation_walk(self, monkeypatch):
+        calls = []
+        walk = FiniteMetricSystem.nearest_first
+
+        def counted(system, p):
+            calls.append(p)
+            return walk(system, p)
+
+        monkeypatch.setattr(FiniteMetricSystem, "nearest_first", counted)
+        dec = decompose(build_delta_graph(rotation(1024, 1), 0))
+        assert dec.separation == (None,)
+        assert calls == []
+
     @given(system_and_scales())
     @settings(max_examples=40)
     def test_terminal_classes_absorb_edges(self, data):
@@ -393,10 +512,10 @@ class TestClassOrder:
     def test_reached_from(self):
         # the staircase chain C2 -> C1 -> C0
         dec = decompose(build_delta_graph(_STAIRCASE, Fraction(1, 2)))
-        assert dec.reached_from(0) == 0
-        assert dec.reached_from(0b001) == 0
-        assert dec.reached_from(0b010) == 0b001
-        assert dec.reached_from(0b100) == dec.reached_from(0b110) == 0b011
+        assert reached_from(dec, 0) == 0
+        assert reached_from(dec, 0b001) == 0
+        assert reached_from(dec, 0b010) == 0b001
+        assert reached_from(dec, 0b100) == reached_from(dec, 0b110) == 0b011
 
     def test_maximal_classes(self, ns6, far_cycles):
         """The maximal classes of the class order are the initial classes."""
@@ -535,6 +654,20 @@ class TestExports:
         dec = decompose(build_delta_graph(rotation(4, 1), 0))
         report = decomposition_report(dec)
         assert report["classes"][0]["separation"] is None
+
+    @pytest.mark.parametrize(
+        "name,delta",
+        [("cantor-identity:7", delta) for delta in grid_deltas("cantor-identity:7")]
+        + LADDER_GRAPHS,
+        ids=str,
+    )
+    def test_exports_match_reference(self, name, delta):
+        dec = decompose(build_delta_graph(parse_generator_string(name), delta))
+        assert json.dumps(decomposition_report(dec), indent=2) == json.dumps(
+            reference_report(dec), indent=2
+        )
+        for radius in (None, dec.delta):
+            assert decomposition_dot(dec, radius) == reference_dot(dec, radius)
 
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
