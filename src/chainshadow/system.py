@@ -16,8 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import sub
+from itertools import chain, repeat
+from operator import lshift, sub
 
 from .bits import mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -193,10 +193,11 @@ def _table_of(dist) -> _Table:
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries)."""
-    return _violations(_table_of(dist).rows, fmap, invertible)
+    return _violations(_table_of(dist), fmap, invertible)
 
 
-def _violations(rows, fmap, invertible: bool) -> list[Violation]:
+def _violations(table: _Table, fmap, invertible: bool) -> list[Violation]:
+    rows = table.rows
     n = len(rows)
     out: list[Violation] = []
 
@@ -212,15 +213,17 @@ def _violations(rows, fmap, invertible: bool) -> list[Violation]:
                 add("positivity", i, j)
             if rows[i][j] != rows[j][i]:
                 add("symmetry", i, j)
-    # d(i, k) > d(i, j) + d(j, k) for some k exactly when the largest
-    # row_i[k] - row_j[k] exceeds row_i[j]; only such pairs walk k.
-    for i, row_i in enumerate(rows):
-        for j, row_j in enumerate(rows):
-            dij = row_i[j]
-            if max(map(sub, row_i, row_j)) > dij:
-                for k in range(n):
-                    if row_i[k] - row_j[k] > dij:
-                        add("triangle", i, j, k)
+    # Once the list is full nothing more is added, so the rest is skipped.
+    if len(out) == _MAX_VIOLATIONS:
+        return out
+    for i, j in _triangle_pairs(table):
+        row_i, row_j = rows[i], rows[j]
+        dij = row_i[j]
+        for k in range(n):
+            if row_i[k] - row_j[k] > dij:
+                out.append(Violation("triangle", (i, j, k)))
+                if len(out) == _MAX_VIOLATIONS:
+                    return out
     total = True
     for i, target in enumerate(fmap):
         if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < n:
@@ -231,9 +234,54 @@ def _violations(rows, fmap, invertible: bool) -> list[Violation]:
     return out
 
 
+def _triangle_pairs(table: _Table):
+    """Every (i, j), in row-major order, for which some k has
+    d(i, k) > d(i, j) + d(j, k), that is, the largest row_i[k] - row_j[k]
+    exceeds row_i[j]."""
+    rows = table.rows
+    if table.denominator is None:
+        for i, row_i in enumerate(rows):
+            for j, row_j in enumerate(rows):
+                if max(map(sub, row_i, row_j)) > row_i[j]:
+                    yield i, j
+        return
+    # Integer rows, SIMD within a register (Lamport, CACM 1975): row i is
+    # packed as N_i, the sum of row_i[k] << k*w, with w three bits wider than
+    # the largest |entry|. Lane k of N_j + HIGH - N_i + row_i[j] * ONES is
+    # row_j[k] - row_i[k] + row_i[j] + 2**(w-1), strictly between 0 and 2**w,
+    # so no lane borrows from or carries into the next, and its top bit is
+    # clear exactly when k breaks the triangle inequality.
+    w = max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length() + 3
+    shifts = range(0, len(rows) * w, w)
+    packed = [sum(map(lshift, row, shifts)) for row in rows]
+    ones = sum(map(lshift, repeat(1), shifts))
+    high = ones << (w - 1)
+    for i, row_i in enumerate(rows):
+        offset = high - packed[i]
+        for j, (n_j, dij) in enumerate(zip(packed, row_i)):
+            if (n_j + offset + dij * ones) & high != high:
+                yield i, j
+
+
+class _ParsedStrings(dict):
+    """Each string read so far, mapped to its Fraction. A string that
+    ``parse_rational`` refuses raises and is not stored."""
+
+    def __missing__(self, text: str) -> Fraction:
+        q = self[text] = parse_rational(text)
+        return q
+
+
 def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     """Build a system from raw rows, validating every axiom exactly."""
-    dist = tuple(tuple(parse_rational(v) for v in row) for row in dist_rows)
+    # Each distinct string is parsed once, and its entries share one Fraction.
+    # Only str values are memoised: 1, 1.0, True and Fraction(1) hash alike,
+    # and the float and the bool must still be refused.
+    parsed = _ParsedStrings()
+    dist = tuple(
+        tuple(parsed[v] if type(v) is str else parse_rational(v) for v in row)
+        for row in dist_rows
+    )
     n = len(dist)
     if n < 1:
         raise BadParams("a system needs at least one point")
@@ -243,7 +291,7 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
     table = _table_of(dist)
-    violations = _violations(table.rows, fmap, bool(invertible))
+    violations = _violations(table, fmap, bool(invertible))
     if violations:
         raise InvalidSystem(violations)
     return FiniteMetricSystem(n, dist, fmap, bool(invertible), _table=table)

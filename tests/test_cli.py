@@ -61,6 +61,38 @@ class TestMalformedGenerators:
         assert "Traceback" not in err
 
 
+def _two_points(dist=(("0", "1"), ("1", "0")), fmap=(1, 0), n=2):
+    return {"n": n, "dist": [list(row) for row in dist], "map": list(fmap)}
+
+
+# Malformed explicit files, one fault each, on a two-point system.
+MALFORMED_FILES = [
+    _two_points(dist=((0, 0.5), (0.5, 0))),  # float entry
+    _two_points(dist=((0, True), (True, 0))),  # bool entry
+    _two_points(dist=(("0", "1"), (True, "0"))),  # bool beside an equal string
+    _two_points(dist=((0, [1]), ([1], 0))),  # nested list
+    _two_points(dist=((0, None), (None, 0))),  # null
+    _two_points(dist=(("0", "1/0"), ("1/0", "0"))),
+    _two_points(dist=(("0", "1e99999"), ("1e99999", "0"))),
+    _two_points(dist=(("0", "1"), ("1",))),  # ragged row
+    _two_points(fmap=(1, 2)),  # map index out of range
+    _two_points(fmap=(1, -1)),
+    _two_points(n="2"),  # n not an int
+    _two_points(n=None),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command", ["analyze", "shadow", "verify"])
+    @pytest.mark.parametrize("spec", MALFORMED_FILES, ids=json.dumps)
+    def test_exits_2_with_a_message(self, capsys, tmp_path, command, spec):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, command, "--file", str(bad), *COMMAND_ARGS[command])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_north_south_two_classes(self, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +105,42 @@ def _wide_table(first_denominator: int, n: int = 10):
         dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
     dist[0][1] = dist[1][0] = Fraction(5)
     return tuple(map(tuple, dist))
+
+
+def scalar_triangle_pairs(rows):
+    """The pairs (i, j) whose largest row_i[k] - row_j[k] exceeds
+    row_i[j]: the one-pair-at-a-time test that ``_triangle_pairs`` must
+    match on integer rows."""
+    return [
+        (i, j)
+        for i, row_i in enumerate(rows)
+        for j, row_j in enumerate(rows)
+        if max(map(sub, row_i, row_j)) > row_i[j]
+    ]
+
+
+@st.composite
+def integer_rows(draw, max_n: int = 7):
+    """Square integer tables whose entries reach +-2**b and +-(2**b - 1)
+    for a drawn b, negative, zero and asymmetric entries included; half of
+    them are symmetric with a zero diagonal."""
+    n = draw(st.integers(1, max_n))
+    bound = 2 ** draw(st.integers(0, 70))
+    edges = st.sampled_from([0, bound - 1, 1 - bound, bound, -bound])
+    entries = st.one_of(edges, st.integers(-bound, bound))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return tuple(map(tuple, rows))
+
+
+def _extreme_rows(m: int):
+    """A table whose lanes reach both ends of their range when m is the
+    largest |entry|: row_j[k] - row_i[k] + row_i[j] runs from -3m to 3m."""
+    return ((m, -m, m), (-m, m, -m), (m, m, -m))
 
 
 class TestValidation:
@@ -225,6 +262,85 @@ class TestValidation:
         found = metric_violations(dist, tuple(range(len(dist))), False)
         assert found == reference_violations(dist, tuple(range(len(dist))), False)
         assert Violation("triangle", (0, 2, 1)) in found
+
+    @given(integer_rows())
+    @example(_extreme_rows(2**4 - 1))  # largest |entry| 2**b - 1: w = b + 3
+    @example(_extreme_rows(2**4))  # 2**b: the lanes are one bit wider
+    @example(_extreme_rows(2**61 - 1))
+    @example(_extreme_rows(2**61))
+    @example(((0,),))
+    @example(((7,),))
+    @example(((0, 0), (0, 0)))  # zero off-diagonal entries
+    @example(((0, 0, 0), (0, 0, 5), (0, -3, 0)))
+    @settings(max_examples=300)
+    def test_packed_flags_match_the_scalar_test(self, rows):
+        table = system_mod._Table(rows, 1)
+        assert list(system_mod._triangle_pairs(table)) == scalar_triangle_pairs(rows)
+
+    @given(metric_systems())
+    @settings(max_examples=40)
+    def test_packed_flags_on_a_stretched_metric(self, system):
+        rows = [list(row) for row in system._table.rows]
+        if system.n > 1:
+            rows[0][1] = rows[1][0] = 3 * max(map(max, rows))
+        rows = tuple(map(tuple, rows))
+        table = system_mod._Table(rows, system._table.denominator)
+        assert list(system_mod._triangle_pairs(table)) == scalar_triangle_pairs(rows)
+
+    def test_empty_table_has_no_violations(self):
+        assert metric_violations((), (), False) == []
+
+    def test_a_full_list_skips_the_triangle_pass(self, monkeypatch):
+        def never(table):
+            raise AssertionError("triangle pass run")
+
+        monkeypatch.setattr(system_mod, "_triangle_pairs", never)
+        # 28 positivity and 28 symmetry violations fill the list first.
+        dist = tuple(tuple(Fraction(-(8 * i + j)) for j in range(8)) for i in range(8))
+        found = metric_violations(dist, tuple(range(8)), False)
+        assert len(found) == 50 and all(v.kind != "triangle" for v in found)
+
+    def test_a_full_list_stops_the_triangle_pass(self, monkeypatch):
+        flagged = []
+        pairs = system_mod._triangle_pairs
+
+        def counted(table):
+            for pair in pairs(table):
+                flagged.append(pair)
+                yield pair
+
+        monkeypatch.setattr(system_mod, "_triangle_pairs", counted)
+        # Every distance is 2 but d(0, 1) = 5, so each of the 116 pairs
+        # (0, j) and (1, j) with j > 1 breaks the triangle inequality once.
+        n = 60
+        dist = [[Fraction(0 if i == j else 2) for j in range(n)] for i in range(n)]
+        dist[0][1] = dist[1][0] = Fraction(5)
+        found = metric_violations(dist, tuple(range(n)), False)
+        assert found == reference_violations(dist, tuple(range(n)), False)
+        assert len(found) == 50 and len(flagged) == 50
+
+
+class TestParseOnce:
+    def test_equal_strings_share_one_fraction(self):
+        rows = [["0", "3/7", "3/7"], ["3/7", "0", "3/7"], ["3/7", "3/7", "0"]]
+        system = make_system(rows, (0, 1, 2))
+        off_diagonal = [v for i, row in enumerate(system.dist) for v in row[:i] + row[i + 1 :]]
+        assert off_diagonal == [Fraction(3, 7)] * 6
+        assert len(set(map(id, off_diagonal))) == 1
+
+    @pytest.mark.parametrize("bad", [True, 1.0, [1], None], ids=repr)
+    def test_a_value_equal_to_a_parsed_string_is_still_refused(self, bad):
+        with pytest.raises(BadParams) as expected:
+            parse_rational(bad)
+        with pytest.raises(BadParams) as got:
+            make_system([[0, "1", 1], ["1", 0, bad], [1, bad, 0]], (0, 1, 2))
+        assert str(got.value) == str(expected.value)
+
+    def test_the_first_bad_entry_raises_first(self):
+        with pytest.raises(BadParams, match="cannot parse rational 'x'"):
+            make_system([["0", "x"], [1.0, "x"]], (0, 1))
+        with pytest.raises(BadParams, match="floating point rejected"):
+            make_system([["0", 1.0], ["x", "x"]], (0, 1))
 
 
 class TestDistanceOrder:
