@@ -18,6 +18,8 @@ decreasing chain of nonempty finite sets.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -300,8 +302,8 @@ def reachable_shadow_states(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    visited, _ = _explore(system, delta, eps, dmask, (), state_cap)
-    return [ShadowState(p, to_frozenset(y)) for p, y in visited]
+    states, _ = _explore(system, delta, eps, dmask, (), state_cap)
+    return [ShadowState(p, to_frozenset(y)) for p, y in states]
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +530,13 @@ def _decide(system, delta, eps, domain, state_cap, props) -> tuple[ShadowVerdict
     dmask = _domain_mask(system, domain)
     asymp = _asymp_masks(system, eps, dmask) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
-    visited, found = _explore(
+    states, found = _explore(
         system, delta, eps, dmask, tuple(tests[prop] for prop in props), state_cap
     )
     verdicts = []
     for prop, hit in zip(props, found):
         if hit is None:
-            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, len(visited)))
+            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, len(states)))
         else:
             count, path = hit
             tail = len(path) - 1 if prop == "slimit" else None
@@ -547,69 +549,95 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     """Level-synchronized BFS over determinized states, for any number of
     failing predicates.
 
-    Returns (visited, found). ``visited`` maps every discovered state to
-    its BFS parent in discovery order. ``found[i]`` is None when
-    ``failing[i]`` holds on no reachable state, and otherwise is the
-    visited count and the reconstructed path of the first state, in level
-    order, where it holds on the first level where it holds at all. Level
-    order is the lexicographic order of the recorded shortest prefixes, so
-    that path is the lexicographically smallest shortest failing prefix.
-    Each open predicate is tested once per level, before the level is
-    expanded; the search stops once every predicate has held (never for an
-    empty tuple) or no state is left.
-    ``state_cap`` is checked on every inserted state.
+    Returns (states, found). ``states`` lists every discovered state in
+    discovery order. ``found[i]`` is None when ``failing[i]`` holds on no
+    reachable state, and otherwise is the visited count and the
+    reconstructed path of the first state, in level order, where it holds
+    on the first level where it holds at all. Level order is the
+    lexicographic order of the recorded shortest prefixes, so that path is
+    the lexicographically smallest shortest failing prefix. Each open
+    predicate is tested once per level, before the level is expanded; the
+    search stops once every predicate has held (never for an empty tuple)
+    or no state is left. ``state_cap`` (None, or an int >= 0) is checked
+    on every inserted state.
+
+    The children of a state (p, Y) are the states
+    (q, image(Y) & ball(q, eps)) for q in p's successor mask
+    ball(f(p), delta), so they depend on the pair (Y, successor mask)
+    alone. Once one state with that pair has been expanded, every child of
+    a later state with the same pair is already visited, and expanding it
+    again would insert nothing. So such a state is skipped, and no visited
+    state, parent, discovery order, count, witness or cap outcome changes.
+    Only the points whose successor mask another point shares keep a set
+    of expanded Y; on rotations, where every point has its own mask,
+    nothing is kept or probed.
 
     Far fewer candidate sets than states are reachable (4,705 sets for
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
     set's image is computed once and kept for the rest of this call.
+    ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
+    child costs one AND and one int-keyed probe, and its tuple is built
+    only when it is new.
     """
+    if state_cap is None:
+        cap = sys.maxsize
+    elif isinstance(state_cap, bool) or not isinstance(state_cap, int) or state_cap < 0:
+        raise BadParams(f"state_cap must be None or an int >= 0, not {state_cap!r}")
+    else:
+        cap = state_cap
     domain = list(bits(dmask))
     balls = {p: system.ball(p, eps) & dmask for p in domain}
-    succ = {
-        p: tuple((q, balls[q]) for q in bits(system.ball(system.map[p], delta) & dmask))
-        for p in domain
-    }
+    parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
+    succ_masks = {p: system.ball(system.map[p], delta) & dmask for p in domain}
+    sharers = Counter(succ_masks.values())
+    rows = {m: tuple((q, balls[q], parents[q]) for q in bits(m)) for m in sharers}
+    expanded = {m: set() for m, count in sharers.items() if count > 1}
+    succ = {p: (rows[m], expanded.get(m)) for p, m in succ_masks.items()}
     image = _image_fn(system)
     images: dict[int, int] = {}
 
-    visited: dict[tuple[int, int], tuple[int, int] | None] = {}
-    level = []
+    states: list[tuple[int, int]] = []
     for p in domain:
-        state = (p, balls[p])
-        visited[state] = None
-        if state_cap is not None and len(visited) > state_cap:
-            raise Inconclusive(len(visited), state_cap)
-        level.append(state)
+        parents[p][balls[p]] = None
+        states.append((p, balls[p]))
+        if len(states) > cap:
+            raise Inconclusive(len(states), state_cap)
     found = [None] * len(failing)
-    while level:
+    start = 0
+    while start < len(states):
+        level = states[start:]
+        start = len(states)
         for i, fails in enumerate(failing):
             if found[i] is None:
                 bad = next((s for s in level if fails(*s)), None)
                 if bad is not None:
-                    found[i] = (len(visited), _path_to(visited, bad))
+                    found[i] = (len(states), _path_to(parents, bad))
         if failing and None not in found:
             break
-        nxt = []
         for state in level:
             p, y = state
+            row, done = succ[p]
+            if done is not None:
+                if y in done:
+                    continue
+                done.add(y)
             iy = images.get(y)
             if iy is None:
                 iy = images[y] = image(y)
-            for q, ball in succ[p]:
-                child = (q, iy & ball)
-                if child not in visited:
-                    visited[child] = state
-                    if state_cap is not None and len(visited) > state_cap:
-                        raise Inconclusive(len(visited), state_cap)
-                    nxt.append(child)
-        level = nxt
-    return visited, found
+            for q, ball, seen in row:
+                child = iy & ball
+                if child not in seen:
+                    seen[child] = state
+                    states.append((q, child))
+                    if len(states) > cap:
+                        raise Inconclusive(len(states), state_cap)
+    return states, found
 
 
-def _path_to(visited, state) -> tuple[int, ...]:
+def _path_to(parents, state) -> tuple[int, ...]:
     points = []
-    cur = state
-    while cur is not None:
-        points.append(cur[0])
-        cur = visited[cur]
+    while state is not None:
+        p, y = state
+        points.append(p)
+        state = parents[p][y]
     return tuple(reversed(points))

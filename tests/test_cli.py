@@ -396,5 +396,17 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cr_size"] == 4
 
+    def test_python_dash_m_package(self, tmp_path):
+        """``python -m chainshadow`` runs the same command line as ``main``."""
+        ran, called = tmp_path / "ran.json", tmp_path / "called.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainshadow", "verify",
+             "--gen", "parallel-cycles", "--out", str(ran)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["verify", "--gen", "parallel-cycles", "--out", str(called)]) == 0
+        assert ran.read_bytes() == called.read_bytes()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

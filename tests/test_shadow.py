@@ -34,16 +34,21 @@ from chainshadow import (
     rotation,
     shadow_sets,
     validate_pseudo_orbit,
+    verify_slimit_implies_shadowing,
 )
 from chainshadow import shadow as shadow_mod
 from chainshadow.bits import bits
+from chainshadow.cli import main as cli_main
 from conftest import metric_systems, sweep_values, system_and_chain, system_and_scales
 
 
 def reference_explore(system, delta, eps, dmask, failing, state_cap):
-    """The subset-automaton BFS before image memoisation: the image of a
-    candidate set is recomputed bit by bit for every state that holds it,
-    and every child goes through one ``insert`` call."""
+    """The subset-automaton BFS before image memoisation and the skip of
+    repeated (candidate set, successor mask) pairs: every state is
+    expanded, the image of a candidate set is recomputed bit by bit for
+    every state that holds it, every child goes through one ``insert``
+    call into one dict keyed by (p, Y) tuples, and paths are read back
+    through that dict."""
     domain = list(bits(dmask))
     balls = {p: system.ball(p, eps) & dmask for p in domain}
     succ = {p: tuple(bits(system.ball(system.map[p], delta) & dmask)) for p in domain}
@@ -64,6 +69,13 @@ def reference_explore(system, delta, eps, dmask, failing, state_cap):
             raise Inconclusive(len(visited), state_cap)
         return True
 
+    def path_to(state):
+        points = []
+        while state is not None:
+            points.append(state[0])
+            state = visited[state]
+        return tuple(reversed(points))
+
     level = []
     for p in domain:
         state = (p, balls[p])
@@ -72,7 +84,7 @@ def reference_explore(system, delta, eps, dmask, failing, state_cap):
     while level:
         bad = [s for s in level if failing(*s)]
         if bad:
-            return visited, min(shadow_mod._path_to(visited, s) for s in bad)
+            return visited, min(path_to(s) for s in bad)
         nxt = []
         for state in level:
             p, y = state
@@ -109,6 +121,29 @@ def invariant_domains(draw, system):
             domain.add(image)
             frontier.append(image)
     return domain
+
+
+@st.composite
+def shared_successor_checks(draw):
+    """A system, scales and a forward-invariant domain (or None) where many
+    points tend to share one successor mask ball(f(p), delta): identity and
+    constant maps, and delta at or past the diameter, beside random maps
+    and scales."""
+    base = draw(metric_systems(max_n=6))
+    n = base.n
+    shape = draw(st.sampled_from(("identity", "constant", "random")))
+    if shape == "identity":
+        fmap = tuple(range(n))
+    elif shape == "constant":
+        fmap = (draw(st.integers(0, n - 1)),) * n
+    else:
+        fmap = base.map
+    system = make_system(base.dist, fmap, invertible=len(set(fmap)) == n)
+    pool = [Fraction(0), *sweep_values(system)]
+    wide = [system.diameter, 2 * system.diameter]
+    delta = draw(st.one_of(st.sampled_from(wide), st.sampled_from(pool)))
+    eps = draw(st.sampled_from(pool))
+    return system, delta, eps, invariant_domains(draw, system)
 
 
 @st.composite
@@ -361,6 +396,22 @@ class TestSystemChecks:
             reachable_shadow_states(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
         assert caught.value.states_explored == cap + 1
 
+    @pytest.mark.parametrize("cap", [True, False, 1.5, "3", -1, Fraction(2)], ids=repr)
+    def test_bad_state_cap_is_refused(self, parallel, cap):
+        for call in (
+            check_shadowing_property,
+            check_both_properties,
+            reachable_shadow_states,
+            verify_slimit_implies_shadowing,
+        ):
+            with pytest.raises(BadParams, match="state_cap"):
+                call(parallel, 1, 1, state_cap=cap)
+
+    def test_zero_state_cap_stops_at_the_first_state(self, parallel):
+        with pytest.raises(Inconclusive) as caught:
+            check_shadowing_property(parallel, 1, 1, state_cap=0)
+        assert (caught.value.states_explored, caught.value.cap) == (1, 0)
+
     def test_state_cap_keeps_verdicts_within_it(self, parallel, ns6):
         for system, delta, eps in ((parallel, 1, 1), (ns6, Fraction(1, 24), Fraction(1, 24))):
             for check in (check_shadowing_property, check_slimit_property):
@@ -479,30 +530,73 @@ class TestMetamorphicLaws:
                     assert all(passed[d2, e2] for d2, e2 in passed if d2 <= d and e2 >= e)
 
 
+def _outcomes(system, delta, eps, domain, cap):
+    """What every public search answers, an ``Inconclusive`` included."""
+    def run(fn, render):
+        try:
+            return render(fn(system, delta, eps, domain, state_cap=cap))
+        except Inconclusive as exc:
+            return ("inconclusive", exc.states_explored, str(exc))
+
+    to_json = shadow_mod.ShadowVerdict.to_json
+    return (
+        run(reachable_shadow_states, list),
+        run(check_shadowing_property, to_json),
+        run(check_slimit_property, to_json),
+        run(check_both_properties, lambda verdicts: [to_json(v) for v in verdicts]),
+    )
+
+
+def _against_reference(system, delta, eps, domain, cap):
+    """Our outcomes and the reference BFS's."""
+    ours = _outcomes(system, delta, eps, domain, cap)
+    with mock.patch.object(shadow_mod, "_explore", reference_per_predicate):
+        theirs = _outcomes(system, delta, eps, domain, cap)
+    return ours, theirs
+
+
 class TestExploreAgainstReference:
-    @staticmethod
-    def _outcomes(system, delta, eps, domain, cap):
-        def run(fn, render):
-            try:
-                return render(fn(system, delta, eps, domain, state_cap=cap))
-            except Inconclusive as exc:
-                return ("inconclusive", exc.states_explored, str(exc))
-
-        to_json = shadow_mod.ShadowVerdict.to_json
-        return (
-            run(reachable_shadow_states, list),
-            run(check_shadowing_property, to_json),
-            run(check_slimit_property, to_json),
-            run(check_both_properties, lambda verdicts: [to_json(v) for v in verdicts]),
-        )
-
     @given(capped_checks())
     @settings(max_examples=200, deadline=None)
     def test_same_states_verdicts_and_caps(self, data):
-        ours = self._outcomes(*data)
-        with mock.patch.object(shadow_mod, "_explore", reference_per_predicate):
-            theirs = self._outcomes(*data)
+        ours, theirs = _against_reference(*data)
         assert ours == theirs
+
+
+class TestSharedSuccessorSkip:
+    """States whose (candidate set, successor mask) pair was already
+    expanded are skipped; the reference BFS expands every state, and both
+    must agree on every state list, verdict and cap outcome."""
+
+    @given(shared_successor_checks())
+    @settings(max_examples=150, deadline=None)
+    def test_same_states_verdicts_and_every_cap(self, data):
+        ours, theirs = _against_reference(*data, None)
+        assert ours == theirs
+        for cap in range(len(ours[0]) + 1):
+            ours, theirs = _against_reference(*data, cap)
+            assert ours == theirs, cap
+
+    @pytest.mark.parametrize(
+        "system", [cantor_identity(4), north_south(16)], ids=["cantor-identity:4", "north-south:16"]
+    )
+    def test_fixed_systems_at_delta_one_half(self, system):
+        delta = Fraction(1, 2)
+        for eps in [Fraction(0), *sweep_values(system)[::3]]:
+            ours, theirs = _against_reference(system, delta, eps, None, None)
+            assert ours == theirs, eps
+            count = len(ours[0])
+            for cap in sorted({0, count // 2, count - 1}):
+                ours, theirs = _against_reference(system, delta, eps, None, cap)
+                assert ours == theirs and ours[0][:2] == ("inconclusive", cap + 1)
+
+    def test_harness_report_bytes(self, tmp_path):
+        argv = ["verify", "--gen", "cantor-identity:5", "--out"]
+        assert cli_main([*argv, str(tmp_path / "ours.json")]) == 0
+        with mock.patch.object(shadow_mod, "_explore", reference_per_predicate):
+            assert cli_main([*argv, str(tmp_path / "theirs.json")]) == 0
+        ours = (tmp_path / "ours.json").read_bytes()
+        assert ours == (tmp_path / "theirs.json").read_bytes()
 
 
 class TestBothProperties:
