@@ -11,6 +11,22 @@ def bits(mask: int):
         mask ^= low
 
 
+def runs(mask: int):
+    """Yield (start, stop) for each run of consecutive set bits, ascending:
+    the set bits are range(start, stop) over the runs in turn.
+
+    Adding the lowest set bit carries through its run, clearing it and
+    setting the bit at ``stop``, so each run costs a few int operations
+    however long it is. On a mask of isolated bits that is more work per
+    bit than ``bits``.
+    """
+    while mask:
+        low = mask & -mask
+        carried = mask + low
+        yield low.bit_length() - 1, (mask ^ carried).bit_length() - 1
+        mask &= carried
+
+
 def min_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 

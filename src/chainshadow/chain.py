@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .bits import bits as _bits, mask_of
+from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
 from .rational import format_rational, parse_nonnegative
 from .system import FiniteMetricSystem, check_point
@@ -122,7 +122,9 @@ class DeltaGraph:
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
-    succ = tuple(tuple(_bits(system.ball(fp, delta))) for fp in system.map)
+    # Each ball is a prefix of f(p)'s nearest-first order; sorted, it is the
+    # ascending successor tuple.
+    succ = tuple(tuple(sorted(system._nearest_within(fp, delta))) for fp in system.map)
     return DeltaGraph(system, delta, succ)
 
 
@@ -187,8 +189,16 @@ class ChainDecomposition:
 
     def order_pairs(self) -> tuple[tuple[int, int], ...]:
         """All strict pairs (i, j) with class i below class j, sorted."""
-        return tuple(
-            (i, j) for i, mask in enumerate(self.class_above) for j in _bits(mask)
+        return tuple((i, j) for i, above in self._above_runs() for j in above)
+
+    def _above_runs(self):
+        """(i, range) for each run of consecutive class ids above class i,
+        ascending. Class orders mostly come in such runs, so the sorted
+        pairs are read a run at a time rather than a bit at a time."""
+        return (
+            (i, range(start, stop))
+            for i, mask in enumerate(self.class_above)
+            for start, stop in runs(mask)
         )
 
 
@@ -198,12 +208,13 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
     class_index = tuple(sid if sid < k else None for sid in scc_of)
     class_reach = tuple(reach[i] & ((1 << k) - 1) & ~(1 << i) for i in range(k))
     dist = graph.system.dist
+    nearest_first = graph.system._nearest_first
     separation: list[Fraction | None] = [None] * k
     # With one class there is no other class to be apart from.
     for p, i in enumerate(class_index if k > 1 else ()):
         if i is None:
             continue
-        for q in graph.system.nearest_first(p):
+        for q in nearest_first[p]:
             if class_index[q] not in (None, i):
                 d = dist[p][q]
                 if separation[i] is None or d < separation[i]:
@@ -311,7 +322,8 @@ def refine_ladder(system: FiniteMetricSystem, deltas) -> DeltaLadder:
     if not resolved:
         raise BadParams("need at least one delta")
     if any(a <= b for a, b in zip(resolved, resolved[1:])):
-        raise NotDecreasing(f"deltas must strictly decrease, got {resolved}")
+        got = ", ".join(map(format_rational, resolved))
+        raise NotDecreasing(f"deltas must strictly decrease, got {got}")
     levels = [decompose(build_delta_graph(system, d)) for d in resolved]
     refinement = []
     for coarse, fine in zip(levels, levels[1:]):
@@ -357,7 +369,7 @@ def decomposition_report(dec: ChainDecomposition) -> dict:
             }
             for i, (cls, sep) in enumerate(zip(dec.classes, dec.separation))
         ],
-        "order": [[i, j] for i, mask in enumerate(dec.class_above) for j in _bits(mask)],
+        "order": [[i, j] for i, above in dec._above_runs() for j in above],
     }
 
 

@@ -119,10 +119,14 @@ class FiniteMetricSystem:
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
         check_point(self, p)
+        return mask_of(self._nearest_within(p, r))
+
+    def _nearest_within(self, p: int, r) -> array:
+        """The closed ball around ``p`` as the prefix of its nearest-first
+        order that lies within ``r``; ``p`` is not checked."""
         order = self._nearest_first[p]
         table = self._table
-        end = bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)
-        return mask_of(order[:end])
+        return order[: bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)]
 
     @cached_property
     def diameter(self) -> Fraction:

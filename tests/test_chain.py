@@ -235,6 +235,16 @@ def bench_graphs():
     return cases + LADDER_GRAPHS
 
 
+def check_exports(dec):
+    """The report, both DOT forms and ``order_pairs`` against the references
+    built from ``class_reach``."""
+    report = reference_report(dec)
+    assert json.dumps(decomposition_report(dec), indent=2) == json.dumps(report, indent=2)
+    assert dec.order_pairs() == tuple(map(tuple, report["order"]))
+    for radius in (None, dec.delta):
+        assert decomposition_dot(dec, radius) == reference_dot(dec, radius)
+
+
 class TestComponents:
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
@@ -329,6 +339,59 @@ class TestDeltaGraph:
         for p in system.points:
             assert system.map[p] in fine.succ[p]
             assert set(fine.succ[p]) <= set(coarse.succ[p])
+
+
+def mask_path_succ(system, delta):
+    """Successor tuples read back off ball bitmasks, as ``build_delta_graph``
+    built them before it took nearest-first prefixes."""
+    return tuple(tuple(bits(system.ball(fp, delta))) for fp in system.map)
+
+
+def wide_table_system(n=10):
+    """d(i, j) = 1 + 1/q with one q per pair, counting up from 2**40: the
+    common denominator is far past 1024 bits, so the table keeps Fraction
+    rows (every entry lies in (1, 2], so the triangle inequality holds)."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    for q, (i, j) in enumerate(pairs, start=2**40):
+        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
+    return make_system(dist, [(3 * p + 1) % n for p in range(n)])
+
+
+# Tables with tied distances: points on a line with unit spacing (each inner
+# point has two neighbours at every distance), the discrete metric (one
+# distance for all pairs), and a rotation.
+TIED_TABLES = [
+    ("line", make_system([[abs(a - b) for b in range(6)] for a in range(6)], (1, 2, 3, 3, 3, 0))),
+    ("discrete", make_system([[int(a != b) for b in range(5)] for a in range(5)], (1, 1, 4, 0, 2))),
+    ("rotation:8:3", rotation(8, 3)),
+]
+
+
+class TestSuccessors:
+    """Successor tuples are sorted nearest-first prefixes; the ball
+    bitmasks are the reference."""
+
+    @given(system_and_scales())
+    @settings(max_examples=60)
+    def test_match_the_mask_path(self, data):
+        system, delta, _ = data
+        assert build_delta_graph(system, delta).succ == mask_path_succ(system, delta)
+
+    @pytest.mark.parametrize(
+        "system",
+        [system for _, system in TIED_TABLES] + [wide_table_system()],
+        ids=[name for name, _ in TIED_TABLES] + ["fraction-rows"],
+    )
+    def test_match_the_mask_path_on_explicit_tables(self, system):
+        values = system.distance_values
+        tiny = values[0] / 2**20
+        radii = [Fraction(0), *values, *(v - tiny for v in values), values[-1] + 1]
+        for delta in radii:
+            assert build_delta_graph(system, delta).succ == mask_path_succ(system, delta)
+
+    def test_fraction_rows_table(self):
+        assert wide_table_system()._table.denominator is None
 
 
 class TestReachability:
@@ -662,12 +725,16 @@ class TestExports:
         ids=str,
     )
     def test_exports_match_reference(self, name, delta):
-        dec = decompose(build_delta_graph(parse_generator_string(name), delta))
-        assert json.dumps(decomposition_report(dec), indent=2) == json.dumps(
-            reference_report(dec), indent=2
-        )
-        for radius in (None, dec.delta):
-            assert decomposition_dot(dec, radius) == reference_dot(dec, radius)
+        check_exports(decompose(build_delta_graph(parse_generator_string(name), delta)))
+
+    @given(system_and_scales())
+    @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
+    @settings(max_examples=60)
+    def test_exports_match_reference_on_random_systems(self, data):
+        """Random systems number their classes by least point, so their
+        class orders are scattered rather than runs of consecutive ids."""
+        system, delta, _ = data
+        check_exports(decompose(build_delta_graph(system, delta)))
 
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))

@@ -283,6 +283,14 @@ class TestLadder:
         )
         assert code == 2 and "decrease" in err
 
+    def test_not_decreasing_prints_exact_deltas(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ladder", "--gen", "north-south:16", "--deltas", "1/2,1/2"
+        )
+        assert code == 2 and out == ""
+        assert "deltas must strictly decrease, got 1/2, 1/2" in err
+        assert "Fraction(" not in err
+
     def test_single_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "ladder", "--gen", "rotation:4:1", "--deltas", "1"
