@@ -30,14 +30,14 @@ class DeltaGraph:
 
     @cached_property
     def _components(self):
-        """(scc_of, sccs, reach, k, covers, above) with sccs numbered in class
+        """(scc_of, sccs, reach, k, class_reach, covers, above), sccs in class
         order.
 
         Ids 0..k-1 go to the k cyclic SCCs, by least point, so chain class i
         is SCC i; the acyclic SCCs take the ids after them. reach[s] is a
         bitmask over scc ids reachable from scc s, s included. For each class
-        i, covers[i] masks the classes i reaches with no class between them,
-        and above[i] the classes that reach i (i excluded).
+        i, class_reach[i] masks the other classes i reaches, covers[i] those
+        with no class between them, and above[i] the others that reach i.
         """
         succ = self.succ
         n = self.system.n
@@ -117,7 +117,8 @@ class DeltaGraph:
                     t = scc_of[w]
                     if t != sid:
                         above[t] |= up
-        return tuple(scc_of), sccs, tuple(reach), k, tuple(covers), tuple(above[:k])
+        class_reach = tuple(below[:k])
+        return tuple(scc_of), sccs, tuple(reach), k, class_reach, tuple(covers), tuple(above[:k])
 
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
@@ -203,10 +204,9 @@ class ChainDecomposition:
 
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
-    scc_of, sccs, reach, k, covers, above = graph._components
+    scc_of, sccs, _, k, class_reach, covers, above = graph._components
     classes = tuple(frozenset(members) for members in sccs[:k])
     class_index = tuple(sid if sid < k else None for sid in scc_of)
-    class_reach = tuple(reach[i] & ((1 << k) - 1) & ~(1 << i) for i in range(k))
     dist = graph.system.dist
     nearest_first = graph.system._nearest_first
     separation: list[Fraction | None] = [None] * k

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -105,6 +106,13 @@ class PseudoOrbit:
 
     @classmethod
     def from_json(cls, data: dict) -> "PseudoOrbit":
+        if not isinstance(data, Mapping):
+            raise BadParams("a pseudo-orbit must be a JSON object")
+        for key in ("points", "delta"):
+            if key not in data:
+                raise BadParams(f"a pseudo-orbit needs {key!r}")
+        if not isinstance(data["points"], list):
+            raise BadParams("pseudo-orbit points must be a list")
         kind = data.get("kind", PLAIN)
         if kind not in (PLAIN, EVENTUALLY_EXACT):
             raise BadParams(f"unknown pseudo-orbit kind {kind!r}")
@@ -220,8 +228,7 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 def merge_sets(system, eps, domain=None) -> MergeSet:
     """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
-    dmask = _domain_mask(system, domain)
-    masks = _asymp_masks(system, eps, dmask)
+    masks = _asymp_masks(system, _balls(system, eps, _domain_mask(system, domain)))
     return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
@@ -236,7 +243,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     masks = _shadow_masks(system, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    final = masks[t] & _asymp_masks(system, eps, dmask)[po.points[t]]
+    final = masks[t] & _asymp_masks(system, _balls(system, eps, dmask))[po.points[t]]
     if final == 0:
         return None
     masks[t] = final
@@ -256,7 +263,7 @@ def check_shadowing_property(
     some reachable state has an empty candidate set, and then reports the
     lexicographically smallest shortest failing prefix as witness.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[0]
+    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[1][0]
 
 
 def check_slimit_property(
@@ -270,7 +277,7 @@ def check_slimit_property(
     requires a candidate in Y that merges into p's orbit. Failures are
     reported as the prefix plus tail marker.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[0]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[1][0]
 
 
 def check_both_properties(
@@ -284,7 +291,7 @@ def check_both_properties(
     than shadowing, and each verdict counts the states visited when it
     resolved.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))
+    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
 
 
 def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
@@ -299,10 +306,7 @@ def reachable_shadow_states(
     system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> list[ShadowState]:
     """Every reachable determinized state, in canonical BFS order."""
-    delta = parse_nonnegative(delta)
-    eps = parse_nonnegative(eps)
-    dmask = _domain_mask(system, domain)
-    states, _ = _explore(system, delta, eps, dmask, (), state_cap)
+    states, _ = _decide(system, delta, eps, domain, state_cap, ())
     return [ShadowState(p, to_frozenset(y)) for p, y in states]
 
 
@@ -492,19 +496,23 @@ def _backtrack(system, masks: list[int]) -> int:
     return chosen
 
 
-def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
+def _balls(system, r: Fraction, dmask: int) -> dict[int, int]:
+    """Each domain point's closed r-ball within the domain, ascending."""
+    return {p: mask_of(system._nearest_within(p, r)) & dmask for p in bits(dmask)}
+
+
+def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
     """masks[p] holds every x merging exactly into p's orbit while staying
     within eps beforehand: the least family with p in masks[p] and x in
-    masks[p] whenever d(x, p) <= eps and f(x) is in masks[f(p)].
+    masks[p] whenever x is in the eps ball balls[p] and f(x) is in masks[f(p)].
 
     The worklist carries (t, bits just added to masks[t]); their preimages
     are the only new candidates for masks[p] at each p with f(p) = t.
     """
-    domain = list(bits(dmask))
+    domain = list(balls)
     pre = [0] * system.n
     for x in domain:
         pre[system.map[x]] |= 1 << x
-    balls = {p: system.ball(p, eps) for p in domain}
     masks = [0] * system.n
     for p in domain:
         masks[p] = 1 << p
@@ -522,16 +530,17 @@ def _asymp_masks(system, eps: Fraction, dmask: int) -> list[int]:
     return masks
 
 
-def _decide(system, delta, eps, domain, state_cap, props) -> tuple[ShadowVerdict, ...]:
-    """The verdicts of ``props`` ("slimit" or "shadowing"), in that order,
-    from one BFS."""
+def _decide(system, delta, eps, domain, state_cap, props):
+    """(states, verdicts): every state that one BFS over one ball table per
+    radius discovers, and the verdicts of ``props``, in that order."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    asymp = _asymp_masks(system, eps, dmask) if "slimit" in props else None
+    tables = {r: _balls(system, r, dmask) for r in {delta, eps}}
+    asymp = _asymp_masks(system, tables[eps]) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
-        system, delta, eps, dmask, tuple(tests[prop] for prop in props), state_cap
+        system, tables[delta], tables[eps], tuple(tests[prop] for prop in props), state_cap
     )
     verdicts = []
     for prop, hit in zip(props, found):
@@ -542,10 +551,10 @@ def _decide(system, delta, eps, domain, state_cap, props) -> tuple[ShadowVerdict
             tail = len(path) - 1 if prop == "slimit" else None
             witness = PseudoOrbit(path, delta, tail)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, count))
-    return tuple(verdicts)
+    return states, tuple(verdicts)
 
 
-def _explore(system, delta, eps, dmask, failing, state_cap):
+def _explore(system, succ_balls, balls, failing, state_cap):
     """Level-synchronized BFS over determinized states, for any number of
     failing predicates.
 
@@ -561,9 +570,9 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
     or no state is left. ``state_cap`` (None, or an int >= 0) is checked
     on every inserted state.
 
-    The children of a state (p, Y) are the states
-    (q, image(Y) & ball(q, eps)) for q in p's successor mask
-    ball(f(p), delta), so they depend on the pair (Y, successor mask)
+    The children of a state (p, Y) are the states (q, image(Y) & balls[q])
+    for q in p's successor mask succ_balls[f(p)], over the eps and delta
+    ball tables of the domain, so they depend on the pair (Y, successor mask)
     alone. Once one state with that pair has been expanded, every child of
     a later state with the same pair is already visited, and expanding it
     again would insert nothing. So such a state is skipped, and no visited
@@ -585,10 +594,9 @@ def _explore(system, delta, eps, dmask, failing, state_cap):
         raise BadParams(f"state_cap must be None or an int >= 0, not {state_cap!r}")
     else:
         cap = state_cap
-    domain = list(bits(dmask))
-    balls = {p: system.ball(p, eps) & dmask for p in domain}
+    domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
-    succ_masks = {p: system.ball(system.map[p], delta) & dmask for p in domain}
+    succ_masks = {p: succ_balls[system.map[p]] for p in domain}
     sharers = Counter(succ_masks.values())
     rows = {m: tuple((q, balls[q], parents[q]) for q in bits(m)) for m in sharers}
     expanded = {m: set() for m, count in sharers.items() if count > 1}

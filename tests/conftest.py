@@ -64,6 +64,17 @@ def metric_systems(draw, max_n: int = 7):
     return make_system(dist, fmap, invertible=len(set(fmap)) == n)
 
 
+def wide_table_system(n=10):
+    """d(i, j) = 1 + 1/q with one q per pair, counting up from 2**40: the
+    common denominator is far past 1024 bits, so the table keeps Fraction
+    rows (every entry lies in (1, 2], so the triangle inequality holds)."""
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    for q, (i, j) in enumerate(pairs, start=2**40):
+        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
+    return make_system(dist, [(3 * p + 1) % n for p in range(n)])
+
+
 @st.composite
 def system_and_scales(draw, max_n: int = 6):
     system = draw(metric_systems(max_n=max_n))

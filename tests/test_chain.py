@@ -39,7 +39,7 @@ from chainshadow import (
 )
 from chainshadow.bits import bits
 from chainshadow.rational import format_rational
-from conftest import metric_systems, sweep_values, system_and_scales
+from conftest import metric_systems, sweep_values, system_and_scales, wide_table_system
 
 
 # Fixed points at 0, 2 and 4 on a line, each reaching the next one down
@@ -345,17 +345,6 @@ def mask_path_succ(system, delta):
     """Successor tuples read back off ball bitmasks, as ``build_delta_graph``
     built them before it took nearest-first prefixes."""
     return tuple(tuple(bits(system.ball(fp, delta))) for fp in system.map)
-
-
-def wide_table_system(n=10):
-    """d(i, j) = 1 + 1/q with one q per pair, counting up from 2**40: the
-    common denominator is far past 1024 bits, so the table keeps Fraction
-    rows (every entry lies in (1, 2], so the triangle inequality holds)."""
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i)]
-    for q, (i, j) in enumerate(pairs, start=2**40):
-        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
-    return make_system(dist, [(3 * p + 1) % n for p in range(n)])
 
 
 # Tables with tied distances: points on a line with unit spacing (each inner

@@ -6,13 +6,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainshadow import (
     BadParams,
     DomainNotInvariant,
     EmptyDomain,
+    FiniteMetricSystem,
     Inconclusive,
     KindMismatch,
     NotFailing,
@@ -32,6 +33,7 @@ from chainshadow import (
     north_south,
     reachable_shadow_states,
     rotation,
+    run_harness,
     shadow_sets,
     validate_pseudo_orbit,
     verify_slimit_implies_shadowing,
@@ -39,19 +41,25 @@ from chainshadow import (
 from chainshadow import shadow as shadow_mod
 from chainshadow.bits import bits
 from chainshadow.cli import main as cli_main
-from conftest import metric_systems, sweep_values, system_and_chain, system_and_scales
+from conftest import (
+    metric_systems,
+    sweep_values,
+    system_and_chain,
+    system_and_scales,
+    wide_table_system,
+)
 
 
-def reference_explore(system, delta, eps, dmask, failing, state_cap):
+def reference_explore(system, succ_balls, balls, failing, state_cap):
     """The subset-automaton BFS before image memoisation and the skip of
     repeated (candidate set, successor mask) pairs: every state is
     expanded, the image of a candidate set is recomputed bit by bit for
     every state that holds it, every child goes through one ``insert``
     call into one dict keyed by (p, Y) tuples, and paths are read back
-    through that dict."""
-    domain = list(bits(dmask))
-    balls = {p: system.ball(p, eps) & dmask for p in domain}
-    succ = {p: tuple(bits(system.ball(system.map[p], delta) & dmask)) for p in domain}
+    through that dict. It reads the ball tables ``_explore`` receives:
+    ``balls`` (eps, keyed by the domain) and ``succ_balls`` (delta)."""
+    domain = list(balls)
+    succ = {p: tuple(bits(succ_balls[system.map[p]])) for p in domain}
 
     def image(mask):
         out = 0
@@ -97,12 +105,12 @@ def reference_explore(system, delta, eps, dmask, failing, state_cap):
     return visited, None
 
 
-def reference_per_predicate(system, delta, eps, dmask, failing, state_cap):
+def reference_per_predicate(system, succ_balls, balls, failing, state_cap):
     """``_explore``'s interface for a tuple of failing predicates, served by
     one ``reference_explore`` run per predicate (one run that never fails
     when the tuple is empty)."""
     runs = [
-        reference_explore(system, delta, eps, dmask, fails, state_cap)
+        reference_explore(system, succ_balls, balls, fails, state_cap)
         for fails in failing or (lambda p, y: False,)
     ]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
@@ -169,6 +177,17 @@ class TestPseudoOrbit:
             PseudoOrbit.eventually_exact((0, 1), 1, 2)
         with pytest.raises(BadParams):
             PseudoOrbit.plain((0,), -1)
+        for data in (
+            [[0], "1"],
+            "points",
+            None,
+            {"delta": "1"},
+            {"points": [0]},
+            {"points": "01", "delta": "1"},
+            {"points": 0, "delta": "1"},
+        ):
+            with pytest.raises(BadParams):
+                PseudoOrbit.from_json(data)
 
     def test_json_round_trip(self):
         orbit = PseudoOrbit.eventually_exact((0, 4), Fraction(1), 1)
@@ -555,6 +574,72 @@ def _against_reference(system, delta, eps, domain, cap):
     return ours, theirs
 
 
+WIDE = wide_table_system()
+
+
+@st.composite
+def ball_queries(draw):
+    """A system (now and then one whose table keeps Fraction rows), a
+    radius (0, a sweep value or past the diameter) and a forward-invariant
+    domain (or None)."""
+    system = draw(st.one_of(metric_systems(), st.just(WIDE)))
+    radii = [Fraction(0), *sweep_values(system), 2 * system.diameter + 1]
+    return system, draw(st.sampled_from(radii)), invariant_domains(draw, system)
+
+
+class TestBallTables:
+    @given(ball_queries())
+    @example((WIDE, WIDE.distance_values[20], {0, 1, 3, 4}))
+    @example((WIDE, WIDE.distance_values[20], None))
+    @settings(max_examples=150)
+    def test_balls_match_ball(self, data):
+        system, r, domain = data
+        dmask = shadow_mod._domain_mask(system, domain)
+        table = shadow_mod._balls(system, r, dmask)
+        assert list(table) == list(bits(dmask))
+        assert table == {p: system.ball(p, r) & dmask for p in bits(dmask)}
+
+    @staticmethod
+    def _record_nearest_within(monkeypatch):
+        calls = []
+        real = FiniteMetricSystem._nearest_within
+
+        def recording(self, p, r):
+            calls.append((p, r))
+            return real(self, p, r)
+
+        monkeypatch.setattr(FiniteMetricSystem, "_nearest_within", recording)
+        return calls
+
+    def test_one_ball_per_point_and_radius(self, monkeypatch):
+        """At delta = eps the successor masks, the BFS's balls and the merge
+        sets' balls are one table."""
+        system = cantor_identity(4)
+        calls = self._record_nearest_within(monkeypatch)
+        for v in sweep_values(system):
+            calls.clear()
+            check_both_properties(system, v, v)
+            assert sorted(calls) == [(p, v) for p in system.points], v
+
+    def test_harness_searches_build_each_ball_once(self, monkeypatch):
+        calls = self._record_nearest_within(monkeypatch)
+        real = shadow_mod._decide
+        searches = []
+
+        def recording(system, delta, eps, domain, *rest):
+            calls.clear()
+            out = real(system, delta, eps, domain, *rest)
+            points = system.points if domain is None else domain
+            searches.append((sorted(calls), sorted((p, r) for p in points for r in {delta, eps})))
+            return out
+
+        monkeypatch.setattr(shadow_mod, "_decide", recording)
+        run_harness(north_south(8), "north-south:8")
+        assert searches
+        for made, expected in searches:
+            assert made == expected
+
+
 class TestExploreAgainstReference:
     @given(capped_checks())
     @settings(max_examples=200, deadline=None)
@@ -692,14 +777,36 @@ class TestOracle:
             assert auto.witness.points == oracle.witness.points
 
     @given(system_and_scales(max_n=5))
+    @example(
+        (
+            make_system(
+                [
+                    ["0", "1", "1/2", "1/3", "1"],
+                    ["1", "0", "3/2", "2/3", "1/2"],
+                    ["1/2", "3/2", "0", "5/6", "1"],
+                    ["1/3", "2/3", "5/6", "0", "7/6"],
+                    ["1", "1/2", "1", "7/6", "0"],
+                ],
+                (1, 2, 4, 0, 0),
+            ),
+            Fraction(1, 3),
+            Fraction(7, 6),
+        )
+    )
     @settings(max_examples=30, deadline=None)
     def test_agreement_on_random_systems(self, data):
+        """At the oracle's length guard: a failing verdict whose witness
+        fits in it is the oracle's witness; a longer witness, or a pass,
+        meets an oracle pass."""
         system, delta, eps = data
+        guard = shadow_mod._ORACLE_LENGTH_GUARD
         for prop, check in (
             ("shadowing", check_shadowing_property),
             ("slimit", check_slimit_property),
         ):
-            assert (
-                check(system, delta, eps).passed
-                == brute_force_oracle(system, delta, eps, prop, max_len=6).passed
-            )
+            verdict = check(system, delta, eps)
+            oracle = brute_force_oracle(system, delta, eps, prop, max_len=guard)
+            if verdict.passed or len(verdict.witness.points) > guard:
+                assert oracle.passed
+            else:
+                assert oracle.witness == verdict.witness
