@@ -228,7 +228,8 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 def merge_sets(system, eps, domain=None) -> MergeSet:
     """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
-    masks = _asymp_masks(system, _balls(system, eps, _domain_mask(system, domain)))
+    dmask = _domain_mask(system, domain)
+    masks = _asymp_masks(system, _balls(system, eps, dmask, dmask))
     return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
@@ -243,7 +244,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     masks = _shadow_masks(system, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    final = masks[t] & _asymp_masks(system, _balls(system, eps, dmask))[po.points[t]]
+    final = masks[t] & _asymp_masks(system, _balls(system, eps, dmask, dmask))[po.points[t]]
     if final == 0:
         return None
     masks[t] = final
@@ -467,11 +468,38 @@ def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     return mask_of(pts)
 
 
+def _translation_runs(fmap) -> list[tuple[int, int]]:
+    """(run mask, shift) for each maximal run of consecutive points y on
+    which f(y) - y is one constant shift, in ascending order."""
+    out = []
+    start = 0
+    for y in range(1, len(fmap) + 1):
+        if y == len(fmap) or fmap[y] - y != fmap[start] - start:
+            out.append(((1 << y) - (1 << start), fmap[start] - start))
+            start = y
+    return out
+
+
 def _image_fn(system):
+    """f(Y) for a bitmask Y. On a map that is a translation on each of a
+    few runs of points, f(Y) is the OR of (Y & run) shifted by the run's
+    shift, a few word-level operations per run; that is used whenever Y
+    has more points than the map has runs, and one bit per point of Y is
+    ORed otherwise."""
     image_bit = [1 << t for t in system.map]
+    runs = _translation_runs(system.map)
+    left = [(run, s) for run, s in runs if s >= 0]
+    right = [(run, -s) for run, s in runs if s < 0]
+    run_count = len(runs)
 
     def image(mask: int) -> int:
         out = 0
+        if mask.bit_count() > run_count:
+            for run, s in left:
+                out |= (mask & run) << s
+            for run, s in right:
+                out |= (mask & run) >> s
+            return out
         while mask:
             low = mask & -mask
             out |= image_bit[low.bit_length() - 1]
@@ -496,9 +524,10 @@ def _backtrack(system, masks: list[int]) -> int:
     return chosen
 
 
-def _balls(system, r: Fraction, dmask: int) -> dict[int, int]:
-    """Each domain point's closed r-ball within the domain, ascending."""
-    return {p: mask_of(system._nearest_within(p, r)) & dmask for p in bits(dmask)}
+def _balls(system, r: Fraction, keys: int, dmask: int) -> dict[int, int]:
+    """The closed r-ball within the domain ``dmask`` of each point of the
+    mask ``keys``, ascending."""
+    return {p: mask_of(system._nearest_within(p, r)) & dmask for p in bits(keys)}
 
 
 def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
@@ -532,15 +561,22 @@ def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
 
 def _decide(system, delta, eps, domain, state_cap, props):
     """(states, verdicts): every state that one BFS over one ball table per
-    radius discovers, and the verdicts of ``props``, in that order."""
+    radius discovers, and the verdicts of ``props``, in that order. The BFS
+    reads the delta table only at the images f(p), so at delta != eps it
+    is built only there."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    tables = {r: _balls(system, r, dmask) for r in {delta, eps}}
-    asymp = _asymp_masks(system, tables[eps]) if "slimit" in props else None
+    balls = _balls(system, eps, dmask, dmask)
+    if delta == eps:
+        succ_balls = balls
+    else:
+        images = mask_of(system.map[p] for p in bits(dmask))
+        succ_balls = _balls(system, delta, images, dmask)
+    asymp = _asymp_masks(system, balls) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
-        system, tables[delta], tables[eps], tuple(tests[prop] for prop in props), state_cap
+        system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
     )
     verdicts = []
     for prop, hit in zip(props, found):
@@ -571,8 +607,8 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     on every inserted state.
 
     The children of a state (p, Y) are the states (q, image(Y) & balls[q])
-    for q in p's successor mask succ_balls[f(p)], over the eps and delta
-    ball tables of the domain, so they depend on the pair (Y, successor mask)
+    for q in p's successor mask succ_balls[f(p)], over the eps ball table
+    of the domain and the delta table of its images, so they depend on the pair (Y, successor mask)
     alone. Once one state with that pair has been expanded, every child of
     a later state with the same pair is already visited, and expanding it
     again would insert nothing. So such a state is skipped, and no visited
@@ -583,7 +619,9 @@ def _explore(system, succ_balls, balls, failing, state_cap):
 
     Far fewer candidate sets than states are reachable (4,705 sets for
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
-    set's image is computed once and kept for the rest of this call.
+    set's image is computed once, a translation run at a time where the
+    map has fewer runs than Y has points (``_image_fn``), and kept for the
+    rest of this call.
     ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.

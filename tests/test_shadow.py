@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -35,11 +36,12 @@ from chainshadow import (
     rotation,
     run_harness,
     shadow_sets,
+    tent,
     validate_pseudo_orbit,
     verify_slimit_implies_shadowing,
 )
 from chainshadow import shadow as shadow_mod
-from chainshadow.bits import bits
+from chainshadow.bits import bits, mask_of
 from chainshadow.cli import main as cli_main
 from conftest import (
     metric_systems,
@@ -115,6 +117,46 @@ def reference_per_predicate(system, succ_balls, balls, failing, state_cap):
     ]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
     return max((visited for visited, _ in runs), key=len), found[: len(failing)]
+
+
+def reference_image_fn(system):
+    """``_image_fn`` before translation runs: f(Y) ORs one bit per point
+    of Y."""
+    def image(mask):
+        out = 0
+        for y in bits(mask):
+            out |= 1 << system.map[y]
+        return out
+
+    return image
+
+
+@st.composite
+def image_cases(draw):
+    """A stand-in system (``_image_fn`` reads only ``map``) and a few masks.
+    The map is built from runs, each a translation by a positive, negative
+    or zero shift that either wraps mod n or is clamped into the points, or
+    it is a random or a constant map. The masks are dense or have at most
+    three points."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["runs", "random", "constant"]))
+    if kind == "random":
+        fmap = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    elif kind == "constant":
+        fmap = [draw(st.integers(0, n - 1))] * n
+    else:
+        fmap = []
+        while len(fmap) < n:
+            start = len(fmap)
+            stop = draw(st.integers(start + 1, n))
+            shift = draw(st.one_of(st.just(0), st.integers(-n, n)))
+            if draw(st.booleans()):
+                fmap += [(y + shift) % n for y in range(start, stop)]
+            else:
+                fmap += [min(max(y + shift, 0), n - 1) for y in range(start, stop)]
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(mask_of)
+    masks = draw(st.lists(st.one_of(st.integers(0, (1 << n) - 1), sparse), max_size=4))
+    return SimpleNamespace(map=tuple(fmap)), masks
 
 
 def invariant_domains(draw, system):
@@ -595,9 +637,11 @@ class TestBallTables:
     def test_balls_match_ball(self, data):
         system, r, domain = data
         dmask = shadow_mod._domain_mask(system, domain)
-        table = shadow_mod._balls(system, r, dmask)
-        assert list(table) == list(bits(dmask))
-        assert table == {p: system.ball(p, r) & dmask for p in bits(dmask)}
+        images = mask_of(system.map[p] for p in bits(dmask))
+        for keys in (dmask, images):
+            table = shadow_mod._balls(system, r, keys, dmask)
+            assert list(table) == list(bits(keys))
+            assert table == {p: system.ball(p, r) & dmask for p in bits(keys)}
 
     @staticmethod
     def _record_nearest_within(monkeypatch):
@@ -620,6 +664,17 @@ class TestBallTables:
             calls.clear()
             check_both_properties(system, v, v)
             assert sorted(calls) == [(p, v) for p in system.points], v
+
+    def test_delta_balls_only_at_the_images(self, monkeypatch):
+        """At delta != eps the search reads the delta balls only at the
+        images f(p), so it builds them there and nowhere else."""
+        system = tent(16)
+        delta, eps = Fraction(1, 32), Fraction(1, 8)
+        calls = self._record_nearest_within(monkeypatch)
+        check_slimit_property(system, delta, eps)
+        assert sorted(p for p, r in calls if r == delta) == sorted(set(system.map))
+        assert sorted(p for p, r in calls if r == eps) == list(system.points)
+        assert len(set(system.map)) < system.n
 
     def test_harness_searches_build_each_ball_once(self, monkeypatch):
         calls = self._record_nearest_within(monkeypatch)
@@ -682,6 +737,71 @@ class TestSharedSuccessorSkip:
             assert cli_main([*argv, str(tmp_path / "theirs.json")]) == 0
         ours = (tmp_path / "ours.json").read_bytes()
         assert ours == (tmp_path / "theirs.json").read_bytes()
+
+
+class TestTranslationRunImage:
+    """``_image_fn`` shifts whole runs of a piecewise-translation map once Y
+    has more points than the map has runs; the bit loop it replaced is the
+    reference on both sides of that switch."""
+
+    @given(image_cases())
+    @example((rotation(12, 7), []))
+    @example((cantor_identity(3), []))
+    @settings(max_examples=300)
+    def test_matches_the_bit_loop(self, data):
+        system, drawn = data
+        n = len(system.map)
+        count = len(shadow_mod._translation_runs(system.map))
+        # The lowest `count` points take the bit loop, one more the runs.
+        lowest = [(1 << k) - 1 for k in (count, count + 1) if k <= n]
+        image = shadow_mod._image_fn(system)
+        reference = reference_image_fn(system)
+        for mask in [0, (1 << n) - 1, *lowest, *drawn]:
+            assert image(mask) == reference(mask), mask
+
+    @given(image_cases())
+    @settings(max_examples=200)
+    def test_runs_are_maximal_translations(self, data):
+        system, _ = data
+        fmap = system.map
+        runs = shadow_mod._translation_runs(fmap)
+        covered = 0
+        for run, shift in runs:
+            assert run and not run & covered and run > covered
+            covered |= run
+            assert all(fmap[y] - y == shift for y in bits(run))
+        assert covered == (1 << len(fmap)) - 1
+        for (run, shift), (_, after) in zip(runs, runs[1:]):
+            assert shift != after
+
+    @pytest.mark.parametrize(
+        "system, count",
+        [(rotation(96, 7), 2), (north_south(64), 5), (cantor_identity(7), 1), (tent(256), 256)],
+        ids=["rotation:96:7", "north-south:64", "cantor-identity:7", "tent:256"],
+    )
+    def test_run_counts(self, system, count):
+        """The generator maps the run image is for have few runs; the tent
+        has one per point, so no mask has more points than runs and it
+        always takes the bit loop."""
+        assert len(shadow_mod._translation_runs(system.map)) == count
+
+    @pytest.mark.parametrize(
+        "system",
+        [rotation(12, 7), north_south(8), tent(16)],
+        ids=["rotation:12:7", "north-south:8", "tent:16"],
+    )
+    def test_verdicts_and_states_match_the_bit_loop(self, system):
+        grid = [Fraction(0), *sweep_values(system)][::2]
+
+        def answers(delta, eps):
+            verdicts = check_both_properties(system, delta, eps)
+            return reachable_shadow_states(system, delta, eps), [v.to_json() for v in verdicts]
+
+        for delta in grid:
+            for eps in grid:
+                ours = answers(delta, eps)
+                with mock.patch.object(shadow_mod, "_image_fn", reference_image_fn):
+                    assert answers(delta, eps) == ours, (delta, eps)
 
 
 class TestBothProperties:
