@@ -317,13 +317,18 @@ class DeltaLadder:
         return tuple(len(level.classes) for level in self.levels)
 
 
+def _require_decreasing(deltas) -> None:
+    """Refuse a list of deltas that does not strictly decrease."""
+    if any(a <= b for a, b in zip(deltas, deltas[1:])):
+        got = ", ".join(map(format_rational, deltas))
+        raise NotDecreasing(f"deltas must strictly decrease, got {got}")
+
+
 def refine_ladder(system: FiniteMetricSystem, deltas) -> DeltaLadder:
     resolved = [parse_nonnegative(d) for d in deltas]
     if not resolved:
         raise BadParams("need at least one delta")
-    if any(a <= b for a, b in zip(resolved, resolved[1:])):
-        got = ", ".join(map(format_rational, resolved))
-        raise NotDecreasing(f"deltas must strictly decrease, got {got}")
+    _require_decreasing(resolved)
     levels = [decompose(build_delta_graph(system, d)) for d in resolved]
     refinement = []
     for coarse, fine in zip(levels, levels[1:]):

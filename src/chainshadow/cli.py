@@ -13,6 +13,7 @@ import json
 import sys
 
 from .chain import (
+    _require_decreasing,
     build_delta_graph,
     decompose,
     decomposition_dot,
@@ -94,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(verify)
     verify.add_argument(
-        "--deltas", type=_rational_list_arg, help="fine deltas (decreasing); default derived"
+        "--deltas",
+        type=_rational_list_arg,
+        help="fine deltas (strictly decreasing); default derived",
     )
     verify.add_argument("--eps", type=_rational_arg, help="fixed eps for every entry")
     verify.set_defaults(handler=_cmd_verify)
@@ -183,6 +186,7 @@ def _cmd_ladder(args) -> int:
 def _cmd_verify(args) -> int:
     system = _load(args)
     if args.deltas:
+        _require_decreasing(args.deltas)
         _warn_below_quantization(system, args.deltas)
         coarse = args.deltas[0]
         grid = [GridEntry(coarse, d, args.eps if args.eps is not None else d) for d in args.deltas]

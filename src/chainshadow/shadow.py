@@ -23,6 +23,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .bits import bits, mask_of, min_bit, to_frozenset
@@ -205,7 +206,7 @@ def shadow_sets(system, po: PseudoOrbit, eps, domain=None) -> list[frozenset[int
     eps = parse_nonnegative(eps)
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
-    return [to_frozenset(m) for m in _shadow_masks(system, po.points, eps, dmask)]
+    return [to_frozenset(m) for m in _shadow_masks(_Tables(system), po.points, eps, dmask)]
 
 
 def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
@@ -219,7 +220,7 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     eps = parse_nonnegative(eps)
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
-    masks = _shadow_masks(system, po.points, eps, dmask)
+    masks = _shadow_masks(_Tables(system), po.points, eps, dmask)
     if any(m == 0 for m in masks):
         return None
     return _backtrack(system, masks)
@@ -229,7 +230,7 @@ def merge_sets(system, eps, domain=None) -> MergeSet:
     """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    masks = _asymp_masks(system, _balls(system, eps, dmask, dmask))
+    masks = _asymp_masks(system, _Tables(system).balls(eps, dmask, dmask))
     return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
@@ -241,10 +242,11 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
     t = po.tail_start
-    masks = _shadow_masks(system, po.points[: t + 1], eps, dmask)
+    tables = _Tables(system)
+    masks = _shadow_masks(tables, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    final = masks[t] & _asymp_masks(system, _balls(system, eps, dmask, dmask))[po.points[t]]
+    final = masks[t] & _asymp_masks(system, tables.balls(eps, dmask, dmask))[po.points[t]]
     if final == 0:
         return None
     masks[t] = final
@@ -256,7 +258,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 
 
 def check_shadowing_property(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
 ) -> ShadowVerdict:
     """Decide whether every delta pseudo-orbit is eps-shadowed.
 
@@ -264,11 +266,11 @@ def check_shadowing_property(
     some reachable state has an empty candidate set, and then reports the
     lexicographically smallest shortest failing prefix as witness.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[1][0]
+    return _decide(system, delta, eps, domain, state_cap, ("shadowing",), _tables)[1][0]
 
 
 def check_slimit_property(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
 ) -> ShadowVerdict:
     """Decide whether every eventually-exact delta pseudo-orbit is
     eps-limit shadowed.
@@ -278,11 +280,11 @@ def check_slimit_property(
     requires a candidate in Y that merges into p's orbit. Failures are
     reported as the prefix plus tail marker.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[1][0]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit",), _tables)[1][0]
 
 
 def check_both_properties(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
 ) -> tuple[ShadowVerdict, ShadowVerdict]:
     """The slimit and the shadowing verdict at (delta, eps), from one BFS.
 
@@ -292,7 +294,7 @@ def check_both_properties(
     than shadowing, and each verdict counts the states visited when it
     resolved.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"), _tables)[1]
 
 
 def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
@@ -509,11 +511,46 @@ def _image_fn(system):
     return image
 
 
-def _shadow_masks(system, points, eps: Fraction, dmask: int) -> list[int]:
-    image = _image_fn(system)
-    masks = [system.ball(points[0], eps) & dmask]
+class _Tables:
+    """The image function of one system's map and its closed ball masks,
+    each built the first time a search reads it.
+
+    ``balls`` keeps, per radius, the full ball of every point it has been
+    asked for and hands each caller the restriction to its domain, so the
+    searches that share one object build each (point, radius) ball once,
+    whatever their domains. One object lives for one public call: the
+    public deciders make a fresh one unless the harness hands them the one
+    it owns for its run.
+    """
+
+    def __init__(self, system: FiniteMetricSystem):
+        self.system = system
+        self._full: dict[Fraction, dict[int, int]] = {}
+
+    @cached_property
+    def image(self):
+        return _image_fn(self.system)
+
+    def balls(self, r: Fraction, keys: int, dmask: int) -> dict[int, int]:
+        """The closed r-ball within the domain ``dmask`` of each point of
+        the mask ``keys``, ascending."""
+        full = self._full.setdefault(r, {})
+        near = self.system._nearest_within
+        out = {}
+        for p in bits(keys):
+            ball = full.get(p)
+            if ball is None:
+                ball = full[p] = mask_of(near(p, r))
+            out[p] = ball & dmask
+        return out
+
+
+def _shadow_masks(tables: _Tables, points, eps: Fraction, dmask: int) -> list[int]:
+    image = tables.image
+    balls = tables.balls(eps, mask_of(points), dmask)
+    masks = [balls[points[0]]]
     for x in points[1:]:
-        masks.append(image(masks[-1]) & system.ball(x, eps) & dmask)
+        masks.append(image(masks[-1]) & balls[x])
     return masks
 
 
@@ -522,12 +559,6 @@ def _backtrack(system, masks: list[int]) -> int:
     for mask in reversed(masks[:-1]):
         chosen = min(y for y in bits(mask) if system.map[y] == chosen)
     return chosen
-
-
-def _balls(system, r: Fraction, keys: int, dmask: int) -> dict[int, int]:
-    """The closed r-ball within the domain ``dmask`` of each point of the
-    mask ``keys``, ascending."""
-    return {p: mask_of(system._nearest_within(p, r)) & dmask for p in bits(keys)}
 
 
 def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
@@ -559,24 +590,27 @@ def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
     return masks
 
 
-def _decide(system, delta, eps, domain, state_cap, props):
+def _decide(system, delta, eps, domain, state_cap, props, tables=None):
     """(states, verdicts): every state that one BFS over one ball table per
-    radius discovers, and the verdicts of ``props``, in that order. The BFS
+    radius discovers, and the verdicts of ``props``, in that order. The
+    tables come from ``tables`` (a fresh ``_Tables`` when None). The BFS
     reads the delta table only at the images f(p), so at delta != eps it
     is built only there."""
+    if tables is None:
+        tables = _Tables(system)
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    balls = _balls(system, eps, dmask, dmask)
+    balls = tables.balls(eps, dmask, dmask)
     if delta == eps:
         succ_balls = balls
     else:
         images = mask_of(system.map[p] for p in bits(dmask))
-        succ_balls = _balls(system, delta, images, dmask)
+        succ_balls = tables.balls(delta, images, dmask)
     asymp = _asymp_masks(system, balls) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
-        system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
+        tables, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
     )
     verdicts = []
     for prop, hit in zip(props, found):
@@ -590,7 +624,7 @@ def _decide(system, delta, eps, domain, state_cap, props):
     return states, tuple(verdicts)
 
 
-def _explore(system, succ_balls, balls, failing, state_cap):
+def _explore(tables, succ_balls, balls, failing, state_cap):
     """Level-synchronized BFS over determinized states, for any number of
     failing predicates.
 
@@ -621,7 +655,7 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
     set's image is computed once, a translation run at a time where the
     map has fewer runs than Y has points (``_image_fn``), and kept for the
-    rest of this call.
+    rest of this call; the image function itself comes from ``tables``.
     ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.
@@ -632,14 +666,15 @@ def _explore(system, succ_balls, balls, failing, state_cap):
         raise BadParams(f"state_cap must be None or an int >= 0, not {state_cap!r}")
     else:
         cap = state_cap
+    fmap = tables.system.map
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
-    succ_masks = {p: succ_balls[system.map[p]] for p in domain}
+    succ_masks = {p: succ_balls[fmap[p]] for p in domain}
     sharers = Counter(succ_masks.values())
     rows = {m: tuple((q, balls[q], parents[q]) for q in bits(m)) for m in sharers}
     expanded = {m: set() for m, count in sharers.items() if count > 1}
     succ = {p: (rows[m], expanded.get(m)) for p, m in succ_masks.items()}
-    image = _image_fn(system)
+    image = tables.image
     images: dict[int, int] = {}
 
     states: list[tuple[int, int]] = []

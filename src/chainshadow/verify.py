@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .bits import mask_of
@@ -27,6 +28,7 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
+    _Tables,
     check_both_properties,
     check_shadowing_property,
     check_slimit_property,
@@ -67,10 +69,15 @@ class TheoremResult:
 
 class _Answers:
     """The verdicts and decompositions of one system, each computed on
-    first use and read back after that.
+    first use and read back after that, and the ball and image tables that
+    its searches share.
 
     One object serves one public call; ``run_harness`` shares one across
-    its grid. The deciders are looked up as module globals each time they
+    its grid. It owns the run's ``_Tables``, made on the first search (so
+    the inverse-map answers, which only decompose, build none), and hands
+    them to every decider it calls, so each (point, radius) ball and the
+    image function are built once per run and dropped with the object.
+    The deciders are still looked up as module globals each time they
     run, so a caller that swaps them still sees every computation.
     """
 
@@ -79,6 +86,10 @@ class _Answers:
         self.state_cap = state_cap
         self.memo: dict = {}
 
+    @cached_property
+    def tables(self) -> _Tables:
+        return _Tables(self.system)
+
     def verdict(self, check: str, delta, eps, domain=None) -> ShadowVerdict:
         """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
         ``domain`` (the whole system when None)."""
@@ -86,7 +97,12 @@ class _Answers:
         if key not in self.memo:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
             self.memo[key] = decide(
-                self.system, delta, eps, domain=domain, state_cap=self.state_cap
+                self.system,
+                delta,
+                eps,
+                domain=domain,
+                state_cap=self.state_cap,
+                _tables=self.tables,
             )
         return self.memo[key]
 
@@ -95,7 +111,9 @@ class _Answers:
         from one BFS when neither is known yet."""
         keys = (("slimit", delta, eps, None), ("shadowing", delta, eps, None))
         if not any(key in self.memo for key in keys):
-            verdicts = check_both_properties(self.system, delta, eps, state_cap=self.state_cap)
+            verdicts = check_both_properties(
+                self.system, delta, eps, state_cap=self.state_cap, _tables=self.tables
+            )
             self.memo.update(zip(keys, verdicts))
         return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
 

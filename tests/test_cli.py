@@ -318,6 +318,17 @@ class TestVerify:
         assert [e["delta_fine"] for e in report["entries"]] == ["1/4", "1/20"]
         assert all(e["delta_coarse"] == "1/4" for e in report["entries"])
 
+    @pytest.mark.parametrize(
+        "deltas, got",
+        [("1/2,1/4,1/3", "1/2, 1/4, 1/3"), ("1/4,1/2", "1/4, 1/2"), ("1/4,1/4", "1/4, 1/4")],
+    )
+    def test_deltas_must_strictly_decrease(self, capsys, deltas, got):
+        """As for ``ladder``: a list that does not strictly decrease exits 2
+        with the exact deltas, before any search runs."""
+        code, out, err = run_cli(capsys, "verify", "--gen", "north-south:8", "--deltas", deltas)
+        assert code == 2 and out == ""
+        assert err == f"error: deltas must strictly decrease, got {got}\n"
+
     def test_corpus_only_member_is_not_a_generator(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--gen", "far-two-cycles", "--format", "table"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -15,6 +16,7 @@ from chainshadow import (
     DomainNotInvariant,
     EmptyDomain,
     FiniteMetricSystem,
+    GridEntry,
     Inconclusive,
     KindMismatch,
     NotFailing,
@@ -25,6 +27,7 @@ from chainshadow import (
     check_both_properties,
     check_shadowing_property,
     check_slimit_property,
+    default_grid,
     extract_witness,
     first_violation,
     is_limit_shadowed,
@@ -32,6 +35,7 @@ from chainshadow import (
     make_system,
     merge_sets,
     north_south,
+    parse_generator_string,
     reachable_shadow_states,
     rotation,
     run_harness,
@@ -41,6 +45,7 @@ from chainshadow import (
     verify_slimit_implies_shadowing,
 )
 from chainshadow import shadow as shadow_mod
+from chainshadow import verify as verify_mod
 from chainshadow.bits import bits, mask_of
 from chainshadow.cli import main as cli_main
 from conftest import (
@@ -52,14 +57,16 @@ from conftest import (
 )
 
 
-def reference_explore(system, succ_balls, balls, failing, state_cap):
+def reference_explore(tables, succ_balls, balls, failing, state_cap):
     """The subset-automaton BFS before image memoisation and the skip of
     repeated (candidate set, successor mask) pairs: every state is
     expanded, the image of a candidate set is recomputed bit by bit for
     every state that holds it, every child goes through one ``insert``
     call into one dict keyed by (p, Y) tuples, and paths are read back
     through that dict. It reads the ball tables ``_explore`` receives:
-    ``balls`` (eps, keyed by the domain) and ``succ_balls`` (delta)."""
+    ``balls`` (eps, keyed by the domain) and ``succ_balls`` (delta), and
+    only the system of ``tables``."""
+    system = tables.system
     domain = list(balls)
     succ = {p: tuple(bits(succ_balls[system.map[p]])) for p in domain}
 
@@ -107,12 +114,12 @@ def reference_explore(system, succ_balls, balls, failing, state_cap):
     return visited, None
 
 
-def reference_per_predicate(system, succ_balls, balls, failing, state_cap):
+def reference_per_predicate(tables, succ_balls, balls, failing, state_cap):
     """``_explore``'s interface for a tuple of failing predicates, served by
     one ``reference_explore`` run per predicate (one run that never fails
     when the tuple is empty)."""
     runs = [
-        reference_explore(system, succ_balls, balls, fails, state_cap)
+        reference_explore(tables, succ_balls, balls, fails, state_cap)
         for fails in failing or (lambda p, y: False,)
     ]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
@@ -635,13 +642,20 @@ class TestBallTables:
     @example((WIDE, WIDE.distance_values[20], None))
     @settings(max_examples=150)
     def test_balls_match_ball(self, data):
+        """A fresh table, and one that already holds every full ball at the
+        radius, restrict each ball to the domain, keyed by the domain and by
+        the images of the domain."""
         system, r, domain = data
         dmask = shadow_mod._domain_mask(system, domain)
         images = mask_of(system.map[p] for p in bits(dmask))
+        whole = (1 << system.n) - 1
+        shared = shadow_mod._Tables(system)
+        assert shared.balls(r, whole, whole) == {p: system.ball(p, r) for p in system.points}
         for keys in (dmask, images):
-            table = shadow_mod._balls(system, r, keys, dmask)
-            assert list(table) == list(bits(keys))
-            assert table == {p: system.ball(p, r) & dmask for p in bits(keys)}
+            for tables in (shadow_mod._Tables(system), shared):
+                table = tables.balls(r, keys, dmask)
+                assert list(table) == list(bits(keys))
+                assert table == {p: system.ball(p, r) & dmask for p in bits(keys)}
 
     @staticmethod
     def _record_nearest_within(monkeypatch):
@@ -676,23 +690,142 @@ class TestBallTables:
         assert sorted(p for p, r in calls if r == eps) == list(system.points)
         assert len(set(system.map)) < system.n
 
-    def test_harness_searches_build_each_ball_once(self, monkeypatch):
+    def _harness_ball_builds(self, monkeypatch, system, grid=None):
+        """(balls built, balls read) by the searches of one ``run_harness``:
+        each search reads the eps balls of its domain and the delta balls
+        of the domain's images."""
         calls = self._record_nearest_within(monkeypatch)
         real = shadow_mod._decide
-        searches = []
+        read = set()
+        made = []
 
         def recording(system, delta, eps, domain, *rest):
+            points = system.points if domain is None else domain
+            read.update((p, eps) for p in points)
+            read.update((system.map[p], delta) for p in points)
             calls.clear()
             out = real(system, delta, eps, domain, *rest)
-            points = system.points if domain is None else domain
-            searches.append((sorted(calls), sorted((p, r) for p in points for r in {delta, eps})))
+            made.extend(calls)
             return out
 
         monkeypatch.setattr(shadow_mod, "_decide", recording)
-        run_harness(north_south(8), "north-south:8")
-        assert searches
-        for made, expected in searches:
-            assert made == expected
+        run_harness(system, "system", grid)
+        return made, read
+
+    def test_harness_searches_build_each_ball_once(self, monkeypatch):
+        made, read = self._harness_ball_builds(monkeypatch, north_south(8))
+        assert read and sorted(made) == sorted(read)
+
+    def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
+        """Radius 1/8 is the eps of both entries and the delta of one, so
+        its balls at the images f(p) serve both tables."""
+        eighth, quarter = Fraction(1, 8), Fraction(1, 4)
+        grid = [(quarter, quarter, eighth), (quarter, eighth, eighth)]
+        made, read = self._harness_ball_builds(monkeypatch, tent(16), grid)
+        assert {r for _, r in read} == {eighth, quarter}
+        assert sorted(made) == sorted(read)
+
+    @staticmethod
+    def _record_translation_runs(monkeypatch):
+        maps = []
+        real = shadow_mod._translation_runs
+
+        def recording(fmap):
+            maps.append(fmap)
+            return real(fmap)
+
+        monkeypatch.setattr(shadow_mod, "_translation_runs", recording)
+        return maps
+
+    def test_one_run_table_per_harness_run(self, monkeypatch):
+        """The run table of the map is built once per run, and never for
+        the inverse map, whose answers only decompose."""
+        system = rotation(6, 2)
+        maps = self._record_translation_runs(monkeypatch)
+        graphs = []
+        real_graph = verify_mod.build_delta_graph
+
+        def recording_graph(system, delta):
+            graphs.append(system.map)
+            return real_graph(system, delta)
+
+        monkeypatch.setattr(verify_mod, "build_delta_graph", recording_graph)
+        run_harness(system, "rotation:6:2")
+        assert maps == [system.map]
+        assert set(graphs) == {system.map, tuple(sorted(system.points, key=system.map.__getitem__))}
+
+    def test_no_table_outlives_a_run(self, monkeypatch):
+        """Two runs on one system each build their own tables: every ball
+        and the run table again."""
+        system = north_south(8)
+        calls = self._record_nearest_within(monkeypatch)
+        maps = self._record_translation_runs(monkeypatch)
+        made = []
+        real = verify_mod._Tables
+
+        class Recording(real):
+            def __init__(self, system):
+                made.append(self)
+                super().__init__(system)
+
+        monkeypatch.setattr(verify_mod, "_Tables", Recording)
+        run_harness(system, "north-south:8")
+        first = sorted(calls)
+        calls.clear()
+        run_harness(system, "north-south:8")
+        assert len(made) == 2 and made[0] is not made[1]
+        assert maps == [system.map, system.map]
+        assert first and sorted(calls) == first
+
+
+def _harness_outcomes(system, grid):
+    """``run_harness`` JSON bytes without a cap, and what it answers under
+    caps 0, 1, 3 and 7, an ``Inconclusive`` text included."""
+    out = []
+    for cap in (None, 0, 1, 3, 7):
+        try:
+            out.append(json.dumps(run_harness(system, "system", grid, state_cap=cap).to_json()))
+        except Inconclusive as exc:
+            out.append(("inconclusive", exc.states_explored, str(exc)))
+    return out
+
+
+class TestRunTablesAgainstFreshTables:
+    """A harness run that shares one table object across its searches
+    answers as one whose every search builds its own tables."""
+
+    @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "parallel-cycles",
+            "north-south:6",
+            "north-south:12",
+            "cantor-identity:3",
+            "rotation:6:2",
+            "rotation:7:3",
+            "tent:8",
+            "doubling:8",
+        ],
+    )
+    def test_same_report_bytes_and_caps(self, spec, crossed):
+        system = parse_generator_string(spec)
+        grid = default_grid(system)
+        if crossed:
+            # Every fine delta against every eps: most entries have
+            # delta != eps, and their radii meet as both.
+            values = [entry.eps for entry in grid]
+            grid = [GridEntry(grid[0].delta_coarse, d, e) for d in values for e in values]
+        real = shadow_mod._decide
+
+        def fresh_tables(system, delta, eps, domain, state_cap, props, tables=None):
+            return real(system, delta, eps, domain, state_cap, props)
+
+        ours = _harness_outcomes(system, grid)
+        with mock.patch.object(shadow_mod, "_decide", fresh_tables):
+            theirs = _harness_outcomes(system, grid)
+        assert ours == theirs
+        assert isinstance(ours[0], str)
 
 
 class TestExploreAgainstReference:
