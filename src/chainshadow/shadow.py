@@ -18,6 +18,7 @@ decreasing chain of nonempty finite sets.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 from collections.abc import Mapping
@@ -230,7 +231,8 @@ def merge_sets(system, eps, domain=None) -> MergeSet:
     """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    masks = _asymp_masks(system, _Tables(system).balls(eps, dmask, dmask))
+    tables = _Tables(system)
+    masks = _asymp_masks(tables, tables.balls(eps, dmask, dmask))
     return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
@@ -246,7 +248,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     masks = _shadow_masks(tables, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    final = masks[t] & _asymp_masks(system, tables.balls(eps, dmask, dmask))[po.points[t]]
+    final = masks[t] & _asymp_masks(tables, tables.balls(eps, dmask, dmask))[po.points[t]]
     if final == 0:
         return None
     masks[t] = final
@@ -482,14 +484,13 @@ def _translation_runs(fmap) -> list[tuple[int, int]]:
     return out
 
 
-def _image_fn(system):
-    """f(Y) for a bitmask Y. On a map that is a translation on each of a
-    few runs of points, f(Y) is the OR of (Y & run) shifted by the run's
-    shift, a few word-level operations per run; that is used whenever Y
-    has more points than the map has runs, and one bit per point of Y is
-    ORed otherwise."""
+def _image_fn(system, runs):
+    """f(Y) for a bitmask Y, given the map's ``_translation_runs`` table.
+    On a map that is a translation on each of a few runs of points, f(Y)
+    is the OR of (Y & run) shifted by the run's shift, a few word-level
+    operations per run; that is used whenever Y has more points than the
+    map has runs, and one bit per point of Y is ORed otherwise."""
     image_bit = [1 << t for t in system.map]
-    runs = _translation_runs(system.map)
     left = [(run, s) for run, s in runs if s >= 0]
     right = [(run, -s) for run, s in runs if s < 0]
     run_count = len(runs)
@@ -511,9 +512,40 @@ def _image_fn(system):
     return image
 
 
+def _preimage_fn(system, runs):
+    """f^-1(M) for a bitmask M, the mirror of ``_image_fn`` over the same
+    run table: x lies in f^-1(M) when bit x + s of M is set for the shift
+    s of x's run, so each run contributes (M >> s) & run (M << -s for a
+    negative shift) when M has more points than the map has runs, and the
+    preimage masks of M's points are ORed otherwise."""
+    pre_bit = [0] * system.n
+    for x, t in enumerate(system.map):
+        pre_bit[t] |= 1 << x
+    right = [(run, s) for run, s in runs if s >= 0]
+    left = [(run, -s) for run, s in runs if s < 0]
+    run_count = len(runs)
+
+    def preimage(mask: int) -> int:
+        out = 0
+        if mask.bit_count() > run_count:
+            for run, s in right:
+                out |= (mask >> s) & run
+            for run, s in left:
+                out |= (mask << s) & run
+            return out
+        while mask:
+            low = mask & -mask
+            out |= pre_bit[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return preimage
+
+
 class _Tables:
-    """The image function of one system's map and its closed ball masks,
-    each built the first time a search reads it.
+    """The image and preimage functions of one system's map, which read
+    one translation-run table, and its closed ball masks, each built the
+    first time a search reads it.
 
     ``balls`` keeps, per radius, the full ball of every point it has been
     asked for and hands each caller the restriction to its domain, so the
@@ -528,8 +560,16 @@ class _Tables:
         self._full: dict[Fraction, dict[int, int]] = {}
 
     @cached_property
+    def runs(self) -> list[tuple[int, int]]:
+        return _translation_runs(self.system.map)
+
+    @cached_property
     def image(self):
-        return _image_fn(self.system)
+        return _image_fn(self.system, self.runs)
+
+    @cached_property
+    def preimage(self):
+        return _preimage_fn(self.system, self.runs)
 
     def balls(self, r: Fraction, keys: int, dmask: int) -> dict[int, int]:
         """The closed r-ball within the domain ``dmask`` of each point of
@@ -561,32 +601,66 @@ def _backtrack(system, masks: list[int]) -> int:
     return chosen
 
 
-def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
+def _asymp_masks(tables: _Tables, balls: dict[int, int]) -> list[int]:
     """masks[p] holds every x merging exactly into p's orbit while staying
     within eps beforehand: the least family with p in masks[p] and x in
-    masks[p] whenever x is in the eps ball balls[p] and f(x) is in masks[f(p)].
+    masks[p] whenever x is in the eps ball balls[p] and f(x) is in
+    masks[f(p)].
 
-    The worklist carries (t, bits just added to masks[t]); their preimages
-    are the only new candidates for masks[p] at each p with f(p) = t.
+    masks[p] reads only masks[f(p)], so the family is solved along the
+    orbits of f. From each unsolved point of the domain (the keys of
+    ``balls``), walk f until a solved point or a point of this walk. A
+    cycle c_0 -> ... -> c_{m-1} -> c_0 closed by the walk starts at
+    masks[c_0] = {c_0} and is swept against the map (c_{m-1}, ..., c_0),
+    each point set to {c} | balls[c] & f^-1(masks[f(c)]); after that one
+    sweep the sweep goes on around the cycle with only the bits the last
+    point gained, until a point gains none. The rest of the walk is then
+    solved nearest the cycle first, each point once, by that same
+    equation. Each point costs one preimage, and a cycle one more per
+    further step of its sweep. A fixed point is a cycle of one, swept
+    without a walk.
     """
-    domain = list(balls)
-    pre = [0] * system.n
-    for x in domain:
-        pre[system.map[x]] |= 1 << x
-    masks = [0] * system.n
-    for p in domain:
-        masks[p] = 1 << p
-    work = [(p, masks[p]) for p in domain]
-    while work:
-        t, new = work.pop()
-        sources = 0
-        for y in bits(new):
-            sources |= pre[y]
-        for p in bits(pre[t]):
-            gain = sources & balls[p] & ~masks[p]
-            if gain:
-                masks[p] |= gain
-                work.append((p, gain))
+    fmap = tables.system.map
+    preimage = tables.preimage
+    masks = [0] * tables.system.n
+    walked = bytearray(tables.system.n)
+    for start in balls:
+        if walked[start]:
+            continue
+        walked[start] = 1
+        p = fmap[start]
+        if p == start:
+            bit = 1 << p
+            ball = balls[p]
+            mask = bit | ball & preimage(bit)
+            gained = mask ^ bit
+            while gained:
+                gained = ball & preimage(gained) & ~mask
+                mask |= gained
+            masks[p] = mask
+            continue
+        walk = [start]
+        while not walked[p]:
+            walked[p] = 1
+            walk.append(p)
+            p = fmap[p]
+        if not masks[p]:
+            # p is on this walk, so the walk closed a cycle at p.
+            at = walk.index(p)
+            cycle = walk[at:]
+            del walk[at:]
+            masks[p] = 1 << p
+            for c in reversed(cycle):
+                masks[c] = (1 << c) | balls[c] & preimage(masks[fmap[c]])
+            gained = masks[p] ^ (1 << p)
+            if gained:
+                for c in itertools.cycle(cycle[::-1]):
+                    gained = balls[c] & preimage(gained) & ~masks[c]
+                    if not gained:
+                        break
+                    masks[c] |= gained
+        for p in reversed(walk):
+            masks[p] = (1 << p) | balls[p] & preimage(masks[fmap[p]])
     return masks
 
 
@@ -607,7 +681,7 @@ def _decide(system, delta, eps, domain, state_cap, props, tables=None):
     else:
         images = mask_of(system.map[p] for p in bits(dmask))
         succ_balls = tables.balls(delta, images, dmask)
-    asymp = _asymp_masks(system, balls) if "slimit" in props else None
+    asymp = _asymp_masks(tables, balls) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
         tables, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
@@ -622,6 +696,34 @@ def _decide(system, delta, eps, domain, state_cap, props, tables=None):
             witness = PseudoOrbit(path, delta, tail)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, count))
     return states, tuple(verdicts)
+
+
+class _SuccessorRows(dict):
+    """``_explore``'s successor table while its first level is expanded:
+    point p maps to (row, expanded), built at p's first lookup from p's
+    successor mask m. The row (q, balls[q], parents[q]) for q in m is built
+    the first time a point with mask m is looked up, and shared by every
+    later such point with one set of expanded candidate sets, or None when
+    no other point has mask m. So a search that the state cap stops early
+    builds only the rows it reached."""
+
+    def __init__(self, masks: dict[int, int], balls: dict[int, int], parents: dict):
+        super().__init__()
+        self.masks = masks
+        self.sharers = Counter(masks.values())
+        self.balls = balls
+        self.parents = parents
+        self.rows: dict[int, tuple] = {}
+
+    def __missing__(self, p: int):
+        m = self.masks[p]
+        entry = self.rows.get(m)
+        if entry is None:
+            balls, parents = self.balls, self.parents
+            row = tuple((q, balls[q], parents[q]) for q in bits(m))
+            entry = self.rows[m] = (row, set() if self.sharers[m] > 1 else None)
+        self[p] = entry
+        return entry
 
 
 def _explore(tables, succ_balls, balls, failing, state_cap):
@@ -649,7 +751,9 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
     state, parent, discovery order, count, witness or cap outcome changes.
     Only the points whose successor mask another point shares keep a set
     of expanded Y; on rotations, where every point has its own mask,
-    nothing is kept or probed.
+    nothing is kept or probed. Each row of successors is built when the
+    first state whose point has that mask is expanded
+    (``_SuccessorRows``), not before the search.
 
     Far fewer candidate sets than states are reachable (4,705 sets for
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
@@ -670,10 +774,7 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
     succ_masks = {p: succ_balls[fmap[p]] for p in domain}
-    sharers = Counter(succ_masks.values())
-    rows = {m: tuple((q, balls[q], parents[q]) for q in bits(m)) for m in sharers}
-    expanded = {m: set() for m, count in sharers.items() if count > 1}
-    succ = {p: (rows[m], expanded.get(m)) for p, m in succ_masks.items()}
+    succ = _SuccessorRows(succ_masks, balls, parents)
     image = tables.image
     images: dict[int, int] = {}
 
@@ -712,6 +813,10 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
                     states.append((q, child))
                     if len(states) > cap:
                         raise Inconclusive(len(states), state_cap)
+        if type(succ) is not dict:
+            # The first level holds every domain point, so every entry is
+            # built; later levels read a plain dict, a faster lookup.
+            succ = dict(succ)
     return states, found
 
 

@@ -94,9 +94,10 @@ class _Answers:
         """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
         ``domain`` (the whole system when None)."""
         key = (check, delta, eps, domain)
-        if key not in self.memo:
+        verdict = self.memo.get(key)
+        if verdict is None:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
-            self.memo[key] = decide(
+            verdict = self.memo[key] = decide(
                 self.system,
                 delta,
                 eps,
@@ -104,7 +105,7 @@ class _Answers:
                 state_cap=self.state_cap,
                 _tables=self.tables,
             )
-        return self.memo[key]
+        return verdict
 
     def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
         """The whole-system slimit and shadowing verdicts at (delta, eps),

@@ -126,9 +126,9 @@ def reference_per_predicate(tables, succ_balls, balls, failing, state_cap):
     return max((visited for visited, _ in runs), key=len), found[: len(failing)]
 
 
-def reference_image_fn(system):
+def reference_image_fn(system, runs=None):
     """``_image_fn`` before translation runs: f(Y) ORs one bit per point
-    of Y."""
+    of Y. ``runs`` is accepted and ignored, as ``_image_fn`` takes it."""
     def image(mask):
         out = 0
         for y in bits(mask):
@@ -136,6 +136,53 @@ def reference_image_fn(system):
         return out
 
     return image
+
+
+def reference_asymp_masks(system, balls):
+    """``_asymp_masks`` before the orbit-ordered solve: a worklist of
+    (t, bits just added to masks[t]); their preimages are the only new
+    candidates for masks[p] at each p with f(p) = t."""
+    domain = list(balls)
+    pre = [0] * system.n
+    for x in domain:
+        pre[system.map[x]] |= 1 << x
+    masks = [0] * system.n
+    for p in domain:
+        masks[p] = 1 << p
+    work = [(p, masks[p]) for p in domain]
+    while work:
+        t, new = work.pop()
+        sources = 0
+        for y in bits(new):
+            sources |= pre[y]
+        for p in bits(pre[t]):
+            gain = sources & balls[p] & ~masks[p]
+            if gain:
+                masks[p] |= gain
+                work.append((p, gain))
+    return masks
+
+
+def pair_walk_merge_sets(system, eps, domain):
+    """Merge sets read off pair orbits: x is in p's set when the orbits of
+    x and p meet before they leave eps of each other or repeat a pair."""
+    points = system.points if domain is None else domain
+
+    def walks_to_merge(x, p):
+        seen = set()
+        while (x, p) not in seen:
+            if x == p:
+                return True
+            if system.dist[x][p] > eps:
+                return False
+            seen.add((x, p))
+            x, p = system.map[x], system.map[p]
+        return False
+
+    return [
+        {x for x in points if walks_to_merge(x, p)} if p in points else set()
+        for p in system.points
+    ]
 
 
 @st.composite
@@ -366,23 +413,120 @@ class TestMergeSets:
     def test_against_pair_walk(self, data):
         system, _, eps = data.draw(system_and_scales())
         domain = invariant_domains(data.draw, system)
-        points = system.points if domain is None else domain
         tracks = merge_sets(system, eps, domain)
+        assert list(tracks.tracks) == pair_walk_merge_sets(system, eps, domain)
 
-        def walks_to_merge(x, p):
-            seen = set()
-            while (x, p) not in seen:
-                if x == p:
-                    return True
-                if system.dist[x][p] > eps:
-                    return False
-                seen.add((x, p))
-                x, p = system.map[x], system.map[p]
-            return False
 
-        for p in system.points:
-            expected = {x for x in points if walks_to_merge(x, p)} if p in points else set()
-            assert tracks.of(p) == expected
+@st.composite
+def merge_cases(draw):
+    """A system of points on a line, an eps and a forward-invariant domain
+    (or None) for the merge-set fixpoint. The map has several cycles with
+    tails hung on them, one long tail into a cycle, few image points (many
+    points map to each), translation runs that wrap or are clamped, or is
+    random. eps is 0, a distance value, or past the diameter."""
+    n = draw(st.integers(1, 14))
+    positions = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    dist = [[abs(a - b) for b in positions] for a in positions]
+    shape = draw(st.sampled_from(["cycles", "tail", "many-to-one", "runs", "random"]))
+    fmap = [0] * n
+    if shape == "cycles":
+        order = draw(st.permutations(range(n)))
+        k = draw(st.integers(1, n))
+        cuts = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+        for lo, hi in zip([0, *cuts], [*cuts, k]):
+            cycle = order[lo:hi]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                fmap[a] = b
+        for i in range(k, n):
+            fmap[order[i]] = order[draw(st.integers(0, i - 1))]
+    elif shape == "tail":
+        order = draw(st.permutations(range(n)))
+        for a, b in zip(order, order[1:]):
+            fmap[a] = b
+        fmap[order[-1]] = order[draw(st.integers(0, n - 1))]
+    elif shape == "many-to-one":
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        fmap = [draw(st.sampled_from(targets)) for _ in range(n)]
+    elif shape == "runs":
+        fmap = []
+        while len(fmap) < n:
+            start = len(fmap)
+            stop = draw(st.integers(start + 1, n))
+            shift = draw(st.integers(-n, n))
+            if draw(st.booleans()):
+                fmap += [(y + shift) % n for y in range(start, stop)]
+            else:
+                fmap += [min(max(y + shift, 0), n - 1) for y in range(start, stop)]
+    else:
+        fmap = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    system = make_system(dist, fmap)
+    eps = draw(st.sampled_from([Fraction(0), *system.distance_values, system.diameter + 1]))
+    return system, eps, invariant_domains(draw, system)
+
+
+class TestOrbitOrderedMergeSets:
+    """``_asymp_masks`` solves the merge-set equations along the orbits of
+    the map; the worklist it replaced and the pair-orbit walk are the
+    references."""
+
+    @given(merge_cases())
+    @example((north_south(6), Fraction(0), None))
+    @example((rotation(7, 3), Fraction(3, 7), {0, 1, 2, 3, 4, 5, 6}))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_worklist_and_the_pair_walk(self, data):
+        system, eps, domain = data
+        dmask = shadow_mod._domain_mask(system, domain)
+        tables = shadow_mod._Tables(system)
+        balls = tables.balls(eps, dmask, dmask)
+        masks = shadow_mod._asymp_masks(tables, balls)
+        assert masks == reference_asymp_masks(system, balls)
+        expected = pair_walk_merge_sets(system, eps, domain)
+        assert list(merge_sets(system, eps, domain).tracks) == expected
+        assert [set(bits(m)) for m in masks] == expected
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["diameter", "past-diameter"])
+    def test_north_south_at_the_diameter(self, over):
+        """Every orbit but the source's reaches the sink, and at eps past
+        every distance nothing stops a point from merging on the way."""
+        system = north_south(1024)
+        full = (1 << system.n) - 1
+        tables = shadow_mod._Tables(system)
+        masks = shadow_mod._asymp_masks(tables, tables.balls(system.diameter + over, full, full))
+        assert masks[0] == 1
+        assert all(m == full ^ 1 for m in masks[1:])
+
+    def test_at_most_two_preimages_per_point(self):
+        """One preimage per point, and one per further step of the sink's
+        sweep: 383 on north_south(256) at eps 1/2."""
+        system = north_south(256)
+        full = (1 << system.n) - 1
+        tables = shadow_mod._Tables(system)
+        balls = tables.balls(Fraction(1, 2), full, full)
+        calls = []
+        real = tables.preimage
+
+        def counting(mask):
+            calls.append(mask)
+            return real(mask)
+
+        tables.preimage = counting
+        masks = shadow_mod._asymp_masks(tables, balls)
+        assert len(calls) <= 2 * system.n
+        assert masks == reference_asymp_masks(system, balls)
+
+    @given(image_cases())
+    @settings(max_examples=200)
+    def test_preimage_matches_the_bit_loop(self, data):
+        """f^-1(M) by translation runs (M with more points than the map has
+        runs) and by preimage masks (the rest) both match the plain loop."""
+        system, drawn = data
+        n = len(system.map)
+        runs = shadow_mod._translation_runs(system.map)
+        lowest = [(1 << k) - 1 for k in (len(runs), len(runs) + 1) if k <= n]
+        preimage = shadow_mod._preimage_fn(SimpleNamespace(n=n, map=system.map), runs)
+        for mask in [0, (1 << n) - 1, *lowest, *drawn]:
+            expected = mask_of(x for x in range(n) if mask >> system.map[x] & 1)
+            assert preimage(mask) == expected, mask
 
 
 class TestIsLimitShadowed:
@@ -872,6 +1016,41 @@ class TestSharedSuccessorSkip:
         assert ours == (tmp_path / "theirs.json").read_bytes()
 
 
+class TestSuccessorRowsOnDemand:
+    """``_explore`` builds a point's successor entry at the point's first
+    lookup, so a search stopped at the state cap builds only what it
+    reached, and every entry at most once."""
+
+    @staticmethod
+    def _record_lookups(monkeypatch):
+        missed = []
+        real = shadow_mod._SuccessorRows.__missing__
+
+        def recording(self, p):
+            missed.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(shadow_mod._SuccessorRows, "__missing__", recording)
+        return missed
+
+    def test_one_entry_per_point(self, monkeypatch):
+        system = north_south(64)
+        missed = self._record_lookups(monkeypatch)
+        verdict = check_slimit_property(system, Fraction(1, 16), Fraction(1, 2))
+        assert verdict.passed and verdict.states_explored > system.n
+        assert missed == list(system.points)
+
+    def test_a_capped_search_builds_what_it_reached(self, monkeypatch):
+        """The first expansion passes a cap of n + 1 states: one entry."""
+        system = north_south(64)
+        missed = self._record_lookups(monkeypatch)
+        with pytest.raises(Inconclusive):
+            check_shadowing_property(
+                system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1
+            )
+        assert missed == [0]
+
+
 class TestTranslationRunImage:
     """``_image_fn`` shifts whole runs of a piecewise-translation map once Y
     has more points than the map has runs; the bit loop it replaced is the
@@ -884,10 +1063,11 @@ class TestTranslationRunImage:
     def test_matches_the_bit_loop(self, data):
         system, drawn = data
         n = len(system.map)
-        count = len(shadow_mod._translation_runs(system.map))
+        runs = shadow_mod._translation_runs(system.map)
+        count = len(runs)
         # The lowest `count` points take the bit loop, one more the runs.
         lowest = [(1 << k) - 1 for k in (count, count + 1) if k <= n]
-        image = shadow_mod._image_fn(system)
+        image = shadow_mod._image_fn(system, runs)
         reference = reference_image_fn(system)
         for mask in [0, (1 << n) - 1, *lowest, *drawn]:
             assert image(mask) == reference(mask), mask
