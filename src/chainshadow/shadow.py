@@ -221,10 +221,11 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     eps = parse_nonnegative(eps)
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
-    masks = _shadow_masks(_Tables(system), po.points, eps, dmask)
+    tables = _Tables(system)
+    masks = _shadow_masks(tables, po.points, eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    return _backtrack(system, masks)
+    return _backtrack(tables, masks)
 
 
 def merge_sets(system, eps, domain=None) -> MergeSet:
@@ -252,7 +253,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     if final == 0:
         return None
     masks[t] = final
-    return _backtrack(system, masks)
+    return _backtrack(tables, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,8 @@ def brute_force_oracle(
         raise BadParams(f"unknown property {prop!r}")
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise BadParams(f"max_len must be an integer, got {max_len!r}")
     if system.n > point_limit:
         raise TooLarge(f"{system.n} points exceeds the oracle guard {point_limit}")
     if max_len > length_limit:
@@ -459,7 +462,10 @@ def _require_valid(system, po: PseudoOrbit) -> None:
 def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     if domain is None:
         return (1 << system.n) - 1
-    pts = frozenset(domain)
+    try:
+        pts = frozenset(domain)
+    except TypeError:
+        raise BadParams(f"domain must be a collection of point indices, not {domain!r}") from None
     if not pts:
         raise EmptyDomain("domain must contain at least one point")
     for p in pts:
@@ -484,20 +490,19 @@ def _translation_runs(fmap) -> list[tuple[int, int]]:
     return out
 
 
-def _image_fn(system, runs):
-    """f(Y) for a bitmask Y, given the map's ``_translation_runs`` table.
-    On a map that is a translation on each of a few runs of points, f(Y)
-    is the OR of (Y & run) shifted by the run's shift, a few word-level
-    operations per run; that is used whenever Y has more points than the
-    map has runs, and one bit per point of Y is ORed otherwise."""
-    image_bit = [1 << t for t in system.map]
-    left = [(run, s) for run, s in runs if s >= 0]
-    right = [(run, -s) for run, s in runs if s < 0]
-    run_count = len(runs)
+def _bit_map(pairs, point_masks):
+    """The map on bitmasks that sends each point y to ``point_masks[y]``
+    and moves each pair's run mask by the pair's shift s (left for s >= 0):
+    M goes to the OR of the shifted (M & run) when M has more points than
+    there are pairs, a few word-level operations per pair, and to the OR
+    of its points' masks otherwise."""
+    left = [(run, s) for run, s in pairs if s >= 0]
+    right = [(run, -s) for run, s in pairs if s < 0]
+    pair_count = len(pairs)
 
-    def image(mask: int) -> int:
+    def apply(mask: int) -> int:
         out = 0
-        if mask.bit_count() > run_count:
+        if mask.bit_count() > pair_count:
             for run, s in left:
                 out |= (mask & run) << s
             for run, s in right:
@@ -505,41 +510,27 @@ def _image_fn(system, runs):
             return out
         while mask:
             low = mask & -mask
-            out |= image_bit[low.bit_length() - 1]
+            out |= point_masks[low.bit_length() - 1]
             mask ^= low
         return out
 
-    return image
+    return apply
+
+
+def _image_fn(system, runs):
+    """f(Y) for a bitmask Y, given the map's ``_translation_runs`` table:
+    each run moves by its shift."""
+    return _bit_map(runs, [1 << t for t in system.map])
 
 
 def _preimage_fn(system, runs):
-    """f^-1(M) for a bitmask M, the mirror of ``_image_fn`` over the same
-    run table: x lies in f^-1(M) when bit x + s of M is set for the shift
-    s of x's run, so each run contributes (M >> s) & run (M << -s for a
-    negative shift) when M has more points than the map has runs, and the
-    preimage masks of M's points are ORed otherwise."""
-    pre_bit = [0] * system.n
+    """f^-1(M) for a bitmask M, over the same run table: x lies in
+    f^-1(M) when bit f(x) of M is set, so each run's image moves back by
+    the run's shift."""
+    pre_bit = [0] * len(system.map)
     for x, t in enumerate(system.map):
         pre_bit[t] |= 1 << x
-    right = [(run, s) for run, s in runs if s >= 0]
-    left = [(run, -s) for run, s in runs if s < 0]
-    run_count = len(runs)
-
-    def preimage(mask: int) -> int:
-        out = 0
-        if mask.bit_count() > run_count:
-            for run, s in right:
-                out |= (mask >> s) & run
-            for run, s in left:
-                out |= (mask << s) & run
-            return out
-        while mask:
-            low = mask & -mask
-            out |= pre_bit[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    return preimage
+    return _bit_map([(run << s if s >= 0 else run >> -s, -s) for run, s in runs], pre_bit)
 
 
 class _Tables:
@@ -594,10 +585,11 @@ def _shadow_masks(tables: _Tables, points, eps: Fraction, dmask: int) -> list[in
     return masks
 
 
-def _backtrack(system, masks: list[int]) -> int:
+def _backtrack(tables: _Tables, masks: list[int]) -> int:
+    preimage = tables.preimage
     chosen = min_bit(masks[-1])
     for mask in reversed(masks[:-1]):
-        chosen = min(y for y in bits(mask) if system.map[y] == chosen)
+        chosen = min_bit(mask & preimage(1 << chosen))
     return chosen
 
 
@@ -679,8 +671,7 @@ def _decide(system, delta, eps, domain, state_cap, props, tables=None):
     if delta == eps:
         succ_balls = balls
     else:
-        images = mask_of(system.map[p] for p in bits(dmask))
-        succ_balls = tables.balls(delta, images, dmask)
+        succ_balls = tables.balls(delta, tables.image(dmask), dmask)
     asymp = _asymp_masks(tables, balls) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
@@ -698,32 +689,10 @@ def _decide(system, delta, eps, domain, state_cap, props, tables=None):
     return states, tuple(verdicts)
 
 
-class _SuccessorRows(dict):
-    """``_explore``'s successor table while its first level is expanded:
-    point p maps to (row, expanded), built at p's first lookup from p's
-    successor mask m. The row (q, balls[q], parents[q]) for q in m is built
-    the first time a point with mask m is looked up, and shared by every
-    later such point with one set of expanded candidate sets, or None when
-    no other point has mask m. So a search that the state cap stops early
-    builds only the rows it reached."""
-
-    def __init__(self, masks: dict[int, int], balls: dict[int, int], parents: dict):
-        super().__init__()
-        self.masks = masks
-        self.sharers = Counter(masks.values())
-        self.balls = balls
-        self.parents = parents
-        self.rows: dict[int, tuple] = {}
-
-    def __missing__(self, p: int):
-        m = self.masks[p]
-        entry = self.rows.get(m)
-        if entry is None:
-            balls, parents = self.balls, self.parents
-            row = tuple((q, balls[q], parents[q]) for q in bits(m))
-            entry = self.rows[m] = (row, set() if self.sharers[m] > 1 else None)
-        self[p] = entry
-        return entry
+def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
+    """``_explore``'s row for the successor mask m: (q, balls[q],
+    parents[q]) for each q in m, ascending."""
+    return tuple((q, balls[q], parents[q]) for q in bits(m))
 
 
 def _explore(tables, succ_balls, balls, failing, state_cap):
@@ -751,9 +720,9 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
     state, parent, discovery order, count, witness or cap outcome changes.
     Only the points whose successor mask another point shares keep a set
     of expanded Y; on rotations, where every point has its own mask,
-    nothing is kept or probed. Each row of successors is built when the
-    first state whose point has that mask is expanded
-    (``_SuccessorRows``), not before the search.
+    nothing is kept or probed. A point's entry (row, expanded sets) is
+    built when its first state is expanded, and each row of successors
+    when the first point with that mask is, not before the search.
 
     Far fewer candidate sets than states are reachable (4,705 sets for
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
@@ -773,8 +742,9 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
     fmap = tables.system.map
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
-    succ_masks = {p: succ_balls[fmap[p]] for p in domain}
-    succ = _SuccessorRows(succ_masks, balls, parents)
+    sharers = Counter(succ_balls[fmap[p]] for p in domain)
+    rows: dict[int, tuple] = {}
+    succ: list[tuple | None] = [None] * len(fmap)
     image = tables.image
     images: dict[int, int] = {}
 
@@ -798,7 +768,15 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
             break
         for state in level:
             p, y = state
-            row, done = succ[p]
+            entry = succ[p]
+            if entry is None:
+                m = succ_balls[fmap[p]]
+                entry = rows.get(m)
+                if entry is None:
+                    row = _successor_row(m, balls, parents)
+                    entry = rows[m] = (row, set() if sharers[m] > 1 else None)
+                succ[p] = entry
+            row, done = entry
             if done is not None:
                 if y in done:
                     continue
@@ -813,10 +791,6 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
                     states.append((q, child))
                     if len(states) > cap:
                         raise Inconclusive(len(states), state_cap)
-        if type(succ) is not dict:
-            # The first level holds every domain point, so every entry is
-            # built; later levels read a plain dict, a faster lookup.
-            succ = dict(succ)
     return states, found
 
 

@@ -291,7 +291,10 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
         raise BadParams("a system needs at least one point")
     if any(len(row) != n for row in dist):
         raise BadParams("dist must be a square table")
-    fmap = tuple(fmap)
+    try:
+        fmap = tuple(fmap)
+    except TypeError:
+        raise BadParams(f"map must list {n} image indices") from None
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
     table = _table_of(dist)
@@ -352,14 +355,22 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     """All-pairs shortest-path completion of symmetric positive edge weights.
 
     The result satisfies the triangle inequality by construction. Raises
-    BadParams for nonpositive weights or a disconnected graph.
+    BadParams for an endpoint that is not a point index, nonpositive
+    weights or a disconnected graph.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise BadParams(f"n must be an integer, got {n!r}")
     if n < 1:
         raise BadParams("need at least one point")
     dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = _ZERO
     for i, j, w in edges:
+        for end in (i, j):
+            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < n:
+                raise BadParams(
+                    f"edge {(i, j, w)!r}: endpoint {end!r} is not a point index in 0..{n - 1}"
+                )
         w = parse_rational(w)
         if w <= 0:
             raise BadParams(f"edge weight must be positive, got {w}")
@@ -412,6 +423,8 @@ class GridSystem1D:
     quantization: Fraction | None = None
 
     def __post_init__(self):
+        if not isinstance(self.cells, int) or isinstance(self.cells, bool):
+            raise BadParams(f"cells must be an integer, got {self.cells!r}")
         if self.cells < 1:
             raise BadParams("grid needs at least one cell")
         if self.geometry not in _GEOMETRIES:

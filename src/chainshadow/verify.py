@@ -395,7 +395,12 @@ def run_harness(
     """Run every theorem analog over a parameter grid."""
     if grid is None:
         grid = default_grid(system)
-    entries = tuple(GridEntry(*_rationals(e[0], e[1], e[2])) for e in grid)
+    try:
+        entries = tuple(GridEntry(*_rationals(e[0], e[1], e[2])) for e in grid)
+    except (TypeError, IndexError, KeyError):
+        raise BadParams(
+            "grid must be a collection of (delta_coarse, delta_fine, eps) entries"
+        ) from None
     for entry in entries:
         if entry.delta_fine > entry.delta_coarse:
             raise BadParams("grid entries need delta_fine <= delta_coarse")

@@ -138,6 +138,16 @@ def reference_image_fn(system, runs=None):
     return image
 
 
+def reference_backtrack(system, masks):
+    """``_backtrack`` before it read preimages from ``_Tables``: a scan of
+    each earlier candidate set for the smallest point that the map sends to
+    the point chosen after it."""
+    chosen = min(bits(masks[-1]))
+    for mask in reversed(masks[:-1]):
+        chosen = min(y for y in bits(mask) if system.map[y] == chosen)
+    return chosen
+
+
 def reference_asymp_masks(system, balls):
     """``_asymp_masks`` before the orbit-ordered solve: a worklist of
     (t, bits just added to masks[t]); their preimages are the only new
@@ -380,6 +390,24 @@ class TestIsShadowed:
         tailed = PseudoOrbit.eventually_exact((0, 4), 1, 1)
         with pytest.raises(KindMismatch):
             is_shadowed(parallel, tailed, 1)
+
+
+class TestBacktrack:
+    @given(system_and_chain(), st.integers(min_value=0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_map_scan(self, data, last):
+        """On the nonempty prefix of a pseudo-orbit's candidate sets, with
+        the last set cut down to a nonempty part as the slimit check does,
+        the preimage walk picks the scan's point."""
+        system, _, eps, po = data
+        tables = shadow_mod._Tables(system)
+        full = (1 << system.n) - 1
+        masks = shadow_mod._shadow_masks(tables, po.points, eps, full)
+        masks = masks[: next((i for i, m in enumerate(masks) if m == 0), len(masks))]
+        masks[-1] = masks[-1] & last or masks[-1]
+        chosen = shadow_mod._backtrack(tables, masks)
+        assert chosen == reference_backtrack(system, masks)
+        assert all(m >> x & 1 for m, x in zip(masks, system.orbit(chosen, len(masks))))
 
 
 class TestMergeSets:
@@ -1018,37 +1046,42 @@ class TestSharedSuccessorSkip:
 
 class TestSuccessorRowsOnDemand:
     """``_explore`` builds a point's successor entry at the point's first
-    lookup, so a search stopped at the state cap builds only what it
-    reached, and every entry at most once."""
+    lookup, and a successor mask's row with the first point that has that
+    mask, so a search stopped at the state cap builds only what it
+    reached, and every row at most once."""
 
     @staticmethod
-    def _record_lookups(monkeypatch):
-        missed = []
-        real = shadow_mod._SuccessorRows.__missing__
+    def _record_rows(monkeypatch):
+        built = []
+        real = shadow_mod._successor_row
 
-        def recording(self, p):
-            missed.append(p)
-            return real(self, p)
+        def recording(m, balls, parents):
+            built.append(m)
+            return real(m, balls, parents)
 
-        monkeypatch.setattr(shadow_mod._SuccessorRows, "__missing__", recording)
-        return missed
+        monkeypatch.setattr(shadow_mod, "_successor_row", recording)
+        return built
 
-    def test_one_entry_per_point(self, monkeypatch):
+    def test_one_row_per_mask(self, monkeypatch):
+        """The first level looks up every point, so every point's mask
+        gets its row, once, in the order of the first point with it."""
         system = north_south(64)
-        missed = self._record_lookups(monkeypatch)
-        verdict = check_slimit_property(system, Fraction(1, 16), Fraction(1, 2))
+        delta = Fraction(1, 16)
+        built = self._record_rows(monkeypatch)
+        verdict = check_slimit_property(system, delta, Fraction(1, 2))
         assert verdict.passed and verdict.states_explored > system.n
-        assert missed == list(system.points)
+        masks = [system.ball(system.map[p], delta) for p in system.points]
+        assert built == list(dict.fromkeys(masks))
 
     def test_a_capped_search_builds_what_it_reached(self, monkeypatch):
-        """The first expansion passes a cap of n + 1 states: one entry."""
+        """The first expansion passes a cap of n + 1 states: one row."""
         system = north_south(64)
-        missed = self._record_lookups(monkeypatch)
+        built = self._record_rows(monkeypatch)
         with pytest.raises(Inconclusive):
             check_shadowing_property(
                 system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1
             )
-        assert missed == [0]
+        assert built == [system.ball(system.map[0], Fraction(1, 2))]
 
 
 class TestTranslationRunImage:

@@ -18,8 +18,10 @@ from chainshadow import (
     InvalidSystem,
     UnknownGenerator,
     Violation,
+    brute_force_oracle,
     build_corpus_system,
     cantor_identity,
+    check_shadowing_property,
     discretize,
     doubling,
     format_rational,
@@ -30,6 +32,7 @@ from chainshadow import (
     parse_generator_string,
     parse_rational,
     rotation,
+    run_harness,
     shortest_path_metric,
     standard_corpus,
     system_from_json,
@@ -681,6 +684,62 @@ class TestShortestPathMetric:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(BadParams):
             shortest_path_metric(2, [(0, 1, 0)])
+
+    @pytest.mark.parametrize(
+        "end", [-1, 3, 5, True, 1.0, "1", None], ids=lambda e: repr(e)
+    )
+    def test_endpoint_outside_the_points_rejected(self, end):
+        """-1 would read as point n - 1 and 3 past the table; a bool, a
+        float or a str is no index."""
+        edges = [(0, 1, 1), (0, end, 1), (1, 2, 1)]
+        with pytest.raises(BadParams, match=r"edge \(0, .*endpoint") as caught:
+            shortest_path_metric(3, edges)
+        assert repr(end) in str(caught.value)
+        edges = [(0, 1, 1), (end, 2, 1)]
+        with pytest.raises(BadParams, match="is not a point index in 0..2"):
+            shortest_path_metric(3, edges)
+
+    @pytest.mark.parametrize("n", ["3", 3.0, True, None], ids=lambda n: repr(n))
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(BadParams, match="n must be an integer"):
+            shortest_path_metric(n, [])
+
+
+_ROWS = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_harness(north_south(6), grid=[(1, 1)]),
+        lambda: run_harness(north_south(6), grid=[5]),
+        lambda: run_harness(north_south(6), grid=5),
+        lambda: check_shadowing_property(north_south(6), 1, 1, domain=3),
+        lambda: brute_force_oracle(north_south(6), 1, 1, max_len="3"),
+        lambda: make_system(_ROWS, None),
+        lambda: make_system(_ROWS, 7),
+        lambda: GridSystem1D("4", "circle", "doubling"),
+        lambda: GridSystem1D(True, "circle", "doubling"),
+        lambda: GridSystem1D(4.0, "circle", "doubling"),
+    ],
+    ids=[
+        "grid-pair",
+        "grid-int-entry",
+        "grid-int",
+        "domain-int",
+        "max-len-str",
+        "map-none",
+        "map-int",
+        "cells-str",
+        "cells-bool",
+        "cells-float",
+    ],
+)
+def test_malformed_arguments_raise_bad_params(call):
+    """Arguments of the wrong shape or type are refused as bad parameters,
+    not with whatever TypeError or IndexError the code meets first."""
+    with pytest.raises(BadParams):
+        call()
 
 
 def _fraction_or_bad(text: str):
