@@ -24,7 +24,6 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .bits import bits, mask_of, min_bit, to_frozenset
@@ -207,7 +206,7 @@ def shadow_sets(system, po: PseudoOrbit, eps, domain=None) -> list[frozenset[int
     eps = parse_nonnegative(eps)
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
-    return [to_frozenset(m) for m in _shadow_masks(_Tables(system), po.points, eps, dmask)]
+    return [to_frozenset(m) for m in _shadow_masks(system, po.points, eps, dmask)]
 
 
 def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
@@ -221,19 +220,17 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     eps = parse_nonnegative(eps)
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
-    tables = _Tables(system)
-    masks = _shadow_masks(tables, po.points, eps, dmask)
+    masks = _shadow_masks(system, po.points, eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    return _backtrack(tables, masks)
+    return _backtrack(system, masks)
 
 
 def merge_sets(system, eps, domain=None) -> MergeSet:
     """Merge sets for every point, as a least fixpoint over preimages."""
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    tables = _Tables(system)
-    masks = _asymp_masks(tables, tables.balls(eps, dmask, dmask))
+    masks = _asymp_masks(system, system._balls(eps, dmask, dmask))
     return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
@@ -245,15 +242,14 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     _require_valid(system, po)
     dmask = _domain_mask(system, domain)
     t = po.tail_start
-    tables = _Tables(system)
-    masks = _shadow_masks(tables, po.points[: t + 1], eps, dmask)
+    masks = _shadow_masks(system, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
         return None
-    final = masks[t] & _asymp_masks(tables, tables.balls(eps, dmask, dmask))[po.points[t]]
+    final = masks[t] & _asymp_masks(system, system._balls(eps, dmask, dmask))[po.points[t]]
     if final == 0:
         return None
     masks[t] = final
-    return _backtrack(tables, masks)
+    return _backtrack(system, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
 
 
 def check_shadowing_property(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> ShadowVerdict:
     """Decide whether every delta pseudo-orbit is eps-shadowed.
 
@@ -269,11 +265,11 @@ def check_shadowing_property(
     some reachable state has an empty candidate set, and then reports the
     lexicographically smallest shortest failing prefix as witness.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("shadowing",), _tables)[1][0]
+    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[1][0]
 
 
 def check_slimit_property(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> ShadowVerdict:
     """Decide whether every eventually-exact delta pseudo-orbit is
     eps-limit shadowed.
@@ -283,11 +279,11 @@ def check_slimit_property(
     requires a candidate in Y that merges into p's orbit. Failures are
     reported as the prefix plus tail marker.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit",), _tables)[1][0]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[1][0]
 
 
 def check_both_properties(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP, _tables=None
+    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
 ) -> tuple[ShadowVerdict, ShadowVerdict]:
     """The slimit and the shadowing verdict at (delta, eps), from one BFS.
 
@@ -297,7 +293,7 @@ def check_both_properties(
     than shadowing, and each verdict counts the states visited when it
     resolved.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"), _tables)[1]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
 
 
 def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
@@ -341,7 +337,6 @@ def brute_force_oracle(
     domain=None,
     *,
     point_limit: int = _ORACLE_POINT_GUARD,
-    length_limit: int = _ORACLE_LENGTH_GUARD,
 ) -> OracleVerdict:
     """Enumerate every delta chain of up to ``max_len`` points and test it
     against all candidate shadow points directly from the distance table.
@@ -357,12 +352,13 @@ def brute_force_oracle(
         raise BadParams(f"unknown property {prop!r}")
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
-    if not isinstance(max_len, int) or isinstance(max_len, bool):
-        raise BadParams(f"max_len must be an integer, got {max_len!r}")
+    for name, value in (("max_len", max_len), ("point_limit", point_limit)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise BadParams(f"{name} must be an integer, got {value!r}")
     if system.n > point_limit:
         raise TooLarge(f"{system.n} points exceeds the oracle guard {point_limit}")
-    if max_len > length_limit:
-        raise TooLarge(f"max_len {max_len} exceeds the oracle guard {length_limit}")
+    if max_len > _ORACLE_LENGTH_GUARD:
+        raise TooLarge(f"max_len {max_len} exceeds the oracle guard {_ORACLE_LENGTH_GUARD}")
     if max_len < 2:
         raise BadParams("max_len must be at least 2")
     pts = sorted(bits(_domain_mask(system, domain)))
@@ -478,122 +474,24 @@ def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     return mask_of(pts)
 
 
-def _translation_runs(fmap) -> list[tuple[int, int]]:
-    """(run mask, shift) for each maximal run of consecutive points y on
-    which f(y) - y is one constant shift, in ascending order."""
-    out = []
-    start = 0
-    for y in range(1, len(fmap) + 1):
-        if y == len(fmap) or fmap[y] - y != fmap[start] - start:
-            out.append(((1 << y) - (1 << start), fmap[start] - start))
-            start = y
-    return out
-
-
-def _bit_map(pairs, point_masks):
-    """The map on bitmasks that sends each point y to ``point_masks[y]``
-    and moves each pair's run mask by the pair's shift s (left for s >= 0):
-    M goes to the OR of the shifted (M & run) when M has more points than
-    there are pairs, a few word-level operations per pair, and to the OR
-    of its points' masks otherwise."""
-    left = [(run, s) for run, s in pairs if s >= 0]
-    right = [(run, -s) for run, s in pairs if s < 0]
-    pair_count = len(pairs)
-
-    def apply(mask: int) -> int:
-        out = 0
-        if mask.bit_count() > pair_count:
-            for run, s in left:
-                out |= (mask & run) << s
-            for run, s in right:
-                out |= (mask & run) >> s
-            return out
-        while mask:
-            low = mask & -mask
-            out |= point_masks[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    return apply
-
-
-def _image_fn(system, runs):
-    """f(Y) for a bitmask Y, given the map's ``_translation_runs`` table:
-    each run moves by its shift."""
-    return _bit_map(runs, [1 << t for t in system.map])
-
-
-def _preimage_fn(system, runs):
-    """f^-1(M) for a bitmask M, over the same run table: x lies in
-    f^-1(M) when bit f(x) of M is set, so each run's image moves back by
-    the run's shift."""
-    pre_bit = [0] * len(system.map)
-    for x, t in enumerate(system.map):
-        pre_bit[t] |= 1 << x
-    return _bit_map([(run << s if s >= 0 else run >> -s, -s) for run, s in runs], pre_bit)
-
-
-class _Tables:
-    """The image and preimage functions of one system's map, which read
-    one translation-run table, and its closed ball masks, each built the
-    first time a search reads it.
-
-    ``balls`` keeps, per radius, the full ball of every point it has been
-    asked for and hands each caller the restriction to its domain, so the
-    searches that share one object build each (point, radius) ball once,
-    whatever their domains. One object lives for one public call: the
-    public deciders make a fresh one unless the harness hands them the one
-    it owns for its run.
-    """
-
-    def __init__(self, system: FiniteMetricSystem):
-        self.system = system
-        self._full: dict[Fraction, dict[int, int]] = {}
-
-    @cached_property
-    def runs(self) -> list[tuple[int, int]]:
-        return _translation_runs(self.system.map)
-
-    @cached_property
-    def image(self):
-        return _image_fn(self.system, self.runs)
-
-    @cached_property
-    def preimage(self):
-        return _preimage_fn(self.system, self.runs)
-
-    def balls(self, r: Fraction, keys: int, dmask: int) -> dict[int, int]:
-        """The closed r-ball within the domain ``dmask`` of each point of
-        the mask ``keys``, ascending."""
-        full = self._full.setdefault(r, {})
-        near = self.system._nearest_within
-        out = {}
-        for p in bits(keys):
-            ball = full.get(p)
-            if ball is None:
-                ball = full[p] = mask_of(near(p, r))
-            out[p] = ball & dmask
-        return out
-
-
-def _shadow_masks(tables: _Tables, points, eps: Fraction, dmask: int) -> list[int]:
-    image = tables.image
-    balls = tables.balls(eps, mask_of(points), dmask)
+def _shadow_masks(system, points, eps: Fraction, dmask: int) -> list[int]:
+    image = system._image
+    balls = system._balls(eps, mask_of(points), dmask)
     masks = [balls[points[0]]]
     for x in points[1:]:
         masks.append(image(masks[-1]) & balls[x])
     return masks
 
 
-def _backtrack(tables: _Tables, masks: list[int]) -> int:
-    preimage = tables.preimage
+def _backtrack(system, masks: list[int]) -> int:
+    preimage = system._preimage
     chosen = min_bit(masks[-1])
     for mask in reversed(masks[:-1]):
         chosen = min_bit(mask & preimage(1 << chosen))
     return chosen
 
 
-def _asymp_masks(tables: _Tables, balls: dict[int, int]) -> list[int]:
+def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
     """masks[p] holds every x merging exactly into p's orbit while staying
     within eps beforehand: the least family with p in masks[p] and x in
     masks[p] whenever x is in the eps ball balls[p] and f(x) is in
@@ -609,28 +507,17 @@ def _asymp_masks(tables: _Tables, balls: dict[int, int]) -> list[int]:
     point gained, until a point gains none. The rest of the walk is then
     solved nearest the cycle first, each point once, by that same
     equation. Each point costs one preimage, and a cycle one more per
-    further step of its sweep. A fixed point is a cycle of one, swept
-    without a walk.
+    further step of its sweep; a fixed point is a cycle of one.
     """
-    fmap = tables.system.map
-    preimage = tables.preimage
-    masks = [0] * tables.system.n
-    walked = bytearray(tables.system.n)
+    fmap = system.map
+    preimage = system._preimage
+    masks = [0] * system.n
+    walked = bytearray(system.n)
     for start in balls:
         if walked[start]:
             continue
         walked[start] = 1
         p = fmap[start]
-        if p == start:
-            bit = 1 << p
-            ball = balls[p]
-            mask = bit | ball & preimage(bit)
-            gained = mask ^ bit
-            while gained:
-                gained = ball & preimage(gained) & ~mask
-                mask |= gained
-            masks[p] = mask
-            continue
         walk = [start]
         while not walked[p]:
             walked[p] = 1
@@ -656,26 +543,25 @@ def _asymp_masks(tables: _Tables, balls: dict[int, int]) -> list[int]:
     return masks
 
 
-def _decide(system, delta, eps, domain, state_cap, props, tables=None):
+def _decide(system, delta, eps, domain, state_cap, props):
     """(states, verdicts): every state that one BFS over one ball table per
     radius discovers, and the verdicts of ``props``, in that order. The
-    tables come from ``tables`` (a fresh ``_Tables`` when None). The BFS
-    reads the delta table only at the images f(p), so at delta != eps it
-    is built only there."""
-    if tables is None:
-        tables = _Tables(system)
+    balls come from the system's own memo (``system._balls``), so a ball
+    built by an earlier search on the same system is read, not rebuilt.
+    The BFS reads the delta table only at the images f(p), so at
+    delta != eps it is built only there."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    balls = tables.balls(eps, dmask, dmask)
+    balls = system._balls(eps, dmask, dmask)
     if delta == eps:
         succ_balls = balls
     else:
-        succ_balls = tables.balls(delta, tables.image(dmask), dmask)
-    asymp = _asymp_masks(tables, balls) if "slimit" in props else None
+        succ_balls = system._balls(delta, system._image(dmask), dmask)
+    asymp = _asymp_masks(system, balls) if "slimit" in props else None
     tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
     states, found = _explore(
-        tables, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
+        system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
     )
     verdicts = []
     for prop, hit in zip(props, found):
@@ -695,7 +581,7 @@ def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
     return tuple((q, balls[q], parents[q]) for q in bits(m))
 
 
-def _explore(tables, succ_balls, balls, failing, state_cap):
+def _explore(system, succ_balls, balls, failing, state_cap):
     """Level-synchronized BFS over determinized states, for any number of
     failing predicates.
 
@@ -713,11 +599,12 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
 
     The children of a state (p, Y) are the states (q, image(Y) & balls[q])
     for q in p's successor mask succ_balls[f(p)], over the eps ball table
-    of the domain and the delta table of its images, so they depend on the pair (Y, successor mask)
-    alone. Once one state with that pair has been expanded, every child of
-    a later state with the same pair is already visited, and expanding it
-    again would insert nothing. So such a state is skipped, and no visited
-    state, parent, discovery order, count, witness or cap outcome changes.
+    of the domain and the delta table of its images, so they depend on the
+    pair (Y, successor mask) alone. Once one state with that pair has been
+    expanded, every child of a later state with the same pair is already
+    visited, and expanding it again would insert nothing. So such a state
+    is skipped, and no visited state, parent, discovery order, count,
+    witness or cap outcome changes.
     Only the points whose successor mask another point shares keep a set
     of expanded Y; on rotations, where every point has its own mask,
     nothing is kept or probed. A point's entry (row, expanded sets) is
@@ -726,9 +613,9 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
 
     Far fewer candidate sets than states are reachable (4,705 sets for
     117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
-    set's image is computed once, a translation run at a time where the
-    map has fewer runs than Y has points (``_image_fn``), and kept for the
-    rest of this call; the image function itself comes from ``tables``.
+    set's image is computed once by ``system._image`` (a translation run
+    at a time where the map has fewer runs than Y has points) and kept for
+    the rest of this call.
     ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.
@@ -739,13 +626,13 @@ def _explore(tables, succ_balls, balls, failing, state_cap):
         raise BadParams(f"state_cap must be None or an int >= 0, not {state_cap!r}")
     else:
         cap = state_cap
-    fmap = tables.system.map
+    fmap = system.map
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}
     sharers = Counter(succ_balls[fmap[p]] for p in domain)
     rows: dict[int, tuple] = {}
     succ: list[tuple | None] = [None] * len(fmap)
-    image = tables.image
+    image = system._image
     images: dict[int, int] = {}
 
     states: list[tuple[int, int]] = []

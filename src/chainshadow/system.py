@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import lshift, sub
 
-from .bits import mask_of
+from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
 from .rational import _is_ascii_digits, format_rational, parse_rational
 
@@ -119,7 +119,27 @@ class FiniteMetricSystem:
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
         check_point(self, p)
-        return mask_of(self._nearest_within(p, r))
+        # A domain mask of -1 keeps every point.
+        return self._balls(r, 1 << p, -1)[p]
+
+    @cached_property
+    def _full_balls(self) -> dict:
+        """Per radius r, the full r-ball mask of each point asked for so far."""
+        return {}
+
+    def _balls(self, r, keys: int, dmask: int) -> dict[int, int]:
+        """The closed r-ball within the domain ``dmask`` of each point of
+        the mask ``keys``, ascending. Each full ball is built the first time
+        any caller asks for its (point, radius) and kept for the life of
+        the system: one mask of n bits per (point, radius) asked for."""
+        full = self._full_balls.setdefault(r, {})
+        out = {}
+        for p in bits(keys):
+            ball = full.get(p)
+            if ball is None:
+                ball = full[p] = mask_of(self._nearest_within(p, r))
+            out[p] = ball & dmask
+        return out
 
     def _nearest_within(self, p: int, r) -> array:
         """The closed ball around ``p`` as the prefix of its nearest-first
@@ -127,6 +147,28 @@ class FiniteMetricSystem:
         order = self._nearest_first[p]
         table = self._table
         return order[: bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)]
+
+    @cached_property
+    def _map_runs(self) -> list[tuple[int, int]]:
+        """The map's ``_translation_runs`` table, read by ``_image`` and
+        ``_preimage``."""
+        return _translation_runs(self.map)
+
+    @cached_property
+    def _image(self):
+        """f(Y) for a bitmask Y: each translation run moves by its shift."""
+        return _bit_map(self._map_runs, [1 << t for t in self.map])
+
+    @cached_property
+    def _preimage(self):
+        """f^-1(M) for a bitmask M: x lies in f^-1(M) when bit f(x) of M is
+        set, so each run's image moves back by the run's shift."""
+        pre_bit = [0] * self.n
+        for x, t in enumerate(self.map):
+            pre_bit[t] |= 1 << x
+        return _bit_map(
+            [(run << s if s >= 0 else run >> -s, -s) for run, s in self._map_runs], pre_bit
+        )
 
     @cached_property
     def diameter(self) -> Fraction:
@@ -355,13 +397,19 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     """All-pairs shortest-path completion of symmetric positive edge weights.
 
     The result satisfies the triangle inequality by construction. Raises
-    BadParams for an endpoint that is not a point index, nonpositive
-    weights or a disconnected graph.
+    BadParams for edges that are not (i, j, weight) triples, an endpoint
+    that is not a point index, nonpositive weights or a disconnected graph.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise BadParams(f"n must be an integer, got {n!r}")
     if n < 1:
         raise BadParams("need at least one point")
+    try:
+        edges = [tuple(edge) for edge in edges]
+    except TypeError:
+        edges = None
+    if edges is None or any(len(edge) != 3 for edge in edges):
+        raise BadParams("edges must be a collection of (i, j, weight) triples")
     dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = _ZERO

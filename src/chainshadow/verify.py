@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .bits import mask_of
@@ -28,7 +27,6 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
-    _Tables,
     check_both_properties,
     check_shadowing_property,
     check_slimit_property,
@@ -69,26 +67,19 @@ class TheoremResult:
 
 class _Answers:
     """The verdicts and decompositions of one system, each computed on
-    first use and read back after that, and the ball and image tables that
-    its searches share.
+    first use and read back after that.
 
     One object serves one public call; ``run_harness`` shares one across
-    its grid. It owns the run's ``_Tables``, made on the first search (so
-    the inverse-map answers, which only decompose, build none), and hands
-    them to every decider it calls, so each (point, radius) ball and the
-    image function are built once per run and dropped with the object.
-    The deciders are still looked up as module globals each time they
-    run, so a caller that swaps them still sees every computation.
+    its grid. The ball and image tables its searches read are the
+    system's own, so they outlive the object. The deciders are still
+    looked up as module globals each time they run, so a caller that
+    swaps them still sees every computation.
     """
 
     def __init__(self, system: FiniteMetricSystem, state_cap):
         self.system = system
         self.state_cap = state_cap
         self.memo: dict = {}
-
-    @cached_property
-    def tables(self) -> _Tables:
-        return _Tables(self.system)
 
     def verdict(self, check: str, delta, eps, domain=None) -> ShadowVerdict:
         """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
@@ -98,12 +89,7 @@ class _Answers:
         if verdict is None:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
             verdict = self.memo[key] = decide(
-                self.system,
-                delta,
-                eps,
-                domain=domain,
-                state_cap=self.state_cap,
-                _tables=self.tables,
+                self.system, delta, eps, domain=domain, state_cap=self.state_cap
             )
         return verdict
 
@@ -112,9 +98,7 @@ class _Answers:
         from one BFS when neither is known yet."""
         keys = (("slimit", delta, eps, None), ("shadowing", delta, eps, None))
         if not any(key in self.memo for key in keys):
-            verdicts = check_both_properties(
-                self.system, delta, eps, state_cap=self.state_cap, _tables=self.tables
-            )
+            verdicts = check_both_properties(self.system, delta, eps, state_cap=self.state_cap)
             self.memo.update(zip(keys, verdicts))
         return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
 
@@ -396,11 +380,12 @@ def run_harness(
     if grid is None:
         grid = default_grid(system)
     try:
-        entries = tuple(GridEntry(*_rationals(e[0], e[1], e[2])) for e in grid)
-    except (TypeError, IndexError, KeyError):
-        raise BadParams(
-            "grid must be a collection of (delta_coarse, delta_fine, eps) entries"
-        ) from None
+        entries = tuple(grid)
+    except TypeError:
+        entries = None
+    if entries is None or not all(isinstance(e, (tuple, list)) and len(e) == 3 for e in entries):
+        raise BadParams("grid must be a collection of (delta_coarse, delta_fine, eps) entries")
+    entries = tuple(GridEntry(*_rationals(*e)) for e in entries)
     for entry in entries:
         if entry.delta_fine > entry.delta_coarse:
             raise BadParams("grid entries need delta_fine <= delta_coarse")

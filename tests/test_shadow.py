@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -45,8 +45,9 @@ from chainshadow import (
     verify_slimit_implies_shadowing,
 )
 from chainshadow import shadow as shadow_mod
+from chainshadow import system as system_mod
 from chainshadow import verify as verify_mod
-from chainshadow.bits import bits, mask_of
+from chainshadow.bits import _translation_runs, bits, mask_of
 from chainshadow.cli import main as cli_main
 from conftest import (
     metric_systems,
@@ -57,7 +58,7 @@ from conftest import (
 )
 
 
-def reference_explore(tables, succ_balls, balls, failing, state_cap):
+def reference_explore(system, succ_balls, balls, failing, state_cap):
     """The subset-automaton BFS before image memoisation and the skip of
     repeated (candidate set, successor mask) pairs: every state is
     expanded, the image of a candidate set is recomputed bit by bit for
@@ -65,8 +66,7 @@ def reference_explore(tables, succ_balls, balls, failing, state_cap):
     call into one dict keyed by (p, Y) tuples, and paths are read back
     through that dict. It reads the ball tables ``_explore`` receives:
     ``balls`` (eps, keyed by the domain) and ``succ_balls`` (delta), and
-    only the system of ``tables``."""
-    system = tables.system
+    only the map of ``system``."""
     domain = list(balls)
     succ = {p: tuple(bits(succ_balls[system.map[p]])) for p in domain}
 
@@ -114,21 +114,21 @@ def reference_explore(tables, succ_balls, balls, failing, state_cap):
     return visited, None
 
 
-def reference_per_predicate(tables, succ_balls, balls, failing, state_cap):
+def reference_per_predicate(system, succ_balls, balls, failing, state_cap):
     """``_explore``'s interface for a tuple of failing predicates, served by
     one ``reference_explore`` run per predicate (one run that never fails
     when the tuple is empty)."""
     runs = [
-        reference_explore(tables, succ_balls, balls, fails, state_cap)
+        reference_explore(system, succ_balls, balls, fails, state_cap)
         for fails in failing or (lambda p, y: False,)
     ]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
     return max((visited for visited, _ in runs), key=len), found[: len(failing)]
 
 
-def reference_image_fn(system, runs=None):
-    """``_image_fn`` before translation runs: f(Y) ORs one bit per point
-    of Y. ``runs`` is accepted and ignored, as ``_image_fn`` takes it."""
+def reference_image_fn(system):
+    """``system._image`` before translation runs: f(Y) ORs one bit per
+    point of Y."""
     def image(mask):
         out = 0
         for y in bits(mask):
@@ -139,7 +139,7 @@ def reference_image_fn(system, runs=None):
 
 
 def reference_backtrack(system, masks):
-    """``_backtrack`` before it read preimages from ``_Tables``: a scan of
+    """``_backtrack`` before it read the map's preimage function: a scan of
     each earlier candidate set for the smallest point that the map sends to
     the point chosen after it."""
     chosen = min(bits(masks[-1]))
@@ -197,8 +197,8 @@ def pair_walk_merge_sets(system, eps, domain):
 
 @st.composite
 def image_cases(draw):
-    """A stand-in system (``_image_fn`` reads only ``map``) and a few masks.
-    The map is built from runs, each a translation by a positive, negative
+    """A system on n circle points with a drawn map, and a few masks. The
+    map is built from runs, each a translation by a positive, negative
     or zero shift that either wraps mod n or is clamped into the points, or
     it is a random or a constant map. The masks are dense or have at most
     three points."""
@@ -220,7 +220,8 @@ def image_cases(draw):
                 fmap += [min(max(y + shift, 0), n - 1) for y in range(start, stop)]
     sparse = st.sets(st.integers(0, n - 1), max_size=3).map(mask_of)
     masks = draw(st.lists(st.one_of(st.integers(0, (1 << n) - 1), sparse), max_size=4))
-    return SimpleNamespace(map=tuple(fmap)), masks
+    system = replace(rotation(n, 0), map=tuple(fmap), invertible=len(set(fmap)) == n)
+    return system, masks
 
 
 def invariant_domains(draw, system):
@@ -400,12 +401,11 @@ class TestBacktrack:
         the last set cut down to a nonempty part as the slimit check does,
         the preimage walk picks the scan's point."""
         system, _, eps, po = data
-        tables = shadow_mod._Tables(system)
         full = (1 << system.n) - 1
-        masks = shadow_mod._shadow_masks(tables, po.points, eps, full)
+        masks = shadow_mod._shadow_masks(system, po.points, eps, full)
         masks = masks[: next((i for i, m in enumerate(masks) if m == 0), len(masks))]
         masks[-1] = masks[-1] & last or masks[-1]
-        chosen = shadow_mod._backtrack(tables, masks)
+        chosen = shadow_mod._backtrack(system, masks)
         assert chosen == reference_backtrack(system, masks)
         assert all(m >> x & 1 for m, x in zip(masks, system.orbit(chosen, len(masks))))
 
@@ -504,9 +504,8 @@ class TestOrbitOrderedMergeSets:
     def test_matches_the_worklist_and_the_pair_walk(self, data):
         system, eps, domain = data
         dmask = shadow_mod._domain_mask(system, domain)
-        tables = shadow_mod._Tables(system)
-        balls = tables.balls(eps, dmask, dmask)
-        masks = shadow_mod._asymp_masks(tables, balls)
+        balls = system._balls(eps, dmask, dmask)
+        masks = shadow_mod._asymp_masks(system, balls)
         assert masks == reference_asymp_masks(system, balls)
         expected = pair_walk_merge_sets(system, eps, domain)
         assert list(merge_sets(system, eps, domain).tracks) == expected
@@ -518,8 +517,7 @@ class TestOrbitOrderedMergeSets:
         every distance nothing stops a point from merging on the way."""
         system = north_south(1024)
         full = (1 << system.n) - 1
-        tables = shadow_mod._Tables(system)
-        masks = shadow_mod._asymp_masks(tables, tables.balls(system.diameter + over, full, full))
+        masks = shadow_mod._asymp_masks(system, system._balls(system.diameter + over, full, full))
         assert masks[0] == 1
         assert all(m == full ^ 1 for m in masks[1:])
 
@@ -528,17 +526,17 @@ class TestOrbitOrderedMergeSets:
         sweep: 383 on north_south(256) at eps 1/2."""
         system = north_south(256)
         full = (1 << system.n) - 1
-        tables = shadow_mod._Tables(system)
-        balls = tables.balls(Fraction(1, 2), full, full)
+        balls = system._balls(Fraction(1, 2), full, full)
         calls = []
-        real = tables.preimage
+        real = system._preimage
 
         def counting(mask):
             calls.append(mask)
             return real(mask)
 
-        tables.preimage = counting
-        masks = shadow_mod._asymp_masks(tables, balls)
+        # The system is frozen; its cached preimage function sits in __dict__.
+        vars(system)["_preimage"] = counting
+        masks = shadow_mod._asymp_masks(system, balls)
         assert len(calls) <= 2 * system.n
         assert masks == reference_asymp_masks(system, balls)
 
@@ -548,10 +546,10 @@ class TestOrbitOrderedMergeSets:
         """f^-1(M) by translation runs (M with more points than the map has
         runs) and by preimage masks (the rest) both match the plain loop."""
         system, drawn = data
-        n = len(system.map)
-        runs = shadow_mod._translation_runs(system.map)
+        n = system.n
+        runs = _translation_runs(system.map)
         lowest = [(1 << k) - 1 for k in (len(runs), len(runs) + 1) if k <= n]
-        preimage = shadow_mod._preimage_fn(SimpleNamespace(n=n, map=system.map), runs)
+        preimage = system._preimage
         for mask in [0, (1 << n) - 1, *lowest, *drawn]:
             expected = mask_of(x for x in range(n) if mask >> system.map[x] & 1)
             assert preimage(mask) == expected, mask
@@ -814,20 +812,27 @@ class TestBallTables:
     @example((WIDE, WIDE.distance_values[20], None))
     @settings(max_examples=150)
     def test_balls_match_ball(self, data):
-        """A fresh table, and one that already holds every full ball at the
-        radius, restrict each ball to the domain, keyed by the domain and by
-        the images of the domain."""
+        """A fresh system, and one that already holds every full ball at
+        the radius, restrict each ball to the domain, keyed by the domain
+        and by the images of the domain; ``ball`` reads the same masks.
+        ``replace`` copies a system without its cached tables."""
         system, r, domain = data
         dmask = shadow_mod._domain_mask(system, domain)
         images = mask_of(system.map[p] for p in bits(dmask))
         whole = (1 << system.n) - 1
-        shared = shadow_mod._Tables(system)
-        assert shared.balls(r, whole, whole) == {p: system.ball(p, r) for p in system.points}
+        expected = [
+            mask_of(q for q in system.points if system.dist[p][q] <= r) for p in system.points
+        ]
+        warm = replace(system)
+        assert warm._balls(r, whole, whole) == dict(enumerate(expected))
         for keys in (dmask, images):
-            for tables in (shadow_mod._Tables(system), shared):
-                table = tables.balls(r, keys, dmask)
+            for copy in (replace(system), warm):
+                table = copy._balls(r, keys, dmask)
                 assert list(table) == list(bits(keys))
-                assert table == {p: system.ball(p, r) & dmask for p in bits(keys)}
+                assert table == {p: expected[p] & dmask for p in bits(keys)}
+        fresh = replace(system)
+        assert [fresh.ball(p, r) for p in system.points] == expected
+        assert [warm.ball(p, r) for p in system.points] == expected
 
     @staticmethod
     def _record_nearest_within(monkeypatch):
@@ -862,10 +867,11 @@ class TestBallTables:
         assert sorted(p for p, r in calls if r == eps) == list(system.points)
         assert len(set(system.map)) < system.n
 
-    def _harness_ball_builds(self, monkeypatch, system, grid=None):
-        """(balls built, balls read) by the searches of one ``run_harness``:
-        each search reads the eps balls of its domain and the delta balls
-        of the domain's images."""
+    def _harness_ball_builds(self, monkeypatch, system, grid=None, runs=1):
+        """The balls built by the searches of each of ``runs`` calls of
+        ``run_harness`` on ``system``, the balls they read, and each run's
+        report bytes: each search reads the eps balls of its domain and the
+        delta balls of the domain's images."""
         calls = self._record_nearest_within(monkeypatch)
         real = shadow_mod._decide
         read = set()
@@ -877,15 +883,18 @@ class TestBallTables:
             read.update((system.map[p], delta) for p in points)
             calls.clear()
             out = real(system, delta, eps, domain, *rest)
-            made.extend(calls)
+            made[-1].extend(calls)
             return out
 
         monkeypatch.setattr(shadow_mod, "_decide", recording)
-        run_harness(system, "system", grid)
-        return made, read
+        reports = []
+        for _ in range(runs):
+            made.append([])
+            reports.append(json.dumps(run_harness(system, "system", grid).to_json()))
+        return made, read, reports
 
     def test_harness_searches_build_each_ball_once(self, monkeypatch):
-        made, read = self._harness_ball_builds(monkeypatch, north_south(8))
+        (made,), read, _ = self._harness_ball_builds(monkeypatch, north_south(8))
         assert read and sorted(made) == sorted(read)
 
     def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
@@ -893,25 +902,25 @@ class TestBallTables:
         its balls at the images f(p) serve both tables."""
         eighth, quarter = Fraction(1, 8), Fraction(1, 4)
         grid = [(quarter, quarter, eighth), (quarter, eighth, eighth)]
-        made, read = self._harness_ball_builds(monkeypatch, tent(16), grid)
+        (made,), read, _ = self._harness_ball_builds(monkeypatch, tent(16), grid)
         assert {r for _, r in read} == {eighth, quarter}
         assert sorted(made) == sorted(read)
 
     @staticmethod
     def _record_translation_runs(monkeypatch):
         maps = []
-        real = shadow_mod._translation_runs
+        real = system_mod._translation_runs
 
         def recording(fmap):
             maps.append(fmap)
             return real(fmap)
 
-        monkeypatch.setattr(shadow_mod, "_translation_runs", recording)
+        monkeypatch.setattr(system_mod, "_translation_runs", recording)
         return maps
 
     def test_one_run_table_per_harness_run(self, monkeypatch):
-        """The run table of the map is built once per run, and never for
-        the inverse map, whose answers only decompose."""
+        """The run table of the map is built once, and never for the
+        inverse map, whose answers only decompose."""
         system = rotation(6, 2)
         maps = self._record_translation_runs(monkeypatch)
         graphs = []
@@ -926,45 +935,35 @@ class TestBallTables:
         assert maps == [system.map]
         assert set(graphs) == {system.map, tuple(sorted(system.points, key=system.map.__getitem__))}
 
-    def test_no_table_outlives_a_run(self, monkeypatch):
-        """Two runs on one system each build their own tables: every ball
-        and the run table again."""
+    def test_a_second_run_builds_no_table(self, monkeypatch):
+        """The tables are the system's: a second run on the same system
+        builds no ball and no run table, and writes the same bytes."""
         system = north_south(8)
-        calls = self._record_nearest_within(monkeypatch)
         maps = self._record_translation_runs(monkeypatch)
-        made = []
-        real = verify_mod._Tables
-
-        class Recording(real):
-            def __init__(self, system):
-                made.append(self)
-                super().__init__(system)
-
-        monkeypatch.setattr(verify_mod, "_Tables", Recording)
-        run_harness(system, "north-south:8")
-        first = sorted(calls)
-        calls.clear()
-        run_harness(system, "north-south:8")
-        assert len(made) == 2 and made[0] is not made[1]
-        assert maps == [system.map, system.map]
-        assert first and sorted(calls) == first
+        (first, second), read, reports = self._harness_ball_builds(monkeypatch, system, runs=2)
+        assert read and sorted(first) == sorted(read)
+        assert second == []
+        assert maps == [system.map]
+        assert reports[0] == reports[1]
 
 
-def _harness_outcomes(system, grid):
+def _harness_outcomes(make_system, grid):
     """``run_harness`` JSON bytes without a cap, and what it answers under
-    caps 0, 1, 3 and 7, an ``Inconclusive`` text included."""
+    caps 0, 1, 3 and 7, an ``Inconclusive`` text included, each run on the
+    system ``make_system()`` returns."""
     out = []
     for cap in (None, 0, 1, 3, 7):
         try:
-            out.append(json.dumps(run_harness(system, "system", grid, state_cap=cap).to_json()))
+            report = run_harness(make_system(), "system", grid, state_cap=cap)
+            out.append(json.dumps(report.to_json()))
         except Inconclusive as exc:
             out.append(("inconclusive", exc.states_explored, str(exc)))
     return out
 
 
 class TestRunTablesAgainstFreshTables:
-    """A harness run that shares one table object across its searches
-    answers as one whose every search builds its own tables."""
+    """A harness run on a system whose tables earlier runs filled answers
+    as one on a fresh system, whose every table is built on first use."""
 
     @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
     @pytest.mark.parametrize(
@@ -981,21 +980,17 @@ class TestRunTablesAgainstFreshTables:
         ],
     )
     def test_same_report_bytes_and_caps(self, spec, crossed):
-        system = parse_generator_string(spec)
-        grid = default_grid(system)
+        warm = parse_generator_string(spec)
+        grid = default_grid(warm)
         if crossed:
             # Every fine delta against every eps: most entries have
             # delta != eps, and their radii meet as both.
             values = [entry.eps for entry in grid]
             grid = [GridEntry(grid[0].delta_coarse, d, e) for d in values for e in values]
-        real = shadow_mod._decide
-
-        def fresh_tables(system, delta, eps, domain, state_cap, props, tables=None):
-            return real(system, delta, eps, domain, state_cap, props)
-
-        ours = _harness_outcomes(system, grid)
-        with mock.patch.object(shadow_mod, "_decide", fresh_tables):
-            theirs = _harness_outcomes(system, grid)
+        run_harness(warm, "system", grid)
+        assert vars(warm)["_full_balls"]
+        ours = _harness_outcomes(lambda: warm, grid)
+        theirs = _harness_outcomes(lambda: parse_generator_string(spec), grid)
         assert ours == theirs
         assert isinstance(ours[0], str)
 
@@ -1085,9 +1080,9 @@ class TestSuccessorRowsOnDemand:
 
 
 class TestTranslationRunImage:
-    """``_image_fn`` shifts whole runs of a piecewise-translation map once Y
-    has more points than the map has runs; the bit loop it replaced is the
-    reference on both sides of that switch."""
+    """``system._image`` shifts whole runs of a piecewise-translation map
+    once Y has more points than the map has runs; the bit loop it replaced
+    is the reference on both sides of that switch."""
 
     @given(image_cases())
     @example((rotation(12, 7), []))
@@ -1095,12 +1090,11 @@ class TestTranslationRunImage:
     @settings(max_examples=300)
     def test_matches_the_bit_loop(self, data):
         system, drawn = data
-        n = len(system.map)
-        runs = shadow_mod._translation_runs(system.map)
-        count = len(runs)
+        n = system.n
+        count = len(_translation_runs(system.map))
         # The lowest `count` points take the bit loop, one more the runs.
         lowest = [(1 << k) - 1 for k in (count, count + 1) if k <= n]
-        image = shadow_mod._image_fn(system, runs)
+        image = system._image
         reference = reference_image_fn(system)
         for mask in [0, (1 << n) - 1, *lowest, *drawn]:
             assert image(mask) == reference(mask), mask
@@ -1110,7 +1104,7 @@ class TestTranslationRunImage:
     def test_runs_are_maximal_translations(self, data):
         system, _ = data
         fmap = system.map
-        runs = shadow_mod._translation_runs(fmap)
+        runs = _translation_runs(fmap)
         covered = 0
         for run, shift in runs:
             assert run and not run & covered and run > covered
@@ -1129,7 +1123,7 @@ class TestTranslationRunImage:
         """The generator maps the run image is for have few runs; the tent
         has one per point, so no mask has more points than runs and it
         always takes the bit loop."""
-        assert len(shadow_mod._translation_runs(system.map)) == count
+        assert len(_translation_runs(system.map)) == count
 
     @pytest.mark.parametrize(
         "system",
@@ -1146,7 +1140,11 @@ class TestTranslationRunImage:
         for delta in grid:
             for eps in grid:
                 ours = answers(delta, eps)
-                with mock.patch.object(shadow_mod, "_image_fn", reference_image_fn):
+                # A property on the class wins over the image cached on the
+                # instance.
+                with mock.patch.object(
+                    FiniteMetricSystem, "_image", property(reference_image_fn)
+                ):
                     assert answers(delta, eps) == ours, (delta, eps)
 
 

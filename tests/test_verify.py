@@ -32,6 +32,7 @@ from chainshadow import (
     reachable_shadow_states,
     rotation,
     run_harness,
+    shortest_path_metric,
     standard_corpus,
     validate_pseudo_orbit,
     verify_initial_classes_shadow,
@@ -253,6 +254,39 @@ class TestHarness:
     def test_grid_validation(self, parallel):
         with pytest.raises(BadParams):
             run_harness(parallel, grid=[(Fraction(1, 2), 1, 1)])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # A grid entry is three values: not a string of three digits,
+            # and not four values of which the last would be dropped.
+            lambda: run_harness(rotation(4, 1), grid=["211"]),
+            lambda: run_harness(rotation(4, 1), grid=[(1, 1, 1, 99)]),
+            lambda: run_harness(rotation(4, 1), grid=[(1, 1)]),
+            lambda: run_harness(rotation(4, 1), grid=[5]),
+            lambda: run_harness(rotation(4, 1), grid=5),
+            lambda: shortest_path_metric(3, [(0, 1)]),
+            lambda: shortest_path_metric(2, 5),
+            lambda: shortest_path_metric(2, [5]),
+            lambda: brute_force_oracle(rotation(4, 1), 1, 1, point_limit="3"),
+            lambda: brute_force_oracle(rotation(4, 1), 1, 1, point_limit=None),
+        ],
+        ids=[
+            "grid-string-entry",
+            "grid-four-values",
+            "grid-two-values",
+            "grid-int-entry",
+            "grid-int",
+            "edge-pair",
+            "edges-int",
+            "edge-int",
+            "oracle-str-point-limit",
+            "oracle-none-point-limit",
+        ],
+    )
+    def test_malformed_arguments_raise_bad_params(self, call):
+        with pytest.raises(BadParams):
+            call()
 
     def test_failure_counting(self, parallel):
         report = run_harness(parallel, "pc")
