@@ -169,6 +169,7 @@ class ChainDecomposition:
         return frozenset(p for p, c in enumerate(self.class_index) if c is not None)
 
     def class_of(self, p: int) -> int | None:
+        check_point(self.system, p)
         return self.class_index[p]
 
     def is_terminal(self, i: int) -> bool:

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from operator import lshift, sub
+from operator import lshift
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
-from .rational import _is_ascii_digits, format_rational, parse_rational
+from .rational import _is_ascii_digits, format_rational, parse_nonnegative, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,19 +32,17 @@ _MAX_CANTOR_DEPTH = 10
 # Most points a generator builds or a spec may list; a larger dist table is
 # refused on its row count, before any entry is parsed.
 _MAX_POINTS = 4096
-# Widest common denominator, in bits, at which a table is kept as integer
-# rows. Up to it the rows take a small multiple of the memory of the
-# Fraction table they stand for. Past it they can grow without bound (as
-# n**4 when every entry has its own large denominator), so such a table is
-# kept, checked and queried as Fractions.
+# Widest common denominator, in bits, that a distance table may have. Up to
+# it the integer rows take a small multiple of the memory of the Fraction
+# table they stand for. Past it they can grow without bound (as n**4 when
+# every entry has its own large denominator), so such a table is refused.
 _MAX_COMMON_DENOMINATOR_BITS = 1024
 
 
 class _Table:
-    """The distance table as entries that order, and compare with 0, as the
-    distances do: integer rows over L, the least common denominator of the
-    table, or the Fraction rows themselves (``denominator`` None) when L is
-    wider than ``_MAX_COMMON_DENOMINATOR_BITS``."""
+    """The distance table as integer rows over L, the least common
+    denominator of the table: entries that order, and compare with 0, as
+    the distances do."""
 
     __slots__ = ("rows", "denominator")
 
@@ -54,14 +52,12 @@ class _Table:
 
     def bound(self, r):
         """What a row entry is at most exactly when its distance is at most
-        ``r``: floor(r * L) on integer rows, r itself on Fraction rows."""
-        if self.denominator is None:
-            return r
+        ``r``: floor(r * L)."""
         return r.numerator * self.denominator // r.denominator
 
     def value(self, entry) -> Fraction:
         """The distance that a row entry stands for."""
-        return entry if self.denominator is None else Fraction(entry, self.denominator)
+        return Fraction(entry, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,9 @@ class FiniteMetricSystem:
     """Points 0..n-1 with an exact metric table and a total self-map.
 
     ``quantization`` is a resolution floor recorded by grid discretization;
-    it is informational only and never enforced.
+    it is informational only and never enforced. A ``dist`` whose least
+    common denominator is wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits
+    raises BadParams.
     """
 
     n: int
@@ -87,6 +85,8 @@ class FiniteMetricSystem:
             object.__setattr__(self, "_table", _table_of(self.dist))
 
     def d(self, i: int, j: int) -> Fraction:
+        check_point(self, i)
+        check_point(self, j)
         return self.dist[i][j]
 
     @property
@@ -95,6 +95,7 @@ class FiniteMetricSystem:
 
     def orbit(self, x: int, length: int) -> tuple[int, ...]:
         """First ``length`` points of the forward orbit of ``x``."""
+        check_point(self, x)
         out = []
         for _ in range(length):
             out.append(x)
@@ -120,7 +121,7 @@ class FiniteMetricSystem:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
         check_point(self, p)
         # A domain mask of -1 keeps every point.
-        return self._balls(r, 1 << p, -1)[p]
+        return self._balls(parse_nonnegative(r), 1 << p, -1)[p]
 
     @cached_property
     def _full_balls(self) -> dict:
@@ -216,29 +217,31 @@ def check_point(system: FiniteMetricSystem, p) -> None:
         raise BadParams(f"point index out of range: {p!r}")
 
 
-def _over_common_denominator(rows, max_bits=None) -> tuple[tuple, int] | None:
+def _over_common_denominator(rows) -> tuple[tuple, int]:
     """The rows multiplied by L, the least common denominator of all their
     entries, and L: exact integers that compare, and differ in sign, as the
-    entries do. None when L is wider than ``max_bits`` bits."""
+    entries do. Raises BadParams as soon as L passes
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, before any row is scaled."""
     denominators = {v.denominator for row in rows for v in row}
     common = 1
     for q in denominators:
         common = math.lcm(common, q)
-        if max_bits is not None and common.bit_length() > max_bits:
-            return None
+        if common.bit_length() > _MAX_COMMON_DENOMINATOR_BITS:
+            limit = _MAX_COMMON_DENOMINATOR_BITS
+            raise BadParams(f"the distances' least common denominator is wider than {limit} bits")
     scale = {q: common // q for q in denominators}
     return tuple(tuple(v.numerator * scale[v.denominator] for v in row) for row in rows), common
 
 
 def _table_of(dist) -> _Table:
-    """The table of a Fraction ``dist``: integer rows where L is narrow
-    enough, the Fraction rows otherwise."""
-    scaled = _over_common_denominator(dist, _MAX_COMMON_DENOMINATOR_BITS)
-    return _Table(tuple(map(tuple, dist)), None) if scaled is None else _Table(*scaled)
+    """The integer table of a Fraction ``dist``."""
+    return _Table(*_over_common_denominator(dist))
 
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
-    """Collect violated axioms (capped at a readable number of entries)."""
+    """Collect violated axioms (capped at a readable number of entries).
+    Raises BadParams when the table's least common denominator is wider
+    than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
     return _violations(_table_of(dist), fmap, invertible)
 
 
@@ -285,15 +288,9 @@ def _triangle_pairs(table: _Table):
     d(i, k) > d(i, j) + d(j, k), that is, the largest row_i[k] - row_j[k]
     exceeds row_i[j]."""
     rows = table.rows
-    if table.denominator is None:
-        for i, row_i in enumerate(rows):
-            for j, row_j in enumerate(rows):
-                if max(map(sub, row_i, row_j)) > row_i[j]:
-                    yield i, j
-        return
-    # Integer rows, SIMD within a register (Lamport, CACM 1975): row i is
-    # packed as N_i, the sum of row_i[k] << k*w, with w three bits wider than
-    # the largest |entry|. Lane k of N_j + HIGH - N_i + row_i[j] * ONES is
+    # SIMD within a register (Lamport, CACM 1975): row i is packed as N_i,
+    # the sum of row_i[k] << k*w, with w three bits wider than the largest
+    # |entry|. Lane k of N_j + HIGH - N_i + row_i[j] * ONES is
     # row_j[k] - row_i[k] + row_i[j] + 2**(w-1), strictly between 0 and 2**w,
     # so no lane borrows from or carries into the next, and its top bit is
     # clear exactly when k breaks the triangle inequality.
@@ -352,7 +349,8 @@ def validate_system(spec) -> FiniteMetricSystem:
     Accepts either an explicit record {"n", "dist", "map", "invertible"} or
     a generator reference {"generator": name, "params": {...}}. Raises
     InvalidSystem with the full list of violated axioms, or BadParams for
-    structural problems.
+    structural problems and for a table whose least common denominator is
+    wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits.
     """
     if not isinstance(spec, dict):
         raise BadParams("system spec must be a mapping")

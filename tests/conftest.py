@@ -64,15 +64,16 @@ def metric_systems(draw, max_n: int = 7):
     return make_system(dist, fmap, invertible=len(set(fmap)) == n)
 
 
-def wide_table_system(n=10):
-    """d(i, j) = 1 + 1/q with one q per pair, counting up from 2**40: the
-    common denominator is far past 1024 bits, so the table keeps Fraction
-    rows (every entry lies in (1, 2], so the triangle inequality holds)."""
+def widest_table(bits=1024, n=10):
+    """Rows d(i, j) = 1 + k / 2**(bits - 1), one odd k per pair, and a map:
+    the table's least common denominator is 2**(bits - 1), ``bits`` bits
+    wide, so at 1024 bits it is the widest a system accepts. Every entry
+    lies in (1, 2), so the triangle inequality holds."""
     dist = [[Fraction(0)] * n for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i)]
-    for q, (i, j) in enumerate(pairs, start=2**40):
-        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
-    return make_system(dist, [(3 * p + 1) % n for p in range(n)])
+    for k, (i, j) in enumerate(pairs):
+        dist[i][j] = dist[j][i] = 1 + Fraction(2 * k + 1, 2 ** (bits - 1))
+    return dist, [(3 * p + 1) % n for p in range(n)]
 
 
 @st.composite

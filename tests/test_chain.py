@@ -39,7 +39,7 @@ from chainshadow import (
 )
 from chainshadow.bits import bits
 from chainshadow.rational import format_rational
-from conftest import metric_systems, sweep_values, system_and_scales, wide_table_system
+from conftest import metric_systems, sweep_values, system_and_scales, widest_table
 
 
 # Fixed points at 0, 2 and 4 on a line, each reaching the next one down
@@ -369,8 +369,8 @@ class TestSuccessors:
 
     @pytest.mark.parametrize(
         "system",
-        [system for _, system in TIED_TABLES] + [wide_table_system()],
-        ids=[name for name, _ in TIED_TABLES] + ["fraction-rows"],
+        [system for _, system in TIED_TABLES] + [make_system(*widest_table())],
+        ids=[name for name, _ in TIED_TABLES] + ["1024-bit-denominator"],
     )
     def test_match_the_mask_path_on_explicit_tables(self, system):
         values = system.distance_values
@@ -379,8 +379,8 @@ class TestSuccessors:
         for delta in radii:
             assert build_delta_graph(system, delta).succ == mask_path_succ(system, delta)
 
-    def test_fraction_rows_table(self):
-        assert wide_table_system()._table.denominator is None
+    def test_widest_accepted_table(self):
+        assert make_system(*widest_table())._table.denominator.bit_length() == 1024
 
 
 class TestReachability:

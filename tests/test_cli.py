@@ -123,6 +123,16 @@ class TestAnalyze:
         assert code == 2
         assert "triangle" in err
 
+    @pytest.mark.parametrize("bits, code", [(1024, 0), (1025, 2)])
+    def test_common_denominator_width_limit(self, capsys, tmp_path, bits, code):
+        d = f"1/{2 ** (bits - 1)}"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_two_points(dist=(("0", d), (d, "0")))))
+        got, out, err = run_cli(capsys, "analyze", "--file", str(path), "--delta", "0")
+        assert got == code
+        if code:
+            assert out == "" and "wider than 1024 bits" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "spec",
         [

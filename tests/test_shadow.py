@@ -54,7 +54,7 @@ from conftest import (
     sweep_values,
     system_and_chain,
     system_and_scales,
-    wide_table_system,
+    widest_table,
 )
 
 
@@ -793,14 +793,14 @@ def _against_reference(system, delta, eps, domain, cap):
     return ours, theirs
 
 
-WIDE = wide_table_system()
+WIDE = make_system(*widest_table())
 
 
 @st.composite
 def ball_queries(draw):
-    """A system (now and then one whose table keeps Fraction rows), a
-    radius (0, a sweep value or past the diameter) and a forward-invariant
-    domain (or None)."""
+    """A system (now and then the one whose common denominator is 1024
+    bits, the widest accepted), a radius (0, a sweep value or past the
+    diameter) and a forward-invariant domain (or None)."""
     system = draw(st.one_of(metric_systems(), st.just(WIDE)))
     radii = [Fraction(0), *sweep_values(system), 2 * system.diameter + 1]
     return system, draw(st.sampled_from(radii)), invariant_domains(draw, system)

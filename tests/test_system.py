@@ -20,8 +20,10 @@ from chainshadow import (
     Violation,
     brute_force_oracle,
     build_corpus_system,
+    build_delta_graph,
     cantor_identity,
     check_shadowing_property,
+    decompose,
     discretize,
     doubling,
     format_rational,
@@ -41,7 +43,7 @@ from chainshadow import (
 )
 from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
-from conftest import metric_systems, sweep_values
+from conftest import metric_systems, sweep_values, widest_table
 
 
 def reference_violations(dist, fmap, invertible):
@@ -97,17 +99,6 @@ def square_tables(draw, max_n: int = 8):
                 dist[i][j] = dist[j][i]
     fmap = tuple(draw(st.integers(-1, n)) for _ in range(n))
     return tuple(map(tuple, dist)), fmap, draw(st.booleans())
-
-
-def _wide_table(first_denominator: int, n: int = 10):
-    """d(i, j) = 1 + 1/q with one q per pair, counting up from
-    ``first_denominator``, and d(0, 1) stretched past every two-step path."""
-    dist = [[Fraction(0)] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i)]
-    for q, (i, j) in enumerate(pairs, start=first_denominator):
-        dist[i][j] = dist[j][i] = 1 + Fraction(1, q)
-    dist[0][1] = dist[1][0] = Fraction(5)
-    return tuple(map(tuple, dist))
 
 
 def scalar_triangle_pairs(rows):
@@ -251,20 +242,38 @@ class TestValidation:
 
     @given(square_tables())
     @example((((Fraction(-1, 3),) * 6,) * 6, (0,) * 6, True))  # past the 50-entry cap
+    @example((((Fraction(1, 2**1023),),), (0,), False))  # L of 1024 bits
+    @example((((Fraction(1, 2**1024),),), (0,), False))  # L of 1025 bits
     @settings(max_examples=200)
     def test_matches_the_fraction_reference(self, table):
-        assert metric_violations(*table) == reference_violations(*table)
+        """Equal to the reference on every table whose least common
+        denominator is at most 1024 bits wide; refused past that."""
+        denominators = (v.denominator for row in table[0] for v in row)
+        if math.lcm(*denominators).bit_length() > 1024:
+            with pytest.raises(BadParams, match="wider than 1024 bits"):
+                metric_violations(*table)
+        else:
+            assert metric_violations(*table) == reference_violations(*table)
 
-    @pytest.mark.parametrize("first_denominator", [2, 2**40])
-    def test_both_sides_of_the_denominator_width_limit(self, first_denominator):
-        dist = _wide_table(first_denominator)
-        rows = system_mod._over_common_denominator(
-            dist, system_mod._MAX_COMMON_DENOMINATOR_BITS
-        )
-        assert (rows is None) == (first_denominator == 2**40)
-        found = metric_violations(dist, tuple(range(len(dist))), False)
-        assert found == reference_violations(dist, tuple(range(len(dist))), False)
+    def test_the_widest_accepted_table_is_checked_exactly(self):
+        dist, _ = widest_table()
+        dist[0][1] = dist[1][0] = Fraction(5)  # past every two-step path
+        fmap = tuple(range(len(dist)))
+        found = metric_violations(dist, fmap, False)
+        assert found == reference_violations(dist, fmap, False)
         assert Violation("triangle", (0, 2, 1)) in found
+
+    def test_one_bit_wider_is_refused(self):
+        dist, fmap = widest_table(1025)
+        spec = {"n": len(dist), "dist": [list(map(str, row)) for row in dist], "map": fmap}
+        for build in (
+            lambda: make_system(dist, fmap),
+            lambda: metric_violations(dist, fmap, False),
+            lambda: FiniteMetricSystem(len(dist), tuple(map(tuple, dist)), tuple(fmap)),
+            lambda: validate_system(spec),
+        ):
+            with pytest.raises(BadParams, match="wider than 1024 bits"):
+                build()
 
     @given(integer_rows())
     @example(_extreme_rows(2**4 - 1))  # largest |entry| 2**b - 1: w = b + 3
@@ -374,6 +383,31 @@ class TestDistanceOrder:
             system.ball(p, Fraction(1, 4))
         with pytest.raises(BadParams, match="point index out of range"):
             system.nearest_first(p)
+
+    @pytest.mark.parametrize("p", [-1, 4, 1.0, True, "0"])
+    @pytest.mark.parametrize(
+        "accessor",
+        [
+            lambda system, p: system.orbit(p, 3),
+            lambda system, p: system.d(p, 0),
+            lambda system, p: system.d(0, p),
+            lambda system, p: decompose(build_delta_graph(system, 0)).class_of(p),
+        ],
+        ids=["orbit", "d-row", "d-column", "class_of"],
+    )
+    def test_point_accessors_check_the_index(self, accessor, p):
+        with pytest.raises(BadParams, match="point index out of range"):
+            accessor(rotation(4, 1), p)
+
+    def test_ball_parses_its_radius(self):
+        system = rotation(4, 1)
+        assert system.ball(0, "1/2") == system.ball(0, Fraction(1, 2)) == 0b1111
+        assert system.ball(0, 0) == 0b1
+        for r in (0.5, -1, "-1/4", "1/0"):
+            with pytest.raises(BadParams):
+                system.ball(0, r)
+        # A refused radius leaves no ball table behind.
+        assert list(system._full_balls) == [Fraction(1, 2), 0]
 
 
 # The generators as they were written on Fractions, one Fraction operation
@@ -502,10 +536,11 @@ _INTEGER_BUILT = [
 
 def _radii(dist):
     """0, every distance v, v -+ 1/(7L) for the common denominator L of
-    the table, and a radius past the diameter."""
+    the table (a ball's radius is never negative), and a radius past the
+    diameter."""
     values = sorted({v for row in dist for v in row})
     off = Fraction(1, 7 * math.lcm(*(v.denominator for v in values)))
-    near = [v + sign * off for v in values for sign in (-1, 1)]
+    near = [v + sign * off for v in values for sign in (-1, 1) if v + sign * off >= 0]
     return [Fraction(0), *values, *near, values[-1] + 1]
 
 
@@ -558,13 +593,9 @@ class TestIntegerTables:
         radii = _radii(system.dist)
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
-    @pytest.mark.parametrize("first_denominator", [2, 2**40])
-    def test_both_sides_of_the_width_limit_answer_alike(self, first_denominator):
-        dist = [list(row) for row in _wide_table(first_denominator)]
-        dist[0][1] = dist[1][0] = Fraction(3, 2)  # every entry in (1, 2): a metric
-        fmap = [(p + 1) % len(dist) for p in range(len(dist))]
-        system = make_system(dist, fmap)
-        assert (system._table.denominator is None) == (first_denominator == 2**40)
+    def test_the_widest_accepted_table_answers_as_its_fractions(self):
+        system = make_system(*widest_table())
+        assert system._table.denominator.bit_length() == 1024
         radii = _radii(system.dist)
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
