@@ -16,8 +16,8 @@ from itertools import count
 
 from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
-from .rational import format_rational, parse_nonnegative
-from .system import FiniteMetricSystem, check_point
+from .rational import check_collection, check_int, format_rational, parse_nonnegative
+from .system import FiniteMetricSystem, check_point, check_points
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ class ChainDecomposition:
         return frozenset(p for p, c in enumerate(self.class_index) if c is not None)
 
     def class_of(self, p: int) -> int | None:
-        check_point(self.system, p)
-        return self.class_index[p]
+        return self.class_index[check_point(self.system, p)]
 
     def is_terminal(self, i: int) -> bool:
         return self.class_reach[i] == 0
@@ -235,19 +234,17 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
 
 def class_order(dec: ChainDecomposition, a: int, b: int) -> bool:
     """Reflexive order: class a is below class b when b reaches a."""
-    _check_class(dec, a)
-    _check_class(dec, b)
+    for i in (a, b):
+        check_int("class index", i, 0, len(dec.classes) - 1)
     return a == b or bool(dec.class_reach[b] & (1 << a))
 
 
 def neighborhood(system: FiniteMetricSystem, points, r) -> frozenset[int]:
     """Closed r-neighborhood of a nonempty point set."""
     r = parse_nonnegative(r)
-    points = frozenset(points)
+    points = check_points(system, points)
     if not points:
         raise EmptySet("neighborhood of the empty set")
-    for p in points:
-        check_point(system, p)
     pmask = mask_of(points)
     return frozenset(x for x in system.points if system.ball(x, r) & pmask)
 
@@ -261,12 +258,10 @@ def isolated_classes(dec: ChainDecomposition, r) -> tuple[int, ...]:
 
 
 def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
-    a = frozenset(a)
-    b = frozenset(b)
+    a = check_points(system, a)
+    b = check_points(system, b)
     if not a or not b:
         raise EmptySet("Hausdorff distance needs nonempty sets")
-    for p in a | b:
-        check_point(system, p)
     d = system.dist
     forward = max(min(d[x][y] for y in b) for x in a)
     backward = max(min(d[y][x] for x in a) for y in b)
@@ -287,13 +282,11 @@ def omega_cycle(system: FiniteMetricSystem, x: int) -> frozenset[int]:
 
 def invariant_core(system: FiniteMetricSystem, points) -> frozenset[int]:
     """Greatest forward-invariant subset of the given point set."""
-    core = set(points)
-    for p in core:
-        check_point(system, p)
+    core = check_points(system, points)
     while True:
         leaving = {p for p in core if system.map[p] not in core}
         if not leaving:
-            return frozenset(core)
+            return core
         core -= leaving
 
 
@@ -326,7 +319,7 @@ def _require_decreasing(deltas) -> None:
 
 
 def refine_ladder(system: FiniteMetricSystem, deltas) -> DeltaLadder:
-    resolved = [parse_nonnegative(d) for d in deltas]
+    resolved = [parse_nonnegative(d) for d in check_collection("deltas", deltas)]
     if not resolved:
         raise BadParams("need at least one delta")
     _require_decreasing(resolved)
@@ -410,8 +403,3 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
             lines.append(f"  C{a} -> C{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _check_class(dec: ChainDecomposition, i) -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(dec.classes):
-        raise BadParams(f"class index out of range: {i!r}")

@@ -66,5 +66,25 @@ def parse_nonnegative(value) -> Fraction:
     return q
 
 
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` when it is an int (not a bool) within [lo, hi], where None
+    is an open bound; otherwise BadParams, naming the range if bounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (lo is None or lo <= value) and (hi is None or value <= hi):
+            return value
+    elif lo is None and hi is None:
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    allowed = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+    raise BadParams(f"{name} out of range: {value!r} is not an integer {allowed}")
+
+
+def check_collection(name: str, value) -> tuple:
+    """The items of ``value`` as a tuple; BadParams when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise BadParams(f"{name} must be a collection, got {value!r}") from None
+
+
 def format_rational(q: Fraction) -> str:
     return str(q)

@@ -36,8 +36,8 @@ from .errors import (
     NotFailing,
     TooLarge,
 )
-from .rational import format_rational, parse_nonnegative
-from .system import FiniteMetricSystem, check_point
+from .rational import check_collection, check_int, format_rational, parse_nonnegative
+from .system import FiniteMetricSystem, check_points
 
 PLAIN = "plain"
 EVENTUALLY_EXACT = "eventually_exact"
@@ -66,23 +66,20 @@ class PseudoOrbit:
     tail_start: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", check_collection("pseudo-orbit points", self.points))
         object.__setattr__(self, "delta", parse_nonnegative(self.delta))
         if not self.points:
             raise BadParams("a pseudo-orbit needs at least one point")
         if self.tail_start is not None:
-            if not isinstance(self.tail_start, int) or isinstance(self.tail_start, bool):
-                raise BadParams("tail_start must be an int position")
-            if not 0 <= self.tail_start < len(self.points):
-                raise BadParams("tail_start must index a stored point")
+            check_int("tail_start", self.tail_start, 0, len(self.points) - 1)
 
     @classmethod
     def plain(cls, points, delta) -> "PseudoOrbit":
-        return cls(tuple(points), delta, None)
+        return cls(points, delta, None)
 
     @classmethod
     def eventually_exact(cls, points, delta, tail_start: int) -> "PseudoOrbit":
-        return cls(tuple(points), delta, tail_start)
+        return cls(points, delta, tail_start)
 
     @property
     def kind(self) -> str:
@@ -135,8 +132,7 @@ class OrbitViolation(NamedTuple):
 
 def first_violation(system: FiniteMetricSystem, po: PseudoOrbit) -> OrbitViolation | None:
     """First step breaking the orbit's own error bounds, if any."""
-    for p in po.points:
-        check_point(system, p)
+    check_points(system, po.points)
     zero = Fraction(0)
     for i, err in enumerate(po.errors(system)):
         if po.tail_start is not None and i >= po.tail_start:
@@ -203,9 +199,7 @@ def shadow_sets(system, po: PseudoOrbit, eps, domain=None) -> list[frozenset[int
     of the previous one intersected with the ball around the next point.
     An empty set certifies that no point eps-tracks the prefix.
     """
-    eps = parse_nonnegative(eps)
-    _require_valid(system, po)
-    dmask = _domain_mask(system, domain)
+    eps, dmask = _orbit_inputs(system, po, eps, domain)
     return [to_frozenset(m) for m in _shadow_masks(system, po.points, eps, dmask)]
 
 
@@ -217,9 +211,7 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     """
     if po.kind != PLAIN:
         raise KindMismatch("is_shadowed expects a plain pseudo-orbit")
-    eps = parse_nonnegative(eps)
-    _require_valid(system, po)
-    dmask = _domain_mask(system, domain)
+    eps, dmask = _orbit_inputs(system, po, eps, domain)
     masks = _shadow_masks(system, po.points, eps, dmask)
     if any(m == 0 for m in masks):
         return None
@@ -238,9 +230,7 @@ def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     """A point eps-tracking the whole orbit and merging into its tail."""
     if po.kind != EVENTUALLY_EXACT:
         raise KindMismatch("is_limit_shadowed expects an eventually-exact pseudo-orbit")
-    eps = parse_nonnegative(eps)
-    _require_valid(system, po)
-    dmask = _domain_mask(system, domain)
+    eps, dmask = _orbit_inputs(system, po, eps, domain)
     t = po.tail_start
     masks = _shadow_masks(system, po.points[: t + 1], eps, dmask)
     if any(m == 0 for m in masks):
@@ -352,15 +342,11 @@ def brute_force_oracle(
         raise BadParams(f"unknown property {prop!r}")
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
-    for name, value in (("max_len", max_len), ("point_limit", point_limit)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise BadParams(f"{name} must be an integer, got {value!r}")
-    if system.n > point_limit:
+    check_int("max_len", max_len, 2)
+    if system.n > check_int("point_limit", point_limit):
         raise TooLarge(f"{system.n} points exceeds the oracle guard {point_limit}")
     if max_len > _ORACLE_LENGTH_GUARD:
         raise TooLarge(f"max_len {max_len} exceeds the oracle guard {_ORACLE_LENGTH_GUARD}")
-    if max_len < 2:
-        raise BadParams("max_len must be at least 2")
     pts = sorted(bits(_domain_mask(system, domain)))
     dist = system.dist
     fmap = system.map
@@ -446,26 +432,24 @@ def brute_force_oracle(
 # internals
 
 
-def _require_valid(system, po: PseudoOrbit) -> None:
+def _orbit_inputs(system, po: PseudoOrbit, eps, domain) -> tuple[Fraction, int]:
+    """eps and the mask of ``domain``, once ``po`` is found to keep its bounds."""
+    eps = parse_nonnegative(eps)
     hit = first_violation(system, po)
     if hit is not None:
         raise BadParams(
             f"pseudo-orbit breaks its bound at position {hit.position}: "
             f"error {hit.error} > {hit.bound}"
         )
+    return eps, _domain_mask(system, domain)
 
 
 def _domain_mask(system: FiniteMetricSystem, domain) -> int:
     if domain is None:
         return (1 << system.n) - 1
-    try:
-        pts = frozenset(domain)
-    except TypeError:
-        raise BadParams(f"domain must be a collection of point indices, not {domain!r}") from None
+    pts = check_points(system, domain)
     if not pts:
         raise EmptyDomain("domain must contain at least one point")
-    for p in pts:
-        check_point(system, p)
     for p in pts:
         if system.map[p] not in pts:
             raise DomainNotInvariant(
@@ -620,12 +604,7 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.
     """
-    if state_cap is None:
-        cap = sys.maxsize
-    elif isinstance(state_cap, bool) or not isinstance(state_cap, int) or state_cap < 0:
-        raise BadParams(f"state_cap must be None or an int >= 0, not {state_cap!r}")
-    else:
-        cap = state_cap
+    cap = sys.maxsize if state_cap is None else check_int("state_cap", state_cap, 0)
     fmap = system.map
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}

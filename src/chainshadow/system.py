@@ -21,7 +21,14 @@ from operator import lshift
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
-from .rational import _is_ascii_digits, format_rational, parse_nonnegative, parse_rational
+from .rational import (
+    _is_ascii_digits,
+    check_collection,
+    check_int,
+    format_rational,
+    parse_nonnegative,
+    parse_rational,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,13 +49,14 @@ _MAX_COMMON_DENOMINATOR_BITS = 1024
 class _Table:
     """The distance table as integer rows over L, the least common
     denominator of the table: entries that order, and compare with 0, as
-    the distances do."""
+    the distances do. A system reuses it only with the ``dist`` it was built from."""
 
-    __slots__ = ("rows", "denominator")
+    __slots__ = ("rows", "denominator", "dist")
 
-    def __init__(self, rows, denominator):
+    def __init__(self, rows, denominator, dist=None):
         self.rows = rows
         self.denominator = denominator
+        self.dist = dist
 
     def bound(self, r):
         """What a row entry is at most exactly when its distance is at most
@@ -65,9 +73,10 @@ class FiniteMetricSystem:
     """Points 0..n-1 with an exact metric table and a total self-map.
 
     ``quantization`` is a resolution floor recorded by grid discretization;
-    it is informational only and never enforced. A ``dist`` whose least
-    common denominator is wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits
-    raises BadParams.
+    it is informational only and never enforced. Construction checks the
+    shape, not the axioms: BadParams unless ``dist`` is n rows of n ints or
+    Fractions with a least common denominator of at most
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits and ``map`` lists n point indices.
     """
 
     n: int
@@ -76,18 +85,22 @@ class FiniteMetricSystem:
     invertible: bool = False
     quantization: Fraction | None = None
     # Every distance comparison reads this table. Builders that already hold
-    # it pass it in, and dataclasses.replace hands it on; otherwise it is
-    # made from dist here.
+    # it pass it in, and dataclasses.replace hands it on; it is made from
+    # dist here when none is given or it was built from another dist.
     _table: _Table | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._table is None:
+        n = check_int("n", self.n, 1)
+        if len(self.dist) != n or len(self.map) != n or any(len(row) != n for row in self.dist):
+            raise BadParams(f"{n} points need {n} rows of {n} distances and {n} map entries")
+        check_points(self, self.map)
+        if self._table is None or self._table.dist is not self.dist:
+            if not {type(v) for row in self.dist for v in row} <= {int, Fraction}:
+                raise BadParams("distances must be ints or Fractions")
             object.__setattr__(self, "_table", _table_of(self.dist))
 
     def d(self, i: int, j: int) -> Fraction:
-        check_point(self, i)
-        check_point(self, j)
-        return self.dist[i][j]
+        return self.dist[check_point(self, i)][check_point(self, j)]
 
     @property
     def points(self) -> range:
@@ -97,7 +110,7 @@ class FiniteMetricSystem:
         """First ``length`` points of the forward orbit of ``x``."""
         check_point(self, x)
         out = []
-        for _ in range(length):
+        for _ in range(check_int("length", length, 0)):
             out.append(x)
             x = self.map[x]
         return tuple(out)
@@ -114,8 +127,7 @@ class FiniteMetricSystem:
 
         A read-only view: the order is cached and shared by every query.
         """
-        check_point(self, p)
-        return memoryview(self._nearest_first[p]).toreadonly()
+        return memoryview(self._nearest_first[check_point(self, p)]).toreadonly()
 
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
@@ -173,8 +185,7 @@ class FiniteMetricSystem:
 
     @cached_property
     def diameter(self) -> Fraction:
-        rows = self._table.rows
-        return self._table.value(max(map(max, rows))) if rows else _ZERO
+        return self._table.value(max(map(max, self._table.rows)))
 
     @cached_property
     def distance_values(self) -> tuple[Fraction, ...]:
@@ -211,10 +222,21 @@ class FiniteMetricSystem:
         }
 
 
-def check_point(system: FiniteMetricSystem, p) -> None:
-    """Reject anything but an int index of a point of ``system``."""
-    if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < system.n:
-        raise BadParams(f"point index out of range: {p!r}")
+def check_point(system: FiniteMetricSystem, p) -> int:
+    """``p`` when it is an int index of a point of ``system``, else BadParams."""
+    return check_int("point index", p, 0, system.n - 1)
+
+
+def check_points(system: FiniteMetricSystem, points) -> frozenset[int]:
+    """``points``, a collection of point indices of ``system``, as a frozenset;
+    otherwise BadParams."""
+    try:
+        pts = frozenset(points)
+    except TypeError:
+        raise BadParams(f"expected a collection of point indices, got {points!r}") from None
+    for p in pts:
+        check_point(system, p)
+    return pts
 
 
 def _over_common_denominator(rows) -> tuple[tuple, int]:
@@ -234,14 +256,16 @@ def _over_common_denominator(rows) -> tuple[tuple, int]:
 
 
 def _table_of(dist) -> _Table:
-    """The integer table of a Fraction ``dist``."""
-    return _Table(*_over_common_denominator(dist))
+    """The integer table of ``dist``, a table of ints and Fractions."""
+    return _Table(*_over_common_denominator(dist), dist)
 
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries).
-    Raises BadParams when the table's least common denominator is wider
-    than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
+    Raises BadParams where ``make_system`` does: on an entry that is not a
+    rational, a table that is not square, a map of another length or a
+    common denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
+    dist, fmap = _parsed(dist, fmap)
     return _violations(_table_of(dist), fmap, invertible)
 
 
@@ -315,8 +339,9 @@ class _ParsedStrings(dict):
         return q
 
 
-def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
-    """Build a system from raw rows, validating every axiom exactly."""
+def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
+    """The rows as a square table of Fractions and the map as a tuple with
+    one entry per row; BadParams otherwise."""
     # Each distinct string is parsed once, and its entries share one Fraction.
     # Only str values are memoised: 1, 1.0, True and Fraction(1) hash alike,
     # and the float and the bool must still be refused.
@@ -326,21 +351,22 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
         for row in dist_rows
     )
     n = len(dist)
-    if n < 1:
-        raise BadParams("a system needs at least one point")
     if any(len(row) != n for row in dist):
         raise BadParams("dist must be a square table")
-    try:
-        fmap = tuple(fmap)
-    except TypeError:
-        raise BadParams(f"map must list {n} image indices") from None
+    fmap = check_collection("map", fmap)
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
+    return dist, fmap
+
+
+def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
+    """Build a system from raw rows, validating every axiom exactly."""
+    dist, fmap = _parsed(dist_rows, fmap)
     table = _table_of(dist)
     violations = _violations(table, fmap, bool(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(n, dist, fmap, bool(invertible), _table=table)
+    return FiniteMetricSystem(len(dist), dist, fmap, bool(invertible), _table=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:
@@ -360,8 +386,7 @@ def validate_system(spec) -> FiniteMetricSystem:
     if missing:
         raise BadParams(f"system spec missing keys: {sorted(missing)}")
     declared_n, dist, fmap = spec["n"], spec["dist"], spec["map"]
-    if not isinstance(declared_n, int) or isinstance(declared_n, bool):
-        raise BadParams(f"n must be an integer, got {declared_n!r}")
+    check_int("n", declared_n)
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise BadParams("dist must be a list of row lists")
     if len(dist) > _MAX_POINTS:
@@ -398,25 +423,17 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     BadParams for edges that are not (i, j, weight) triples, an endpoint
     that is not a point index, nonpositive weights or a disconnected graph.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise BadParams(f"n must be an integer, got {n!r}")
-    if n < 1:
+    if check_int("n", n) < 1:
         raise BadParams("need at least one point")
-    try:
-        edges = [tuple(edge) for edge in edges]
-    except TypeError:
-        edges = None
-    if edges is None or any(len(edge) != 3 for edge in edges):
+    edges = [check_collection("edge", edge) for edge in check_collection("edges", edges)]
+    if any(len(edge) != 3 for edge in edges):
         raise BadParams("edges must be a collection of (i, j, weight) triples")
     dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = _ZERO
     for i, j, w in edges:
         for end in (i, j):
-            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < n:
-                raise BadParams(
-                    f"edge {(i, j, w)!r}: endpoint {end!r} is not a point index in 0..{n - 1}"
-                )
+            check_int(f"edge {(i, j, w)!r}: endpoint", end, 0, n - 1)
         w = parse_rational(w)
         if w <= 0:
             raise BadParams(f"edge weight must be positive, got {w}")
@@ -469,10 +486,11 @@ class GridSystem1D:
     quantization: Fraction | None = None
 
     def __post_init__(self):
-        if not isinstance(self.cells, int) or isinstance(self.cells, bool):
-            raise BadParams(f"cells must be an integer, got {self.cells!r}")
-        if self.cells < 1:
-            raise BadParams("grid needs at least one cell")
+        check_int("cells", self.cells, 1)
+        params = tuple(map(parse_rational, check_collection("params", self.params)))
+        object.__setattr__(self, "params", params)
+        if self.quantization is not None:
+            object.__setattr__(self, "quantization", parse_nonnegative(self.quantization))
         if self.geometry not in _GEOMETRIES:
             raise BadParams(f"unknown geometry {self.geometry!r}")
         if self.formula not in _FORMULAS:
@@ -546,7 +564,7 @@ def _points_system(
     shared = {v: Fraction(v, unit) for v in ints}
     dist = tuple(tuple(map(shared.__getitem__, row)) for row in rows)
     return FiniteMetricSystem(
-        len(rows), dist, tuple(fmap), invertible, quantization, _table=_Table(rows, unit)
+        len(rows), dist, tuple(fmap), invertible, quantization, _table=_Table(rows, unit, dist)
     )
 
 
@@ -557,7 +575,7 @@ def _points_system(
 def cantor_identity(depth: int) -> FiniteMetricSystem:
     """Identity map on the 2**depth left endpoints of the level-``depth``
     middle-thirds construction, with the line metric |x - y|."""
-    _require_int("depth", depth, 0, _MAX_CANTOR_DEPTH)
+    check_int("depth", depth, 0, _MAX_CANTOR_DEPTH)
     # Positions over 3**depth: the step 2/3**level is 2 * 3**(depth - level).
     points = [0]
     for level in range(1, depth + 1):
@@ -568,9 +586,8 @@ def cantor_identity(depth: int) -> FiniteMetricSystem:
 
 def rotation(n: int, k: int) -> FiniteMetricSystem:
     """Rigid rotation p -> p + k on n equally spaced circle points."""
-    _require_int("n", n, 1, _MAX_POINTS)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise BadParams("rotation step k must be an integer")
+    check_int("n", n, 1, _MAX_POINTS)
+    check_int("rotation step k", k)
     return _points_system(range(n), n, True, [(i + k) % n for i in range(n)], True)
 
 
@@ -583,7 +600,7 @@ def north_south(n: int) -> FiniteMetricSystem:
     step, the chain structure is exactly two classes: the source (initial)
     and the sink (terminal).
     """
-    _require_int("n", n, 3, _MAX_POINTS)
+    check_int("n", n, 3, _MAX_POINTS)
     interior = n - 2
     side_a = (interior + 1) // 2
     side_b = interior // 2
@@ -624,13 +641,13 @@ def parallel_cycles() -> FiniteMetricSystem:
 
 def doubling(cells: int) -> FiniteMetricSystem:
     """Angle doubling on the circle, discretized to ``cells`` centers."""
-    _require_int("cells", cells, 1, _MAX_POINTS)
+    check_int("cells", cells, 1, _MAX_POINTS)
     return discretize(GridSystem1D(cells, "circle", "doubling"))
 
 
 def tent(cells: int) -> FiniteMetricSystem:
     """Tent map on the unit interval, discretized to ``cells`` centers."""
-    _require_int("cells", cells, 1, _MAX_POINTS)
+    check_int("cells", cells, 1, _MAX_POINTS)
     return discretize(GridSystem1D(cells, "interval", "tent"))
 
 
@@ -643,13 +660,6 @@ def far_two_cycles() -> FiniteMetricSystem:
         [4, 4, 1, 0],
     ]
     return make_system(rows, (1, 0, 3, 2), invertible=True)
-
-
-def _require_int(name: str, value, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadParams(f"{name} must be an integer")
-    if not lo <= value <= hi:
-        raise BadParams(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
 _GENERATORS = {

@@ -22,7 +22,7 @@ from .chain import (
     invariant_core,
 )
 from .errors import BadParams, NotInvertible
-from .rational import format_rational, parse_nonnegative
+from .rational import check_collection, format_rational, parse_nonnegative
 from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
@@ -379,11 +379,8 @@ def run_harness(
     """Run every theorem analog over a parameter grid."""
     if grid is None:
         grid = default_grid(system)
-    try:
-        entries = tuple(grid)
-    except TypeError:
-        entries = None
-    if entries is None or not all(isinstance(e, (tuple, list)) and len(e) == 3 for e in entries):
+    entries = check_collection("grid", grid)
+    if not all(isinstance(e, (tuple, list)) and len(e) == 3 for e in entries):
         raise BadParams("grid must be a collection of (delta_coarse, delta_fine, eps) entries")
     entries = tuple(GridEntry(*_rationals(*e)) for e in entries)
     for entry in entries:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from operator import sub
 
@@ -16,6 +17,7 @@ from chainshadow import (
     FiniteMetricSystem,
     GridSystem1D,
     InvalidSystem,
+    PseudoOrbit,
     UnknownGenerator,
     Violation,
     brute_force_oracle,
@@ -27,12 +29,16 @@ from chainshadow import (
     discretize,
     doubling,
     format_rational,
+    hausdorff_distance,
+    invariant_core,
     load_system,
     make_system,
     metric_violations,
+    neighborhood,
     north_south,
     parse_generator_string,
     parse_rational,
+    refine_ladder,
     rotation,
     run_harness,
     shortest_path_metric,
@@ -727,7 +733,7 @@ class TestShortestPathMetric:
             shortest_path_metric(3, edges)
         assert repr(end) in str(caught.value)
         edges = [(0, 1, 1), (end, 2, 1)]
-        with pytest.raises(BadParams, match="is not a point index in 0..2"):
+        with pytest.raises(BadParams, match="is not an integer in 0..2"):
             shortest_path_metric(3, edges)
 
     @pytest.mark.parametrize("n", ["3", 3.0, True, None], ids=lambda n: repr(n))
@@ -752,6 +758,38 @@ _ROWS = [[0, 1], [1, 0]]
         lambda: GridSystem1D("4", "circle", "doubling"),
         lambda: GridSystem1D(True, "circle", "doubling"),
         lambda: GridSystem1D(4.0, "circle", "doubling"),
+        lambda: invariant_core(rotation(4, 1), 5),
+        lambda: invariant_core(rotation(4, 1), [[0]]),
+        lambda: neighborhood(rotation(4, 1), 5, 1),
+        lambda: hausdorff_distance(rotation(4, 1), 5, [1]),
+        lambda: hausdorff_distance(rotation(4, 1), [0], [4]),
+        lambda: rotation(4, 1).orbit(0, "3"),
+        lambda: rotation(4, 1).orbit(0, -1),
+        lambda: rotation(4, 1).orbit(0, True),
+        lambda: metric_violations([[0, 0.5], [0.5, 0]], (0, 1), False),
+        lambda: metric_violations([[0, 1]], (0,), False),
+        lambda: metric_violations(_ROWS, (0,), False),
+        lambda: metric_violations(_ROWS, None, False),
+        lambda: FiniteMetricSystem(3, ((0, 1), (1, 0)), (0, 1)),
+        lambda: FiniteMetricSystem(2, ((0, 1), (1, 0)), (0,)),
+        lambda: FiniteMetricSystem(2, ((0, 1), (1, 0)), (0, 5)),
+        lambda: FiniteMetricSystem(2, ((0, 1), (1, 0)), (0, "1")),
+        lambda: FiniteMetricSystem(2, (("0", "1"), ("1", "0")), (0, 1)),
+        lambda: FiniteMetricSystem(2, ((0, 0.5), (0.5, 0)), (0, 1)),
+        lambda: FiniteMetricSystem(0, (), ()),
+        lambda: refine_ladder(rotation(4, 1), 5),
+        lambda: PseudoOrbit(5, 1),
+        lambda: PseudoOrbit.plain(5, 1),
+        lambda: PseudoOrbit((0, 1), 1, 2),
+        lambda: GridSystem1D(4, "circle", "rotation", (0.25,)),
+        lambda: GridSystem1D(4, "circle", "rotation", 5),
+        lambda: GridSystem1D(4, "circle", "doubling", quantization=0.5),
+        lambda: GridSystem1D(4, "circle", "doubling", quantization="-1/2"),
+        lambda: brute_force_oracle(north_south(6), 1, 1, point_limit="3"),
+        lambda: brute_force_oracle(north_south(6), 1, 1, max_len=1),
+        lambda: validate_system({"n": "2", "dist": _ROWS, "map": [0, 1]}),
+        lambda: rotation(4, "1"),
+        lambda: cantor_identity(11),
     ],
     ids=[
         "grid-pair",
@@ -764,6 +802,38 @@ _ROWS = [[0, 1], [1, 0]]
         "cells-str",
         "cells-bool",
         "cells-float",
+        "core-int",
+        "core-unhashable",
+        "neighborhood-int",
+        "hausdorff-int",
+        "hausdorff-point",
+        "orbit-length-str",
+        "orbit-length-negative",
+        "orbit-length-bool",
+        "violations-float",
+        "violations-not-square",
+        "violations-short-map",
+        "violations-map-none",
+        "direct-rows",
+        "direct-short-map",
+        "direct-map-target",
+        "direct-map-str",
+        "direct-str-entries",
+        "direct-float-entries",
+        "direct-no-points",
+        "ladder-int",
+        "pseudo-orbit-int",
+        "plain-int",
+        "tail-start-past-end",
+        "grid-float-param",
+        "grid-int-params",
+        "grid-float-quantization",
+        "grid-negative-quantization",
+        "point-limit-str",
+        "max-len-one",
+        "spec-n-str",
+        "rotation-k-str",
+        "cantor-depth",
     ],
 )
 def test_malformed_arguments_raise_bad_params(call):
@@ -771,6 +841,29 @@ def test_malformed_arguments_raise_bad_params(call):
     not with whatever TypeError or IndexError the code meets first."""
     with pytest.raises(BadParams):
         call()
+
+
+def test_rational_strings_are_valid_arguments():
+    """The string forms that every rational argument takes."""
+    assert metric_violations([["0", "1/2"], ["1/2", "0"]], (1, 0), True) == []
+    assert metric_violations([["0", "1/2"], ["1", "0"]], (0, 0), False) == [
+        Violation("symmetry", (1, 0))
+    ]
+    grid = GridSystem1D(4, "circle", "rotation", ("1/4",), quantization="1/2")
+    assert grid.params == (Fraction(1, 4),) and grid.quantization == Fraction(1, 2)
+    assert discretize(grid).map == (1, 2, 3, 0)
+
+
+def test_a_replaced_table_is_rebuilt():
+    """A system copied with a new dist reads the new distances; one copied
+    with a new map keeps the integer table."""
+    system = rotation(4, 1)
+    doubled = tuple(tuple(2 * v for v in row) for row in system.dist)
+    wide = replace(system, dist=doubled)
+    assert wide.dist[0][1] == Fraction(1, 2) and wide.diameter == 1
+    assert wide.ball(0, Fraction(1, 4)) == 0b1
+    assert wide.ball(0, Fraction(1, 2)) == 0b1011
+    assert replace(system, map=(0, 1, 2, 3))._table is system._table
 
 
 def _fraction_or_bad(text: str):
