@@ -172,14 +172,14 @@ class ChainDecomposition:
         return self.class_index[check_point(self.system, p)]
 
     def is_terminal(self, i: int) -> bool:
-        return self.class_reach[i] == 0
+        return self.class_reach[check_int("class index", i, 0, len(self.classes) - 1)] == 0
 
     def is_initial(self, i: int) -> bool:
-        return self.class_above[i] == 0
+        return self.class_above[check_int("class index", i, 0, len(self.classes) - 1)] == 0
 
     def is_isolated(self, i: int, r: Fraction) -> bool:
         """Whether class i lies farther than r from every other class."""
-        sep = self.separation[i]
+        sep = self.separation[check_int("class index", i, 0, len(self.classes) - 1)]
         return sep is None or sep > r
 
     def terminal_classes(self) -> tuple[int, ...]:
@@ -336,14 +336,10 @@ def refine_ladder(system: FiniteMetricSystem, deltas) -> DeltaLadder:
             mapping.append(parents.pop())
         refinement.append(tuple(mapping))
     threshold = system.functional_threshold
-    stabilized = None
-    if threshold is not None:
-        for k, d in enumerate(resolved):
-            if d < threshold:
-                stabilized = k
-                break
-    elif resolved:
-        stabilized = 0  # one-point system: always the plain orbit graph
+    # A one-point system has no threshold: it is always the plain orbit graph.
+    stabilized = next(
+        (k for k, d in enumerate(resolved) if threshold is None or d < threshold), None
+    )
     return DeltaLadder(
         system, tuple(resolved), tuple(levels), tuple(refinement), threshold, stabilized
     )
@@ -362,11 +358,14 @@ def decomposition_report(dec: ChainDecomposition) -> dict:
             {
                 "id": i,
                 "points": sorted(cls),
-                "terminal": dec.is_terminal(i),
-                "initial": dec.is_initial(i),
+                "terminal": reach == 0,
+                "initial": above == 0,
                 "separation": None if sep is None else format_rational(sep),
             }
-            for i, (cls, sep) in enumerate(zip(dec.classes, dec.separation))
+            # Read off the masks: each index is a class, so no per-class check.
+            for i, (cls, reach, above, sep) in enumerate(
+                zip(dec.classes, dec.class_reach, dec.class_above, dec.separation)
+            )
         ],
         "order": [[i, j] for i, above in dec._above_runs() for j in above],
     }
@@ -382,16 +381,17 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
     if isolation_radius is not None:
         isolation_radius = parse_nonnegative(isolation_radius)
     lines = ["digraph chain_components {", "  node [shape=box];"]
-    for i, cls in enumerate(dec.classes):
+    # Flags are read off the masks, as in decomposition_report.
+    classes = zip(dec.classes, dec.class_reach, dec.class_above, dec.separation)
+    for i, (cls, reach, above, sep) in enumerate(classes):
         flags = []
-        if dec.is_terminal(i):
+        if reach == 0:
             flags.append("terminal")
-        if dec.is_initial(i):
+        if above == 0:
             # initial classes are exactly the maximal ones of the class order
             flags += ["initial", "maximal"]
-        if isolation_radius is not None and dec.is_isolated(i, isolation_radius):
+        if isolation_radius is not None and (sep is None or sep > isolation_radius):
             flags.append("isolated")
-        sep = dec.separation[i]
         label = f"C{i}|size={len(cls)}"
         if flags:
             label += "|" + ",".join(flags)

@@ -20,29 +20,29 @@ from .chain import (
     decomposition_report,
     refine_ladder,
 )
-from .errors import ChainShadowError, Inconclusive
-from .rational import _is_ascii_digits, format_rational, parse_nonnegative
+from .errors import BadParams, ChainShadowError, Inconclusive
+from .rational import format_rational, parse_int, parse_nonnegative
 from .shadow import DEFAULT_STATE_CAP, check_shadowing_property, check_slimit_property
 from .system import generator_names, load_system, parse_generator_string
 from .verify import GridEntry, default_grid, run_harness
 
 
-def _rational_arg(text: str):
-    try:
-        return parse_nonnegative(text)
-    except ChainShadowError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _arg(parse):
+    """An argparse type: the library parser ``parse``, with its BadParams
+    reported as an invalid argument."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except BadParams as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
 
 
-def _rational_list_arg(text: str):
-    return tuple(_rational_arg(part) for part in text.split(","))
-
-
-def _positive_int(text: str) -> int:
-    """Plain ASCII digits with an optional '+', as for generator params."""
-    if not _is_ascii_digits(text.removeprefix("+")) or int(text) < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return int(text)
+_rational_arg = _arg(parse_nonnegative)
+_rational_list_arg = _arg(lambda text: tuple(map(parse_nonnegative, text.split(","))))
+_state_cap_arg = _arg(lambda text: parse_int("state cap", text, 1))
 
 
 def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None:
@@ -55,7 +55,7 @@ def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None
     )
     sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
+    sub.add_argument("--state-cap", type=_state_cap_arg, default=DEFAULT_STATE_CAP)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,14 +112,20 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        # parse_generator_string and run_harness are read as module globals
+        # at each call: bench/spans.py swaps them to time them.
+        system = load_system(args.file) if args.gen is None else parse_generator_string(args.gen)
+        text, code = args.handler(args, system)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except ChainShadowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ChainShadowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -129,36 +135,29 @@ def console_entry() -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments and the system and returns
+# (report text, exit code).
 
 
-def _cmd_analyze(args) -> int:
-    system = _load(args)
+def _cmd_analyze(args, system) -> tuple[str, int]:
     _warn_below_quantization(system, [args.delta])
     dec = decompose(build_delta_graph(system, args.delta))
     if args.format == "dot":
-        radius = args.delta if args.delta > 0 else None
-        text = decomposition_dot(dec, isolation_radius=radius)
-    elif args.format == "table":
-        text = _analyze_table(dec)
-    else:
-        text = _dumps(decomposition_report(dec))
-    _emit(text, args.out)
-    return 0
+        return decomposition_dot(dec, isolation_radius=args.delta or None), 0
+    if args.format == "table":
+        return _analyze_table(dec), 0
+    return _dumps(decomposition_report(dec)), 0
 
 
-def _cmd_shadow(args) -> int:
-    system = _load(args)
+def _cmd_shadow(args, system) -> tuple[str, int]:
     _warn_below_quantization(system, [args.delta])
     check = check_slimit_property if args.property == "slimit" else check_shadowing_property
     verdict = check(system, args.delta, args.eps, state_cap=args.state_cap)
     text = _dumps(verdict.to_json()) if args.format == "json" else _shadow_table(verdict)
-    _emit(text, args.out)
-    return 0 if verdict.passed else 1
+    return text, 0 if verdict.passed else 1
 
 
-def _cmd_ladder(args) -> int:
-    system = _load(args)
+def _cmd_ladder(args, system) -> tuple[str, int]:
     _warn_below_quantization(system, args.deltas)
     ladder = refine_ladder(system, args.deltas)
     report = {
@@ -178,13 +177,10 @@ def _cmd_ladder(args) -> int:
         ],
         "refinement": [list(mapping) for mapping in ladder.refinement],
     }
-    text = _dumps(report) if args.format == "json" else _ladder_table(report)
-    _emit(text, args.out)
-    return 0
+    return _dumps(report) if args.format == "json" else _ladder_table(report), 0
 
 
-def _cmd_verify(args) -> int:
-    system = _load(args)
+def _cmd_verify(args, system) -> tuple[str, int]:
     if args.deltas:
         _require_decreasing(args.deltas)
         _warn_below_quantization(system, args.deltas)
@@ -194,25 +190,13 @@ def _cmd_verify(args) -> int:
         grid = [GridEntry(e.delta_coarse, e.delta_fine, args.eps) for e in default_grid(system)]
     else:
         grid = None
-    report = run_harness(
-        system,
-        name=args.gen if args.gen is not None else args.file,
-        grid=grid,
-        state_cap=args.state_cap,
-    )
+    report = run_harness(system, args.gen or args.file, grid, state_cap=args.state_cap)
     text = _dumps(report.to_json()) if args.format == "json" else _verify_table(report)
-    _emit(text, args.out)
-    return 0 if report.nonvacuous_failures == 0 else 1
+    return text, 0 if report.nonvacuous_failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _load(args):
-    if args.gen is not None:
-        return parse_generator_string(args.gen)
-    return load_system(args.file)
 
 
 def _warn_below_quantization(system, deltas) -> None:
@@ -230,14 +214,6 @@ def _warn_below_quantization(system, deltas) -> None:
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _analyze_table(dec) -> str:

@@ -78,12 +78,27 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
     raise BadParams(f"{name} out of range: {value!r} is not an integer {allowed}")
 
 
+def parse_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``check_int`` of ``value``, where a str must be at most 4300 plain
+    ASCII digits with at most one leading sign and stands for their int."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if not _is_ascii_digits(digits) or len(digits) > _MAX_DIGITS:
+            raise BadParams(
+                f"{name}: expected an integer of at most {_MAX_DIGITS} digits, got {value!r}"
+            )
+        value = int(value)
+    return check_int(name, value, lo, hi)
+
+
 def check_collection(name: str, value) -> tuple:
-    """The items of ``value`` as a tuple; BadParams when it is not iterable."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise BadParams(f"{name} must be a collection, got {value!r}") from None
+    """The items of ``value`` as a tuple; BadParams for a str or a non-iterable."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise BadParams(f"{name} must be a collection, got {value!r}")
 
 
 def format_rational(q: Fraction) -> str:

@@ -66,7 +66,10 @@ class PseudoOrbit:
     tail_start: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", check_collection("pseudo-orbit points", self.points))
+        points = check_collection("pseudo-orbit points", self.points)
+        for p in points:
+            check_int("pseudo-orbit point", p, 0)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "delta", parse_nonnegative(self.delta))
         if not self.points:
             raise BadParams("a pseudo-orbit needs at least one point")

@@ -22,10 +22,10 @@ from operator import lshift
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
 from .rational import (
-    _is_ascii_digits,
     check_collection,
     check_int,
     format_rational,
+    parse_int,
     parse_nonnegative,
     parse_rational,
 )
@@ -76,7 +76,8 @@ class FiniteMetricSystem:
     it is informational only and never enforced. Construction checks the
     shape, not the axioms: BadParams unless ``dist`` is n rows of n ints or
     Fractions with a least common denominator of at most
-    ``_MAX_COMMON_DENOMINATOR_BITS`` bits and ``map`` lists n point indices.
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits and ``map`` lists n point indices;
+    both are stored as tuples.
     """
 
     n: int
@@ -91,10 +92,14 @@ class FiniteMetricSystem:
 
     def __post_init__(self):
         n = check_int("n", self.n, 1)
+        object.__setattr__(self, "map", check_collection("map", self.map))
+        rebuild = self._table is None or self._table.dist is not self.dist
+        if rebuild:
+            object.__setattr__(self, "dist", _rows(self.dist))
         if len(self.dist) != n or len(self.map) != n or any(len(row) != n for row in self.dist):
             raise BadParams(f"{n} points need {n} rows of {n} distances and {n} map entries")
         check_points(self, self.map)
-        if self._table is None or self._table.dist is not self.dist:
+        if rebuild:
             if not {type(v) for row in self.dist for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
             object.__setattr__(self, "_table", _table_of(self.dist))
@@ -339,6 +344,11 @@ class _ParsedStrings(dict):
         return q
 
 
+def _rows(dist) -> tuple[tuple, ...]:
+    """``dist`` as a tuple of row tuples; BadParams unless each is a collection."""
+    return tuple(check_collection("dist row", row) for row in check_collection("dist", dist))
+
+
 def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
     """The rows as a square table of Fractions and the map as a tuple with
     one entry per row; BadParams otherwise."""
@@ -348,7 +358,7 @@ def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
     parsed = _ParsedStrings()
     dist = tuple(
         tuple(parsed[v] if type(v) is str else parse_rational(v) for v in row)
-        for row in dist_rows
+        for row in _rows(dist_rows)
     )
     n = len(dist)
     if any(len(row) != n for row in dist):
@@ -697,16 +707,7 @@ def build_corpus_system(name: str, params=()) -> FiniteMetricSystem:
             raise BadParams(
                 f"{name} takes {len(param_names)} params ({', '.join(param_names) or 'none'})"
             )
-    return fn(*(_coerce_int(a) for a in args))
-
-
-def _coerce_int(value):
-    """A str param as the integer its ASCII digits (optional sign) spell."""
-    if isinstance(value, str):
-        if not _is_ascii_digits(value[1:] if value[:1] in ("+", "-") else value):
-            raise BadParams(f"expected an integer, got {value!r}")
-        return int(value)
-    return value
+    return fn(*(parse_int(f"{name} param {p}", a) for p, a in zip(param_names, args)))
 
 
 def parse_generator_string(text: str) -> FiniteMetricSystem:

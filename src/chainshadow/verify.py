@@ -112,7 +112,11 @@ class _Answers:
         """Shadowing verdict at ``dec.delta`` on the invariant core of class
         ``i``, or None when that core is empty (a degenerate class)."""
         core = invariant_core(self.system, dec.classes[i])
-        return self.verdict("shadowing", dec.delta, eps, core) if core else None
+        if not core:
+            return None
+        # A core of every point asks the whole system's question, under its key.
+        domain = None if len(core) == self.system.n else core
+        return self.verdict("shadowing", dec.delta, eps, domain)
 
     def reversed(self) -> _Answers:
         """The answers for the inverse map of an invertible system: these

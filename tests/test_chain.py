@@ -661,6 +661,14 @@ class TestLadder:
         ladder = refine_ladder(rotation(4, 1), [1, 0])
         assert ladder.class_counts() == (1, 1)
 
+    def test_one_point_system_is_stable_from_the_first_level(self):
+        ladder = refine_ladder(rotation(1, 0), [1, 0])
+        assert ladder.threshold is None and ladder.stabilized_at == 0
+
+    def test_needs_a_delta(self, parallel):
+        with pytest.raises(BadParams, match="at least one delta"):
+            refine_ladder(parallel, [])
+
     def test_not_decreasing(self, parallel):
         with pytest.raises(NotDecreasing):
             refine_ladder(parallel, [1, 1])

@@ -157,6 +157,48 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "analyze", "--file", str(missing), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff{}")
+        code, out, err = run_cli(capsys, "analyze", "--file", str(latin), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "delta, table",
+        [
+            (
+                "1/8",
+                "delta: 1/8\n"
+                "chain recurrent points: 2\n"
+                "classes: 2\n"
+                "  C0: points=[0] flags=initial sep=1/2\n"
+                "  C1: points=[4] flags=terminal sep=1/2\n"
+                "  C1 <= C0\n",
+            ),
+            (
+                "1/2",
+                "delta: 1/2\n"
+                "chain recurrent points: 8\n"
+                "classes: 1\n"
+                "  C0: points=[0, 1, 2, 3, 4, 5, 6, 7] flags=terminal,initial sep=-\n",
+            ),
+        ],
+    )
+    def test_table_format(self, capsys, delta, table):
+        code, out, err = run_cli(
+            capsys, "analyze", "--gen", "north-south:8", "--delta", delta, "--format", "table"
+        )
+        assert (code, out, err) == (0, table, "")
+
     def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 2000 + "]" * 2000)
@@ -301,6 +343,45 @@ class TestLadder:
         assert "deltas must strictly decrease, got 1/2, 1/2" in err
         assert "Fraction(" not in err
 
+    @pytest.mark.parametrize(
+        "gen, deltas, table",
+        [
+            (
+                "north-south:8",
+                "1/2,1/8,1/64",
+                "deltas: 1/2, 1/8, 1/64\n"
+                "  delta=1/2: 1 classes, 8 recurrent points\n"
+                "  delta=1/8: 2 classes, 2 recurrent points\n"
+                "  delta=1/64: 2 classes, 2 recurrent points\n"
+                "functional threshold: 1/32\n"
+                "stabilized at level: 2\n",
+            ),
+            (
+                "north-south:8",
+                "1/2,1/8",
+                "deltas: 1/2, 1/8\n"
+                "  delta=1/2: 1 classes, 8 recurrent points\n"
+                "  delta=1/8: 2 classes, 2 recurrent points\n"
+                "functional threshold: 1/32\n"
+                "stabilized at level: never\n",
+            ),
+            (
+                "rotation:1:0",
+                "1,0",
+                "deltas: 1, 0\n"
+                "  delta=1: 1 classes, 1 recurrent points\n"
+                "  delta=0: 1 classes, 1 recurrent points\n"
+                "functional threshold: -\n"
+                "stabilized at level: 0\n",
+            ),
+        ],
+    )
+    def test_table_format(self, capsys, gen, deltas, table):
+        code, out, err = run_cli(
+            capsys, "ladder", "--gen", gen, "--deltas", deltas, "--format", "table"
+        )
+        assert (code, out, err) == (0, table, "")
+
     def test_single_delta(self, capsys):
         code, out, _ = run_cli(
             capsys, "ladder", "--gen", "rotation:4:1", "--deltas", "1"
@@ -351,6 +432,24 @@ class TestVerify:
         )
         assert code == 0 and "nonvacuous failures: 0" in out
 
+    def test_eps_without_deltas_keeps_the_default_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--gen", "rotation:2:1", "--eps", "1/4", "--format", "table"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "system: rotation:2:1\n"
+            "  [dc=1/2 df=1/4 eps=1/4] slimit_implies_shadowing: holds\n"
+            "  [dc=1/2 df=1/4 eps=1/4] shadowing_class_denseness: holds\n"
+            "  [dc=1/2 df=1/4 eps=1/4] initial_classes_shadow: holds\n"
+            "  [dc=1/2 df=1/4 eps=1/4] isolated_classes_shadow: holds\n"
+            "  [dc=1/2 df=1/2 eps=1/4] slimit_implies_shadowing: holds\n"
+            "  [dc=1/2 df=1/2 eps=1/4] shadowing_class_denseness: vacuous\n"
+            "  [dc=1/2 df=1/2 eps=1/4] initial_classes_shadow: vacuous\n"
+            "  [dc=1/2 df=1/2 eps=1/4] isolated_classes_shadow: vacuous\n"
+            "nonvacuous failures: 0\n"
+        )
+
     def test_mutated_checker_breaks_the_gate(self, capsys, monkeypatch):
         import chainshadow.verify as verify_mod
         from chainshadow import PseudoOrbit, ShadowVerdict
@@ -368,7 +467,10 @@ class TestVerify:
             )
 
         monkeypatch.setattr(verify_mod, "check_shadowing_property", sabotaged)
-        code, out, _ = run_cli(capsys, "verify", "--gen", "rotation:4:1")
+        # rotation:6:2 is two 3-cycles, so its class cores are proper subsets
+        # and take restricted checks. Every core of rotation:4:1 is the whole
+        # system, which the harness asks under the whole-system key.
+        code, out, _ = run_cli(capsys, "verify", "--gen", "rotation:6:2")
         assert code == 1
         assert json.loads(out)["nonvacuous_failures"] > 0
 
@@ -415,6 +517,24 @@ class TestPlumbing:
         )
         assert code == 2 and out == ""
         assert "--state-cap" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            ("0", "state cap out of range: 0 is not an integer >= 1"),
+            ("-5", "state cap out of range: -5 is not an integer >= 1"),
+            ("-0", "state cap out of range: 0 is not an integer >= 1"),
+            ("+-5", "state cap: expected an integer of at most 4300 digits, got '+-5'"),
+        ],
+    )
+    def test_state_cap_below_one_is_refused(self, capsys, cap, message):
+        code, out, err = run_cli(
+            capsys,
+            "shadow", "--gen", "parallel-cycles", "--delta", "1", "--eps", "1",
+            "--state-cap", cap,
+        )
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument --state-cap: {message}\n")
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(

@@ -49,6 +49,7 @@ from chainshadow import (
 )
 from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
+from chainshadow.rational import parse_int
 from conftest import metric_systems, sweep_values, widest_table
 
 
@@ -745,6 +746,11 @@ class TestShortestPathMetric:
 _ROWS = [[0, 1], [1, 0]]
 
 
+def _ns6_classes():
+    """north-south:6 at delta 0: two classes, the source and the sink."""
+    return decompose(build_delta_graph(north_south(6), 0))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -790,6 +796,23 @@ _ROWS = [[0, 1], [1, 0]]
         lambda: validate_system({"n": "2", "dist": _ROWS, "map": [0, 1]}),
         lambda: rotation(4, "1"),
         lambda: cantor_identity(11),
+        # A bare string is one text, not a collection of its characters.
+        lambda: refine_ladder(rotation(4, 1), "21"),
+        lambda: PseudoOrbit("01", 0),
+        lambda: make_system(_ROWS, "10"),
+        lambda: GridSystem1D(4, "circle", "rotation", "1/4"),
+        lambda: PseudoOrbit(("a", "b"), 0),
+        lambda: PseudoOrbit((1.0,), 0),
+        lambda: PseudoOrbit((0, -1), 0),
+        lambda: make_system(5, (0,)),
+        lambda: metric_violations([5], (0,), False),
+        lambda: FiniteMetricSystem(2, 5, (0, 1)),
+        lambda: FiniteMetricSystem(2, (5, (1, 0)), (0, 1)),
+        lambda: build_corpus_system("rotation", ["1" * 4301, 1]),
+        lambda: _ns6_classes().is_initial(-1),
+        lambda: _ns6_classes().is_terminal(2),
+        lambda: _ns6_classes().is_isolated(2, 1),
+        lambda: _ns6_classes().is_terminal("0"),
     ],
     ids=[
         "grid-pair",
@@ -834,6 +857,22 @@ _ROWS = [[0, 1], [1, 0]]
         "spec-n-str",
         "rotation-k-str",
         "cantor-depth",
+        "ladder-str",
+        "pseudo-orbit-str",
+        "map-str",
+        "grid-str-params",
+        "pseudo-orbit-str-points",
+        "pseudo-orbit-float-point",
+        "pseudo-orbit-negative-point",
+        "make-int-dist",
+        "violations-int-row",
+        "direct-int-dist",
+        "direct-int-row",
+        "generator-param-4301-digits",
+        "initial-class-minus-one",
+        "terminal-class-k",
+        "isolated-class-k",
+        "terminal-class-str",
     ],
 )
 def test_malformed_arguments_raise_bad_params(call):
@@ -841,6 +880,18 @@ def test_malformed_arguments_raise_bad_params(call):
     not with whatever TypeError or IndexError the code meets first."""
     with pytest.raises(BadParams):
         call()
+
+
+def test_a_direct_system_stores_tuples():
+    """Lists handed to a direct construction are stored as tuples, so the
+    system is hashable and its table cannot change under it."""
+    system = FiniteMetricSystem(2, [[0, 1], [1, 0]], [1, 0])
+    assert system.dist == ((0, 1), (1, 0)) and system.map == (1, 0)
+    assert hash(system) == hash(FiniteMetricSystem(2, ((0, 1), (1, 0)), (1, 0)))
+    assert system.ball(0, 1) == 0b11 and system.diameter == 1
+    # Builders that hand in their table keep it, built on the dist they pass.
+    for built in (rotation(4, 1), make_system(_ROWS, (1, 0))):
+        assert built._table.dist is built.dist
 
 
 def test_rational_strings_are_valid_arguments():
@@ -893,6 +944,31 @@ _RATIONAL_TEXT = st.one_of(
     ),
     st.builds(str, st.integers(-(10**30), 10**30)),
 )
+
+
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+@given(st.text(alphabet="0123456789+-_ \t\u00b2\u0665", max_size=6))
+@example("-0")
+@example("+-5")
+@example("1_0")
+@example(" 5")
+@example("\u0665")
+@example("+")
+def test_parse_int_keeps_the_integer_text_rules(text):
+    """parse_int takes exactly the strings of the two rules it replaced:
+    generator params were ASCII digits after at most one sign, and
+    --state-cap was ASCII digits after at most one '+', valued at least 1."""
+    param_ok = _ascii_digits(text[1:] if text[:1] in ("+", "-") else text)
+    cap_ok = _ascii_digits(text.removeprefix("+")) and int(text) >= 1
+    for lo, ok in ((None, param_ok), (1, cap_ok)):
+        if ok:
+            assert parse_int("value", text, lo) == int(text)
+        else:
+            with pytest.raises(BadParams):
+                parse_int("value", text, lo)
 
 
 class TestParseRational:

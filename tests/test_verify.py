@@ -28,7 +28,9 @@ from chainshadow import (
     check_slimit_property,
     default_grid,
     find_slimit_violation,
+    invariant_core,
     is_shadowed,
+    parse_generator_string,
     reachable_shadow_states,
     rotation,
     run_harness,
@@ -224,7 +226,9 @@ class TestMutatedCheckerSentinel:
             )
 
         monkeypatch.setattr(verify_mod, "check_shadowing_property", sabotaged)
-        system = rotation(4, 1)
+        # Two 3-cycles: the class cores are proper subsets, so they take
+        # restricted checks (a core of every point is asked as the whole system).
+        system = rotation(6, 2)
         result = verify_initial_classes_shadow(system, 0, Fraction(1, 4))
         assert result.status == FAILS
         assert result.witnesses
@@ -250,6 +254,14 @@ class TestHarness:
         assert any(
             entry["slimit_violation"] is not None for entry in payload["entries"]
         )
+
+    def test_one_point_system(self):
+        """A one-point system has no distance values, so its grid is the one
+        entry (0, 0, 0)."""
+        report = run_harness(rotation(1, 0), "one")
+        assert report.entries == (GridEntry(0, 0, 0),)
+        assert [r.status for r in report.results[0]] == [HOLDS] * 4
+        assert report.violations == (None,)
 
     def test_grid_validation(self, parallel):
         with pytest.raises(BadParams):
@@ -348,6 +360,34 @@ class TestSharedAnswers:
         monkeypatch.setattr(verify_mod, "build_delta_graph", counting)
         run_harness(system, "cantor-identity:3")
         assert deltas and len(deltas) == len(set(deltas))
+
+    @pytest.mark.parametrize("name, searches", [("cantor-identity:7", 196), ("north-south:64", 6)])
+    def test_a_core_of_every_point_is_asked_as_the_whole_system(
+        self, monkeypatch, name, searches
+    ):
+        """The whole-system shadowing verdict at (delta, eps) also answers a
+        class core that holds every point, so that search runs once, and the
+        report is the one a search on the full core gives."""
+        system = parse_generator_string(name)
+
+        def full_core(self, dec, i, eps):
+            core = invariant_core(self.system, dec.classes[i])
+            return self.verdict("shadowing", dec.delta, eps, core) if core else None
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod._Answers, "core_verdict", full_core)
+            expected = json.dumps(run_harness(system, name).to_json())
+        domains = []
+        real = shadow_mod._decide
+
+        def counting(system, delta, eps, domain, *args):
+            domains.append(domain)
+            return real(system, delta, eps, domain, *args)
+
+        monkeypatch.setattr(shadow_mod, "_decide", counting)
+        assert json.dumps(run_harness(system, name).to_json()) == expected
+        assert len(domains) == searches
+        assert all(domain is None or len(domain) < system.n for domain in domains)
 
     def test_the_inverse_system_shares_the_integer_table(self):
         ans = verify_mod._Answers(rotation(6, 2), None)
