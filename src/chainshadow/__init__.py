@@ -64,10 +64,8 @@ from .shadow import (
 )
 from .system import (
     FiniteMetricSystem,
-    GridSystem1D,
     build_corpus_system,
     cantor_identity,
-    discretize,
     doubling,
     far_two_cycles,
     generator_names,

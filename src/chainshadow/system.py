@@ -1,10 +1,10 @@
 """Finite metric dynamical systems.
 
 A system is a finite point set 0..n-1 carrying an exact rational metric
-table and a total self-map. This module validates explicit descriptions,
-generates the built-in corpus, and discretizes circle/interval maps onto
-uniform grids. Every comparison downstream (``d <= delta`` and friends)
-is exact, so systems built here never depend on float rounding.
+table and a total self-map. This module validates explicit descriptions
+and generates the built-in corpus, the grid maps included. Every
+comparison downstream (``d <= delta`` and friends) is exact, so systems
+built here never depend on float rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ _MAX_POINTS = 4096
 # table they stand for. Past it they can grow without bound (as n**4 when
 # every entry has its own large denominator), so such a table is refused.
 _MAX_COMMON_DENOMINATOR_BITS = 1024
+# The keys that an explicit system spec and a generator spec may hold.
+_EXPLICIT_KEYS = frozenset({"n", "dist", "map", "invertible"})
+_GENERATOR_KEYS = frozenset({"generator", "params"})
 
 
 class _Table:
@@ -72,12 +75,14 @@ class _Table:
 class FiniteMetricSystem:
     """Points 0..n-1 with an exact metric table and a total self-map.
 
-    ``quantization`` is a resolution floor recorded by grid discretization;
-    it is informational only and never enforced. Construction checks the
+    ``quantization`` is the resolution floor that the grid maps record; it
+    is informational only and never enforced. Construction checks the
     shape, not the axioms: BadParams unless ``dist`` is n rows of n ints or
     Fractions with a least common denominator of at most
-    ``_MAX_COMMON_DENOMINATOR_BITS`` bits and ``map`` lists n point indices;
-    both are stored as tuples.
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point indices,
+    ``invertible`` is a bool that is True only for a bijective map and
+    ``quantization`` is None or a nonnegative rational. ``dist`` and ``map``
+    are stored as tuples, ``quantization`` as a Fraction.
     """
 
     n: int
@@ -99,6 +104,10 @@ class FiniteMetricSystem:
         if len(self.dist) != n or len(self.map) != n or any(len(row) != n for row in self.dist):
             raise BadParams(f"{n} points need {n} rows of {n} distances and {n} map entries")
         check_points(self, self.map)
+        if _check_invertible(self.invertible) and len(set(self.map)) != n:
+            raise BadParams("an invertible system needs a bijective map")
+        if self.quantization is not None:
+            object.__setattr__(self, "quantization", parse_nonnegative(self.quantization))
         if rebuild:
             if not {type(v) for row in self.dist for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
@@ -244,6 +253,13 @@ def check_points(system: FiniteMetricSystem, points) -> frozenset[int]:
     return pts
 
 
+def _check_invertible(invertible) -> bool:
+    """``invertible`` when it is a bool, else BadParams."""
+    if not isinstance(invertible, bool):
+        raise BadParams(f"invertible must be true or false, got {invertible!r}")
+    return invertible
+
+
 def _over_common_denominator(rows) -> tuple[tuple, int]:
     """The rows multiplied by L, the least common denominator of all their
     entries, and L: exact integers that compare, and differ in sign, as the
@@ -268,10 +284,11 @@ def _table_of(dist) -> _Table:
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries).
     Raises BadParams where ``make_system`` does: on an entry that is not a
-    rational, a table that is not square, a map of another length or a
-    common denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
+    rational, a table that is not square, a map of another length, an
+    ``invertible`` that is not a bool or a common denominator wider than
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
     dist, fmap = _parsed(dist, fmap)
-    return _violations(_table_of(dist), fmap, invertible)
+    return _violations(_table_of(dist), fmap, _check_invertible(invertible))
 
 
 def _violations(table: _Table, fmap, invertible: bool) -> list[Violation]:
@@ -373,23 +390,26 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     """Build a system from raw rows, validating every axiom exactly."""
     dist, fmap = _parsed(dist_rows, fmap)
     table = _table_of(dist)
-    violations = _violations(table, fmap, bool(invertible))
+    violations = _violations(table, fmap, _check_invertible(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(len(dist), dist, fmap, bool(invertible), _table=table)
+    return FiniteMetricSystem(len(dist), dist, fmap, invertible, _table=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:
     """Validate a system description.
 
     Accepts either an explicit record {"n", "dist", "map", "invertible"} or
-    a generator reference {"generator": name, "params": {...}}. Raises
-    InvalidSystem with the full list of violated axioms, or BadParams for
-    structural problems and for a table whose least common denominator is
-    wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits.
+    a generator reference {"generator": name, "params": {...}}, with no
+    other key. Raises InvalidSystem with the full list of violated axioms,
+    or BadParams for structural problems and for a table whose least common
+    denominator is wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits.
     """
     if not isinstance(spec, dict):
         raise BadParams("system spec must be a mapping")
+    unknown = spec.keys() - (_GENERATOR_KEYS if "generator" in spec else _EXPLICIT_KEYS)
+    if unknown:
+        raise BadParams(f"system spec has unknown keys: {sorted(unknown, key=repr)}")
     if "generator" in spec:
         return build_corpus_system(spec["generator"], spec.get("params", {}))
     missing = {"n", "dist", "map"} - spec.keys()
@@ -405,9 +425,7 @@ def validate_system(spec) -> FiniteMetricSystem:
         )
     if not isinstance(fmap, list):
         raise BadParams("map must be a list of image indices")
-    invertible = spec.get("invertible", False)
-    if not isinstance(invertible, bool):
-        raise BadParams(f"invertible must be true or false, got {invertible!r}")
+    invertible = _check_invertible(spec.get("invertible", False))
     if declared_n != len(dist):
         raise BadParams(f"declared n={declared_n} but dist has {len(dist)} rows")
     return make_system(dist, fmap, invertible)
@@ -468,86 +486,6 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     return [list(row) for row in dist]  # type: ignore[arg-type]
 
 
-# ---------------------------------------------------------------------------
-# grid discretization
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-_GEOMETRIES = ("interval", "circle")
-_FORMULAS = ("identity", "doubling", "tent", "rotation")
-
-
-@dataclass(frozen=True)
-class GridSystem1D:
-    """Uniform grid of cell centers on [0,1] or on the unit circle.
-
-    The named formula is evaluated exactly on rational inputs; the derived
-    finite map sends each center to the nearest center of its image, ties
-    broken toward the smaller index.
-    """
-
-    cells: int
-    geometry: str
-    formula: str
-    params: tuple[Fraction, ...] = ()
-    quantization: Fraction | None = None
-
-    def __post_init__(self):
-        check_int("cells", self.cells, 1)
-        params = tuple(map(parse_rational, check_collection("params", self.params)))
-        object.__setattr__(self, "params", params)
-        if self.quantization is not None:
-            object.__setattr__(self, "quantization", parse_nonnegative(self.quantization))
-        if self.geometry not in _GEOMETRIES:
-            raise BadParams(f"unknown geometry {self.geometry!r}")
-        if self.formula not in _FORMULAS:
-            raise BadParams(f"unknown formula {self.formula!r}")
-        if self.formula == "rotation" and len(self.params) != 1:
-            raise BadParams("rotation needs exactly one angle parameter")
-        if self.quantization is not None and self.quantization < self.half_cell:
-            raise BadParams("quantization bound below half the cell width")
-
-    @property
-    def half_cell(self) -> Fraction:
-        return Fraction(1, 2 * self.cells)
-
-    @cached_property
-    def centers(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(2 * i + 1, 2 * self.cells) for i in range(self.cells))
-
-    def metric(self, x: Fraction, y: Fraction) -> Fraction:
-        gap = abs(x - y)
-        if self.geometry == "circle":
-            return min(gap, _ONE - gap)
-        return gap
-
-    def apply(self, x: Fraction) -> Fraction:
-        if self.formula == "identity":
-            return x
-        if self.formula == "doubling":
-            return _mod1(2 * x)
-        if self.formula == "tent":
-            return 2 * x if x <= _HALF else 2 - 2 * x
-        return _mod1(x + self.params[0])
-
-
-def discretize(grid: GridSystem1D) -> FiniteMetricSystem:
-    """Round the grid's source map to nearest centers and tabulate the metric."""
-    n = grid.cells
-    circle = grid.geometry == "circle"
-    # Center i, (2i + 1) / 2n, is nearest to every y in (i/n, (i+1)/n], ties
-    # going to the smaller index; on a circle y is read mod 1 (1 is 0).
-    images = (grid.apply(c) for c in grid.centers)
-    fmap = [max(math.ceil((_mod1(y) if circle else y) * n) - 1, 0) for y in images]
-    # Centers (2i + 1) / 2n lie i / n apart.
-    return _points_system(
-        range(n), n, circle, fmap, len(set(fmap)) == n, grid.quantization or grid.half_cell
-    )
-
-
 def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
     """|a - b| for each position b, or the shorter arc on a circle of
     length ``unit``."""
@@ -556,10 +494,11 @@ def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
 
 
 def _points_system(
-    positions, unit: int, circle: bool, fmap, invertible: bool, quantization=None
+    positions, unit: int, circle: bool, fmap, quantization=None
 ) -> FiniteMetricSystem:
     """The points positions[i] / unit of [0, 1], or of the circle of length
-    1, with the line or arc-length metric.
+    1, with the line or arc-length metric; invertible when ``fmap`` is a
+    bijection.
 
     The table is built on integers over ``unit``, which is its least common
     denominator when one position is 0 and the positions have no factor in
@@ -573,9 +512,19 @@ def _points_system(
     )
     shared = {v: Fraction(v, unit) for v in ints}
     dist = tuple(tuple(map(shared.__getitem__, row)) for row in rows)
+    fmap = tuple(fmap)
     return FiniteMetricSystem(
-        len(rows), dist, tuple(fmap), invertible, quantization, _table=_Table(rows, unit, dist)
+        len(rows), dist, fmap, len(set(fmap)) == len(fmap), quantization,
+        _table=_Table(rows, unit, dist),
     )
+
+
+def _grid_system(cells: int, circle: bool, fmap) -> FiniteMetricSystem:
+    """The centers (2i + 1) / 2n of n = ``cells`` equal cells of [0, 1], or of
+    the circle, i / n apart as the points i / n are. ``fmap`` sends each center
+    to the center of the cell (j/n, (j+1)/n], or [0, 1/n] for j = 0, that holds
+    its image, which is then at most 1/(2n) away."""
+    return _points_system(range(cells), cells, circle, fmap, Fraction(1, 2 * cells))
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +540,14 @@ def cantor_identity(depth: int) -> FiniteMetricSystem:
     for level in range(1, depth + 1):
         step = 2 * 3 ** (depth - level)
         points = sorted(x + off for x in points for off in (0, step))
-    return _points_system(points, 3**depth, False, range(len(points)), True)
+    return _points_system(points, 3**depth, False, range(len(points)))
 
 
 def rotation(n: int, k: int) -> FiniteMetricSystem:
     """Rigid rotation p -> p + k on n equally spaced circle points."""
     check_int("n", n, 1, _MAX_POINTS)
     check_int("rotation step k", k)
-    return _points_system(range(n), n, True, [(i + k) % n for i in range(n)], True)
+    return _points_system(range(n), n, True, [(i + k) % n for i in range(n)])
 
 
 def north_south(n: int) -> FiniteMetricSystem:
@@ -629,7 +578,7 @@ def north_south(n: int) -> FiniteMetricSystem:
     for j in range(1, side_b + 1):
         fmap.append(sink if j == side_b else sink + j + 1)
     (positions,), unit = _over_common_denominator((positions,))
-    return _points_system(positions, unit, True, fmap, False)
+    return _points_system(positions, unit, True, fmap)
 
 
 def parallel_cycles() -> FiniteMetricSystem:
@@ -650,15 +599,18 @@ def parallel_cycles() -> FiniteMetricSystem:
 
 
 def doubling(cells: int) -> FiniteMetricSystem:
-    """Angle doubling on the circle, discretized to ``cells`` centers."""
-    check_int("cells", cells, 1, _MAX_POINTS)
-    return discretize(GridSystem1D(cells, "circle", "doubling"))
+    """Angle doubling y -> 2y mod 1 on ``cells`` centers of the circle."""
+    n = check_int("cells", cells, 1, _MAX_POINTS)
+    # Center i goes to (2i + 1) / n mod 1: the right end of cell (2i + 1) % n - 1, or 0.
+    return _grid_system(n, True, [max((2 * i + 1) % n - 1, 0) for i in range(n)])
 
 
 def tent(cells: int) -> FiniteMetricSystem:
-    """Tent map on the unit interval, discretized to ``cells`` centers."""
-    check_int("cells", cells, 1, _MAX_POINTS)
-    return discretize(GridSystem1D(cells, "interval", "tent"))
+    """Tent map y -> min(2y, 2 - 2y) on ``cells`` centers of [0, 1]."""
+    n = check_int("cells", cells, 1, _MAX_POINTS)
+    # A center at most 1/2 goes to (2i + 1) / n, the right end of cell 2i; one
+    # past 1/2 goes to (2n - 2i - 1) / n, the right end of cell 2(n - i - 1).
+    return _grid_system(n, False, [2 * i if 2 * i < n else 2 * (n - i - 1) for i in range(n)])
 
 
 def far_two_cycles() -> FiniteMetricSystem:

@@ -148,6 +148,9 @@ class TestAnalyze:
             {"generator": "rotation", "params": ["4_0", 1]},
             # one class: no distance is printed, so the parse is what fails
             {"n": 2, "dist": [[0, "1e4301"], ["1e4301", 0]], "map": [1, 0]},
+            # a misspelled key, and a table beside a generator
+            {"n": 2, "dist": [[0, 1], [1, 0]], "map": [1, 0], "invertable": True},
+            {"generator": "rotation", "params": [2, 1], "dist": [[0, 1], [1, 0]]},
         ],
     )
     def test_malformed_file_exits_2(self, capsys, tmp_path, spec):

@@ -1,12 +1,14 @@
-"""System validation, generators, and grid discretization."""
+"""System validation and generators, the grid maps included."""
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 from operator import sub
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from chainshadow import (
     BadParams,
     FiniteMetricSystem,
-    GridSystem1D,
     InvalidSystem,
     PseudoOrbit,
     UnknownGenerator,
@@ -26,7 +27,6 @@ from chainshadow import (
     cantor_identity,
     check_shadowing_property,
     decompose,
-    discretize,
     doubling,
     format_rational,
     hausdorff_distance,
@@ -459,66 +459,40 @@ def reference_north_south(n):
     return FiniteMetricSystem(n, dist, tuple(fmap), invertible=False)
 
 
-def reference_discretize(grid):
-    centers = grid.centers
+def reference_discretize(cells, circle, formula):
+    """``formula`` on the centers (2i + 1) / 2n of n = ``cells`` equal cells
+    of [0, 1], or of the circle, each image sent to its nearest center, ties
+    to the smaller index."""
+    centers = [Fraction(2 * i + 1, 2 * cells) for i in range(cells)]
+
+    def metric(x, y):
+        gap = abs(x - y)
+        return min(gap, 1 - gap) if circle else gap
+
     fmap = []
-    for c in centers:
-        image = grid.apply(c)
-        best = 0
-        best_d = grid.metric(image, centers[0])
-        for j in range(1, grid.cells):
-            dj = grid.metric(image, centers[j])
-            if dj < best_d:
-                best, best_d = j, dj
-        fmap.append(best)
-    dist = tuple(tuple(grid.metric(a, b) for b in centers) for a in centers)
-    return FiniteMetricSystem(
-        grid.cells, dist, tuple(fmap), len(set(fmap)) == grid.cells,
-        grid.quantization or grid.half_cell,
+    for y in map(formula, centers):
+        # The centers nearest y on the line are the two around it; on the
+        # circle they or the two ends.
+        j = bisect_left(centers, y)
+        near = {0, cells - 1} if circle else set()
+        near.update(k for k in (j - 1, j) if 0 <= k < cells)
+        fmap.append(min(sorted(near), key=lambda k: metric(y, centers[k])))
+    # Both metrics read only |i - j| on an evenly spaced grid.
+    gaps = [metric(c, centers[0]) for c in centers]
+    dist = tuple(tuple(gaps[abs(i - j)] for j in range(cells)) for i in range(cells))
+    return SimpleNamespace(
+        dist=dist, map=tuple(fmap), invertible=len(set(fmap)) == cells,
+        quantization=Fraction(1, 2 * cells),
     )
 
 
-def _grid(cells, geometry, formula, *params, quantization=None):
-    return GridSystem1D(cells, geometry, formula, params, quantization)
+def reference_tent(cells):
+    return reference_discretize(cells, False, lambda x: min(2 * x, 2 - 2 * x))
 
 
-def _tent_reference(cells):
-    return reference_discretize(_grid(cells, "interval", "tent"))
+def reference_doubling(cells):
+    return reference_discretize(cells, True, lambda x: 2 * x % 1)
 
-
-def _doubling_reference(cells):
-    return reference_discretize(_grid(cells, "circle", "doubling"))
-
-
-_GRIDS = [
-    _grid(5, "interval", "identity"),
-    _grid(4, "circle", "identity"),
-    _grid(5, "circle", "tent"),
-    _grid(6, "interval", "doubling"),
-    _grid(3, "circle", "doubling", quantization=Fraction(1, 2)),
-    _grid(6, "circle", "rotation", Fraction(1, 4)),
-    _grid(7, "interval", "rotation", Fraction(2, 9)),
-    _grid(5, "circle", "rotation", Fraction(-3, 10)),
-    _grid(9, "circle", "rotation", Fraction(1, 2**70 + 1)),
-    # tent on a circle sends 1/2 to 1, the point 0
-    _grid(7, "circle", "tent"),
-    _grid(8, "circle", "tent"),
-    # images on cell boundaries: ties between two centers, and on a circle
-    # between the last center and the first
-    *[
-        _grid(cells, geometry, "rotation", Fraction(k, 2 * cells))
-        for cells in (4, 5)
-        for geometry in ("interval", "circle")
-        for k in (1, -1, 2, -2)
-    ],
-    # one cell
-    _grid(1, "interval", "identity"),
-    _grid(1, "interval", "tent"),
-    _grid(1, "circle", "tent"),
-    _grid(1, "circle", "doubling"),
-    _grid(1, "interval", "rotation", Fraction(1, 2)),
-    _grid(1, "circle", "rotation", Fraction(1, 2)),
-]
 
 # (id, generator, reference, args) at edge sizes: one point, odd and even
 # counts, rotation steps below 0 and past n.
@@ -535,9 +509,8 @@ _INTEGER_BUILT = [
         (f"north-south:{n}", north_south, reference_north_south, (n,))
         for n in (3, 4, 5, 6, 9, 16, 33)
     ],
-    *[(f"tent:{c}", tent, _tent_reference, (c,)) for c in (1, 2, 3, 5, 7, 16)],
-    *[(f"doubling:{c}", doubling, _doubling_reference, (c,)) for c in (1, 2, 3, 6, 9, 16)],
-    *[(repr(grid), discretize, reference_discretize, (grid,)) for grid in _GRIDS],
+    *[(f"tent:{c}", tent, reference_tent, (c,)) for c in (1, 2, 3, 5, 7, 16)],
+    *[(f"doubling:{c}", doubling, reference_doubling, (c,)) for c in (1, 2, 3, 6, 9, 16)],
 ]
 
 
@@ -683,28 +656,39 @@ class TestGrids:
     def test_tent_two_cells(self):
         assert tent(2).map == (0, 0)
 
-    def test_identity_grid_fixes_everything(self):
-        system = discretize(GridSystem1D(5, "interval", "identity"))
-        assert system.map == tuple(range(5))
-
     def test_discretize_deterministic(self):
         assert doubling(8) == doubling(8)
 
-    def test_quantization_floor(self):
-        with pytest.raises(BadParams):
-            GridSystem1D(4, "circle", "doubling", quantization=Fraction(1, 100))
-        grid = GridSystem1D(4, "circle", "doubling", quantization=Fraction(1, 4))
-        assert discretize(grid).quantization == Fraction(1, 4)
+    @pytest.mark.parametrize(
+        "build, reference", [(doubling, reference_doubling), (tent, reference_tent)],
+        ids=["doubling", "tent"],
+    )
+    @pytest.mark.parametrize("cells", [*range(1, 65), 255, 256, 1023, 1024])
+    def test_integer_formulas_match_the_fraction_reference(self, build, reference, cells):
+        system, expected = build(cells), reference(cells)
+        assert system.dist == expected.dist
+        assert system.map == expected.map
+        assert system.invertible is expected.invertible
+        assert system.quantization == expected.quantization
 
-    def test_rotation_formula_needs_angle(self):
-        with pytest.raises(BadParams):
-            GridSystem1D(4, "circle", "rotation")
-        grid = GridSystem1D(4, "circle", "rotation", params=(Fraction(1, 4),))
-        assert discretize(grid).map == (1, 2, 3, 0)
-
-    def test_circle_metric_wraps(self):
-        grid = GridSystem1D(4, "circle", "identity")
-        assert grid.metric(Fraction(1, 8), Fraction(7, 8)) == Fraction(1, 4)
+    @pytest.mark.parametrize(
+        "build, sizes, grid",
+        [
+            (doubling, [1, 2, 3, 8, 9], True),
+            (tent, [1, 2, 3, 8, 9], True),
+            (lambda n: rotation(n, 3), [1, 2, 6, 9], False),
+            (cantor_identity, [0, 1, 3], False),
+            (north_south, [3, 4, 9], False),
+        ],
+        ids=["doubling", "tent", "rotation", "cantor-identity", "north-south"],
+    )
+    def test_positioned_generators_derive_their_flags(self, build, sizes, grid):
+        """Invertible exactly when the map is a bijection; the grid maps
+        record the half cell 1/(2n) as their quantization, the others none."""
+        for size in sizes:
+            system = build(size)
+            assert system.invertible is (len(set(system.map)) == system.n)
+            assert system.quantization == (Fraction(1, 2 * system.n) if grid else None)
 
 
 class TestShortestPathMetric:
@@ -761,9 +745,12 @@ def _ns6_classes():
         lambda: brute_force_oracle(north_south(6), 1, 1, max_len="3"),
         lambda: make_system(_ROWS, None),
         lambda: make_system(_ROWS, 7),
-        lambda: GridSystem1D("4", "circle", "doubling"),
-        lambda: GridSystem1D(True, "circle", "doubling"),
-        lambda: GridSystem1D(4.0, "circle", "doubling"),
+        lambda: doubling("4"),
+        lambda: doubling(True),
+        lambda: doubling(4.0),
+        lambda: tent("4"),
+        lambda: tent(True),
+        lambda: tent(4.0),
         lambda: invariant_core(rotation(4, 1), 5),
         lambda: invariant_core(rotation(4, 1), [[0]]),
         lambda: neighborhood(rotation(4, 1), 5, 1),
@@ -787,10 +774,6 @@ def _ns6_classes():
         lambda: PseudoOrbit(5, 1),
         lambda: PseudoOrbit.plain(5, 1),
         lambda: PseudoOrbit((0, 1), 1, 2),
-        lambda: GridSystem1D(4, "circle", "rotation", (0.25,)),
-        lambda: GridSystem1D(4, "circle", "rotation", 5),
-        lambda: GridSystem1D(4, "circle", "doubling", quantization=0.5),
-        lambda: GridSystem1D(4, "circle", "doubling", quantization="-1/2"),
         lambda: brute_force_oracle(north_south(6), 1, 1, point_limit="3"),
         lambda: brute_force_oracle(north_south(6), 1, 1, max_len=1),
         lambda: validate_system({"n": "2", "dist": _ROWS, "map": [0, 1]}),
@@ -800,7 +783,6 @@ def _ns6_classes():
         lambda: refine_ladder(rotation(4, 1), "21"),
         lambda: PseudoOrbit("01", 0),
         lambda: make_system(_ROWS, "10"),
-        lambda: GridSystem1D(4, "circle", "rotation", "1/4"),
         lambda: PseudoOrbit(("a", "b"), 0),
         lambda: PseudoOrbit((1.0,), 0),
         lambda: PseudoOrbit((0, -1), 0),
@@ -813,6 +795,23 @@ def _ns6_classes():
         lambda: _ns6_classes().is_terminal(2),
         lambda: _ns6_classes().is_isolated(2, 1),
         lambda: _ns6_classes().is_terminal("0"),
+        lambda: FiniteMetricSystem(2, _ROWS, (0, 0), invertible="no", quantization=0.5),
+        lambda: FiniteMetricSystem(2, _ROWS, (1, 0), invertible="no"),
+        lambda: FiniteMetricSystem(2, _ROWS, (1, 0), invertible=1),
+        lambda: FiniteMetricSystem(2, _ROWS, (0, 0), invertible=True),
+        lambda: replace(rotation(4, 1), map=(0, 0, 1, 2)),
+        lambda: FiniteMetricSystem(2, _ROWS, (1, 0), quantization=0.5),
+        lambda: FiniteMetricSystem(2, _ROWS, (1, 0), quantization=-1),
+        lambda: FiniteMetricSystem(2, _ROWS, (1, 0), quantization="-1/2"),
+        lambda: make_system(_ROWS, (1, 0), invertible="no"),
+        lambda: make_system(_ROWS, (1, 0), invertible=1),
+        lambda: make_system(_ROWS, (0, 0), invertible="no"),
+        lambda: metric_violations(_ROWS, (0, 0), "no"),
+        lambda: validate_system({"n": 2, "dist": _ROWS, "map": [1, 0], "invertable": True}),
+        lambda: validate_system(
+            {"generator": "rotation", "params": [2, 1], "n": 2, "dist": _ROWS, "map": [1, 0]}
+        ),
+        lambda: validate_system({"generator": "rotation", "params": [2, 1], 1: 2}),
     ],
     ids=[
         "grid-pair",
@@ -822,9 +821,12 @@ def _ns6_classes():
         "max-len-str",
         "map-none",
         "map-int",
-        "cells-str",
-        "cells-bool",
-        "cells-float",
+        "doubling-cells-str",
+        "doubling-cells-bool",
+        "doubling-cells-float",
+        "tent-cells-str",
+        "tent-cells-bool",
+        "tent-cells-float",
         "core-int",
         "core-unhashable",
         "neighborhood-int",
@@ -848,10 +850,6 @@ def _ns6_classes():
         "pseudo-orbit-int",
         "plain-int",
         "tail-start-past-end",
-        "grid-float-param",
-        "grid-int-params",
-        "grid-float-quantization",
-        "grid-negative-quantization",
         "point-limit-str",
         "max-len-one",
         "spec-n-str",
@@ -860,7 +858,6 @@ def _ns6_classes():
         "ladder-str",
         "pseudo-orbit-str",
         "map-str",
-        "grid-str-params",
         "pseudo-orbit-str-points",
         "pseudo-orbit-float-point",
         "pseudo-orbit-negative-point",
@@ -873,6 +870,21 @@ def _ns6_classes():
         "terminal-class-k",
         "isolated-class-k",
         "terminal-class-str",
+        "direct-str-invertible-float-quantization",
+        "direct-str-invertible",
+        "direct-int-invertible",
+        "direct-invertible-not-bijective",
+        "replaced-invertible-not-bijective",
+        "direct-float-quantization",
+        "direct-negative-quantization",
+        "direct-negative-str-quantization",
+        "make-str-invertible",
+        "make-int-invertible",
+        "make-str-invertible-not-bijective",
+        "violations-str-invertible",
+        "spec-misspelled-key",
+        "spec-generator-and-table",
+        "spec-generator-int-key",
     ],
 )
 def test_malformed_arguments_raise_bad_params(call):
@@ -900,9 +912,8 @@ def test_rational_strings_are_valid_arguments():
     assert metric_violations([["0", "1/2"], ["1", "0"]], (0, 0), False) == [
         Violation("symmetry", (1, 0))
     ]
-    grid = GridSystem1D(4, "circle", "rotation", ("1/4",), quantization="1/2")
-    assert grid.params == (Fraction(1, 4),) and grid.quantization == Fraction(1, 2)
-    assert discretize(grid).map == (1, 2, 3, 0)
+    system = FiniteMetricSystem(2, _ROWS, (1, 0), quantization="1/8")
+    assert system.quantization == Fraction(1, 8) and type(system.quantization) is Fraction
 
 
 def test_a_replaced_table_is_rebuilt():
