@@ -536,30 +536,145 @@ def _decide(system, delta, eps, domain, state_cap, props):
     balls come from the system's own memo (``system._balls``), so a ball
     built by an earlier search on the same system is read, not rebuilt.
     The BFS reads the delta table only at the images f(p), so at
-    delta != eps it is built only there."""
+    delta != eps it is built only there.
+
+    A check of the whole of a system that the shift i -> i + 1 maps onto
+    itself (``system._rotation_step``) runs ``_explore_orbits`` instead,
+    with the same verdicts, counts and cap outcomes; states is then None."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    balls = system._balls(eps, dmask, dmask)
-    if delta == eps:
-        succ_balls = balls
+    step = None
+    if props and dmask == (1 << system.n) - 1:
+        step = system._rotation_step
+    if step is not None:
+        states = None
+        count, found = _explore_orbits(system, step, delta, eps, props, state_cap)
     else:
-        succ_balls = system._balls(delta, system._image(dmask), dmask)
-    asymp = _asymp_masks(system, balls) if "slimit" in props else None
-    tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
-    states, found = _explore(
-        system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
-    )
+        balls = system._balls(eps, dmask, dmask)
+        if delta == eps:
+            succ_balls = balls
+        else:
+            succ_balls = system._balls(delta, system._image(dmask), dmask)
+        asymp = _asymp_masks(system, balls) if "slimit" in props else None
+        tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
+        states, found = _explore(
+            system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
+        )
+        count = len(states)
     verdicts = []
     for prop, hit in zip(props, found):
         if hit is None:
-            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, len(states)))
+            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, count))
         else:
-            count, path = hit
+            visited, path = hit
             tail = len(path) - 1 if prop == "slimit" else None
             witness = PseudoOrbit(path, delta, tail)
-            verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, count))
+            verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
     return states, tuple(verdicts)
+
+
+def _checked_cap(state_cap) -> int:
+    """The state cap as an int, ``sys.maxsize`` for None."""
+    return sys.maxsize if state_cap is None else check_int("state_cap", state_cap, 0)
+
+
+def _explore_orbits(system, step, delta, eps, props, state_cap):
+    """(count, found) for ``props`` on the whole of a system with
+    f(i) = i + ``step`` mod n whose table the shift s: i -> i + 1 maps onto
+    itself: ``found`` as ``_explore`` gives it, and ``count`` the number of
+    states ``_explore`` visits.
+
+    s is an isometry that commutes with f, so it maps each level of
+    ``_explore``'s BFS onto itself, and it moves the point of every state,
+    so each level is a union of orbits of exactly n states, each with one
+    state at point 0. The search visits those states (0, Y) alone, keyed by
+    Y. The child of (0, Y) at q, for q in the delta ball of f(0) = step,
+    is (q, f(Y) & ball(q)), whose orbit holds
+    (0, rot(Y, step - q) & ball(0)). f is a bijection, so no other orbit
+    merges into 0's: the merge set asymp[0] is {0}, and (0, Y) fails
+    slimit when 0 is not in Y.
+
+    Every count is n times the number of sets visited. ``_explore``
+    inserts whole levels and checks the cap per state, so it raises
+    Inconclusive(cap + 1) in the first level whose count passes the cap;
+    this search raises it at the first set that takes n times its count
+    past the cap, in that same level.
+    """
+    n = system.n
+    cap = _checked_cap(state_cap)
+    ball = system._balls(eps, 1, -1)[0]
+    # rot(Y, step - q) & ball(0) is (Y | Y << n) >> right & ball(0).
+    rights = {q: n - (step - q) % n for q in bits(system._balls(delta, 1 << step, -1)[step])}
+    tests = {"shadowing": lambda y: y == 0, "slimit": lambda y: not y & 1}
+    failing = [tests[prop] for prop in props]
+    level_of = {ball: 0}
+    if n > cap:
+        raise Inconclusive(cap + 1, state_cap)
+    level = [ball]
+    depth = 0
+    found = [None] * len(props)
+    while level:
+        for i, fails in enumerate(failing):
+            if found[i] is None and any(map(fails, level)):
+                walk = _least_failing_walk(n, ball, rights, level_of, depth, fails)
+                found[i] = (n * len(level_of), walk)
+        if None not in found:
+            break
+        depth += 1
+        nxt = []
+        for y in level:
+            doubled = y | y << n
+            for right in rights.values():
+                child = doubled >> right & ball
+                if child not in level_of:
+                    level_of[child] = depth
+                    nxt.append(child)
+                    if n * len(level_of) > cap:
+                        raise Inconclusive(cap + 1, state_cap)
+        level = nxt
+    return n * len(level_of), found
+
+
+def _least_failing_walk(n, ball, rights, level_of, length, fails) -> tuple[int, ...]:
+    """The witness ``_explore`` reports for ``fails`` at level ``length``
+    on the system ``_explore_orbits`` searches: the lexicographically least
+    walk x_0, ..., x_length whose last state fails. Shifting a walk by
+    -x_0 keeps it failing, so that walk starts at 0.
+
+    An iterative depth-first search tries the successors of each point in
+    ascending order and returns the first failing walk. A child is followed
+    only at its own level: one that ``_explore_orbits`` reached in fewer
+    steps would lead to a failing state before level ``length``. So the
+    level of a set fixes the steps left from it, and ``dead`` keys each
+    (set, steps left) pair that reaches no failing state by the set alone.
+    Each set is expanded at most once.
+    """
+    dead = set()
+    path: list[int] = []
+    stack = [(None, iter([(0, ball)]))]
+    while True:
+        for q, child in stack[-1][1]:
+            if level_of.get(child) != len(path) or child in dead:
+                continue
+            if len(path) == length:
+                if fails(child):
+                    return (*path, q)
+                continue
+            path.append(q)
+            stack.append((child, _orbit_children(n, ball, rights, q, child)))
+            break
+        else:
+            dead.add(stack.pop()[0])
+            path.pop()
+
+
+def _orbit_children(n, ball, rights, x, y):
+    """(q, Y') for each successor q of the point x, ascending, where the
+    child of the state (x, rot(y, x)) at q is (q, rot(Y', q))."""
+    doubled = y | y << n
+    for r in sorted(rights, key=lambda r: (x + r) % n):
+        yield (x + r) % n, doubled >> rights[r] & ball
 
 
 def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
@@ -593,21 +708,21 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     is skipped, and no visited state, parent, discovery order, count,
     witness or cap outcome changes.
     Only the points whose successor mask another point shares keep a set
-    of expanded Y; on rotations, where every point has its own mask,
+    of expanded Y; where every point has its own mask, as on rotations,
     nothing is kept or probed. A point's entry (row, expanded sets) is
     built when its first state is expanded, and each row of successors
     when the first point with that mask is, not before the search.
 
-    Far fewer candidate sets than states are reachable (4,705 sets for
-    117,696 states on rotation:96:7 at delta 1/96, eps 1/4), so each
-    set's image is computed once by ``system._image`` (a translation run
-    at a time where the map has fewer runs than Y has points) and kept for
-    the rest of this call.
+    Far fewer candidate sets than states are reachable (32 sets for 2,048
+    states on north-south:64 at delta 1/16, eps 1/2), so each set's image
+    is computed once by ``system._image`` (a translation run at a time
+    where the map has fewer runs than Y has points) and kept for the rest
+    of this call.
     ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.
     """
-    cap = sys.maxsize if state_cap is None else check_int("state_cap", state_cap, 0)
+    cap = _checked_cap(state_cap)
     fmap = system.map
     domain = list(balls)
     parents: dict[int, dict[int, tuple[int, int] | None]] = {p: {} for p in domain}

@@ -198,6 +198,21 @@ class FiniteMetricSystem:
         )
 
     @cached_property
+    def _rotation_step(self) -> int | None:
+        """k when the shift i -> i + 1 mod n is an isometry of the table
+        that commutes with f(i) = i + k mod n, as on every
+        ``rotation:N:K``: each int row is the row before it rotated by one.
+        None for any other system."""
+        n, k = self.n, self.map[0]
+        if any(t != (i + k) % n for i, t in enumerate(self.map)):
+            return None
+        rows = self._table.rows
+        for above, row in zip(rows, rows[1:]):
+            if row[0] != above[-1] or row[1:] != above[:-1]:
+                return None
+        return k
+
+    @cached_property
     def diameter(self) -> Fraction:
         return self._table.value(max(map(max, self._table.rows)))
 
@@ -436,6 +451,8 @@ def system_from_json(text: str) -> FiniteMetricSystem:
         spec = json.loads(text)
     except RecursionError as exc:
         raise BadParams("system description is nested too deeply") from exc
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"system description is not JSON: {exc}") from exc
     return validate_system(spec)
 
 
@@ -448,11 +465,13 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     """All-pairs shortest-path completion of symmetric positive edge weights.
 
     The result satisfies the triangle inequality by construction. Raises
-    BadParams for edges that are not (i, j, weight) triples, an endpoint
-    that is not a point index, nonpositive weights or a disconnected graph.
+    BadParams for an ``n`` that is not an int in 1.._MAX_POINTS, edges that
+    are not (i, j, weight) triples, an endpoint that is not a point index,
+    nonpositive weights or a disconnected graph. The completion runs on
+    Fractions in about n**3 steps: 28 s at n = 256 on a 2-vCPU host.
     """
-    if check_int("n", n) < 1:
-        raise BadParams("need at least one point")
+    # Any int first, so that a str or a float is named as no integer at all.
+    check_int("n", check_int("n", n), 1, _MAX_POINTS)
     edges = [check_collection("edge", edge) for edge in check_collection("edges", edges)]
     if any(len(edge) != 3 for edge in edges):
         raise BadParams("edges must be a collection of (i, j, weight) triples")

@@ -160,6 +160,15 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_file_that_is_not_json_exits_2(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "analyze", "--file", str(empty), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: system description is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+        )
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         code, out, err = run_cli(capsys, "analyze", "--file", str(missing), "--delta", "1")

@@ -28,6 +28,7 @@ from chainshadow import (
     check_shadowing_property,
     check_slimit_property,
     default_grid,
+    doubling,
     extract_witness,
     first_violation,
     is_limit_shadowed,
@@ -698,6 +699,17 @@ class TestSystemChecks:
                             assert verdicts[(d2, e2)], (d, e, d2, e2)
 
 
+def _relabeled(system, new_name):
+    """``system`` with each point i renamed ``new_name[i]``."""
+    n = system.n
+    old_name = sorted(range(n), key=new_name.__getitem__)
+    return make_system(
+        [[system.dist[old_name[i]][old_name[j]] for j in range(n)] for i in range(n)],
+        tuple(new_name[system.map[old_name[i]]] for i in range(n)),
+        system.invertible,
+    )
+
+
 _SCALES = [Fraction(3), Fraction(1, 7), Fraction(10, 3), Fraction(2**61 - 1, 2**40)]
 
 
@@ -731,11 +743,7 @@ class TestMetamorphicLaws:
         n = system.n
         new_name = more.draw(st.permutations(range(n)))
         old_name = sorted(range(n), key=new_name.__getitem__)
-        relabeled = make_system(
-            [[system.dist[old_name[i]][old_name[j]] for j in range(n)] for i in range(n)],
-            tuple(new_name[system.map[old_name[i]]] for i in range(n)),
-            system.invertible,
-        )
+        relabeled = _relabeled(system, new_name)
         for check in (check_shadowing_property, check_slimit_property):
             ours, theirs = check(system, delta, eps), check(relabeled, delta, eps)
             assert ours.passed == theirs.passed
@@ -786,9 +794,12 @@ def _outcomes(system, delta, eps, domain, cap):
 
 
 def _against_reference(system, delta, eps, domain, cap):
-    """Our outcomes and the reference BFS's."""
+    """Our outcomes and the reference BFS's, which also answers the checks
+    that a rotation-invariant system would take to ``_explore_orbits``."""
     ours = _outcomes(system, delta, eps, domain, cap)
-    with mock.patch.object(shadow_mod, "_explore", reference_per_predicate):
+    with mock.patch.object(shadow_mod, "_explore", reference_per_predicate), mock.patch.object(
+        FiniteMetricSystem, "_rotation_step", property(lambda self: None)
+    ):
         theirs = _outcomes(system, delta, eps, domain, cap)
     return ours, theirs
 
@@ -1190,6 +1201,76 @@ class TestBothProperties:
             assert self._jointly(parallel, 1, 1, None, cap) == self._separately(
                 parallel, 1, 1, None, cap
             )
+
+
+def _answers(system, delta, eps, domain=None):
+    """The JSON of both verdicts and of every reachable state."""
+    verdicts = check_both_properties(system, delta, eps, domain)
+    states = reachable_shadow_states(system, delta, eps, domain)
+    return [v.to_json() for v in verdicts], states
+
+
+class TestRotationOrbits:
+    """A check of the whole of a system that the shift i -> i + 1 maps onto
+    itself searches one state per orbit of the shift (``_explore_orbits``);
+    every other search is the plain BFS (``_explore``).
+    ``rotation_scope.py`` compares the two answers."""
+
+    def test_the_rotation_step(self):
+        assert rotation(12, 5)._rotation_step == 5
+        assert rotation(12, -1)._rotation_step == 11
+        assert rotation(1, 3)._rotation_step == 0
+        # The shift is an isometry of the doubling's circle but does not
+        # commute with its map; swapping two points breaks both.
+        assert doubling(16)._rotation_step is None
+        assert _relabeled(rotation(12, 5), [1, 0, *range(2, 12)])._rotation_step is None
+
+    def test_detected_at_the_first_whole_system_check(self):
+        system = rotation(12, 4)
+        delta, eps = Fraction(1, 12), Fraction(1, 6)
+        reachable_shadow_states(system, delta, eps)
+        check_shadowing_property(system, delta, eps, domain={0, 4, 8})
+        assert "_rotation_step" not in vars(system)
+        check_shadowing_property(system, delta, eps)
+        assert vars(system)["_rotation_step"] == 4
+
+    @pytest.mark.parametrize("domain", [None, range(64)], ids=["none", "every-point"])
+    def test_whole_rotations_skip_the_plain_bfs(self, domain):
+        system = rotation(64, 5)
+        delta, eps = Fraction(1, 64), Fraction(1, 8)
+        with mock.patch.object(
+            FiniteMetricSystem, "_rotation_step", property(lambda self: None)
+        ):
+            expected = check_both_properties(system, delta, eps, domain)
+        with mock.patch.object(shadow_mod, "_explore", side_effect=AssertionError("plain")):
+            verdicts = check_both_properties(system, delta, eps, domain)
+        assert verdicts == expected
+        assert [v.states_explored for v in verdicts] == [2560, 7616]
+
+    @pytest.mark.parametrize(
+        "system, domain",
+        [
+            (doubling(16), None),
+            (_relabeled(rotation(12, 5), [1, 0, *range(2, 12)]), None),
+            (rotation(12, 4), {0, 4, 8}),
+        ],
+        ids=["doubling:16", "relabeled-rotation:12:5", "rotation:12:4-on-a-cycle"],
+    )
+    def test_other_checks_take_the_plain_bfs(self, system, domain):
+        """With the orbit search made to raise, these still answer."""
+        delta, eps = Fraction(1, 16), Fraction(1, 8)
+        expected = _answers(system, delta, eps, domain)
+        with mock.patch.object(
+            shadow_mod, "_explore_orbits", side_effect=AssertionError("orbits")
+        ):
+            assert _answers(system, delta, eps, domain) == expected
+
+    def test_reachable_states_of_a_rotation_take_the_plain_bfs(self):
+        with mock.patch.object(
+            shadow_mod, "_explore_orbits", side_effect=AssertionError("orbits")
+        ):
+            states = reachable_shadow_states(rotation(64, 5), Fraction(1, 64), Fraction(1, 8))
+        assert len(states) == 9856
 
 
 class TestReachableStates:

@@ -233,6 +233,15 @@ class TestValidation:
         again = system_from_json(json.dumps(system.to_spec()))
         assert again == system
 
+    @pytest.mark.parametrize("text", ["", "nope", "{", '{"n": 1,}', "[1, 2"], ids=repr)
+    def test_text_that_is_not_json_is_bad_params(self, tmp_path, text):
+        with pytest.raises(BadParams, match="system description is not JSON"):
+            system_from_json(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(BadParams, match="system description is not JSON"):
+            load_system(path)
+
     def test_deep_nesting_is_bad_params(self, tmp_path):
         text = "[" * 2000 + "]" * 2000
         with pytest.raises(BadParams, match="nested too deeply"):
@@ -720,6 +729,11 @@ class TestShortestPathMetric:
         edges = [(0, 1, 1), (end, 2, 1)]
         with pytest.raises(BadParams, match="is not an integer in 0..2"):
             shortest_path_metric(3, edges)
+
+    @pytest.mark.parametrize("n", [0, -1, 4097, 10**20], ids=lambda n: repr(n))
+    def test_n_is_bounded_by_the_point_cap(self, n):
+        with pytest.raises(BadParams, match=r"n out of range: .* in 1\.\.4096"):
+            shortest_path_metric(n, ())
 
     @pytest.mark.parametrize("n", ["3", 3.0, True, None], ids=lambda n: repr(n))
     def test_n_must_be_an_int(self, n):
