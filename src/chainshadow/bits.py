@@ -56,13 +56,30 @@ def _translation_runs(fmap) -> list[tuple[int, int]]:
 
 def _bit_map(pairs, point_masks):
     """The map on bitmasks that sends each point y to ``point_masks[y]``
-    and moves each pair's run mask by the pair's shift s (left for s >= 0):
+    and moves each pair's run mask by the pair's shift s (left for s >= 0).
+
     M goes to the OR of the shifted (M & run) when M has more points than
-    there are pairs, a few word-level operations per pair, and to the OR
-    of its points' masks otherwise."""
+    there are pairs, a few word-level operations per pair. Otherwise it
+    goes to the OR of one entry per nonzero byte of M, read from M's
+    lowest to its highest set byte: byte c of M holds the points 8c..8c+7,
+    and the entry for byte value b at c is the OR of the masks of b's
+    points. Each entry is built on first use and kept with the map, in one
+    dict per byte position, so the map holds at most 255 entries per 8
+    points (the Four Russians method for a boolean matrix-vector product).
+    """
     left = [(run, s) for run, s in pairs if s >= 0]
     right = [(run, -s) for run, s in pairs if s < 0]
     pair_count = len(pairs)
+    chunks = [point_masks[i : i + 8] for i in range(0, len(point_masks), 8)]
+    memos = [{} for _ in chunks]
+
+    def entry(c: int, byte: int) -> int:
+        out = 0
+        for j, mask in enumerate(chunks[c]):
+            if byte >> j & 1:
+                out |= mask
+        memos[c][byte] = out
+        return out
 
     def apply(mask: int) -> int:
         out = 0
@@ -72,10 +89,12 @@ def _bit_map(pairs, point_masks):
             for run, s in right:
                 out |= (mask & run) >> s
             return out
-        while mask:
-            low = mask & -mask
-            out |= point_masks[low.bit_length() - 1]
-            mask ^= low
+        lo = min_bit(mask) >> 3 if mask else 0
+        data = (mask >> 8 * lo).to_bytes((mask.bit_length() + 7 >> 3) - lo, "little")
+        for c, byte in enumerate(data, lo):
+            if byte:
+                image = memos[c].get(byte)
+                out |= entry(c, byte) if image is None else image
         return out
 
     return apply

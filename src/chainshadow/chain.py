@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from operator import itemgetter
 
 from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
@@ -124,8 +125,14 @@ class DeltaGraph:
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
     # Each ball is a prefix of f(p)'s nearest-first order; sorted, it is the
-    # ascending successor tuple.
-    succ = tuple(tuple(sorted(system._nearest_within(fp, delta))) for fp in system.map)
+    # ascending successor tuple. Its points are read from ``ids``, so every
+    # tuple shares one int object per point instead of one per edge; an
+    # itemgetter of one index returns the item, not a 1-tuple.
+    ids = tuple(range(system.n))
+    balls = (sorted(system._nearest_within(fp, delta)) for fp in system.map)
+    succ = tuple(
+        itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls
+    )
     return DeltaGraph(system, delta, succ)
 
 

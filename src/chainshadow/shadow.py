@@ -716,8 +716,8 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     Far fewer candidate sets than states are reachable (32 sets for 2,048
     states on north-south:64 at delta 1/16, eps 1/2), so each set's image
     is computed once by ``system._image`` (a translation run at a time
-    where the map has fewer runs than Y has points) and kept for the rest
-    of this call.
+    where the map has fewer runs than Y has points, else a byte of Y at a
+    time from the system's byte memo) and kept for the rest of this call.
     ``parents[q]`` maps each visited Y at point q to its BFS parent, so a
     child costs one AND and one int-keyed probe, and its tuple is built
     only when it is new.

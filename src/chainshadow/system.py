@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -45,7 +45,7 @@ _MAX_POINTS = 4096
 # every entry has its own large denominator), so such a table is refused.
 _MAX_COMMON_DENOMINATOR_BITS = 1024
 # The keys that an explicit system spec and a generator spec may hold.
-_EXPLICIT_KEYS = frozenset({"n", "dist", "map", "invertible"})
+_EXPLICIT_KEYS = frozenset({"n", "dist", "map", "invertible", "quantization"})
 _GENERATOR_KEYS = frozenset({"generator", "params"})
 
 
@@ -183,13 +183,16 @@ class FiniteMetricSystem:
 
     @cached_property
     def _image(self):
-        """f(Y) for a bitmask Y: each translation run moves by its shift."""
+        """f(Y) for a bitmask Y: each translation run moves by its shift,
+        or, when Y has no more points than the map has runs, each byte of
+        Y is looked up in a memo that lasts as long as the system."""
         return _bit_map(self._map_runs, [1 << t for t in self.map])
 
     @cached_property
     def _preimage(self):
         """f^-1(M) for a bitmask M: x lies in f^-1(M) when bit f(x) of M is
-        set, so each run's image moves back by the run's shift."""
+        set, so each run's image moves back by the run's shift; sparser
+        masks read a byte memo as ``_image`` does."""
         pre_bit = [0] * self.n
         for x, t in enumerate(self.map):
             pre_bit[t] |= 1 << x
@@ -242,13 +245,17 @@ class FiniteMetricSystem:
         return self._table.value(best)
 
     def to_spec(self) -> dict:
-        """Explicit JSON-ready description (rationals as strings)."""
-        return {
+        """Explicit JSON-ready description (rationals as strings), with a
+        ``quantization`` key only when the system records one."""
+        spec = {
             "n": self.n,
             "dist": [[format_rational(v) for v in row] for row in self.dist],
             "map": list(self.map),
             "invertible": self.invertible,
         }
+        if self.quantization is not None:
+            spec["quantization"] = format_rational(self.quantization)
+        return spec
 
 
 def check_point(system: FiniteMetricSystem, p) -> int:
@@ -414,11 +421,12 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
 def validate_system(spec) -> FiniteMetricSystem:
     """Validate a system description.
 
-    Accepts either an explicit record {"n", "dist", "map", "invertible"} or
-    a generator reference {"generator": name, "params": {...}}, with no
-    other key. Raises InvalidSystem with the full list of violated axioms,
-    or BadParams for structural problems and for a table whose least common
-    denominator is wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits.
+    Accepts either an explicit record {"n", "dist", "map", "invertible",
+    "quantization"} or a generator reference {"generator": name,
+    "params": {...}}, with no other key. Raises InvalidSystem with the full
+    list of violated axioms, or BadParams for structural problems and for a
+    table whose least common denominator is wider than
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits.
     """
     if not isinstance(spec, dict):
         raise BadParams("system spec must be a mapping")
@@ -441,9 +449,14 @@ def validate_system(spec) -> FiniteMetricSystem:
     if not isinstance(fmap, list):
         raise BadParams("map must be a list of image indices")
     invertible = _check_invertible(spec.get("invertible", False))
+    # Parsed before the axioms are checked, so a bad value fails fast.
+    quantization = spec.get("quantization")
+    if quantization is not None:
+        quantization = parse_nonnegative(quantization)
     if declared_n != len(dist):
         raise BadParams(f"declared n={declared_n} but dist has {len(dist)} rows")
-    return make_system(dist, fmap, invertible)
+    system = make_system(dist, fmap, invertible)
+    return system if quantization is None else replace(system, quantization=quantization)
 
 
 def system_from_json(text: str) -> FiniteMetricSystem:

@@ -379,6 +379,18 @@ class TestSuccessors:
         for delta in radii:
             assert build_delta_graph(system, delta).succ == mask_path_succ(system, delta)
 
+    def test_one_int_object_per_point(self):
+        """Every successor tuple reads its points from one shared int per
+        point, also above CPython's small-int cache (256), so a dense graph
+        costs a pointer per edge, not a new int."""
+        system = north_south(300)
+        graph = build_delta_graph(system, Fraction(1, 2))
+        assert graph.succ == mask_path_succ(system, Fraction(1, 2))
+        seen = {}
+        for row in graph.succ:
+            for q in row:
+                assert seen.setdefault(q, q) is q
+
     def test_widest_accepted_table(self):
         assert make_system(*widest_table())._table.denominator.bit_length() == 1024
 

@@ -504,11 +504,16 @@ class TestPlumbing:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["cr_size"] == 4
 
-    def test_quantization_warning(self, capsys):
-        _, _, err = run_cli(
-            capsys, "analyze", "--gen", "doubling:8", "--delta", "1/100"
-        )
-        assert "quantization" in err
+    def test_quantization_warning(self, capsys, tmp_path):
+        """The warning holds for the generator and for its explicit file,
+        which carries the quantization."""
+        from chainshadow import doubling
+
+        spec = tmp_path / "doubling8.json"
+        spec.write_text(json.dumps(doubling(8).to_spec()))
+        for source in (["--gen", "doubling:8"], ["--file", str(spec)]):
+            _, _, err = run_cli(capsys, "analyze", *source, "--delta", "1/100")
+            assert "quantization" in err
 
     def test_state_cap_exit_3(self, capsys):
         code, _, err = run_cli(

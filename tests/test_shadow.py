@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -1133,7 +1134,7 @@ class TestTranslationRunImage:
     def test_run_counts(self, system, count):
         """The generator maps the run image is for have few runs; the tent
         has one per point, so no mask has more points than runs and it
-        always takes the bit loop."""
+        always reads the byte memo."""
         assert len(_translation_runs(system.map)) == count
 
     @pytest.mark.parametrize(
@@ -1157,6 +1158,58 @@ class TestTranslationRunImage:
                     FiniteMetricSystem, "_image", property(reference_image_fn)
                 ):
                     assert answers(delta, eps) == ours, (delta, eps)
+
+
+@st.composite
+def windowed_masks(draw, n):
+    """Masks of density about 1/4 or 1/2 over a drawn window of the points,
+    so that they span several bytes, whole or in part."""
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    window = (1 << hi) - (1 << lo)
+    mask = draw(st.integers(0, window)) & window
+    if draw(st.booleans()):
+        mask &= draw(st.integers(0, window))
+    return mask
+
+
+class TestByteMemo:
+    """Masks with no more points than the map has runs are mapped a byte at
+    a time, each byte's entry read from a memo kept with the system."""
+
+    @given(image_cases(), st.data())
+    @settings(max_examples=300)
+    def test_image_and_preimage_match_the_bit_loop(self, case, data):
+        system, drawn = case
+        n = system.n
+        masks = [*drawn, *data.draw(st.lists(windowed_masks(n), min_size=1, max_size=6))]
+        image, preimage = system._image, system._preimage
+        reference = reference_image_fn(system)
+        # The second round reads the entries the first one built.
+        for mask in masks + masks:
+            assert image(mask) == reference(mask), mask
+            expected = mask_of(x for x in range(n) if mask >> system.map[x] & 1)
+            assert preimage(mask) == expected, mask
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 70])
+    def test_at_most_255_entries_per_8_points(self, n):
+        """tent(n) has one run per point, so every mask reads the memo.
+        Every byte value at every position fills each memo of 8 points to
+        255 entries and a last memo of r < 8 points to 2**r - 1; masks over
+        several bytes, asked next, add none."""
+        system = tent(n)
+        full = (1 << n) - 1
+        chunks = -(-n // 8)
+        masks = [byte << 8 * c & full for c in range(chunks) for byte in range(1, 256)]
+        masks += [int("10" * n, 2) & full, int("110" * n, 2) & full, full]
+        for apply in (system._image, system._preimage):
+            memos = inspect.getclosurevars(apply).nonlocals["memos"]
+            for mask in masks + masks:
+                apply(mask)
+            assert [len(memo) for memo in memos] == [
+                2 ** min(8, n - 8 * c) - 1 for c in range(chunks)
+            ]
+            assert all(0 not in memo for memo in memos)
 
 
 class TestBothProperties:

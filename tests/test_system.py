@@ -226,12 +226,18 @@ class TestValidation:
         with pytest.raises(BadParams):
             make_system([[0, 0.5], [0.5, 0]], (0, 1))
 
-    def test_json_round_trip(self):
-        system = rotation(5, 2)
+    @pytest.mark.parametrize(
+        "system", [rotation(5, 2), tent(4), doubling(6)], ids=["rotation", "tent", "doubling"]
+    )
+    def test_json_round_trip(self, system):
+        """The grid maps' quantization is written as a rational string and
+        read back; a system without one writes no such key."""
         import json
 
-        again = system_from_json(json.dumps(system.to_spec()))
-        assert again == system
+        spec = system.to_spec()
+        assert ("quantization" in spec) == (system.quantization is not None)
+        again = system_from_json(json.dumps(spec))
+        assert again == system and again.quantization == system.quantization
 
     @pytest.mark.parametrize("text", ["", "nope", "{", '{"n": 1,}', "[1, 2"], ids=repr)
     def test_text_that_is_not_json_is_bad_params(self, tmp_path, text):
@@ -826,6 +832,9 @@ def _ns6_classes():
             {"generator": "rotation", "params": [2, 1], "n": 2, "dist": _ROWS, "map": [1, 0]}
         ),
         lambda: validate_system({"generator": "rotation", "params": [2, 1], 1: 2}),
+        lambda: validate_system({"n": 2, "dist": _ROWS, "map": [1, 0], "quantization": 0.5}),
+        lambda: validate_system({"n": 2, "dist": _ROWS, "map": [1, 0], "quantization": "-1/2"}),
+        lambda: validate_system({"generator": "tent", "params": [4], "quantization": "1/8"}),
     ],
     ids=[
         "grid-pair",
@@ -899,6 +908,9 @@ def _ns6_classes():
         "spec-misspelled-key",
         "spec-generator-and-table",
         "spec-generator-int-key",
+        "spec-float-quantization",
+        "spec-negative-quantization",
+        "spec-generator-quantization",
     ],
 )
 def test_malformed_arguments_raise_bad_params(call):
