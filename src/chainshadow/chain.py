@@ -214,19 +214,21 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
     scc_of, sccs, _, k, class_reach, covers, above = graph._components
     classes = tuple(frozenset(members) for members in sccs[:k])
     class_index = tuple(sid if sid < k else None for sid in scc_of)
-    dist = graph.system.dist
+    rows = graph.system._table.rows
     nearest_first = graph.system._nearest_first
-    separation: list[Fraction | None] = [None] * k
+    # Each class's least row entry to another class; only these become Fractions.
+    least: list[int | None] = [None] * k
     # With one class there is no other class to be apart from.
     for p, i in enumerate(class_index if k > 1 else ()):
         if i is None:
             continue
         for q in nearest_first[p]:
             if class_index[q] not in (None, i):
-                d = dist[p][q]
-                if separation[i] is None or d < separation[i]:
-                    separation[i] = d
+                d = rows[p][q]
+                if least[i] is None or d < least[i]:
+                    least[i] = d
                 break
+    separation = tuple(None if d is None else graph.system._values[d] for d in least)
     return ChainDecomposition(
         graph.system,
         graph.delta,
@@ -235,7 +237,7 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
         class_reach,
         covers,
         above,
-        tuple(separation),
+        separation,
     )
 
 
@@ -269,10 +271,10 @@ def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
     b = check_points(system, b)
     if not a or not b:
         raise EmptySet("Hausdorff distance needs nonempty sets")
-    d = system.dist
-    forward = max(min(d[x][y] for y in b) for x in a)
-    backward = max(min(d[y][x] for x in a) for y in b)
-    return max(forward, backward)
+    rows = system._table.rows
+    forward = max(min(rows[x][y] for y in b) for x in a)
+    backward = max(min(rows[y][x] for x in a) for y in b)
+    return system._values[max(forward, backward)]
 
 
 def omega_cycle(system: FiniteMetricSystem, x: int) -> frozenset[int]:

@@ -91,9 +91,7 @@ class PseudoOrbit:
     def errors(self, system: FiniteMetricSystem) -> tuple[Fraction, ...]:
         """Step errors d(f(x_i), x_{i+1}) along the stored sequence."""
         pts = self.points
-        return tuple(
-            system.dist[system.map[pts[i]]][pts[i + 1]] for i in range(len(pts) - 1)
-        )
+        return tuple(system.d(system.map[x], y) for x, y in zip(pts, pts[1:]))
 
     def to_json(self) -> dict:
         out = {

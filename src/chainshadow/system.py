@@ -15,9 +15,10 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import lshift
+from typing import NamedTuple
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -39,6 +40,9 @@ _MAX_CANTOR_DEPTH = 10
 # Most points a generator builds or a spec may list; a larger dist table is
 # refused on its row count, before any entry is parsed.
 _MAX_POINTS = 4096
+# Longest orbit that ``FiniteMetricSystem.orbit`` lists: 2**24 entries make a
+# 128 MiB tuple of pointers on 64-bit CPython and take about a second.
+_MAX_ORBIT_LENGTH = 2**24
 # Widest common denominator, in bits, that a distance table may have. Up to
 # it the integer rows take a small multiple of the memory of the Fraction
 # table they stand for. Past it they can grow without bound (as n**4 when
@@ -49,29 +53,33 @@ _EXPLICIT_KEYS = frozenset({"n", "dist", "map", "invertible", "quantization"})
 _GENERATOR_KEYS = frozenset({"generator", "params"})
 
 
-class _Table:
-    """The distance table as integer rows over L, the least common
-    denominator of the table: entries that order, and compare with 0, as
-    the distances do. A system reuses it only with the ``dist`` it was built from."""
+class _Table(NamedTuple):
+    """The distance table, stored once: integer rows over L, the least
+    common denominator of the table, whose entries order, and compare with
+    0, as the distances do. ``FiniteMetricSystem.dist`` is a view of it."""
 
-    __slots__ = ("rows", "denominator", "dist")
-
-    def __init__(self, rows, denominator, dist=None):
-        self.rows = rows
-        self.denominator = denominator
-        self.dist = dist
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
     def bound(self, r):
         """What a row entry is at most exactly when its distance is at most
         ``r``: floor(r * L)."""
         return r.numerator * self.denominator // r.denominator
 
-    def value(self, entry) -> Fraction:
-        """The distance that a row entry stands for."""
-        return Fraction(entry, self.denominator)
+
+class _Memo(dict):
+    """Each key read so far, mapped to ``make(key)``: one shared value per
+    key. A key that ``make`` refuses raises and is not stored."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMetricSystem:
     """Points 0..n-1 with an exact metric table and a total self-map.
 
@@ -81,40 +89,55 @@ class FiniteMetricSystem:
     Fractions with a least common denominator of at most
     ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point indices,
     ``invertible`` is a bool that is True only for a bijective map and
-    ``quantization`` is None or a nonnegative rational. ``dist`` and ``map``
-    are stored as tuples, ``quantization`` as a Fraction.
+    ``quantization`` is None or a nonnegative rational. ``map`` is stored
+    as a tuple and ``quantization`` as a Fraction.
+
+    The distances are stored once, as the integer table ``_table`` that
+    every comparison, equality and hashing read. Builders that hold it pass
+    it and no ``dist``; ``dataclasses.replace`` hands it on, or rebuilds it
+    for a new ``dist``. ``dist`` is a read-only view built on first read.
     """
 
     n: int
-    dist: tuple[tuple[Fraction, ...], ...]
     map: tuple[int, ...]
-    invertible: bool = False
-    quantization: Fraction | None = None
-    # Every distance comparison reads this table. Builders that already hold
-    # it pass it in, and dataclasses.replace hands it on; it is made from
-    # dist here when none is given or it was built from another dist.
-    _table: _Table | None = field(default=None, repr=False, compare=False)
+    invertible: bool
+    quantization: Fraction | None
+    _table: _Table = field(repr=False)
 
-    def __post_init__(self):
-        n = check_int("n", self.n, 1)
-        object.__setattr__(self, "map", check_collection("map", self.map))
-        rebuild = self._table is None or self._table.dist is not self.dist
-        if rebuild:
-            object.__setattr__(self, "dist", _rows(self.dist))
-        if len(self.dist) != n or len(self.map) != n or any(len(row) != n for row in self.dist):
+    def __init__(self, n, dist=None, map=None, invertible=False, quantization=None, _table=None):
+        object.__setattr__(self, "n", check_int("n", n, 1))
+        fmap = check_collection("map", map)
+        rebuild = dist is not None or _table is None
+        rows = _rows(dist) if rebuild else _table.rows
+        if len(rows) != n or len(fmap) != n or any(len(row) != n for row in rows):
             raise BadParams(f"{n} points need {n} rows of {n} distances and {n} map entries")
-        check_points(self, self.map)
-        if _check_invertible(self.invertible) and len(set(self.map)) != n:
+        check_points(self, fmap)
+        if _check_invertible(invertible) and len(set(fmap)) != n:
             raise BadParams("an invertible system needs a bijective map")
-        if self.quantization is not None:
-            object.__setattr__(self, "quantization", parse_nonnegative(self.quantization))
+        if quantization is not None:
+            quantization = parse_nonnegative(quantization)
         if rebuild:
-            if not {type(v) for row in self.dist for v in row} <= {int, Fraction}:
+            if not {type(v) for row in rows for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
-            object.__setattr__(self, "_table", _table_of(self.dist))
+            _table = _table_of(rows)
+        object.__setattr__(self, "map", fmap)
+        object.__setattr__(self, "invertible", invertible)
+        object.__setattr__(self, "quantization", quantization)
+        object.__setattr__(self, "_table", _table)
+
+    @cached_property
+    def _values(self) -> _Memo:
+        """Each row entry read so far, mapped to the one Fraction it stands for."""
+        return _Memo(partial(Fraction, denominator=self._table.denominator))
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as rows of Fractions, one shared object per value."""
+        values = self._values.__getitem__
+        return tuple(tuple(map(values, row)) for row in self._table.rows)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[check_point(self, i)][check_point(self, j)]
+        return self._values[self._table.rows[check_point(self, i)][check_point(self, j)]]
 
     @property
     def points(self) -> range:
@@ -124,7 +147,7 @@ class FiniteMetricSystem:
         """First ``length`` points of the forward orbit of ``x``."""
         check_point(self, x)
         out = []
-        for _ in range(check_int("length", length, 0)):
+        for _ in range(check_int("length", length, 0, _MAX_ORBIT_LENGTH)):
             out.append(x)
             x = self.map[x]
         return tuple(out)
@@ -217,13 +240,13 @@ class FiniteMetricSystem:
 
     @cached_property
     def diameter(self) -> Fraction:
-        return self._table.value(max(map(max, self._table.rows)))
+        return self._values[max(map(max, self._table.rows))]
 
     @cached_property
     def distance_values(self) -> tuple[Fraction, ...]:
         """Distinct positive distances, ascending."""
         values = set().union(*(row[:i] for i, row in enumerate(self._table.rows)))
-        return tuple(map(self._table.value, sorted(values)))
+        return tuple(map(self._values.__getitem__, sorted(values)))
 
     @cached_property
     def min_gap(self) -> Fraction | None:
@@ -242,14 +265,15 @@ class FiniteMetricSystem:
             return None
         rows = self._table.rows
         best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
-        return self._table.value(best)
+        return self._values[best]
 
     def to_spec(self) -> dict:
         """Explicit JSON-ready description (rationals as strings), with a
         ``quantization`` key only when the system records one."""
+        text = _Memo(lambda entry: format_rational(self._values[entry]))
         spec = {
             "n": self.n,
-            "dist": [[format_rational(v) for v in row] for row in self.dist],
+            "dist": [list(map(text.__getitem__, row)) for row in self._table.rows],
             "map": list(self.map),
             "invertible": self.invertible,
         }
@@ -300,7 +324,7 @@ def _over_common_denominator(rows) -> tuple[tuple, int]:
 
 def _table_of(dist) -> _Table:
     """The integer table of ``dist``, a table of ints and Fractions."""
-    return _Table(*_over_common_denominator(dist), dist)
+    return _Table(*_over_common_denominator(dist))
 
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
@@ -374,15 +398,6 @@ def _triangle_pairs(table: _Table):
                 yield i, j
 
 
-class _ParsedStrings(dict):
-    """Each string read so far, mapped to its Fraction. A string that
-    ``parse_rational`` refuses raises and is not stored."""
-
-    def __missing__(self, text: str) -> Fraction:
-        q = self[text] = parse_rational(text)
-        return q
-
-
 def _rows(dist) -> tuple[tuple, ...]:
     """``dist`` as a tuple of row tuples; BadParams unless each is a collection."""
     return tuple(check_collection("dist row", row) for row in check_collection("dist", dist))
@@ -394,7 +409,7 @@ def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
     # Each distinct string is parsed once, and its entries share one Fraction.
     # Only str values are memoised: 1, 1.0, True and Fraction(1) hash alike,
     # and the float and the bool must still be refused.
-    parsed = _ParsedStrings()
+    parsed = _Memo(parse_rational)
     dist = tuple(
         tuple(parsed[v] if type(v) is str else parse_rational(v) for v in row)
         for row in _rows(dist_rows)
@@ -415,7 +430,7 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     violations = _violations(table, fmap, _check_invertible(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(len(dist), dist, fmap, invertible, _table=table)
+    return FiniteMetricSystem(len(dist), map=fmap, invertible=invertible, _table=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:
@@ -480,17 +495,17 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
     The result satisfies the triangle inequality by construction. Raises
     BadParams for an ``n`` that is not an int in 1.._MAX_POINTS, edges that
     are not (i, j, weight) triples, an endpoint that is not a point index,
-    nonpositive weights or a disconnected graph. The completion runs on
-    Fractions in about n**3 steps: 28 s at n = 256 on a 2-vCPU host.
+    nonpositive weights, weights whose least common denominator is wider
+    than ``_MAX_COMMON_DENOMINATOR_BITS`` bits or a disconnected graph. The
+    completion runs on the weights times that denominator, in about n**3
+    integer steps: 1.4 s at n = 256 on a 2-vCPU host (Python 3.11).
     """
     # Any int first, so that a str or a float is named as no integer at all.
     check_int("n", check_int("n", n), 1, _MAX_POINTS)
     edges = [check_collection("edge", edge) for edge in check_collection("edges", edges)]
     if any(len(edge) != 3 for edge in edges):
         raise BadParams("edges must be a collection of (i, j, weight) triples")
-    dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = _ZERO
+    lightest: dict[tuple[int, int], Fraction] = {}
     for i, j, w in edges:
         for end in (i, j):
             check_int(f"edge {(i, j, w)!r}: endpoint", end, 0, n - 1)
@@ -499,23 +514,28 @@ def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:
             raise BadParams(f"edge weight must be positive, got {w}")
         if i == j:
             raise BadParams("self edges are not allowed")
-        if dist[i][j] is None or w < dist[i][j]:
-            dist[i][j] = dist[j][i] = w
-    for k in range(n):
-        for i in range(n):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            for j in range(n):
-                dkj = dist[k][j]
-                if dkj is None:
-                    continue
-                via = dik + dkj
-                if dist[i][j] is None or via < dist[i][j]:
-                    dist[i][j] = dist[j][i] = via
-    if any(v is None for row in dist for v in row):
+        pair = (min(i, j), max(i, j))
+        if pair not in lightest or w < lightest[pair]:
+            lightest[pair] = w
+    (weights,), common = _over_common_denominator((lightest.values(),))
+    # Longer than any path: a shortest path uses each edge at most once.
+    unreached = sum(weights) + 1
+    dist = [[unreached] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for (i, j), w in zip(lightest, weights):
+        dist[i][j] = dist[j][i] = w
+    for k, row_k in enumerate(dist):
+        for row_i in dist:
+            dik = row_i[k]
+            if dik < unreached:
+                for j, dkj in enumerate(row_k):
+                    if dik + dkj < row_i[j]:
+                        row_i[j] = dik + dkj
+    if any(unreached in row for row in dist):
         raise BadParams("edge graph is disconnected; metric would be infinite")
-    return [list(row) for row in dist]  # type: ignore[arg-type]
+    value = _Memo(partial(Fraction, denominator=common))
+    return [list(map(value.__getitem__, row)) for row in dist]
 
 
 def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
@@ -534,20 +554,18 @@ def _points_system(
 
     The table is built on integers over ``unit``, which is its least common
     denominator when one position is 0 and the positions have no factor in
-    common with ``unit``. Both tables hold one shared object per distinct
-    value: an int in the rows, a Fraction in ``dist``.
+    common with ``unit``. Its rows hold one shared int per distinct value,
+    and no Fraction is made until one is read.
     """
     ints: dict[int, int] = {}
     rows = tuple(
         tuple(map(ints.setdefault, gaps, gaps))
         for gaps in (_gaps(a, positions, unit, circle) for a in positions)
     )
-    shared = {v: Fraction(v, unit) for v in ints}
-    dist = tuple(tuple(map(shared.__getitem__, row)) for row in rows)
     fmap = tuple(fmap)
     return FiniteMetricSystem(
-        len(rows), dist, fmap, len(set(fmap)) == len(fmap), quantization,
-        _table=_Table(rows, unit, dist),
+        len(rows), map=fmap, invertible=len(set(fmap)) == len(fmap), quantization=quantization,
+        _table=_Table(rows, unit),
     )
 
 

@@ -627,6 +627,17 @@ class TestSetUtilities:
         with pytest.raises(EmptySet):
             hausdorff_distance(parallel, set(), {1})
 
+    @given(metric_systems(max_n=6), st.data())
+    @settings(max_examples=40)
+    def test_hausdorff_matches_definition(self, system, picks):
+        sets = st.sets(st.sampled_from(list(system.points)), min_size=1)
+        a, b = picks.draw(sets), picks.draw(sets)
+        d = system.dist
+        expected = max(
+            max(min(d[x][y] for y in b) for x in a), max(min(d[y][x] for x in a) for y in b)
+        )
+        assert hausdorff_distance(system, a, b) == expected
+
     def test_omega_cycle(self, parallel):
         assert omega_cycle(parallel, 0) == {1, 2}
         assert omega_cycle(north_south(6), 1) == {3}

@@ -25,6 +25,7 @@ from chainshadow import (
     build_corpus_system,
     build_delta_graph,
     cantor_identity,
+    check_both_properties,
     check_shadowing_property,
     decompose,
     doubling,
@@ -595,6 +596,66 @@ class TestIntegerTables:
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
 
+def _each_generator(*extra):
+    """Parametrize ``system`` over each generator, far_two_cycles()
+    included, at a few sizes: fresh systems for each test."""
+    cases = [
+        *standard_corpus(),
+        *[(f"rotation:{n}:5", rotation(n, 5)) for n in (1, 12, 97)],
+        *[(f"tent:{c}", tent(c)) for c in (1, 33)],
+        *[(f"doubling:{c}", doubling(c)) for c in (1, 33)],
+        ("cantor-identity:5", cantor_identity(5)),
+        ("north-south:40", north_south(40)),
+        *extra,
+    ]
+    return pytest.mark.parametrize(
+        "system", [system for _, system in cases], ids=[name for name, _ in cases]
+    )
+
+
+class TestOneTable:
+    """A system stores its integer table only; dist is a view of it, built
+    on its first read."""
+
+    @_each_generator()
+    def test_no_search_builds_the_view(self, system):
+        assert "dist" not in vars(system)
+        delta = eps = system.min_gap or 0
+        check_both_properties(system, delta, eps)
+        assert "dist" not in vars(system)
+        run_harness(system)
+        assert "dist" not in vars(system)
+
+    def test_separation_reads_no_view(self):
+        system = north_south(9)
+        dec = decompose(build_delta_graph(system, 0))
+        assert len(dec.classes) == 2 and None not in dec.separation
+        assert "dist" not in vars(system)
+        assert dec.separation[0] is dec.separation[1] is system.dist[0][min(dec.classes[1])]
+
+    @_each_generator()
+    def test_the_view_rebuilds_an_equal_system(self, system):
+        again = FiniteMetricSystem(
+            system.n, system.dist, system.map, system.invertible, system.quantization
+        )
+        assert again == system and hash(again) == hash(system)
+        assert again._table == system._table
+
+    @_each_generator(("direct", FiniteMetricSystem(3, [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [0, 0, 1])))
+    def test_the_view_shares_one_fraction_per_value(self, system):
+        entries = [v for row in system.dist for v in row]
+        assert all(type(v) is Fraction for v in entries)
+        assert len({id(v) for v in entries}) == len(set(entries))
+        assert system.diameter is max(entries)
+        assert all(system.d(p, q) is system.dist[p][q] for p in system.points for q in system.points)
+
+    def test_the_view_is_read_only(self):
+        system = rotation(4, 1)
+        with pytest.raises(AttributeError):
+            system.dist = ()
+        assert "dist" not in vars(system)
+
+
 class TestGenerators:
     def test_cantor_level_one(self):
         system = cantor_identity(1)
@@ -706,7 +767,70 @@ class TestGrids:
             assert system.quantization == (Fraction(1, 2 * system.n) if grid else None)
 
 
+def reference_shortest_path_metric(n, edges):
+    """The completion on Fractions, one Fraction addition per relaxation:
+    the reference for the integer completion."""
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = Fraction(0)
+    for i, j, w in edges:
+        w = Fraction(w)
+        if dist[i][j] is None or w < dist[i][j]:
+            dist[i][j] = dist[j][i] = w
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] is not None and dist[k][j] is not None:
+                    via = dist[i][k] + dist[k][j]
+                    if dist[i][j] is None or via < dist[i][j]:
+                        dist[i][j] = dist[j][i] = via
+    if any(v is None for row in dist for v in row):
+        return BadParams
+    return dist
+
+
+_WEIGHTS = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(1, 2**62), st.integers(2**40, 2**61 - 1)),
+    st.integers(1, 9),
+)
+
+
+@st.composite
+def weighted_graphs(draw, max_n: int = 7):
+    """Edge lists on n points with repeated edges, both directions and,
+    sometimes, missing links."""
+    n = draw(st.integers(1, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = [(i, j, draw(_WEIGHTS)) for i, j in draw(st.lists(pairs, max_size=3 * n))]
+    if n > 1 and draw(st.booleans()):  # a path through every point
+        edges += [(i, i + 1, draw(_WEIGHTS)) for i in range(n - 1)]
+    return n, edges
+
+
 class TestShortestPathMetric:
+    @given(weighted_graphs())
+    @example((1, []))
+    @example((3, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (2, 0, 3)]))
+    @settings(max_examples=200)
+    def test_matches_the_fraction_reference(self, graph):
+        n, edges = graph
+        expected = reference_shortest_path_metric(n, edges)
+        if expected is BadParams:
+            with pytest.raises(BadParams, match="disconnected"):
+                shortest_path_metric(n, edges)
+        else:
+            got = shortest_path_metric(n, edges)
+            assert got == expected
+            assert all(type(v) is Fraction for row in got for v in row)
+
+    def test_a_weight_denominator_past_the_bound_is_refused(self):
+        edges = [(0, 1, Fraction(1, 2**1023)), (1, 2, 1)]
+        assert shortest_path_metric(3, edges)[0][2] == 1 + Fraction(1, 2**1023)
+        edges.append((0, 2, Fraction(3, 2**1024)))
+        with pytest.raises(BadParams, match="wider than 1024 bits"):
+            shortest_path_metric(3, edges)
+
     def test_completion_is_a_metric(self):
         dist = shortest_path_metric(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
         assert dist[0][2] == 2  # direct weight 5 shortcut through the middle
@@ -779,6 +903,8 @@ def _ns6_classes():
         lambda: rotation(4, 1).orbit(0, "3"),
         lambda: rotation(4, 1).orbit(0, -1),
         lambda: rotation(4, 1).orbit(0, True),
+        lambda: rotation(4, 1).orbit(0, 2**24 + 1),
+        lambda: rotation(4, 1).orbit(0, 10**20),
         lambda: metric_violations([[0, 0.5], [0.5, 0]], (0, 1), False),
         lambda: metric_violations([[0, 1]], (0,), False),
         lambda: metric_violations(_ROWS, (0,), False),
@@ -858,6 +984,8 @@ def _ns6_classes():
         "orbit-length-str",
         "orbit-length-negative",
         "orbit-length-bool",
+        "orbit-length-past-bound",
+        "orbit-length-huge",
         "violations-float",
         "violations-not-square",
         "violations-short-map",
@@ -927,9 +1055,11 @@ def test_a_direct_system_stores_tuples():
     assert system.dist == ((0, 1), (1, 0)) and system.map == (1, 0)
     assert hash(system) == hash(FiniteMetricSystem(2, ((0, 1), (1, 0)), (1, 0)))
     assert system.ball(0, 1) == 0b11 and system.diameter == 1
-    # Builders that hand in their table keep it, built on the dist they pass.
+    # Builders hand in their integer table and build no Fraction table; the
+    # dist view is made on its first read and kept.
     for built in (rotation(4, 1), make_system(_ROWS, (1, 0))):
-        assert built._table.dist is built.dist
+        assert "dist" not in vars(built)
+        assert built.dist is built.dist and "dist" in vars(built)
 
 
 def test_rational_strings_are_valid_arguments():
