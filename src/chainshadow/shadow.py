@@ -185,9 +185,6 @@ class MergeSet:
     eps: Fraction
     tracks: tuple[frozenset[int], ...]
 
-    def of(self, p: int) -> frozenset[int]:
-        return self.tracks[p]
-
 
 # ---------------------------------------------------------------------------
 # per-orbit checks
@@ -326,8 +323,6 @@ def brute_force_oracle(
     prop: str = "shadowing",
     max_len: int = DEFAULT_MAX_LEN,
     domain=None,
-    *,
-    point_limit: int = _ORACLE_POINT_GUARD,
 ) -> OracleVerdict:
     """Enumerate every delta chain of up to ``max_len`` points and test it
     against all candidate shadow points directly from the distance table.
@@ -344,8 +339,8 @@ def brute_force_oracle(
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     check_int("max_len", max_len, 2)
-    if system.n > check_int("point_limit", point_limit):
-        raise TooLarge(f"{system.n} points exceeds the oracle guard {point_limit}")
+    if system.n > _ORACLE_POINT_GUARD:
+        raise TooLarge(f"{system.n} points exceeds the oracle guard {_ORACLE_POINT_GUARD}")
     if max_len > _ORACLE_LENGTH_GUARD:
         raise TooLarge(f"max_len {max_len} exceeds the oracle guard {_ORACLE_LENGTH_GUARD}")
     pts = sorted(bits(_domain_mask(system, domain)))

@@ -37,8 +37,8 @@ _HALF = Fraction(1, 2)
 
 _MAX_VIOLATIONS = 50
 _MAX_CANTOR_DEPTH = 10
-# Most points a generator builds or a spec may list; a larger dist table is
-# refused on its row count, before any entry is parsed.
+# Most points a generator builds or a table may list; ``_rows`` refuses a
+# larger dist table on its row count, before any row is read.
 _MAX_POINTS = 4096
 # Longest orbit that ``FiniteMetricSystem.orbit`` lists: 2**24 entries make a
 # 128 MiB tuple of pointers on 64-bit CPython and take about a second.
@@ -85,12 +85,12 @@ class FiniteMetricSystem:
 
     ``quantization`` is the resolution floor that the grid maps record; it
     is informational only and never enforced. Construction checks the
-    shape, not the axioms: BadParams unless ``dist`` is n rows of n ints or
-    Fractions with a least common denominator of at most
-    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point indices,
-    ``invertible`` is a bool that is True only for a bijective map and
-    ``quantization`` is None or a nonnegative rational. ``map`` is stored
-    as a tuple and ``quantization`` as a Fraction.
+    shape, not the axioms: BadParams unless ``dist`` is n rows (at most
+    ``_MAX_POINTS``) of n ints or Fractions with a least common denominator
+    of at most ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point
+    indices, ``invertible`` is a bool that is True only for a bijective map
+    and ``quantization`` is None or a nonnegative rational. ``map`` is
+    stored as a tuple and ``quantization`` as a Fraction.
 
     The distances are stored once, as the integer table ``_table`` that
     every comparison, equality and hashing read. Builders that hold it pass
@@ -329,10 +329,10 @@ def _table_of(dist) -> _Table:
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     """Collect violated axioms (capped at a readable number of entries).
-    Raises BadParams where ``make_system`` does: on an entry that is not a
-    rational, a table that is not square, a map of another length, an
-    ``invertible`` that is not a bool or a common denominator wider than
-    ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
+    Raises BadParams where ``make_system`` does: on more than ``_MAX_POINTS``
+    rows, an entry that is not a rational, a table that is not square, a map
+    of another length, an ``invertible`` that is not a bool or a common
+    denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
     dist, fmap = _parsed(dist, fmap)
     return _violations(_table_of(dist), fmap, _check_invertible(invertible))
 
@@ -399,8 +399,12 @@ def _triangle_pairs(table: _Table):
 
 
 def _rows(dist) -> tuple[tuple, ...]:
-    """``dist`` as a tuple of row tuples; BadParams unless each is a collection."""
-    return tuple(check_collection("dist row", row) for row in check_collection("dist", dist))
+    """``dist`` as a tuple of row tuples; BadParams unless each is a
+    collection, and for more than ``_MAX_POINTS`` rows before any is read."""
+    rows = check_collection("dist", dist)
+    if len(rows) > _MAX_POINTS:
+        raise BadParams(f"dist has {len(rows)} rows; at most {_MAX_POINTS} points are allowed")
+    return tuple(check_collection("dist row", row) for row in rows)
 
 
 def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
@@ -457,10 +461,6 @@ def validate_system(spec) -> FiniteMetricSystem:
     check_int("n", declared_n)
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise BadParams("dist must be a list of row lists")
-    if len(dist) > _MAX_POINTS:
-        raise BadParams(
-            f"dist has {len(dist)} rows; at most {_MAX_POINTS} points are allowed"
-        )
     if not isinstance(fmap, list):
         raise BadParams("map must be a list of image indices")
     invertible = _check_invertible(spec.get("invertible", False))

@@ -1,0 +1,46 @@
+"""The pinned runs of ``pins.py`` without an RSS bound, and two generated
+system files run within their timeouts."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from chainshadow import rotation
+from pins import EMPTY, PINS, Pin, check, run
+
+
+@pytest.mark.parametrize("pin", [p for p in PINS if p.rss_kb is None], ids=lambda p: p.argv)
+def test_pinned_run(pin):
+    assert check(pin) == []
+
+
+def test_a_512_point_file_loads_and_a_stretched_copy_exits_2(tmp_path):
+    """It reports as ``--gen rotation:512:1`` does; a copy with one pair
+    stretched to 3 times the diameter exits 2 with a triangle violation."""
+    system = rotation(512, 1)
+    spec = system.to_spec()
+    (tmp_path / "rot512.json").write_text(json.dumps(spec))
+    spec["dist"][1][300] = spec["dist"][300][1] = str(3 * system.diameter)
+    (tmp_path / "bad.json").write_text(json.dumps(spec))
+    good = Pin("analyze --file rot512.json --delta 1/512", 0,
+               "441207bb4470f14a24e972537c83209a2fd09a17a1d04e1a1a1a54718234993c", timeout=120)
+    bad = Pin("analyze --file bad.json --delta 1/512", 2, EMPTY, "triangle", timeout=120)
+    assert check(good, tmp_path) == check(bad, tmp_path) == []
+
+
+def test_a_table_wider_than_1024_bits_is_refused_within_10_s(tmp_path):
+    """64 points with one ~40-bit denominator per pair: refused before the
+    axioms are checked, with a message and no traceback."""
+    n = 64
+    dist = [["0"] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    for q, (i, j) in enumerate(pairs, start=2**40):
+        dist[i][j] = dist[j][i] = str(1 + Fraction(1, q))
+    spec = {"n": n, "dist": dist, "map": list(range(n))}
+    (tmp_path / "wide64.json").write_text(json.dumps(spec))
+    code, out, err, _ = run("analyze --file wide64.json --delta 0", 10, tmp_path)
+    assert (code, out) == (2, b"")
+    assert err == "error: the distances' least common denominator is wider than 1024 bits\n"

@@ -217,6 +217,21 @@ class TestValidation:
         with pytest.raises(BadParams, match=f"dist has {rows} rows"):
             validate_system(spec)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: make_system(rows, [0] * len(rows)),
+            lambda rows: metric_violations(rows, [0] * len(rows), False),
+            lambda rows: FiniteMetricSystem(len(rows), rows, [0] * len(rows)),
+        ],
+        ids=["make_system", "metric_violations", "FiniteMetricSystem"],
+    )
+    def test_every_table_is_capped_before_its_rows_are_read(self, build):
+        """Rows that are not collections would fail as soon as one is read."""
+        rows = system_mod._MAX_POINTS + 1
+        with pytest.raises(BadParams, match=f"^dist has {rows} rows; at most 4096 points"):
+            build([None] * rows)
+
     def test_generators_share_the_point_cap(self):
         with pytest.raises(BadParams, match="4096"):
             rotation(system_mod._MAX_POINTS + 1, 1)
@@ -920,7 +935,6 @@ def _ns6_classes():
         lambda: PseudoOrbit(5, 1),
         lambda: PseudoOrbit.plain(5, 1),
         lambda: PseudoOrbit((0, 1), 1, 2),
-        lambda: brute_force_oracle(north_south(6), 1, 1, point_limit="3"),
         lambda: brute_force_oracle(north_south(6), 1, 1, max_len=1),
         lambda: validate_system({"n": "2", "dist": _ROWS, "map": [0, 1]}),
         lambda: rotation(4, "1"),
@@ -1001,7 +1015,6 @@ def _ns6_classes():
         "pseudo-orbit-int",
         "plain-int",
         "tail-start-past-end",
-        "point-limit-str",
         "max-len-one",
         "spec-n-str",
         "rotation-k-str",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -280,8 +281,6 @@ class TestHarness:
             lambda: shortest_path_metric(3, [(0, 1)]),
             lambda: shortest_path_metric(2, 5),
             lambda: shortest_path_metric(2, [5]),
-            lambda: brute_force_oracle(rotation(4, 1), 1, 1, point_limit="3"),
-            lambda: brute_force_oracle(rotation(4, 1), 1, 1, point_limit=None),
         ],
         ids=[
             "grid-string-entry",
@@ -292,8 +291,6 @@ class TestHarness:
             "edge-pair",
             "edges-int",
             "edge-int",
-            "oracle-str-point-limit",
-            "oracle-none-point-limit",
         ],
     )
     def test_malformed_arguments_raise_bad_params(self, call):
@@ -470,3 +467,14 @@ class TestDefaultStateCap:
             _call(fn, args, parallel, state_cap=4)
         assert err.value.states_explored == 5
         assert caps[explicit:] == [4]
+
+
+def test_the_readme_python_example_prints_what_it_says(capsys):
+    """The example in the README's "Python API" section runs, and each line
+    it prints is the comment on its ``print`` call."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    said = [line.rsplit("# ", 1)[1] for line in example.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == said
+    assert said == ["[[1, 2], [3, 4]]", "False (0, 4)", "False", "0"]
