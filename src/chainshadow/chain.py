@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from operator import itemgetter
 
 from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
@@ -124,16 +123,7 @@ class DeltaGraph:
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
-    # Each ball is a prefix of f(p)'s nearest-first order; sorted, it is the
-    # ascending successor tuple. Its points are read from ``ids``, so every
-    # tuple shares one int object per point instead of one per edge; an
-    # itemgetter of one index returns the item, not a 1-tuple.
-    ids = tuple(range(system.n))
-    balls = (sorted(system._nearest_within(fp, delta)) for fp in system.map)
-    succ = tuple(
-        itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls
-    )
-    return DeltaGraph(system, delta, succ)
+    return DeltaGraph(system, delta, system._successors(delta))
 
 
 def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
@@ -214,21 +204,7 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
     scc_of, sccs, _, k, class_reach, covers, above = graph._components
     classes = tuple(frozenset(members) for members in sccs[:k])
     class_index = tuple(sid if sid < k else None for sid in scc_of)
-    rows = graph.system._table.rows
-    nearest_first = graph.system._nearest_first
-    # Each class's least row entry to another class; only these become Fractions.
-    least: list[int | None] = [None] * k
-    # With one class there is no other class to be apart from.
-    for p, i in enumerate(class_index if k > 1 else ()):
-        if i is None:
-            continue
-        for q in nearest_first[p]:
-            if class_index[q] not in (None, i):
-                d = rows[p][q]
-                if least[i] is None or d < least[i]:
-                    least[i] = d
-                break
-    separation = tuple(None if d is None else graph.system._values[d] for d in least)
+    separation = graph.system._separations(class_index, k)
     return ChainDecomposition(
         graph.system,
         graph.delta,

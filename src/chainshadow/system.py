@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
-from operator import lshift
+from operator import itemgetter, lshift, sub
 from typing import NamedTuple
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
@@ -61,10 +61,82 @@ class _Table(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     denominator: int
 
-    def bound(self, r):
-        """What a row entry is at most exactly when its distance is at most
-        ``r``: floor(r * L)."""
-        return r.numerator * self.denominator // r.denominator
+
+class _Positions:
+    """Where a positioned generator puts its points: point p at
+    ``at[p] / denominator`` on [0, 1], or on the circle of length 1, whose
+    arc-length metric takes the shorter way round. The integer table these
+    stand for is built on its first read (``table``); balls, successor rows,
+    separations and distance values are read off the sorted positions."""
+
+    def __init__(self, at: tuple[int, ...], denominator: int, circle: bool):
+        self.at, self.denominator, self.circle = at, denominator, circle
+
+    def distance(self, x: int, y: int) -> int:
+        """The distance between the positions x and y, times the denominator."""
+        gap = abs(x - y)
+        return min(gap, self.denominator - gap) if self.circle else gap
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The points in ascending position order."""
+        return tuple(sorted(range(len(self.at)), key=self.at.__getitem__))
+
+    @cached_property
+    def ascending(self) -> list[int]:
+        """The positions in ascending order: ``at[order[j]]`` at j."""
+        return [self.at[p] for p in self.order]
+
+    @cached_property
+    def in_order(self) -> bool:
+        """Whether index order is position order, as on every positioned
+        generator but north-south."""
+        return self.order == tuple(range(len(self.at)))
+
+    @cached_property
+    def prefix(self) -> list[int]:
+        """prefix[j]: the mask of the first j points in position order, so
+        the points of positions lo..hi-1 are ``prefix[hi] ^ prefix[lo]``."""
+        masks = [0]
+        for p in self.order:
+            masks.append(masks[-1] | 1 << p)
+        return masks
+
+    def neighbours(self, items: list) -> zip:
+        """Each item beside the next one: ``items`` are in position order, and
+        on the circle the last is beside the first."""
+        return zip(items, items[1:] + items[:1] if self.circle else items[1:])
+
+    def arcs(self, p: int, bound: int) -> tuple[tuple[int, int], ...]:
+        """Every point within ``bound`` (a distance times the denominator) of
+        p, as (lo, hi) ranges of position order, ascending: one on the line,
+        and on the circle two where the ball crosses position 0."""
+        xs, a, unit = self.ascending, self.at[p], self.denominator
+        if not self.circle:
+            return ((bisect_left(xs, a - bound), bisect_right(xs, a + bound)),)
+        # Every arc-length distance is at most unit / 2.
+        if bound + bound >= unit:
+            return ((0, len(xs)),)
+        lo, hi = a - bound, a + bound
+        if lo < 0:
+            return ((0, bisect_right(xs, hi)), (bisect_left(xs, lo + unit), len(xs)))
+        if hi >= unit:
+            return ((0, bisect_right(xs, hi - unit)), (bisect_left(xs, lo), len(xs)))
+        return ((bisect_left(xs, lo), bisect_right(xs, hi)),)
+
+    @cached_property
+    def table(self) -> _Table:
+        """The integer table over the denominator, built on first read. Its
+        rows hold one shared int per distinct value, and it is the least
+        common denominator of the table when one position is 0 and the
+        positions have no factor in common with it."""
+        at, unit, circle = self.at, self.denominator, self.circle
+        ints: dict[int, int] = {}
+        rows = tuple(
+            tuple(map(ints.setdefault, gaps, gaps))
+            for gaps in (_gaps(a, at, unit, circle) for a in at)
+        )
+        return _Table(rows, unit)
 
 
 class _Memo(dict):
@@ -79,7 +151,7 @@ class _Memo(dict):
         return value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteMetricSystem:
     """Points 0..n-1 with an exact metric table and a total self-map.
 
@@ -92,24 +164,31 @@ class FiniteMetricSystem:
     and ``quantization`` is None or a nonnegative rational. ``map`` is
     stored as a tuple and ``quantization`` as a Fraction.
 
-    The distances are stored once, as the integer table ``_table`` that
-    every comparison, equality and hashing read. Builders that hold it pass
-    it and no ``dist``; ``dataclasses.replace`` hands it on, or rebuilds it
-    for a new ``dist``. ``dist`` is a read-only view built on first read.
+    The distances are stored once, in ``_metric``: the integer table
+    ``_table`` of an explicit system, or the integer positions on a line or
+    circle that a positioned generator gives its points. Builders that hold
+    one pass it and no ``dist``; ``dataclasses.replace`` hands it on, or
+    rebuilds a table for a new ``dist``. On a positioned system ``_table``
+    is a view of the positions built on its first read, as ``dist`` is a
+    read-only view of ``_table`` on every system. Equality and hashing read
+    n, ``map``, ``invertible``, ``quantization`` and the table, so they
+    build the view.
     """
 
     n: int
     map: tuple[int, ...]
     invertible: bool
     quantization: Fraction | None
-    _table: _Table = field(repr=False)
+    _metric: _Table | _Positions = field(repr=False)
 
-    def __init__(self, n, dist=None, map=None, invertible=False, quantization=None, _table=None):
+    def __init__(self, n, dist=None, map=None, invertible=False, quantization=None, _metric=None):
         object.__setattr__(self, "n", check_int("n", n, 1))
         fmap = check_collection("map", map)
-        rebuild = dist is not None or _table is None
-        rows = _rows(dist) if rebuild else _table.rows
-        if len(rows) != n or len(fmap) != n or any(len(row) != n for row in rows):
+        rebuild = dist is not None or _metric is None
+        rows = _rows(dist) if rebuild else _metric.rows if isinstance(_metric, _Table) else None
+        # Positions have one entry per point, a table n rows of n.
+        lengths = [len(_metric.at)] if rows is None else [len(rows), *(len(row) for row in rows)]
+        if len(fmap) != n or any(length != n for length in lengths):
             raise BadParams(f"{n} points need {n} rows of {n} distances and {n} map entries")
         check_points(self, fmap)
         if _check_invertible(invertible) and len(set(fmap)) != n:
@@ -119,16 +198,45 @@ class FiniteMetricSystem:
         if rebuild:
             if not {type(v) for row in rows for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
-            _table = _table_of(rows)
+            _metric = _table_of(rows)
         object.__setattr__(self, "map", fmap)
         object.__setattr__(self, "invertible", invertible)
         object.__setattr__(self, "quantization", quantization)
-        object.__setattr__(self, "_table", _table)
+        object.__setattr__(self, "_metric", _metric)
+
+    @property
+    def _table(self) -> _Table:
+        """The integer table: the stored one, or the positions' view."""
+        metric = self._metric
+        return metric if isinstance(metric, _Table) else metric.table
+
+    @property
+    def _positions(self) -> _Positions | None:
+        """The sorted positions of a positioned system, else None."""
+        metric = self._metric
+        return metric if isinstance(metric, _Positions) else None
+
+    def _key(self) -> tuple:
+        return self.n, self.map, self.invertible, self.quantization, self._table
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMetricSystem):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _bound(self, r) -> int:
+        """What a distance times the denominator is at most exactly when the
+        distance is at most ``r``: floor(r * L)."""
+        return r.numerator * self._metric.denominator // r.denominator
 
     @cached_property
     def _values(self) -> _Memo:
-        """Each row entry read so far, mapped to the one Fraction it stands for."""
-        return _Memo(partial(Fraction, denominator=self._table.denominator))
+        """Each integer distance read so far, mapped to the one Fraction it
+        stands for."""
+        return _Memo(partial(Fraction, denominator=self._metric.denominator))
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -187,16 +295,86 @@ class FiniteMetricSystem:
         for p in bits(keys):
             ball = full.get(p)
             if ball is None:
-                ball = full[p] = mask_of(self._nearest_within(p, r))
+                ball = full[p] = self._ball_mask(p, r)
             out[p] = ball & dmask
         return out
+
+    def _ball_mask(self, p: int, r) -> int:
+        """The closed r-ball of ``p`` as a mask: the points of one or two
+        arcs of the sorted positions, or on a table the prefix of p's
+        nearest-first order within ``r``; ``p`` is not checked."""
+        positions = self._positions
+        if positions is None:
+            return mask_of(self._nearest_within(p, r))
+        prefix = positions.prefix
+        mask = 0
+        for lo, hi in positions.arcs(p, self._bound(r)):
+            mask |= prefix[hi] ^ prefix[lo]
+        return mask
 
     def _nearest_within(self, p: int, r) -> array:
         """The closed ball around ``p`` as the prefix of its nearest-first
         order that lies within ``r``; ``p`` is not checked."""
         order = self._nearest_first[p]
-        table = self._table
-        return order[: bisect_right(order, table.bound(r), key=table.rows[p].__getitem__)]
+        return order[: bisect_right(order, self._bound(r), key=self._table.rows[p].__getitem__)]
+
+    def _successors(self, r) -> tuple[tuple[int, ...], ...]:
+        """Per point p, the closed r-ball of f(p) as an ascending tuple.
+
+        The tuples read their points from one tuple of n ints, so every
+        tuple shares one int object per point instead of one per edge. On
+        a positioned system that tuple is the position order, and a ball is
+        one or two slices of it: ascending already where position order is
+        index order, and sorted on north-south.
+        """
+        positions = self._positions
+        if positions is None:
+            # A nearest-first prefix, sorted; an itemgetter of one index
+            # returns the item, not a 1-tuple.
+            ids = tuple(range(self.n))
+            balls = (sorted(self._nearest_within(fp, r)) for fp in self.map)
+            return tuple(
+                itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls
+            )
+        bound, order = self._bound(r), positions.order
+        arcs = (sum((order[lo:hi] for lo, hi in positions.arcs(fp, bound)), ()) for fp in self.map)
+        return tuple(arcs) if positions.in_order else tuple(tuple(sorted(arc)) for arc in arcs)
+
+    def _separations(self, class_index, k: int) -> tuple[Fraction | None, ...]:
+        """Per class i of the k classes that ``class_index`` gives each point
+        (None for a point in no class), the least distance from class i to
+        another class; every entry is None when k < 2."""
+        least: list[int | None] = [None] * k
+        positions = self._positions
+
+        def lower(i, d):
+            if least[i] is None or d < least[i]:
+                least[i] = d
+
+        if k > 1 and positions is None:
+            rows = self._table.rows
+            for p, i in enumerate(class_index):
+                if i is None:
+                    continue
+                for q in self._nearest_first[p]:
+                    if class_index[q] not in (None, i):
+                        lower(i, rows[p][q])
+                        break
+        elif k > 1:
+            # Between the points of two classes, the least distance is met
+            # at two that are neighbours in position order among the points
+            # in some class.
+            held = [
+                (x, class_index[p])
+                for x, p in zip(positions.ascending, positions.order)
+                if class_index[p] is not None
+            ]
+            for (x, i), (y, j) in positions.neighbours(held):
+                if i != j:
+                    d = positions.distance(x, y)
+                    lower(i, d)
+                    lower(j, d)
+        return tuple(None if d is None else self._values[d] for d in least)
 
     @cached_property
     def _map_runs(self) -> list[tuple[int, int]]:
@@ -228,10 +406,23 @@ class FiniteMetricSystem:
         """k when the shift i -> i + 1 mod n is an isometry of the table
         that commutes with f(i) = i + k mod n, as on every
         ``rotation:N:K``: each int row is the row before it rotated by one.
-        None for any other system."""
+        None for any other system.
+
+        On a positioned system the shift is an isometry when n <= 2, as is
+        every table of at most two points, or when the points go round the
+        circle in index order with equal steps, so that the shift is a
+        rotation. A line of three or more points has one farthest pair,
+        which a shift of order n >= 3 cannot map onto itself.
+        ``tests/positions_scope.py`` checks this rule against the table on
+        every positioned generator."""
         n, k = self.n, self.map[0]
         if any(t != (i + k) % n for i, t in enumerate(self.map)):
             return None
+        positions = self._positions
+        if positions is not None:
+            at, unit = positions.at, positions.denominator
+            steps = {(b - a) % unit for a, b in zip(at, at[1:] + at[:1])}
+            return k if n <= 2 or positions.circle and len(steps) == 1 else None
         rows = self._table.rows
         for above, row in zip(rows, rows[1:]):
             if row[0] != above[-1] or row[1:] != above[:-1]:
@@ -239,19 +430,35 @@ class FiniteMetricSystem:
         return k
 
     @cached_property
+    def _distance_ints(self) -> tuple[int, ...]:
+        """Distinct positive distances times the denominator, ascending: on
+        a positioned system, the gaps between sorted positions, folded on
+        the circle. About n**2 / 2 of them are read either way."""
+        positions = self._positions
+        if positions is None:
+            return tuple(sorted(set().union(*(row[:i] for i, row in enumerate(self._table.rows)))))
+        xs = positions.ascending
+        gaps: set[int] = set()
+        for step in range(1, len(xs)):
+            gaps.update(map(sub, xs[step:], xs))
+        if positions.circle:
+            gaps = {positions.distance(0, g) for g in gaps}
+        return tuple(sorted(gaps))
+
+    @cached_property
     def diameter(self) -> Fraction:
-        return self._values[max(map(max, self._table.rows))]
+        ints = self._distance_ints
+        return self._values[ints[-1] if ints else 0]
 
     @cached_property
     def distance_values(self) -> tuple[Fraction, ...]:
         """Distinct positive distances, ascending."""
-        values = set().union(*(row[:i] for i, row in enumerate(self._table.rows)))
-        return tuple(map(self._values.__getitem__, sorted(values)))
+        return tuple(map(self._values.__getitem__, self._distance_ints))
 
     @cached_property
     def min_gap(self) -> Fraction | None:
-        values = self.distance_values
-        return values[0] if values else None
+        ints = self._distance_ints
+        return self._values[ints[0]] if ints else None
 
     @cached_property
     def functional_threshold(self) -> Fraction | None:
@@ -259,13 +466,22 @@ class FiniteMetricSystem:
 
         Below this resolution a delta graph carries only the exact edges
         p -> f(p), so refining delta further cannot change anything.
-        None for a one-point system.
+        None for a one-point system. On a positioned system the nearest
+        other point is a neighbour in position order.
         """
         if self.n < 2:
             return None
-        rows = self._table.rows
-        best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
-        return self._values[best]
+        positions = self._positions
+        if positions is None:
+            rows = self._table.rows
+            best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
+            return self._values[best]
+        gaps = [positions.distance(x, y) for x, y in positions.neighbours(positions.ascending)]
+        # The gaps before and after each position; a line's ends have one.
+        before = gaps[-1:] + gaps[:-1] if positions.circle else gaps[:1] + gaps
+        after = gaps if positions.circle else gaps + gaps[-1:]
+        nearest = dict(zip(positions.order, map(min, before, after)))
+        return self._values[min(nearest[t] for t in set(self.map))]
 
     def to_spec(self) -> dict:
         """Explicit JSON-ready description (rationals as strings), with a
@@ -434,7 +650,7 @@ def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     violations = _violations(table, fmap, _check_invertible(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(len(dist), map=fmap, invertible=invertible, _table=table)
+    return FiniteMetricSystem(len(dist), map=fmap, invertible=invertible, _metric=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:
@@ -550,22 +766,11 @@ def _points_system(
 ) -> FiniteMetricSystem:
     """The points positions[i] / unit of [0, 1], or of the circle of length
     1, with the line or arc-length metric; invertible when ``fmap`` is a
-    bijection.
-
-    The table is built on integers over ``unit``, which is its least common
-    denominator when one position is 0 and the positions have no factor in
-    common with ``unit``. Its rows hold one shared int per distinct value,
-    and no Fraction is made until one is read.
-    """
-    ints: dict[int, int] = {}
-    rows = tuple(
-        tuple(map(ints.setdefault, gaps, gaps))
-        for gaps in (_gaps(a, positions, unit, circle) for a in positions)
-    )
+    bijection. No table is built until one is read (``_Positions.table``)."""
     fmap = tuple(fmap)
     return FiniteMetricSystem(
-        len(rows), map=fmap, invertible=len(set(fmap)) == len(fmap), quantization=quantization,
-        _table=_Table(rows, unit),
+        len(fmap), map=fmap, invertible=len(set(fmap)) == len(fmap), quantization=quantization,
+        _metric=_Positions(tuple(positions), unit, circle),
     )
 
 

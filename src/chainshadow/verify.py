@@ -332,14 +332,13 @@ class GridEntry(NamedTuple):
 
 
 def default_grid(system: FiniteMetricSystem) -> tuple[GridEntry, ...]:
-    """A small parameter grid derived from the system's distance values."""
-    values = system.distance_values
-    if not values:
+    """A small parameter grid derived from the system's distance values.
+    Only the three that it reads become Fractions."""
+    ints = system._distance_ints
+    if not ints:
         zero = Fraction(0)
         return (GridEntry(zero, zero, zero),)
-    smallest = values[0]
-    largest = values[-1]
-    middle = values[len(values) // 2]
+    smallest, middle, largest = (system._values[ints[i]] for i in (0, len(ints) // 2, -1))
     fine = sorted({smallest / 2, smallest, middle, largest})
     return tuple(GridEntry(largest, v, v) for v in fine)
 

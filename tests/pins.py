@@ -42,9 +42,10 @@ PINS = [
     # The harness's delta = eps on a many-to-one map reads one ball radius.
     Pin("verify --gen doubling:1024", 0,
         "2681096f275688d35a3d1bd6c03222ce7e5f22ea7987bd7a6c403a416e948c75", timeout=120),
-    # Tables kept with the system: 1.5 x the 78,500 KB read when they moved there.
+    # Balls read off the sorted positions, and no table built: 1.5 x the
+    # 32,000 KB read then.
     Pin("verify --gen cantor-identity:10", 0,
-        "5a78e557354c29453bd7b408c5d1de34f175cda86592a370810d5cfd7fd83ab4", rss_kb=117750),
+        "5a78e557354c29453bd7b408c5d1de34f175cda86592a370810d5cfd7fd83ab4", rss_kb=48000),
     # Radius 1/32 is the eps table of every search and the delta table of one;
     # in the second run every delta is below eps.
     Pin("verify --gen tent:64 --deltas 1/16,1/32 --eps 1/32", 0,
@@ -55,13 +56,13 @@ PINS = [
     Pin("shadow --gen tent:256 --property slimit --delta 1/128 --eps 1/32", 1,
         "805cf4f62dae565b31386379df57ee3bd90f6e7c1b16603425c1bb1629bde5bc"),
     # One translation run per point, so images are read a byte at a time from a
-    # memo kept with the system: 1.5 x the 111,300 KB read when it came in.
+    # memo kept with the system; no table is built: 1.5 x the 29,700 KB read then.
     Pin("shadow --gen doubling:2048 --property shadowing --delta 1/2048 --eps 1/16", 1,
         "014c73246e76efd5daad8a4e6432459cc08e45bb68bf3ddfceb54cfd0142fd49",
-        timeout=120, rss_kb=166950),
+        timeout=120, rss_kb=44550),
     Pin("shadow --gen doubling:2048 --property slimit --delta 1/2048 --eps 1/16", 1,
         "337d285c43a7fe058e236e9396ee620133a48715f80ff000d72b65c8d1e512d4",
-        timeout=120, rss_kb=166950),
+        timeout=120, rss_kb=44550),
     # Merge sets are solved along the map's orbits; at eps 1/2 the sink's
     # sweep takes every point but the source ("states_explored": 262656).
     Pin("shadow --gen north-south:1024 --property slimit --delta 1/8192 --eps 1/2", 0,
@@ -76,13 +77,21 @@ PINS = [
         "432a45af3cb2322958e2fc064cb26cbfdfb52d24d23b0e7271dffadb822d940a"),
     Pin("shadow --gen rotation:96:89 --property slimit --delta 1/96 --eps 1/4", 1,
         "5064c4d574bff1af910c828ef89c4bde5cc95f8f857548650cebd2aff7344fe0"),
-    # One candidate set per n states: 1.5 x the 37,400 KB read then.
+    # One candidate set per n states, and no table: 1.5 x the 18,450 KB read then.
     Pin("shadow --gen rotation:1024:1 --property shadowing --delta 1/1024 --eps 1/8"
-        " --state-cap 100000", 3, EMPTY, CAPPED, timeout=120, rss_kb=56100),
-    # No Fraction view of the table is built: 1.25 x the 215,600 KB read then.
+        " --state-cap 100000", 3, EMPTY, CAPPED, timeout=120, rss_kb=27675),
+    # At the point cap the positioned generators build no table: successor
+    # rows are slices of position order, and classes are apart by the gaps
+    # between neighbours. 1.25 x the 19,524, 19,920 and 20,160 KB read then.
     Pin("analyze --gen rotation:4096:1 --delta 0", 0,
         "12b8c5b682b9b75ad5f0fd8311337996ecb3474b74b661297d9f71e2ce677acd",
-        timeout=120, rss_kb=269450),
+        timeout=120, rss_kb=24405),
+    Pin("analyze --gen tent:4096 --delta 0", 0,
+        "5df6727f353e2780347c2a57fff13ec4b5d90f78d0825184f5c1b2fa74acc2f6",
+        "warning: delta 0 is below the grid quantization bound 1/8192", timeout=120, rss_kb=24900),
+    Pin("analyze --gen north-south:4096 --delta 0", 0,
+        "d56b6b31d03ced21c5e3dbcd671e122d17fa9b1df251c4eab381ceec0c6287c8",
+        timeout=120, rss_kb=25200),
     Pin("analyze --gen tent:32 --delta 1/32", 0,
         "eca52c74d585f97c10814501beee290da28203cd0f699847d7a734a242101ad7"),
     Pin("analyze --gen rotation:12:5 --delta 1/12", 0,

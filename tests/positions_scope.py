@@ -1,0 +1,155 @@
+"""Differential scope: answers read off sorted positions against the table.
+
+The positioned generators (``rotation``, ``tent``, ``doubling``,
+``cantor-identity`` and ``north-south``) keep their points' positions and
+build their integer table only when something reads it. This script builds
+each of them at the sizes asked for (``cantor-identity`` at every depth
+whose 2**depth points fit), puts the same system on the table path (below),
+and asks that both give:
+
+- ``distance_values`` (as their integers over the denominator, which the
+  equality check compares), ``min_gap``, ``diameter``,
+  ``functional_threshold`` and ``_rotation_step``, and equal systems with
+  equal hashes;
+- at radius 0, at every distance value v, at v / 2 and at 3v / 2, and past
+  the diameter: every point's ball mask and the successor tuples;
+- the separations of the classes of the delta graph at each of those
+  radii, while its edges number at most 64 per point, and of three seeded
+  random labellings of the points.
+
+Every system of at most ``VALIDATED`` points is rebuilt through
+``validate_system`` (``make_system`` with its exact axiom check, which
+also recomputes the integer table from the spec's strings). A larger one,
+where that O(n**3) check takes minutes, is given the positions' own table
+view, the one the smaller sizes check. Past ``EVERY_VALUE`` distance
+values, ``SAMPLED`` of them spread from the least to the largest stand in
+for all.
+
+``test_positions_scope.py`` runs every size up to 32. Run it as a script,
+with the package installed or ``src`` on ``PYTHONPATH``, for every size up
+to N (``python tests/positions_scope.py 64``) or at given sizes only
+(``python tests/positions_scope.py --only 255 256 1023 1024``).
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+
+from chainshadow import (
+    build_delta_graph,
+    cantor_identity,
+    decompose,
+    doubling,
+    north_south,
+    rotation,
+    tent,
+)
+from chainshadow.system import FiniteMetricSystem, validate_system
+
+VALIDATED = 1024
+EVERY_VALUE = 100
+SAMPLED = 6
+EDGES_PER_POINT = 64
+QUERIES = ("_distance_ints", "min_gap", "diameter", "functional_threshold", "_rotation_step")
+
+
+def systems(n: int):
+    """Yield (name, system) for each positioned generator with n points:
+    the rotation by every k < n up to 12 points, and past that by 1. Each
+    is built as it is reached, so the tables of the ones before it can be
+    freed."""
+    for k in range(n) if n <= 12 else (1,):
+        yield f"rotation:{n}:{k}", rotation(n, k)
+    yield f"tent:{n}", tent(n)
+    yield f"doubling:{n}", doubling(n)
+    if n >= 3:
+        yield f"north-south:{n}", north_south(n)
+    depth = n.bit_length() - 1
+    if n == 2**depth and depth <= 10:
+        yield f"cantor-identity:{depth}", cantor_identity(depth)
+
+
+def on_the_table(system) -> FiniteMetricSystem:
+    """The same system on the table path: rebuilt from its spec up to
+    ``VALIDATED`` points, and past that given the positions' own table."""
+    if system.n <= VALIDATED:
+        return validate_system(system.to_spec())
+    return FiniteMetricSystem(
+        system.n, map=system.map, invertible=system.invertible,
+        quantization=system.quantization, _metric=system._table,
+    )
+
+
+def radii(system) -> list[Fraction]:
+    """0, each distance value v (or a sample of them), v / 2, 3v / 2, and a
+    radius past the diameter. Only the values used become Fractions:
+    ``north-south:4095`` has about n**2 / 4 distance values."""
+    ints = system._distance_ints
+    if len(ints) > EVERY_VALUE:
+        last = len(ints) - 1
+        ints = [ints[last * i // (SAMPLED - 1)] for i in range(SAMPLED)]
+    scaled = {Fraction(0), system.diameter + 1}
+    for v in map(system._values.__getitem__, ints):
+        scaled.update((v / 2, v, 3 * v / 2))
+    return sorted(scaled)
+
+
+def labellings(system, rng: random.Random):
+    """Three random (class_index, k): 2 classes, 3 classes and n // 2
+    classes, with about one point in five in no class."""
+    n = system.n
+    for k in (2, 3, max(2, n // 2)):
+        yield [None if rng.random() < 0.2 else rng.randrange(k) for _ in range(n)], k
+
+
+def compare(name: str, system, table) -> int:
+    """Check every answer of ``system`` against ``table`` and return the
+    number compared; the first difference raises AssertionError."""
+    assert table._positions is None and system._positions is not None, name
+    compared = 0
+    for query in QUERIES:
+        _require(getattr(system, query) == getattr(table, query), f"{query} on {name}")
+        compared += 1
+    _require(system == table and hash(system) == hash(table), f"equality on {name}")
+    rng = random.Random(name)
+    for class_index, k in labellings(system, rng):
+        ours, theirs = system._separations(class_index, k), table._separations(class_index, k)
+        _require(ours == theirs, f"separations of a random labelling on {name}")
+        compared += 1
+    for r in radii(system):
+        where = f"{name} at radius {r}"
+        for p in system.points:
+            _require(system._ball_mask(p, r) == table._ball_mask(p, r), f"ball of {p} on {where}")
+        succ = system._successors(r)
+        _require(succ == table._successors(r), f"successors on {where}")
+        compared += system.n + 1
+        if sum(map(len, succ)) <= EDGES_PER_POINT * system.n:
+            dec = decompose(build_delta_graph(system, r))
+            k = len(dec.classes)
+            theirs = table._separations(dec.class_index, k)
+            _require(dec.separation == theirs, f"separations on {where}")
+            compared += 1
+    return compared
+
+
+def positions_scope(sizes) -> int:
+    """Compare every positioned generator at each of ``sizes`` points with
+    its table, and return the number of answers compared."""
+    compared = 0
+    for n in sizes:
+        for name, system in systems(n):
+            compared += compare(name, system, on_the_table(system))
+    return compared
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise AssertionError(message)
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    sizes = [int(a) for a in args[1:]] if args[:1] == ["--only"] else range(1, int(args[0]) + 1)
+    print(f"{positions_scope(sizes)} answers from positions agree with the table")

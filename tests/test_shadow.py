@@ -847,22 +847,22 @@ class TestBallTables:
         assert [warm.ball(p, r) for p in system.points] == expected
 
     @staticmethod
-    def _record_nearest_within(monkeypatch):
+    def _record_ball_masks(monkeypatch):
         calls = []
-        real = FiniteMetricSystem._nearest_within
+        real = FiniteMetricSystem._ball_mask
 
         def recording(self, p, r):
             calls.append((p, r))
             return real(self, p, r)
 
-        monkeypatch.setattr(FiniteMetricSystem, "_nearest_within", recording)
+        monkeypatch.setattr(FiniteMetricSystem, "_ball_mask", recording)
         return calls
 
     def test_one_ball_per_point_and_radius(self, monkeypatch):
         """At delta = eps the successor masks, the BFS's balls and the merge
         sets' balls are one table."""
         system = cantor_identity(4)
-        calls = self._record_nearest_within(monkeypatch)
+        calls = self._record_ball_masks(monkeypatch)
         for v in sweep_values(system):
             calls.clear()
             check_both_properties(system, v, v)
@@ -873,7 +873,7 @@ class TestBallTables:
         images f(p), so it builds them there and nowhere else."""
         system = tent(16)
         delta, eps = Fraction(1, 32), Fraction(1, 8)
-        calls = self._record_nearest_within(monkeypatch)
+        calls = self._record_ball_masks(monkeypatch)
         check_slimit_property(system, delta, eps)
         assert sorted(p for p, r in calls if r == delta) == sorted(set(system.map))
         assert sorted(p for p, r in calls if r == eps) == list(system.points)
@@ -884,7 +884,7 @@ class TestBallTables:
         ``run_harness`` on ``system``, the balls they read, and each run's
         report bytes: each search reads the eps balls of its domain and the
         delta balls of the domain's images."""
-        calls = self._record_nearest_within(monkeypatch)
+        calls = self._record_ball_masks(monkeypatch)
         real = shadow_mod._decide
         read = set()
         made = []

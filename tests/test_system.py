@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import bisect_left
@@ -27,7 +28,10 @@ from chainshadow import (
     cantor_identity,
     check_both_properties,
     check_shadowing_property,
+    check_slimit_property,
     decompose,
+    decomposition_dot,
+    decomposition_report,
     doubling,
     format_rational,
     hausdorff_distance,
@@ -48,6 +52,7 @@ from chainshadow import (
     tent,
     validate_system,
 )
+from chainshadow import cli
 from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
 from chainshadow.rational import parse_int
@@ -669,6 +674,87 @@ class TestOneTable:
         with pytest.raises(AttributeError):
             system.dist = ()
         assert "dist" not in vars(system)
+
+
+@pytest.fixture
+def no_view(monkeypatch):
+    """Positioned systems whose integer table view raises when built."""
+
+    def refuse(positions):
+        raise AssertionError("the table view was built")
+
+    monkeypatch.setattr(system_mod._Positions, "table", property(refuse))
+
+
+class TestPositions:
+    """The positioned generators answer from their sorted positions, and
+    build their table view only when something reads it."""
+
+    @pytest.mark.parametrize(
+        "gen", ["cantor-identity:7", "north-south:64", "rotation:12:5"]
+    )
+    def test_verify_builds_no_view(self, no_view, capsys, gen):
+        # rotation:12:5 is invertible, so verify also decides its inverse,
+        # a copy made by dataclasses.replace.
+        assert cli.main(["verify", "--gen", gen]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["system"] == gen
+
+    def test_the_ladder_and_its_exports_build_no_view(self, no_view):
+        system = north_south(384)
+        v = system.distance_values
+        # The eight deltas of the ladder workload.
+        deltas = [v[20], v[5], (v[4] + v[5]) / 2, v[4], v[3], v[2], v[1], v[0]]
+        ladder = refine_ladder(system, deltas)
+        for level in ladder.levels:
+            decomposition_report(level)
+            decomposition_dot(level, isolation_radius=level.delta)
+        assert max(ladder.class_counts()) > 300
+
+    @pytest.mark.parametrize(
+        "system, delta, eps",
+        [
+            (rotation(96, 7), Fraction(1, 96), Fraction(1, 24)),
+            (tent(256), Fraction(1, 256), Fraction(1, 64)),
+            (tent(256), Fraction(1, 512), Fraction(1, 8)),
+            (north_south(64), Fraction(1, 16), Fraction(1, 2)),
+        ],
+        ids=["rotation:96:7", "tent:256", "tent:256-delta-below-eps", "north-south:64"],
+    )
+    def test_checks_build_no_view(self, no_view, system, delta, eps):
+        check_shadowing_property(system, delta, eps)
+        check_slimit_property(system, delta, eps)
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            *(f"rotation:{n}:{k}" for n, k in [(1, 0), (2, 1), (7, 3), (64, 5)]),
+            *(f"{name}:{n}" for name in ("tent", "doubling") for n in (1, 2, 5, 64)),
+            *(f"north-south:{n}" for n in (3, 4, 9, 64)),
+            *(f"cantor-identity:{d}" for d in (0, 1, 3, 6)),
+        ],
+    )
+    def test_the_json_round_trip_is_an_equal_system(self, gen):
+        system = parse_generator_string(gen)
+        again = system_from_json(json.dumps(system.to_spec()))
+        assert again._positions is None and system._positions is not None
+        assert again == system and hash(again) == hash(system)
+
+    @pytest.mark.parametrize(
+        "gen", ["rotation:1:0", "rotation:2:1", "cantor-identity:1", "tent:2", "doubling:2"]
+    )
+    def test_the_rotation_step_matches_the_table_at_two_points(self, gen):
+        """Every table of at most two points is shift-invariant, whether its
+        points lie on a line or a circle; the map decides."""
+        system = parse_generator_string(gen)
+        table = system_from_json(json.dumps(system.to_spec()))
+        assert system._rotation_step == table._rotation_step
+
+    def test_replace_carries_the_positions(self, no_view):
+        system = rotation(12, 5)
+        copy = replace(system, map=tuple(range(12)))
+        assert copy._metric is system._metric and copy._rotation_step == 0
+        with pytest.raises(AssertionError, match="the table view was built"):
+            copy.d(0, 1)
 
 
 class TestGenerators:
