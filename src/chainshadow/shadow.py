@@ -523,13 +523,16 @@ def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
     return masks
 
 
-def _decide(system, delta, eps, domain, state_cap, props):
+def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     """(states, verdicts): every state that one BFS over one ball table per
     radius discovers, and the verdicts of ``props``, in that order. The
     balls come from the system's own memo (``system._balls``), so a ball
     built by an earlier search on the same system is read, not rebuilt.
     The BFS reads the delta table only at the images f(p), so at
-    delta != eps it is built only there.
+    delta != eps it is built only there. ``exact=False`` is ``_explore``'s
+    witness mode: the same verdicts, witnesses and cap outcomes, but a
+    failing verdict counts the states visited where the search stopped.
+    The orbit search below is always exact.
 
     A check of the whole of a system that the shift i -> i + 1 maps onto
     itself (``system._rotation_step``) runs ``_explore_orbits`` instead,
@@ -552,7 +555,7 @@ def _decide(system, delta, eps, domain, state_cap, props):
         asymp = _asymp_masks(system, balls) if "slimit" in props else None
         tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
         states, found = _explore(
-            system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap
+            system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap, exact
         )
         count = len(states)
     verdicts = []
@@ -676,7 +679,7 @@ def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
     return tuple((q, balls[q], parents[q]) for q in bits(m))
 
 
-def _explore(system, succ_balls, balls, failing, state_cap):
+def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
     """Level-synchronized BFS over determinized states, for any number of
     failing predicates.
 
@@ -691,6 +694,16 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     search stops once every predicate has held (never for an empty tuple)
     or no state is left. ``state_cap`` (None, or an int >= 0) is checked
     on every inserted state.
+
+    With ``exact=False`` (witness mode) the open predicates are tested on
+    the children of each state as soon as it is expanded, and the search
+    stops inside the level being built once every predicate has held and
+    the parents left in that level, at most one child per domain point
+    each, could not take the count past ``state_cap``; otherwise the level
+    is finished as in the exact search. Children are inserted in level
+    order, so each predicate's first failing state, its path and every
+    ``Inconclusive`` are the exact search's; only the count of a failing
+    predicate is smaller, and ``states`` stops with the search.
 
     The children of a state (p, Y) are the states (q, image(Y) & balls[q])
     for q in p's successor mask succ_balls[f(p)], over the eps ball table
@@ -735,15 +748,13 @@ def _explore(system, succ_balls, balls, failing, state_cap):
     start = 0
     while start < len(states):
         level = states[start:]
-        start = len(states)
-        for i, fails in enumerate(failing):
-            if found[i] is None:
-                bad = next((s for s in level if fails(*s)), None)
-                if bad is not None:
-                    found[i] = (len(states), _path_to(parents, bad))
+        # Witness mode has tested every later level as it was built.
+        if exact or not start:
+            _first_failing(failing, found, level, parents, len(states))
+        start = scanned = len(states)
         if failing and None not in found:
             break
-        for state in level:
+        for expanded, state in enumerate(level, 1):
             p, y = state
             entry = succ[p]
             if entry is None:
@@ -768,7 +779,24 @@ def _explore(system, succ_balls, balls, failing, state_cap):
                     states.append((q, child))
                     if len(states) > cap:
                         raise Inconclusive(len(states), state_cap)
+            if not exact:
+                if None in found:
+                    _first_failing(failing, found, states[scanned:], parents, len(states))
+                    scanned = len(states)
+                if failing and None not in found:
+                    if len(states) + (len(level) - expanded) * len(domain) <= cap:
+                        return states, found
     return states, found
+
+
+def _first_failing(failing, found, states, parents, count) -> None:
+    """Record in ``found`` (as ``_explore`` gives it, with ``count``) the
+    first of ``states`` where each predicate not yet found holds."""
+    for i, fails in enumerate(failing):
+        if found[i] is None:
+            bad = next((s for s in states if fails(*s)), None)
+            if bad is not None:
+                found[i] = (count, _path_to(parents, bad))
 
 
 def _path_to(parents, state) -> tuple[int, ...]:

@@ -245,7 +245,12 @@ class FiniteMetricSystem:
         return tuple(tuple(map(values, row)) for row in self._table.rows)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self._values[self._table.rows[check_point(self, i)][check_point(self, j)]]
+        i, j = check_point(self, i), check_point(self, j)
+        # A positioned system answers from two positions, building no table.
+        positions = self._positions
+        if positions is None:
+            return self._values[self._table.rows[i][j]]
+        return self._values[positions.distance(positions.at[i], positions.at[j])]
 
     @property
     def points(self) -> range:

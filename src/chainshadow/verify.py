@@ -27,7 +27,7 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
-    check_both_properties,
+    _decide,
     check_shadowing_property,
     check_slimit_property,
 )
@@ -74,6 +74,11 @@ class _Answers:
     system's own, so they outlive the object. The deciders are still
     looked up as module globals each time they run, so a caller that
     swaps them still sees every computation.
+
+    The whole-system searches of ``both`` stop at the first failing states
+    of each property (``_decide`` in witness mode), so the
+    ``states_explored`` of a failing verdict is where its search stopped,
+    not the full count of that level; no report reads it.
     """
 
     def __init__(self, system: FiniteMetricSystem, state_cap):
@@ -98,7 +103,8 @@ class _Answers:
         from one BFS when neither is known yet."""
         keys = (("slimit", delta, eps, None), ("shadowing", delta, eps, None))
         if not any(key in self.memo for key in keys):
-            verdicts = check_both_properties(self.system, delta, eps, state_cap=self.state_cap)
+            props = ("slimit", "shadowing")
+            _, verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
             self.memo.update(zip(keys, verdicts))
         return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
 

@@ -52,6 +52,19 @@ PINS = [
         "aa61231506dae94feeaf4441c67e9484ea44f22175aa5621c9a52f3176ef8dcf"),
     Pin("verify --gen tent:64 --deltas 1/32,1/64 --eps 1/16", 0,
         "d889da79cbfd993e9febc62bbefc28302a11cea9341880ee54096d44a829c4c2"),
+    # The cap at the boundary of the level where the harness's joint search
+    # first fails: c - 1 stops it, c lets the run finish. The public check
+    # still counts that level in full.
+    Pin("verify --gen north-south:64 --state-cap 11654", 3, EMPTY,
+        "inconclusive: state cap 11654 exceeded after 11655 states"),
+    Pin("verify --gen north-south:64 --state-cap 11655", 0,
+        "eeb5f013ba3b0a14a2755ed63a3c38d1f4ca2931312d050910bea0e1e66c8aa1"),
+    Pin("verify --gen cantor-identity:7 --state-cap 2427", 3, EMPTY,
+        "inconclusive: state cap 2427 exceeded after 2428 states"),
+    Pin("verify --gen cantor-identity:7 --state-cap 2428", 0,
+        "1db71de400ab8d4babdcc9a69e6d70e1694095c6cdd9cb88921a7db519290b58"),
+    Pin("shadow --gen north-south:64 --delta 127/496 --eps 127/496", 1,
+        "ce1efeb18fd894201ab1d5242e32cf0dcf29434fd63a5660416d31b62d70692f"),
     # A failing slimit check at delta != eps reads two radii.
     Pin("shadow --gen tent:256 --property slimit --delta 1/128 --eps 1/32", 1,
         "805cf4f62dae565b31386379df57ee3bd90f6e7c1b16603425c1bb1629bde5bc"),
@@ -77,6 +90,12 @@ PINS = [
         "432a45af3cb2322958e2fc064cb26cbfdfb52d24d23b0e7271dffadb822d940a"),
     Pin("shadow --gen rotation:96:89 --property slimit --delta 1/96 --eps 1/4", 1,
         "5064c4d574bff1af910c828ef89c4bde5cc95f8f857548650cebd2aff7344fe0"),
+    # The orbit search at the boundary of its stopping level (866 sets).
+    Pin("shadow --gen rotation:96:89 --property shadowing --delta 1/96 --eps 1/4"
+        " --state-cap 83135", 3, EMPTY, "inconclusive: state cap 83135 exceeded after 83136 states"),
+    Pin("shadow --gen rotation:96:89 --property shadowing --delta 1/96 --eps 1/4"
+        " --state-cap 83136", 1,
+        "432a45af3cb2322958e2fc064cb26cbfdfb52d24d23b0e7271dffadb822d940a"),
     # One candidate set per n states, and no table: 1.5 x the 18,450 KB read then.
     Pin("shadow --gen rotation:1024:1 --property shadowing --delta 1/1024 --eps 1/8"
         " --state-cap 100000", 3, EMPTY, CAPPED, timeout=120, rss_kb=27675),

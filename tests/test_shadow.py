@@ -116,10 +116,12 @@ def reference_explore(system, succ_balls, balls, failing, state_cap):
     return visited, None
 
 
-def reference_per_predicate(system, succ_balls, balls, failing, state_cap):
+def reference_per_predicate(system, succ_balls, balls, failing, state_cap, exact=True):
     """``_explore``'s interface for a tuple of failing predicates, served by
     one ``reference_explore`` run per predicate (one run that never fails
-    when the tuple is empty)."""
+    when the tuple is empty). ``exact`` is taken and not read: each run
+    finishes the level where its predicate first holds, as the exact
+    search does."""
     runs = [
         reference_explore(system, succ_balls, balls, fails, state_cap)
         for fails in failing or (lambda p, y: False,)
@@ -898,7 +900,9 @@ class TestBallTables:
             made[-1].extend(calls)
             return out
 
+        # The harness's joint searches call verify's own reference to it.
         monkeypatch.setattr(shadow_mod, "_decide", recording)
+        monkeypatch.setattr(verify_mod, "_decide", recording)
         reports = []
         for _ in range(runs):
             made.append([])

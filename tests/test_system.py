@@ -33,6 +33,7 @@ from chainshadow import (
     decomposition_dot,
     decomposition_report,
     doubling,
+    first_violation,
     format_rational,
     hausdorff_distance,
     invariant_core,
@@ -50,6 +51,7 @@ from chainshadow import (
     standard_corpus,
     system_from_json,
     tent,
+    validate_pseudo_orbit,
     validate_system,
 )
 from chainshadow import cli
@@ -754,7 +756,22 @@ class TestPositions:
         copy = replace(system, map=tuple(range(12)))
         assert copy._metric is system._metric and copy._rotation_step == 0
         with pytest.raises(AssertionError, match="the table view was built"):
-            copy.d(0, 1)
+            copy.dist
+
+    @_each_generator()
+    def test_d_is_the_table_entry_and_builds_no_view(self, system):
+        values = [[system.d(p, q) for q in system.points] for p in system.points]
+        if system._positions is not None:
+            assert "table" not in vars(system._positions)
+        assert values == [list(row) for row in system.dist]
+
+    def test_a_pseudo_orbit_check_builds_no_view(self):
+        """Checking a few steps reads a few distances at the point cap."""
+        system = rotation(4096, 1)
+        step = Fraction(1, 4096)
+        assert validate_pseudo_orbit(system, PseudoOrbit.plain([0, 2, 4], step))
+        assert first_violation(system, PseudoOrbit.plain([0, 3], step)) == (0, 2 * step, step)
+        assert "table" not in vars(system._positions)
 
 
 class TestGenerators:

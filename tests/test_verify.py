@@ -23,6 +23,7 @@ from chainshadow import (
     brute_force_oracle,
     build_delta_graph,
     cantor_identity,
+    check_both_properties,
     check_shadowing_property,
     class_order,
     decompose,
@@ -317,7 +318,7 @@ class TestSharedAnswers:
         joint = []
 
         def counting(prop, real):
-            def wrapper(system, delta, eps=None, domain=None, **kwargs):
+            def wrapper(system, delta, eps=None, domain=None, *args, **kwargs):
                 # The reversed system of the inverse cross-check is its own
                 # object, so systems are told apart by identity. The joint
                 # decider asks the slimit and the shadowing question at once.
@@ -327,12 +328,12 @@ class TestSharedAnswers:
                     asked.append((asks, id(system), delta, eps, domain))
                 if prop == "graph":
                     return real(system, delta)
-                return real(system, delta, eps, domain=domain, **kwargs)
+                return real(system, delta, eps, domain, *args, **kwargs)
 
             return wrapper
 
         for prop, attr in [
-            ("both", "check_both_properties"),
+            ("both", "_decide"),
             ("slimit", "check_slimit_property"),
             ("shadowing", "check_shadowing_property"),
             ("graph", "build_delta_graph"),
@@ -381,7 +382,9 @@ class TestSharedAnswers:
             domains.append(domain)
             return real(system, delta, eps, domain, *args)
 
+        # The harness's joint searches call verify's own reference to it.
         monkeypatch.setattr(shadow_mod, "_decide", counting)
+        monkeypatch.setattr(verify_mod, "_decide", counting)
         assert json.dumps(run_harness(system, name).to_json()) == expected
         assert len(domains) == searches
         assert all(domain is None or len(domain) < system.n for domain in domains)
@@ -415,6 +418,72 @@ class TestSharedAnswers:
         violations = tuple(find_slimit_violation(system, fine, eps) for _, fine, eps in grid)
         expected = HarnessReport(name, grid, results, violations).to_json()
         assert json.dumps(run_harness(system, name, grid).to_json()) == json.dumps(expected)
+
+
+def _exact_joint_searches(monkeypatch, counts: set[int]):
+    """Make the harness's joint searches exact, as ``check_both_properties``
+    is, and add to ``counts`` the count at the end of each level of each of
+    those searches that ``_explore`` runs."""
+    real = shadow_mod._decide
+    real_first = shadow_mod._first_failing
+
+    def level_end(failing, found, states, parents, count):
+        # The exact search calls this once per level, with the count so far.
+        counts.add(count)
+        return real_first(failing, found, states, parents, count)
+
+    def exact_search(system, delta, eps, domain, state_cap, props, exact=True):
+        with monkeypatch.context() as patch:
+            patch.setattr(shadow_mod, "_first_failing", level_end)
+            return real(system, delta, eps, domain, state_cap, props)
+
+    monkeypatch.setattr(verify_mod, "_decide", exact_search)
+
+
+def _report_or_cap(system, grid, cap):
+    try:
+        return json.dumps(run_harness(system, "system", grid, state_cap=cap).to_json())
+    except Inconclusive as exc:
+        return ("inconclusive", exc.states_explored, str(exc))
+
+
+class TestWitnessMode:
+    """The harness's joint searches stop at the first failing state of each
+    property; the harness answers, ``Inconclusive`` included, as it does
+    when those searches are exact."""
+
+    @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
+    @pytest.mark.parametrize(
+        "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
+    )
+    def test_same_report_and_caps_as_the_exact_search(self, monkeypatch, name, system, crossed):
+        grid = default_grid(system)
+        if crossed:
+            values = [entry.eps for entry in grid]
+            grid = tuple(GridEntry(grid[0].delta_coarse, d, e) for d in values for e in values)
+        counts: set[int] = set()
+        caps = [None]
+        with monkeypatch.context() as patch:
+            _exact_joint_searches(patch, counts)
+            run_harness(system, name, grid, state_cap=None)
+            caps += sorted({cap for c in counts for cap in (c - 1, c)})
+            expected = [_report_or_cap(system, grid, cap) for cap in caps]
+        assert [_report_or_cap(system, grid, cap) for cap in caps] == expected
+        assert isinstance(expected[0], str)
+
+    def test_the_search_stops_inside_the_level(self):
+        """At delta = eps = 127/496 on north-south:64 both properties first
+        fail in the level of states 2,045 to 11,655. The public joint check
+        counts that whole level; the harness's search stops at 5,463 with
+        the same witnesses."""
+        system = parse_generator_string("north-south:64")
+        v = Fraction(127, 496)
+        exact = check_both_properties(system, v, v)
+        states, early = shadow_mod._decide(system, v, v, None, None, ("slimit", "shadowing"), False)
+        assert [verdict.states_explored for verdict in exact] == [11655, 11655]
+        assert len(states) == early[1].states_explored == 5463
+        assert early[0].states_explored < early[1].states_explored
+        assert [verdict.witness for verdict in early] == [verdict.witness for verdict in exact]
 
 
 # Each public function that can run the subset-automaton search, called on
@@ -453,9 +522,9 @@ class TestDefaultStateCap:
         caps = []
         real = shadow_mod._explore
 
-        def recording(*explore_args):
-            caps.append(explore_args[-1])
-            return real(*explore_args)
+        def recording(system, succ_balls, balls, failing, state_cap, *rest):
+            caps.append(state_cap)
+            return real(system, succ_balls, balls, failing, state_cap, *rest)
 
         monkeypatch.setattr(shadow_mod, "_explore", recording)
         _call(fn, args, parallel)
