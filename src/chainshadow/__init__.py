@@ -12,16 +12,11 @@ from .chain import (
     DeltaGraph,
     DeltaLadder,
     build_delta_graph,
-    chain_recurrent_set,
-    class_order,
     decompose,
     decomposition_dot,
     decomposition_report,
     hausdorff_distance,
     invariant_core,
-    isolated_classes,
-    neighborhood,
-    omega_cycle,
     reaches,
     refine_ladder,
 )
@@ -35,8 +30,6 @@ from .errors import (
     InvalidSystem,
     KindMismatch,
     NotDecreasing,
-    NotFailing,
-    NotInvertible,
     TooLarge,
     UnknownGenerator,
     Violation,
@@ -50,16 +43,13 @@ from .shadow import (
     ShadowState,
     ShadowVerdict,
     brute_force_oracle,
-    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
-    extract_witness,
     first_violation,
     is_limit_shadowed,
     is_shadowed,
     merge_sets,
     reachable_shadow_states,
-    shadow_sets,
     validate_pseudo_orbit,
 )
 from .system import (
@@ -77,7 +67,6 @@ from .system import (
     parse_generator_string,
     rotation,
     shortest_path_metric,
-    standard_corpus,
     system_from_json,
     tent,
     validate_system,
@@ -91,12 +80,7 @@ from .verify import (
     SlimitViolation,
     TheoremResult,
     default_grid,
-    find_slimit_violation,
     run_harness,
-    verify_initial_classes_shadow,
-    verify_isolated_implies_shadowing,
-    verify_shadowing_class_denseness,
-    verify_slimit_implies_shadowing,
 )
 
 __version__ = "0.1.0"

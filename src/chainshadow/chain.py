@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .bits import bits as _bits, mask_of, runs
+from .bits import bits as _bits, runs
 from .errors import BadParams, EmptySet, NotDecreasing
 from .rational import check_collection, check_int, format_rational, parse_nonnegative
 from .system import FiniteMetricSystem, check_point, check_points
@@ -135,12 +135,6 @@ def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
     return any(reach[scc_of[z]] & target for z in graph.succ[x])
 
 
-def chain_recurrent_set(graph: DeltaGraph) -> frozenset[int]:
-    """Points lying on a directed cycle of the delta graph."""
-    _, sccs, _, k, *_ = graph._components
-    return frozenset(p for members in sccs[:k] for p in members)
-
-
 @dataclass(frozen=True)
 class ChainDecomposition:
     """Classes of mutual reachability inside the recurrent set at one delta.
@@ -217,31 +211,6 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
     )
 
 
-def class_order(dec: ChainDecomposition, a: int, b: int) -> bool:
-    """Reflexive order: class a is below class b when b reaches a."""
-    for i in (a, b):
-        check_int("class index", i, 0, len(dec.classes) - 1)
-    return a == b or bool(dec.class_reach[b] & (1 << a))
-
-
-def neighborhood(system: FiniteMetricSystem, points, r) -> frozenset[int]:
-    """Closed r-neighborhood of a nonempty point set."""
-    r = parse_nonnegative(r)
-    points = check_points(system, points)
-    if not points:
-        raise EmptySet("neighborhood of the empty set")
-    pmask = mask_of(points)
-    return frozenset(x for x in system.points if system.ball(x, r) & pmask)
-
-
-def isolated_classes(dec: ChainDecomposition, r) -> tuple[int, ...]:
-    """Classes whose separation radius exceeds r (r must be positive)."""
-    r = parse_nonnegative(r)
-    if r == 0:
-        raise BadParams("isolation radius must be positive")
-    return tuple(i for i in range(len(dec.classes)) if dec.is_isolated(i, r))
-
-
 def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
     a = check_points(system, a)
     b = check_points(system, b)
@@ -251,18 +220,6 @@ def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
     forward = max(min(rows[x][y] for y in b) for x in a)
     backward = max(min(rows[y][x] for x in a) for y in b)
     return system._values[max(forward, backward)]
-
-
-def omega_cycle(system: FiniteMetricSystem, x: int) -> frozenset[int]:
-    """The eventual periodic cycle of the forward orbit of x."""
-    check_point(system, x)
-    seen: dict[int, int] = {}
-    trail: list[int] = []
-    while x not in seen:
-        seen[x] = len(trail)
-        trail.append(x)
-        x = system.map[x]
-    return frozenset(trail[seen[x]:])
 
 
 def invariant_core(system: FiniteMetricSystem, points) -> frozenset[int]:

@@ -56,16 +56,8 @@ class KindMismatch(ChainShadowError):
     """A pseudo-orbit of the wrong kind was passed to a checker."""
 
 
-class NotFailing(ChainShadowError):
-    """Witness extraction was attempted on a passing verdict."""
-
-
 class TooLarge(ChainShadowError):
     """The brute-force oracle guard refused an oversized instance."""
-
-
-class NotInvertible(ChainShadowError):
-    pass
 
 
 class Inconclusive(ChainShadowError):

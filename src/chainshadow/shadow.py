@@ -33,7 +33,6 @@ from .errors import (
     EmptyDomain,
     Inconclusive,
     KindMismatch,
-    NotFailing,
     TooLarge,
 )
 from .rational import check_collection, check_int, format_rational, parse_nonnegative
@@ -190,17 +189,6 @@ class MergeSet:
 # per-orbit checks
 
 
-def shadow_sets(system, po: PseudoOrbit, eps, domain=None) -> list[frozenset[int]]:
-    """Candidate position sets Y_i along the stored sequence.
-
-    Y_0 is the eps-ball around the first point; each later Y is the image
-    of the previous one intersected with the ball around the next point.
-    An empty set certifies that no point eps-tracks the prefix.
-    """
-    eps, dmask = _orbit_inputs(system, po, eps, domain)
-    return [to_frozenset(m) for m in _shadow_masks(system, po.points, eps, dmask)]
-
-
 def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     """A concrete point tracking a plain pseudo-orbit within eps, if any.
 
@@ -268,28 +256,6 @@ def check_slimit_property(
     reported as the prefix plus tail marker.
     """
     return _decide(system, delta, eps, domain, state_cap, ("slimit",))[1][0]
-
-
-def check_both_properties(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
-) -> tuple[ShadowVerdict, ShadowVerdict]:
-    """The slimit and the shadowing verdict at (delta, eps), from one BFS.
-
-    Equal to ``check_slimit_property`` followed by
-    ``check_shadowing_property``, verdicts and ``Inconclusive`` alike: an
-    empty candidate set has no merging candidate, so slimit fails no later
-    than shadowing, and each verdict counts the states visited when it
-    resolved.
-    """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
-
-
-def extract_witness(verdict: ShadowVerdict) -> PseudoOrbit:
-    """The stored counterexample pseudo-orbit of a failing verdict."""
-    if verdict.passed:
-        raise NotFailing(f"{verdict.prop} verdict passed; no witness to extract")
-    assert verdict.witness is not None
-    return verdict.witness
 
 
 def reachable_shadow_states(

@@ -927,18 +927,3 @@ def parse_generator_string(text: str) -> FiniteMetricSystem:
     name, *args = text.split(":")
     return build_corpus_system(name, args)
 
-
-def standard_corpus() -> tuple[tuple[str, FiniteMetricSystem], ...]:
-    """The built-in corpus used by the verification harness and tests."""
-    return (
-        ("cantor-identity:1", cantor_identity(1)),
-        ("cantor-identity:2", cantor_identity(2)),
-        ("cantor-identity:3", cantor_identity(3)),
-        ("rotation:4:1", rotation(4, 1)),
-        ("rotation:6:2", rotation(6, 2)),
-        ("north-south:6", north_south(6)),
-        ("parallel-cycles", parallel_cycles()),
-        ("doubling:6", doubling(6)),
-        ("tent:6", tent(6)),
-        ("far-two-cycles", far_two_cycles()),
-    )

@@ -21,7 +21,7 @@ from .chain import (
     decompose,
     invariant_core,
 )
-from .errors import BadParams, NotInvertible
+from .errors import BadParams
 from .rational import check_collection, format_rational, parse_nonnegative
 from .shadow import (
     DEFAULT_STATE_CAP,
@@ -69,11 +69,11 @@ class _Answers:
     """The verdicts and decompositions of one system, each computed on
     first use and read back after that.
 
-    One object serves one public call; ``run_harness`` shares one across
-    its grid. The ball and image tables its searches read are the
-    system's own, so they outlive the object. The deciders are still
-    looked up as module globals each time they run, so a caller that
-    swaps them still sees every computation.
+    Each ``run_harness`` call makes one and shares it across its grid.
+    The ball and image tables its searches read are the system's own, so
+    they outlive the object. The deciders are still looked up as module
+    globals each time they run, so a caller that swaps them still sees
+    every computation.
 
     The whole-system searches of ``both`` stop at the first failing states
     of each property (``_decide`` in witness mode), so the
@@ -139,14 +139,8 @@ class _Answers:
         return self.memo["reversed"] or self
 
 
-def verify_slimit_implies_shadowing(
-    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
-) -> TheoremResult:
-    """slimit passing at (delta, eps) must force shadowing to pass too."""
-    return _slimit_implies_shadowing(_Answers(system, state_cap), *_rationals(delta, eps))
-
-
 def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
+    """slimit passing at (delta, eps) must force shadowing to pass too."""
     slimit, shadowing = ans.both(delta, eps)
     broken = slimit.passed and not shadowing.passed
     witness = shadowing.witness if broken else None
@@ -159,22 +153,13 @@ def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     )
 
 
-def verify_shadowing_class_denseness(
-    system, delta_coarse, delta_fine, eps, *, state_cap=DEFAULT_STATE_CAP
-) -> TheoremResult:
+def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremResult:
     """Under a passing slimit check, every coarse class must contain a fine
     class whose invariant core has the shadowing property.
 
     Fine classes inside a coarse class are tried maximal-first under the
     fine class order, but any certifying class is accepted.
     """
-    delta_coarse, delta_fine, eps = _rationals(delta_coarse, delta_fine, eps)
-    if delta_fine > delta_coarse:
-        raise BadParams("delta_fine must not exceed delta_coarse")
-    return _class_denseness(_Answers(system, state_cap), delta_coarse, delta_fine, eps)
-
-
-def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremResult:
     params = _params(delta_coarse=delta_coarse, delta_fine=delta_fine, eps=eps)
     if not ans.verdict("slimit", delta_fine, eps).passed:
         return TheoremResult(CLASS_DENSENESS, params, VACUOUS, {"slimit_pass": False})
@@ -208,32 +193,17 @@ def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremRes
     )
 
 
-def verify_initial_classes_shadow(
-    system,
-    delta,
-    eps,
-    *,
-    allow_noninvertible: bool = False,
-    state_cap=DEFAULT_STATE_CAP,
-) -> TheoremResult:
+def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
     """Under a passing slimit check, the invariant core of every initial
     class must have the shadowing property.
 
-    Requires an invertible system unless ``allow_noninvertible`` is set;
-    finite systems with transients cannot be bijections, so the harness
-    runs the same check on them with the relaxation recorded. For
-    invertible systems the initial flags are cross-checked against the
-    terminal classes of the inverse map's graph at the same resolution;
-    the two scale collapses can genuinely differ, so a mismatch is
-    reported but does not fail the theorem.
+    Finite systems with transients cannot be bijections, so the check runs
+    on any system and records whether it is invertible. For invertible
+    systems the initial flags are cross-checked against the terminal
+    classes of the inverse map's graph at the same resolution; the two
+    scale collapses can genuinely differ, so a mismatch is reported but
+    does not fail the theorem.
     """
-    delta, eps = _rationals(delta, eps)
-    if not system.invertible and not allow_noninvertible:
-        raise NotInvertible("system is not invertible; pass allow_noninvertible=True")
-    return _initial_classes_shadow(_Answers(system, state_cap), delta, eps)
-
-
-def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
     params = _params(delta=delta, eps=eps)
     if not ans.verdict("slimit", delta, eps).passed:
         return TheoremResult(INITIAL_CLASSES, params, VACUOUS, {"slimit_pass": False})
@@ -256,9 +226,7 @@ def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
     return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, eps, details)
 
 
-def verify_isolated_implies_shadowing(
-    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
-) -> TheoremResult:
+def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     """Under a passing full-system shadowing check, every class separated
     from all others by more than 2*eps + delta must pass the restricted
     shadowing check on its invariant core.
@@ -267,10 +235,6 @@ def verify_isolated_implies_shadowing(
     their shadows, cannot involve any other class, which is what makes the
     restriction meaningful.
     """
-    return _isolated_implies_shadowing(_Answers(system, state_cap), *_rationals(delta, eps))
-
-
-def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     params = _params(delta=delta, eps=eps)
     if not ans.verdict("shadowing", delta, eps).passed:
         return TheoremResult(ISOLATED_CLASSES, params, VACUOUS, {"shadowing_pass": False})
@@ -304,14 +268,8 @@ class SlimitViolation:
         }
 
 
-def find_slimit_violation(
-    system, delta, eps, *, state_cap=DEFAULT_STATE_CAP
-) -> SlimitViolation | None:
-    """Canonical slimit counterexample at (delta, eps), if one exists."""
-    return _slimit_violation(_Answers(system, state_cap), *_rationals(delta, eps))
-
-
 def _slimit_violation(ans: _Answers, delta, eps) -> SlimitViolation | None:
+    """Canonical slimit counterexample at (delta, eps), if one exists."""
     verdict = ans.verdict("slimit", delta, eps)
     if verdict.passed:
         return None

@@ -53,6 +53,7 @@ EVERY_VALUE = 100
 SAMPLED = 6
 EDGES_PER_POINT = 64
 QUERIES = ("_distance_ints", "min_gap", "diameter", "functional_threshold", "_rotation_step")
+USAGE = "usage: python tests/positions_scope.py N | --only SIZE [SIZE ...]"
 
 
 def systems(n: int):
@@ -151,5 +152,10 @@ def _require(holds: bool, message: str) -> None:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    sizes = [int(a) for a in args[1:]] if args[:1] == ["--only"] else range(1, int(args[0]) + 1)
+    only = args[:1] == ["--only"]
+    numbers = args[1:] if only else args
+    if not numbers or not all(a.isdecimal() for a in numbers) or len(numbers) > 1 and not only:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    sizes = [int(a) for a in numbers] if only else range(1, int(numbers[0]) + 1)
     print(f"{positions_scope(sizes)} answers from positions agree with the table")

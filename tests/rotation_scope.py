@@ -4,7 +4,8 @@ On the whole of ``rotation:n:k`` the checks search one state per orbit of
 the shift i -> i + 1 (``shadow._explore_orbits``). This script checks every
 rotation with n <= N and 0 <= k < n at a grid of (delta, eps) drawn from 0
 and the distance values, and for each of ``check_shadowing_property``,
-``check_slimit_property`` and ``check_both_properties`` asks:
+``check_slimit_property`` and the joint search of both (``both_properties``)
+asks:
 
 - the verdict JSON bytes, ``states_explored`` included, are those of the
   plain BFS, the search every other system takes, reached here by hiding
@@ -27,13 +28,15 @@ from unittest import mock
 
 from chainshadow import (
     Inconclusive,
-    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     rotation,
 )
 from chainshadow.bits import bits
+from chainshadow.shadow import _decide
 from chainshadow.system import FiniteMetricSystem
+
+USAGE = "usage: python tests/rotation_scope.py N  (compare every rotation with at most N points)"
 
 
 def pairs(system) -> list[tuple[Fraction, Fraction]]:
@@ -43,6 +46,12 @@ def pairs(system) -> list[tuple[Fraction, Fraction]]:
     values = [Fraction(0), *system.distance_values]
     d1, d2, _, d4 = (values + values[-1:] * 4)[1:5]
     return list(dict.fromkeys([(values[0], d1), (d1, d1), (d1, d4), (d2, d1), (d2, d4)]))
+
+
+def both_properties(system, delta, eps, *, state_cap):
+    """The slimit and the shadowing verdict of the whole system from one
+    exact BFS, the search the harness runs for each grid entry."""
+    return _decide(system, delta, eps, None, state_cap, ("slimit", "shadowing"))[1]
 
 
 def answer(check, system, delta, eps, cap) -> str:
@@ -109,10 +118,10 @@ def rotation_scope(top: int) -> int:
             system = rotation(n, k)
             for delta, eps in pairs(system):
                 where = f"rotation:{n}:{k} at ({delta}, {eps})"
-                (joint,) = agree(check_both_properties, system, delta, eps, [None], where)
+                (joint,) = agree(both_properties, system, delta, eps, [None], where)
                 last = max(v["states_explored"] for v in json.loads(joint))
                 caps = both_sides(level_counts(system, delta, eps, last))
-                agree(check_both_properties, system, delta, eps, caps, where)
+                agree(both_properties, system, delta, eps, caps, where)
                 for check in (check_slimit_property, check_shadowing_property):
                     agree(check, system, delta, eps, [None, *caps], where)
                 compared += 3 * (1 + len(caps))
@@ -125,5 +134,8 @@ def _require(holds: bool, message: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2 or not sys.argv[1].isdecimal():
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     top = int(sys.argv[1])
     print(f"n <= {top}: {rotation_scope(top)} answers agree with the plain BFS")

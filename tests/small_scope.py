@@ -8,7 +8,8 @@ their halves, and on every forward-invariant domain:
   ``test_agreement_on_random_systems``: a failing verdict whose witness
   fits in the oracle's length guard has the oracle's witness, and a pass
   or a longer witness meets an oracle pass;
-- ``check_both_properties`` returns the two single verdicts;
+- the joint search of both properties (``shadow._decide``) returns the
+  two single verdicts;
 - each merge set of ``merge_sets`` holds the points whose orbit meets
   the point's orbit without leaving eps first, found by walking the pair
   of orbits;
@@ -28,7 +29,6 @@ from fractions import Fraction
 
 from chainshadow import (
     brute_force_oracle,
-    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     make_system,
@@ -37,6 +37,8 @@ from chainshadow import (
 )
 from chainshadow import shadow as shadow_mod
 from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING
+
+USAGE = "usage: python tests/small_scope.py N  (check every map on N points)"
 
 
 def tables(n: int) -> dict[str, list[list[int]]]:
@@ -106,7 +108,9 @@ def small_scope(n: int) -> int:
                             )
                         singles.append(verdict)
                         compared += 1
-                    both = check_both_properties(system, delta, eps, domain)
+                    props = ("slimit", "shadowing")
+                    cap = shadow_mod.DEFAULT_STATE_CAP
+                    both = shadow_mod._decide(system, delta, eps, domain, cap, props)[1]
                     _require(both == tuple(singles), f"joint check differs: {where}")
             report = run_harness(system, grid=[(system.diameter, d, e) for d, e in pairs])
             for bundle in report.results:
@@ -138,5 +142,8 @@ def _require(holds: bool, message: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2 or not sys.argv[1].isdecimal():
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     n = int(sys.argv[1])
     print(f"n = {n}: {small_scope(n)} verdicts agree with the oracle")

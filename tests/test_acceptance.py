@@ -26,12 +26,12 @@ from chainshadow import (
     is_limit_shadowed,
     is_shadowed,
     refine_ladder,
-    standard_corpus,
     validate_pseudo_orbit,
-    verify_initial_classes_shadow,
-    verify_shadowing_class_denseness,
 )
+from chainshadow.shadow import DEFAULT_STATE_CAP
+from chainshadow.verify import _Answers, _class_denseness, _initial_classes_shadow
 from conftest import sweep_values
+from corpus import standard_corpus
 
 ORACLE_MAX_LEN = 8
 
@@ -110,13 +110,15 @@ def test_criterion_3_every_coarse_class_contains_a_shadowing_class(sweep):
     failures = []
     checked = 0
     for name, system in sweep.corpus:
+        # One system's answers serve every cell, as they serve a harness grid.
+        ans = _Answers(system, DEFAULT_STATE_CAP)
         values = sweep_values(system)
         coarse = values[-1]
         for delta in values:
             for eps in values:
                 if not sweep.cells[(name, "slimit", delta, eps)].automaton.passed:
                     continue
-                result = verify_shadowing_class_denseness(system, coarse, delta, eps)
+                result = _class_denseness(ans, coarse, delta, eps)
                 checked += 1
                 if result.status != HOLDS:
                     failures.append((name, delta, eps, result.status))
@@ -125,7 +127,7 @@ def test_criterion_3_every_coarse_class_contains_a_shadowing_class(sweep):
     for depth in (1, 2, 3):
         system = cantor_identity(depth)
         scale = Fraction(1, 3**depth)
-        result = verify_shadowing_class_denseness(system, scale, scale, scale)
+        result = _class_denseness(_Answers(system, DEFAULT_STATE_CAP), scale, scale, scale)
         checked += 1
         entries = result.details["coarse_classes"]
         if result.status != HOLDS or len(entries) != 2**depth or any(
@@ -142,14 +144,13 @@ def test_criterion_4_initial_classes_shadow(sweep):
     failures = []
     checked = 0
     for name, system in sweep.corpus:
+        ans = _Answers(system, DEFAULT_STATE_CAP)
         values = sweep_values(system)
         for delta in values:
             for eps in values:
                 if not sweep.cells[(name, "slimit", delta, eps)].automaton.passed:
                     continue
-                result = verify_initial_classes_shadow(
-                    system, delta, eps, allow_noninvertible=not system.invertible
-                )
+                result = _initial_classes_shadow(ans, delta, eps)
                 checked += 1
                 if result.status != HOLDS:
                     failures.append((name, delta, eps, result.status))

@@ -19,19 +19,14 @@ from chainshadow import (
     NotDecreasing,
     build_delta_graph,
     cantor_identity,
-    chain_recurrent_set,
-    class_order,
     decompose,
     decomposition_dot,
     decomposition_report,
     default_grid,
     hausdorff_distance,
     invariant_core,
-    isolated_classes,
     make_system,
-    neighborhood,
     north_south,
-    omega_cycle,
     parse_generator_string,
     reaches,
     refine_ladder,
@@ -39,7 +34,7 @@ from chainshadow import (
 )
 from chainshadow.bits import bits
 from chainshadow.rational import format_rational
-from conftest import metric_systems, sweep_values, system_and_scales, widest_table
+from conftest import metric_systems, system_and_scales, widest_table
 
 
 # Fixed points at 0, 2 and 4 on a line, each reaching the next one down
@@ -422,23 +417,23 @@ class TestReachability:
 class TestChainRecurrence:
     def test_path_system_only_sink(self, path_system):
         graph = build_delta_graph(path_system, Fraction(1, 10))
-        assert chain_recurrent_set(graph) == {2}
+        assert decompose(graph).cr == {2}
 
     def test_rotation_all_recurrent(self):
         graph = build_delta_graph(rotation(4, 1), 0)
-        assert chain_recurrent_set(graph) == {0, 1, 2, 3}
+        assert decompose(graph).cr == {0, 1, 2, 3}
 
     def test_parallel_cycles_fine_and_coarse(self, parallel):
-        assert chain_recurrent_set(build_delta_graph(parallel, Fraction(1, 2))) == {1, 2, 3, 4}
+        assert decompose(build_delta_graph(parallel, Fraction(1, 2))).cr == {1, 2, 3, 4}
         # at delta=1 the transient re-enters through d(c1, a) = 1
-        assert chain_recurrent_set(build_delta_graph(parallel, 1)) == {0, 1, 2, 3, 4}
+        assert decompose(build_delta_graph(parallel, 1)).cr == {0, 1, 2, 3, 4}
 
     @given(system_and_scales())
     @settings(max_examples=40)
     def test_cr_matches_cycle_membership(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
-        cr = chain_recurrent_set(graph)
+        cr = decompose(graph).cr
         for p in system.points:
             assert (p in cr) == reaches(graph, p, p)
 
@@ -489,7 +484,7 @@ class TestDecomposition:
         for cls in dec.classes:
             assert cls and not (union & cls)
             union |= cls
-        assert union == chain_recurrent_set(graph)
+        assert union == dec.cr
         for i, j in dec.order_pairs():
             assert i != j
             assert (j, i) not in dec.order_pairs()
@@ -542,36 +537,36 @@ class TestDecomposition:
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
         dec = decompose(graph)
+
+        def order(a, b):
+            return a == b or dec.class_reach[b] >> a & 1 == 1
+
         for a, cls_a in enumerate(dec.classes):
             for b, cls_b in enumerate(dec.classes):
                 expected = a == b or any(
                     reaches(graph, q, p) for q in cls_b for p in cls_a
                 )
-                assert class_order(dec, a, b) == expected
+                assert order(a, b) == expected
         if dec.classes:
             k = len(dec.classes)
             tops = tuple(
                 a for a in range(k)
-                if not any(class_order(dec, a, b) for b in range(k) if b != a)
+                if not any(order(a, b) for b in range(k) if b != a)
             )
             assert tops and tops == dec.initial_classes()
 
 
 class TestClassOrder:
-    def test_reflexive(self, far_cycles):
-        dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
-        assert class_order(dec, 0, 0) and class_order(dec, 1, 1)
-
     def test_north_south_order(self, ns6):
         dec = decompose(build_delta_graph(ns6, Fraction(1, 24)))
         source = dec.initial_classes()[0]
         sink = dec.terminal_classes()[0]
-        assert class_order(dec, sink, source)
-        assert not class_order(dec, source, sink)
+        assert dec.class_reach[source] == 1 << sink
+        assert dec.class_reach[sink] == 0
 
     def test_incomparable_cycles(self, far_cycles):
         dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
-        assert not class_order(dec, 0, 1) and not class_order(dec, 1, 0)
+        assert dec.class_reach == (0, 0)
 
     def test_reached_from(self):
         # the staircase chain C2 -> C1 -> C0
@@ -592,31 +587,12 @@ class TestClassOrder:
 
 
 class TestSetUtilities:
-    def test_neighborhood(self, parallel):
-        assert neighborhood(parallel, {4}, 0) == {4}
-        assert neighborhood(parallel, {4}, 1) == {2, 4}
-        assert neighborhood(parallel, {4}, parallel.diameter) == set(parallel.points)
-        with pytest.raises(EmptySet):
-            neighborhood(parallel, set(), 1)
-
-    @given(metric_systems(max_n=5), st.data())
-    @settings(max_examples=40)
-    def test_neighborhood_matches_definition(self, system, picks):
-        points = picks.draw(st.sets(st.sampled_from(list(system.points)), min_size=1))
-        for r in [Fraction(0), *sweep_values(system)]:
-            expected = {
-                x for x in system.points if min(system.dist[x][s] for s in points) <= r
-            }
-            assert neighborhood(system, points, r) == expected
-
-    def test_isolated_classes(self, far_cycles):
+    def test_is_isolated(self, far_cycles):
         dec = decompose(build_delta_graph(far_cycles, Fraction(1, 10)))
-        assert isolated_classes(dec, 1) == (0, 1)
-        assert isolated_classes(dec, 5) == ()
+        assert dec.is_isolated(0, 1) and dec.is_isolated(1, 1)
+        assert not dec.is_isolated(0, 5) and not dec.is_isolated(1, 5)
         single = decompose(build_delta_graph(rotation(4, 1), 0))
-        assert isolated_classes(single, 1000) == (0,)
-        with pytest.raises(BadParams):
-            isolated_classes(dec, 0)
+        assert single.is_isolated(0, 1000)
         assert single.is_isolated(0, 0)  # the harness margin may be 0
         assert dec.is_isolated(0, Fraction(39, 10)) and not dec.is_isolated(0, 4)
 
@@ -637,11 +613,6 @@ class TestSetUtilities:
             max(min(d[x][y] for y in b) for x in a), max(min(d[y][x] for x in a) for y in b)
         )
         assert hausdorff_distance(system, a, b) == expected
-
-    def test_omega_cycle(self, parallel):
-        assert omega_cycle(parallel, 0) == {1, 2}
-        assert omega_cycle(north_south(6), 1) == {3}
-        assert omega_cycle(rotation(4, 1), 2) == {0, 1, 2, 3}
 
     def test_invariant_core(self, parallel):
         assert invariant_core(parallel, {1, 2}) == {1, 2}
@@ -761,13 +732,13 @@ class TestExports:
     @settings(max_examples=60)
     def test_dot_edges_are_the_covering_pairs(self, data):
         """A -> B exactly when B lies strictly below A in the class order
-        with no class strictly between them (brute force on class_order)."""
+        with no class strictly between them (brute force on the class order)."""
         system, delta, eps = data
         dec = decompose(build_delta_graph(system, delta))
         k = range(len(dec.classes))
 
         def below(a, b):
-            return a != b and class_order(dec, a, b)
+            return a != b and dec.class_reach[b] >> a & 1 == 1
 
         covers = [
             (a, b) for a in k for b in k

@@ -20,17 +20,14 @@ from chainshadow import (
     GridEntry,
     Inconclusive,
     KindMismatch,
-    NotFailing,
     PseudoOrbit,
     TooLarge,
     brute_force_oracle,
     cantor_identity,
-    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     default_grid,
     doubling,
-    extract_witness,
     first_violation,
     is_limit_shadowed,
     is_shadowed,
@@ -41,15 +38,13 @@ from chainshadow import (
     reachable_shadow_states,
     rotation,
     run_harness,
-    shadow_sets,
     tent,
     validate_pseudo_orbit,
-    verify_slimit_implies_shadowing,
 )
 from chainshadow import shadow as shadow_mod
 from chainshadow import system as system_mod
 from chainshadow import verify as verify_mod
-from chainshadow.bits import _translation_runs, bits, mask_of
+from chainshadow.bits import _translation_runs, bits, mask_of, to_frozenset
 from chainshadow.cli import main as cli_main
 from conftest import (
     metric_systems,
@@ -58,6 +53,20 @@ from conftest import (
     system_and_scales,
     widest_table,
 )
+
+
+def _both(system, delta, eps, domain=None, *, state_cap=shadow_mod.DEFAULT_STATE_CAP):
+    """The slimit and the shadowing verdict from one exact BFS, as the two
+    public checks give them one after the other."""
+    return shadow_mod._decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
+
+
+def _shadow_sets(system, orbit, eps):
+    """The candidate position sets Y_i along ``orbit`` that ``is_shadowed``
+    reads: Y_0 is the eps-ball around the first point, and each later Y
+    the image of the one before it intersected with the next point's ball."""
+    masks = shadow_mod._shadow_masks(system, orbit.points, Fraction(eps), (1 << system.n) - 1)
+    return [to_frozenset(m) for m in masks]
 
 
 def reference_explore(system, succ_balls, balls, failing, state_cap):
@@ -335,12 +344,12 @@ class TestShadowSets:
     def test_identity_single_point(self):
         system = cantor_identity(2)
         orbit = PseudoOrbit.plain((1,), 0)
-        sets = shadow_sets(system, orbit, Fraction(2, 9))
+        sets = _shadow_sets(system, orbit, Fraction(2, 9))
         assert sets == [frozenset({0, 1})]  # the 2/9-ball around 2/9
 
     def test_parallel_cycles_walk(self, parallel):
         orbit = PseudoOrbit.plain((0, 4, 3), 1)
-        assert shadow_sets(parallel, orbit, 1) == [
+        assert _shadow_sets(parallel, orbit, 1) == [
             frozenset({0, 1}),
             frozenset({2}),
             frozenset({1}),
@@ -348,18 +357,18 @@ class TestShadowSets:
 
     def test_huge_eps_never_empties(self, parallel):
         orbit = PseudoOrbit.plain((0, 4, 3, 4, 3), 1)
-        sets = shadow_sets(parallel, orbit, parallel.diameter)
+        sets = _shadow_sets(parallel, orbit, parallel.diameter)
         assert all(sets)
 
     def test_invalid_orbit_rejected(self, parallel):
         with pytest.raises(BadParams):
-            shadow_sets(parallel, PseudoOrbit.plain((0, 3), 1), 1)
+            is_shadowed(parallel, PseudoOrbit.plain((0, 3), 1), 1)
 
     @given(system_and_chain())
     @settings(max_examples=50)
     def test_exactness_against_enumeration(self, data):
         system, _, eps, orbit = data
-        sets = shadow_sets(system, orbit, eps)
+        sets = _shadow_sets(system, orbit, eps)
         orbits = {x: system.orbit(x, len(orbit.points)) for x in system.points}
         for i in range(len(orbit.points)):
             expected = {
@@ -599,14 +608,13 @@ class TestSystemChecks:
     def test_shadowing_failure_witness(self, parallel):
         verdict = check_shadowing_property(parallel, 1, Fraction(1, 2))
         assert not verdict.passed
-        witness = extract_witness(verdict)
+        witness = verdict.witness
         assert witness.points == (0, 4) and witness.kind == "plain"
         assert validate_pseudo_orbit(parallel, witness)
         assert is_shadowed(parallel, witness, Fraction(1, 2)) is None
 
     def test_slimit_witness_rejected_by_checker(self, parallel):
-        verdict = check_slimit_property(parallel, 1, 1)
-        witness = extract_witness(verdict)
+        witness = check_slimit_property(parallel, 1, 1).witness
         assert validate_pseudo_orbit(parallel, witness)
         assert is_limit_shadowed(parallel, witness, 1) is None
 
@@ -615,11 +623,6 @@ class TestSystemChecks:
         failing = check_slimit_property(ns6, gap, gap)
         assert not failing.passed and failing.witness.points == (0, 1)
         assert check_slimit_property(ns6, gap, Fraction(1, 2)).passed
-
-    def test_extract_witness_requires_failure(self, parallel):
-        verdict = check_shadowing_property(parallel, 1, 1)
-        with pytest.raises(NotFailing):
-            extract_witness(verdict)
 
     def test_state_cap(self, parallel):
         with pytest.raises(Inconclusive):
@@ -642,9 +645,9 @@ class TestSystemChecks:
     def test_bad_state_cap_is_refused(self, parallel, cap):
         for call in (
             check_shadowing_property,
-            check_both_properties,
+            check_slimit_property,
             reachable_shadow_states,
-            verify_slimit_implies_shadowing,
+            lambda system, *_, state_cap: run_harness(system, state_cap=state_cap),
         ):
             with pytest.raises(BadParams, match="state_cap"):
                 call(parallel, 1, 1, state_cap=cap)
@@ -792,7 +795,7 @@ def _outcomes(system, delta, eps, domain, cap):
         run(reachable_shadow_states, list),
         run(check_shadowing_property, to_json),
         run(check_slimit_property, to_json),
-        run(check_both_properties, lambda verdicts: [to_json(v) for v in verdicts]),
+        run(_both, lambda verdicts: [to_json(v) for v in verdicts]),
     )
 
 
@@ -867,7 +870,7 @@ class TestBallTables:
         calls = self._record_ball_masks(monkeypatch)
         for v in sweep_values(system):
             calls.clear()
-            check_both_properties(system, v, v)
+            _both(system, v, v)
             assert sorted(calls) == [(p, v) for p in system.points], v
 
     def test_delta_balls_only_at_the_images(self, monkeypatch):
@@ -1150,7 +1153,7 @@ class TestTranslationRunImage:
         grid = [Fraction(0), *sweep_values(system)][::2]
 
         def answers(delta, eps):
-            verdicts = check_both_properties(system, delta, eps)
+            verdicts = _both(system, delta, eps)
             return reachable_shadow_states(system, delta, eps), [v.to_json() for v in verdicts]
 
         for delta in grid:
@@ -1233,7 +1236,7 @@ class TestBothProperties:
     @staticmethod
     def _jointly(system, delta, eps, domain, cap):
         try:
-            verdicts = check_both_properties(system, delta, eps, domain, state_cap=cap)
+            verdicts = _both(system, delta, eps, domain, state_cap=cap)
         except Inconclusive as exc:
             return str(exc)
         return tuple(v.to_json() for v in verdicts)
@@ -1247,13 +1250,13 @@ class TestBothProperties:
         """On parallel cycles at delta = eps = 1, slimit fails after 9
         states and shadowing passes after 11: caps 9 and 10 stop the joint
         run where the separate shadowing check stops."""
-        slimit, shadowing = check_both_properties(parallel, 1, 1, state_cap=11)
+        slimit, shadowing = _both(parallel, 1, 1, state_cap=11)
         assert (slimit.passed, slimit.states_explored) == (False, 9)
         assert (shadowing.passed, shadowing.states_explored) == (True, 11)
         for cap in (9, 10):
             assert check_slimit_property(parallel, 1, 1, state_cap=cap) == slimit
             with pytest.raises(Inconclusive) as caught:
-                check_both_properties(parallel, 1, 1, state_cap=cap)
+                _both(parallel, 1, 1, state_cap=cap)
             assert caught.value.states_explored == cap + 1
             assert self._jointly(parallel, 1, 1, None, cap) == self._separately(
                 parallel, 1, 1, None, cap
@@ -1262,7 +1265,7 @@ class TestBothProperties:
 
 def _answers(system, delta, eps, domain=None):
     """The JSON of both verdicts and of every reachable state."""
-    verdicts = check_both_properties(system, delta, eps, domain)
+    verdicts = _both(system, delta, eps, domain)
     states = reachable_shadow_states(system, delta, eps, domain)
     return [v.to_json() for v in verdicts], states
 
@@ -1298,9 +1301,9 @@ class TestRotationOrbits:
         with mock.patch.object(
             FiniteMetricSystem, "_rotation_step", property(lambda self: None)
         ):
-            expected = check_both_properties(system, delta, eps, domain)
+            expected = _both(system, delta, eps, domain)
         with mock.patch.object(shadow_mod, "_explore", side_effect=AssertionError("plain")):
-            verdicts = check_both_properties(system, delta, eps, domain)
+            verdicts = _both(system, delta, eps, domain)
         assert verdicts == expected
         assert [v.states_explored for v in verdicts] == [2560, 7616]
 

@@ -26,7 +26,6 @@ from chainshadow import (
     build_corpus_system,
     build_delta_graph,
     cantor_identity,
-    check_both_properties,
     check_shadowing_property,
     check_slimit_property,
     decompose,
@@ -40,7 +39,6 @@ from chainshadow import (
     load_system,
     make_system,
     metric_violations,
-    neighborhood,
     north_south,
     parse_generator_string,
     parse_rational,
@@ -48,7 +46,6 @@ from chainshadow import (
     rotation,
     run_harness,
     shortest_path_metric,
-    standard_corpus,
     system_from_json,
     tent,
     validate_pseudo_orbit,
@@ -59,6 +56,7 @@ from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
 from chainshadow.rational import parse_int
 from conftest import metric_systems, sweep_values, widest_table
+from corpus import standard_corpus
 
 
 def reference_violations(dist, fmap, invertible):
@@ -643,7 +641,8 @@ class TestOneTable:
     def test_no_search_builds_the_view(self, system):
         assert "dist" not in vars(system)
         delta = eps = system.min_gap or 0
-        check_both_properties(system, delta, eps)
+        check_slimit_property(system, delta, eps)
+        check_shadowing_property(system, delta, eps)
         assert "dist" not in vars(system)
         run_harness(system)
         assert "dist" not in vars(system)
@@ -1015,7 +1014,6 @@ def _ns6_classes():
         lambda: tent(4.0),
         lambda: invariant_core(rotation(4, 1), 5),
         lambda: invariant_core(rotation(4, 1), [[0]]),
-        lambda: neighborhood(rotation(4, 1), 5, 1),
         lambda: hausdorff_distance(rotation(4, 1), 5, [1]),
         lambda: hausdorff_distance(rotation(4, 1), [0], [4]),
         lambda: rotation(4, 1).orbit(0, "3"),
@@ -1095,7 +1093,6 @@ def _ns6_classes():
         "tent-cells-float",
         "core-int",
         "core-unhashable",
-        "neighborhood-int",
         "hausdorff-int",
         "hausdorff-point",
         "orbit-length-str",

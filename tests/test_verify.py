@@ -19,59 +19,62 @@ from chainshadow import (
     GridEntry,
     HarnessReport,
     Inconclusive,
-    NotInvertible,
     brute_force_oracle,
     build_delta_graph,
     cantor_identity,
-    check_both_properties,
     check_shadowing_property,
-    class_order,
     decompose,
     check_slimit_property,
     default_grid,
-    find_slimit_violation,
     invariant_core,
-    is_shadowed,
     parse_generator_string,
     reachable_shadow_states,
     rotation,
     run_harness,
     shortest_path_metric,
-    standard_corpus,
     validate_pseudo_orbit,
-    verify_initial_classes_shadow,
-    verify_isolated_implies_shadowing,
-    verify_shadowing_class_denseness,
-    verify_slimit_implies_shadowing,
 )
 from chainshadow import cli
 from chainshadow import shadow as shadow_mod
 from chainshadow import verify as verify_mod
+from chainshadow.verify import (
+    _class_denseness,
+    _initial_classes_shadow,
+    _isolated_implies_shadowing,
+    _slimit_implies_shadowing,
+    _slimit_violation,
+)
 from conftest import system_and_scales
+from corpus import standard_corpus
+
+
+def _alone(check, system, *params, state_cap=shadow_mod.DEFAULT_STATE_CAP):
+    """One of the harness's checks at ``params``, on answers of its own."""
+    return check(verify_mod._Answers(system, state_cap), *verify_mod._rationals(*params))
 
 
 class TestImplication:
     def test_both_pass(self):
         system = cantor_identity(2)
-        result = verify_slimit_implies_shadowing(system, Fraction(1, 20), Fraction(1, 20))
+        result = _alone(_slimit_implies_shadowing, system, Fraction(1, 20), Fraction(1, 20))
         assert result.status == HOLDS
         assert result.details == {"slimit_pass": True, "shadowing_pass": True}
 
     def test_vacuous_antecedent_still_holds(self, parallel):
-        result = verify_slimit_implies_shadowing(parallel, 1, 1)
+        result = _alone(_slimit_implies_shadowing, parallel, 1, 1)
         assert result.status == HOLDS
         assert result.details == {"slimit_pass": False, "shadowing_pass": True}
 
     def test_params_are_strings(self, parallel):
-        result = verify_slimit_implies_shadowing(parallel, Fraction(1, 2), 1)
+        result = _alone(_slimit_implies_shadowing, parallel, Fraction(1, 2), 1)
         assert result.params == {"delta": "1/2", "eps": "1"}
 
 
 class TestClassDenseness:
     def test_cantor_clusters(self):
         system = cantor_identity(2)
-        result = verify_shadowing_class_denseness(
-            system, Fraction(1, 4), Fraction(1, 20), Fraction(1, 20)
+        result = _alone(
+            _class_denseness, system, Fraction(1, 4), Fraction(1, 20), Fraction(1, 20)
         )
         assert result.status == HOLDS
         entries = result.details["coarse_classes"]
@@ -82,16 +85,11 @@ class TestClassDenseness:
             assert entry["degenerate"] == []
 
     def test_vacuous_when_slimit_fails(self, parallel):
-        result = verify_shadowing_class_denseness(parallel, 1, 1, 1)
+        result = _alone(_class_denseness, parallel, 1, 1, 1)
         assert result.status == VACUOUS
 
-    def test_delta_order_enforced(self, parallel):
-        with pytest.raises(BadParams):
-            verify_shadowing_class_denseness(parallel, Fraction(1, 2), 1, 1)
-
     def test_north_south_certified_by_fixed_points(self, ns6):
-        result = verify_shadowing_class_denseness(
-            ns6, Fraction(1, 2), Fraction(1, 24), Fraction(1, 2)
+        result = _alone(_class_denseness, ns6, Fraction(1, 2), Fraction(1, 24), Fraction(1, 2)
         )
         assert result.status == HOLDS
         for entry in result.details["coarse_classes"]:
@@ -105,37 +103,32 @@ class TestClassDenseness:
         system, delta, _ = data
         dec = decompose(build_delta_graph(system, delta))
         subset = more.draw(st.lists(st.sampled_from(range(len(dec.classes))), unique=True))
-        below = [any(class_order(dec, j, k) for k in subset if k != j) for j in subset]
+        below = [any(dec.class_reach[k] >> j & 1 for k in subset if k != j) for j in subset]
         expected = [j for _, j in sorted(zip(below, subset), key=lambda pair: pair[0])]
         assert verify_mod._maximal_first(dec, subset) == expected
 
 
 class TestInitialClasses:
-    def test_requires_invertible_by_default(self, parallel):
-        with pytest.raises(NotInvertible):
-            verify_initial_classes_shadow(parallel, 1, 1)
-
     def test_rotation_holds_with_cross_check(self):
         system = rotation(4, 1)
-        result = verify_initial_classes_shadow(system, 0, Fraction(1, 4))
+        result = _alone(_initial_classes_shadow, system, 0, Fraction(1, 4))
         assert result.status == HOLDS
         assert result.details["inverse_cross_check"] is True
         assert result.details["checked"] == [{"class": 0, "pass": True}]
 
     def test_vacuous_when_slimit_fails(self, parallel):
-        result = verify_initial_classes_shadow(parallel, 1, 1, allow_noninvertible=True)
+        result = _alone(_initial_classes_shadow, parallel, 1, 1)
         assert result.status == VACUOUS
 
     def test_north_south_source_class(self, ns6):
-        result = verify_initial_classes_shadow(
-            ns6, Fraction(1, 24), Fraction(1, 2), allow_noninvertible=True
+        result = _alone(_initial_classes_shadow, ns6, Fraction(1, 24), Fraction(1, 2)
         )
         assert result.status == HOLDS
         assert result.details["inverse_cross_check"] is None
         assert result.details["checked"] == [{"class": 0, "pass": True}]
 
     def test_far_cycles_both_initial(self, far_cycles):
-        result = verify_initial_classes_shadow(far_cycles, Fraction(1, 10), Fraction(1, 10))
+        result = _alone(_initial_classes_shadow, far_cycles, Fraction(1, 10), Fraction(1, 10))
         assert result.status == HOLDS
         assert [c["class"] for c in result.details["checked"]] == [0, 1]
         assert result.details["inverse_cross_check"] is True
@@ -143,31 +136,31 @@ class TestInitialClasses:
 
 class TestIsolatedClasses:
     def test_far_cycles_hold(self, far_cycles):
-        result = verify_isolated_implies_shadowing(
-            far_cycles, Fraction(1, 10), Fraction(1, 10)
+        result = _alone(
+            _isolated_implies_shadowing, far_cycles, Fraction(1, 10), Fraction(1, 10)
         )
         assert result.status == HOLDS
         assert result.details["isolated_classes"] == [0, 1]
         assert result.details["margin"] == "3/10"
 
     def test_vacuous_when_shadowing_fails(self, parallel):
-        result = verify_isolated_implies_shadowing(parallel, 1, Fraction(1, 2))
+        result = _alone(_isolated_implies_shadowing, parallel, 1, Fraction(1, 2))
         assert result.status == VACUOUS
 
     def test_single_class_counts_as_isolated(self, parallel):
-        result = verify_isolated_implies_shadowing(parallel, 1, 1)
+        result = _alone(_isolated_implies_shadowing, parallel, 1, 1)
         assert result.status == HOLDS
         assert result.details["isolated_classes"] == [0]
 
     def test_margin_excludes_close_classes(self, far_cycles):
-        result = verify_isolated_implies_shadowing(far_cycles, Fraction(1, 10), 2)
+        result = _alone(_isolated_implies_shadowing, far_cycles, Fraction(1, 10), 2)
         assert result.status == HOLDS
         assert result.details["isolated_classes"] == []  # margin 41/10 beats sep 4
 
 
 class TestSlimitViolation:
     def test_parallel_cycles_canonical_witness(self, parallel):
-        violation = find_slimit_violation(parallel, 1, 1)
+        violation = _alone(_slimit_violation, parallel, 1, 1)
         assert violation is not None
         assert violation.orbit.points == (0, 4)
         assert violation.orbit.tail_start == 1
@@ -179,13 +172,14 @@ class TestSlimitViolation:
 
     def test_absent_at_exact_orbit_scale(self, parallel):
         # below the re-entry scale pseudo-orbits are exact orbits
-        assert find_slimit_violation(parallel, Fraction(1, 2), Fraction(1, 2)) is None
+        assert _alone(_slimit_violation, parallel, Fraction(1, 2), Fraction(1, 2)) is None
 
     def test_absent_when_property_holds(self):
-        assert find_slimit_violation(cantor_identity(2), Fraction(1, 20), Fraction(1, 20)) is None
+        system = cantor_identity(2)
+        assert _alone(_slimit_violation, system, Fraction(1, 20), Fraction(1, 20)) is None
 
     def test_oracle_confirms_witness(self, parallel):
-        violation = find_slimit_violation(parallel, 1, 1)
+        violation = _alone(_slimit_violation, parallel, 1, 1)
         oracle = brute_force_oracle(parallel, 1, 1, "slimit")
         assert not oracle.passed
         assert oracle.witness.points == violation.orbit.points
@@ -201,7 +195,7 @@ class TestCertifierReproducibility:
         )
 
         delta, eps = Fraction(1, 24), Fraction(1, 2)
-        result = verify_shadowing_class_denseness(ns6, Fraction(1, 2), delta, eps)
+        result = _alone(_class_denseness, ns6, Fraction(1, 2), delta, eps)
         assert result.status == HOLDS
         fine = decompose(build_delta_graph(ns6, delta))
         for entry in result.details["coarse_classes"]:
@@ -231,7 +225,7 @@ class TestMutatedCheckerSentinel:
         # Two 3-cycles: the class cores are proper subsets, so they take
         # restricted checks (a core of every point is asked as the whole system).
         system = rotation(6, 2)
-        result = verify_initial_classes_shadow(system, 0, Fraction(1, 4))
+        result = _alone(_initial_classes_shadow, system, 0, Fraction(1, 4))
         assert result.status == FAILS
         assert result.witnesses
         report = run_harness(system, "rot")
@@ -306,7 +300,7 @@ class TestHarness:
 
 class TestSharedAnswers:
     """One harness run computes each verdict and decomposition once, and
-    answers exactly as the public functions do when called on their own."""
+    answers exactly as its checks do when each has answers of its own."""
 
     @pytest.mark.parametrize("name", ["cantor-identity:3", "north-south:6"])
     def test_no_question_is_asked_twice(self, monkeypatch, name):
@@ -399,7 +393,7 @@ class TestSharedAnswers:
     @pytest.mark.parametrize(
         "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
     )
-    def test_harness_matches_the_public_functions(self, name, system, crossed):
+    def test_harness_matches_checks_on_their_own_answers(self, name, system, crossed):
         grid = default_grid(system)
         if crossed:
             # Every fine delta against every eps, so that entries share a
@@ -408,21 +402,23 @@ class TestSharedAnswers:
             grid = tuple(GridEntry(grid[0].delta_coarse, d, e) for d in values for e in values)
         results = tuple(
             (
-                verify_slimit_implies_shadowing(system, fine, eps),
-                verify_shadowing_class_denseness(system, coarse, fine, eps),
-                verify_initial_classes_shadow(system, fine, eps, allow_noninvertible=True),
-                verify_isolated_implies_shadowing(system, fine, eps),
+                _alone(_slimit_implies_shadowing, system, fine, eps, state_cap=None),
+                _alone(_class_denseness, system, coarse, fine, eps, state_cap=None),
+                _alone(_initial_classes_shadow, system, fine, eps, state_cap=None),
+                _alone(_isolated_implies_shadowing, system, fine, eps, state_cap=None),
             )
             for coarse, fine, eps in grid
         )
-        violations = tuple(find_slimit_violation(system, fine, eps) for _, fine, eps in grid)
+        violations = tuple(
+            _alone(_slimit_violation, system, fine, eps, state_cap=None) for _, fine, eps in grid
+        )
         expected = HarnessReport(name, grid, results, violations).to_json()
         assert json.dumps(run_harness(system, name, grid).to_json()) == json.dumps(expected)
 
 
 def _exact_joint_searches(monkeypatch, counts: set[int]):
-    """Make the harness's joint searches exact, as ``check_both_properties``
-    is, and add to ``counts`` the count at the end of each level of each of
+    """Make the harness's joint searches exact, as the public checks are,
+    and add to ``counts`` the count at the end of each level of each of
     those searches that ``_explore`` runs."""
     real = shadow_mod._decide
     real_first = shadow_mod._first_failing
@@ -473,13 +469,14 @@ class TestWitnessMode:
 
     def test_the_search_stops_inside_the_level(self):
         """At delta = eps = 127/496 on north-south:64 both properties first
-        fail in the level of states 2,045 to 11,655. The public joint check
+        fail in the level of states 2,045 to 11,655. The exact joint search
         counts that whole level; the harness's search stops at 5,463 with
         the same witnesses."""
         system = parse_generator_string("north-south:64")
         v = Fraction(127, 496)
-        exact = check_both_properties(system, v, v)
-        states, early = shadow_mod._decide(system, v, v, None, None, ("slimit", "shadowing"), False)
+        props = ("slimit", "shadowing")
+        exact = shadow_mod._decide(system, v, v, None, None, props)[1]
+        states, early = shadow_mod._decide(system, v, v, None, None, props, False)
         assert [verdict.states_explored for verdict in exact] == [11655, 11655]
         assert len(states) == early[1].states_explored == 5463
         assert early[0].states_explored < early[1].states_explored
@@ -492,19 +489,8 @@ _CAPPED = [
     (check_shadowing_property, (1, 1)),
     (check_slimit_property, (1, 1)),
     (reachable_shadow_states, (1, 1)),
-    (verify_slimit_implies_shadowing, (1, 1)),
-    (verify_shadowing_class_denseness, (1, 1, 1)),
-    (verify_initial_classes_shadow, (1, 1)),
-    (verify_isolated_implies_shadowing, (1, 1)),
-    (find_slimit_violation, (1, 1)),
     (run_harness, ()),
 ]
-
-
-def _call(fn, args, system, **kwargs):
-    if fn is verify_initial_classes_shadow:
-        kwargs["allow_noninvertible"] = True
-    return fn(system, *args, **kwargs)
 
 
 class TestDefaultStateCap:
@@ -527,13 +513,13 @@ class TestDefaultStateCap:
             return real(system, succ_balls, balls, failing, state_cap, *rest)
 
         monkeypatch.setattr(shadow_mod, "_explore", recording)
-        _call(fn, args, parallel)
-        _call(fn, args, parallel, state_cap=None)
+        fn(parallel, *args)
+        fn(parallel, *args, state_cap=None)
         explicit = len(caps)
         assert caps and set(caps) == {shadow_mod.DEFAULT_STATE_CAP, None}
         # parallel-cycles has five start states, so a cap of 4 stops at once.
         with pytest.raises(Inconclusive) as err:
-            _call(fn, args, parallel, state_cap=4)
+            fn(parallel, *args, state_cap=4)
         assert err.value.states_explored == 5
         assert caps[explicit:] == [4]
 
