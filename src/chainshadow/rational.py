@@ -8,6 +8,7 @@ outright: verdicts must not depend on rounding.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import BadParams
 
@@ -23,17 +24,10 @@ def parse_rational(value) -> Fraction:
     with at most 4300 digits in its numerator and in its denominator."""
     if isinstance(value, str):
         text = value.strip()
-        num, slash, den = text.partition("/")
+        # Strings go first: isinstance(_, Fraction) is a slow ABC check.
+        if pair := plain_pair(text):
+            return Fraction(*pair)
         try:
-            # Plain "[-]digits" and "[-]digits/digits" of at most 4300 characters
-            # skip Fraction's regex and the digit bound (reducing only shortens
-            # them). Strings go first: isinstance(_, Fraction) is a slow ABC check.
-            if (
-                len(text) <= _MAX_DIGITS
-                and _is_ascii_digits(num.removeprefix("-"))
-                and (not slash or _is_ascii_digits(den))
-            ):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             _, e, exponent = text.replace("E", "e").rpartition("e")
             if e and abs(int(exponent)) > _MAX_DIGITS:
                 raise BadParams(f"exponent of {value!r} exceeds {_MAX_DIGITS} in magnitude")
@@ -53,6 +47,25 @@ def parse_rational(value) -> Fraction:
     if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
         raise BadParams(f"a numerator or denominator exceeds {_MAX_DIGITS} digits")
     return q
+
+
+def plain_pair(text: str) -> tuple[int, int] | None:
+    """The reduced (numerator, denominator) of a plain ``"[-]digits"`` or
+    ``"[-]digits/digits"`` of at most 4300 characters whose denominator is
+    not 0, else None. Such a text needs neither Fraction's regex nor the
+    digit bound: reducing only shortens it."""
+    num, slash, den = text.partition("/")
+    if not (
+        len(text) <= _MAX_DIGITS
+        and _is_ascii_digits(num.removeprefix("-"))
+        and (not slash or _is_ascii_digits(den))
+    ):
+        return None
+    p, q = int(num), int(den) if slash else 1
+    if not q:
+        return None
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _is_ascii_digits(text: str) -> bool:

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter, lshift, sub
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ from .rational import (
     parse_int,
     parse_nonnegative,
     parse_rational,
+    plain_pair,
 )
 
 _ZERO = Fraction(0)
@@ -198,7 +199,7 @@ class FiniteMetricSystem:
         if rebuild:
             if not {type(v) for row in rows for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
-            _metric = _table_of(rows)
+            _metric = _Table(*_over_common_denominator(rows))
         object.__setattr__(self, "map", fmap)
         object.__setattr__(self, "invertible", invertible)
         object.__setattr__(self, "quantization", quantization)
@@ -527,25 +528,27 @@ def _check_invertible(invertible) -> bool:
     return invertible
 
 
-def _over_common_denominator(rows) -> tuple[tuple, int]:
-    """The rows multiplied by L, the least common denominator of all their
-    entries, and L: exact integers that compare, and differ in sign, as the
-    entries do. Raises BadParams as soon as L passes
-    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, before any row is scaled."""
-    denominators = {v.denominator for row in rows for v in row}
+def _common_denominator(denominators) -> int:
+    """The least common multiple of ``denominators``. Raises BadParams as
+    soon as it passes ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
     common = 1
     for q in denominators:
         common = math.lcm(common, q)
         if common.bit_length() > _MAX_COMMON_DENOMINATOR_BITS:
             limit = _MAX_COMMON_DENOMINATOR_BITS
             raise BadParams(f"the distances' least common denominator is wider than {limit} bits")
+    return common
+
+
+def _over_common_denominator(rows) -> tuple[tuple, int]:
+    """The rows multiplied by L, the least common denominator of all their
+    entries, and L: exact integers that compare, and differ in sign, as the
+    entries do. Raises BadParams as soon as L passes
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, before any row is scaled."""
+    denominators = {v.denominator for row in rows for v in row}
+    common = _common_denominator(denominators)
     scale = {q: common // q for q in denominators}
     return tuple(tuple(v.numerator * scale[v.denominator] for v in row) for row in rows), common
-
-
-def _table_of(dist) -> _Table:
-    """The integer table of ``dist``, a table of ints and Fractions."""
-    return _Table(*_over_common_denominator(dist))
 
 
 def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
@@ -554,8 +557,8 @@ def metric_violations(dist, fmap, invertible: bool) -> list[Violation]:
     rows, an entry that is not a rational, a table that is not square, a map
     of another length, an ``invertible`` that is not a bool or a common
     denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
-    dist, fmap = _parsed(dist, fmap)
-    return _violations(_table_of(dist), fmap, _check_invertible(invertible))
+    table, fmap = _read(dist, fmap)
+    return _violations(table, fmap, _check_invertible(invertible))
 
 
 def _violations(table: _Table, fmap, invertible: bool) -> list[Violation]:
@@ -619,43 +622,74 @@ def _triangle_pairs(table: _Table):
                 yield i, j
 
 
-def _rows(dist) -> tuple[tuple, ...]:
-    """``dist`` as a tuple of row tuples; BadParams unless each is a
+def _rows(dist) -> tuple:
+    """``dist`` as a tuple of rows: a list as it is (a JSON table is not
+    copied), any other collection as a tuple. BadParams unless each is a
     collection, and for more than ``_MAX_POINTS`` rows before any is read."""
     rows = check_collection("dist", dist)
     if len(rows) > _MAX_POINTS:
         raise BadParams(f"dist has {len(rows)} rows; at most {_MAX_POINTS} points are allowed")
-    return tuple(check_collection("dist row", row) for row in rows)
+    return tuple(row if type(row) is list else check_collection("dist row", row) for row in rows)
 
 
-def _parsed(dist_rows, fmap) -> tuple[tuple, tuple]:
-    """The rows as a square table of Fractions and the map as a tuple with
-    one entry per row; BadParams otherwise."""
-    # Each distinct string is parsed once, and its entries share one Fraction.
-    # Only str values are memoised: 1, 1.0, True and Fraction(1) hash alike,
-    # and the float and the bool must still be refused.
-    parsed = _Memo(parse_rational)
-    dist = tuple(
-        tuple(parsed[v] if type(v) is str else parse_rational(v) for v in row)
-        for row in _rows(dist_rows)
-    )
-    n = len(dist)
-    if any(len(row) != n for row in dist):
+def _pair(value) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of a rational ``parse_rational``
+    accepts; BadParams as it raises."""
+    if type(value) is str and (pair := plain_pair(value)):
+        return pair
+    q = parse_rational(value)
+    return q.numerator, q.denominator
+
+
+def _read(dist_rows, fmap) -> tuple[_Table, tuple]:
+    """The rows as an integer table and the map as a tuple with one entry
+    per row. BadParams, first to last: as ``_rows`` raises, for the first
+    entry in row-major order that ``parse_rational`` refuses, for a table
+    that is not square, for a map of another length, and for a common
+    denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
+    rows = _rows(dist_rows)
+    # Each distinct string is read once into a (numerator, denominator) pair,
+    # and scaled once into the int its entries share. A row that holds
+    # anything else is read entry by entry: 1, 1.0, True and Fraction(1) hash
+    # alike, and the float and the bool must still be refused.
+    pairs = _Memo(_pair)
+    mixed = {}
+    for i, row in enumerate(rows):
+        if set(map(type, row)) <= {str}:
+            fresh = set(filterfalse(pairs.__contains__, row))
+            try:
+                pairs.update(zip(fresh, map(_pair, fresh)))
+            except BadParams:
+                # The row's first refused entry raises, not the first one read.
+                list(map(pairs.__getitem__, row))
+                raise
+        else:
+            mixed[i] = [pairs[v] if type(v) is str else _pair(v) for v in row]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise BadParams("dist must be a square table")
     fmap = check_collection("map", fmap)
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
-    return dist, fmap
+    denominators = {q for _, q in chain(pairs.values(), *mixed.values())}
+    common = _common_denominator(denominators)
+    scale = {q: common // q for q in denominators}
+    ints = {text: p * scale[q] for text, (p, q) in pairs.items()}
+    table = tuple(
+        tuple(map(ints.__getitem__, row)) if i not in mixed
+        else tuple(p * scale[q] for p, q in mixed[i])
+        for i, row in enumerate(rows)
+    )
+    return _Table(table, common), fmap
 
 
 def make_system(dist_rows, fmap, invertible=False) -> FiniteMetricSystem:
     """Build a system from raw rows, validating every axiom exactly."""
-    dist, fmap = _parsed(dist_rows, fmap)
-    table = _table_of(dist)
+    table, fmap = _read(dist_rows, fmap)
     violations = _violations(table, fmap, _check_invertible(invertible))
     if violations:
         raise InvalidSystem(violations)
-    return FiniteMetricSystem(len(dist), map=fmap, invertible=invertible, _metric=table)
+    return FiniteMetricSystem(len(fmap), map=fmap, invertible=invertible, _metric=table)
 
 
 def validate_system(spec) -> FiniteMetricSystem:

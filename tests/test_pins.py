@@ -1,9 +1,11 @@
-"""The pinned runs of ``pins.py`` without an RSS bound, and two generated
+"""The pinned runs of ``pins.py`` without an RSS bound, and three generated
 system files run within their timeouts."""
 
 from __future__ import annotations
 
 import json
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,44 @@ def test_a_512_point_file_loads_and_a_stretched_copy_exits_2(tmp_path):
     good = Pin("analyze --file rot512.json --delta 1/512", 0,
                "441207bb4470f14a24e972537c83209a2fd09a17a1d04e1a1a1a54718234993c", timeout=120)
     bad = Pin("analyze --file bad.json --delta 1/512", 2, EMPTY, "triangle", timeout=120)
+    assert check(good, tmp_path) == check(bad, tmp_path) == []
+
+
+def mixed_l1_spec(seed: int, n: int) -> dict:
+    """n distinct plane points with coordinates over 1, 2, 3, 4, 5 or 8 under
+    the L1 metric, and a random map. Each entry is spelled on its own, at
+    random: "p/q", the same padded with whitespace, an int when whole and a
+    decimal when it terminates, so d(i, j) and d(j, i) may be spelled apart."""
+    rng, denominators = random.Random(seed), (1, 2, 3, 4, 5, 8)
+    points: set = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.randrange(100), rng.choice(denominators)) for _ in "xy"))
+    ordered = sorted(points)
+
+    def spell(d: Fraction):
+        forms = [str(d), f" {d}\t"]
+        if d.denominator == 1:
+            forms.append(d.numerator)
+        if 10**3 % d.denominator == 0:
+            forms.append(str(Decimal(d.numerator) / d.denominator))
+        return rng.choice(forms)
+
+    dist = [[spell(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in ordered] for a in ordered]
+    return {"n": n, "dist": dist, "map": [rng.randrange(n) for _ in range(n)]}
+
+
+def test_a_96_point_file_of_mixed_spellings_loads_and_a_stretched_copy_exits_2(tmp_path):
+    """Its report is the one recorded when every entry was read through a
+    Fraction; a copy with one pair stretched to 3 times the diameter exits 2
+    with a triangle violation."""
+    spec = mixed_l1_spec(96, 96)
+    (tmp_path / "l1mixed96.json").write_text(json.dumps(spec))
+    diameter = max(Fraction(str(v)) for row in spec["dist"] for v in row)
+    spec["dist"][1][50] = spec["dist"][50][1] = str(3 * diameter)
+    (tmp_path / "bad.json").write_text(json.dumps(spec))
+    good = Pin("analyze --file l1mixed96.json --delta 1", 0,
+               "f12e41d1b6dad209759ae47b6b7d9a26d12e34d63821cf41ae32367962415743")
+    bad = Pin("analyze --file bad.json --delta 1", 2, EMPTY, "triangle")
     assert check(good, tmp_path) == check(bad, tmp_path) == []
 
 

@@ -54,7 +54,7 @@ from chainshadow import (
 from chainshadow import cli
 from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
-from chainshadow.rational import parse_int
+from chainshadow.rational import check_collection, parse_int
 from conftest import metric_systems, sweep_values, widest_table
 from corpus import standard_corpus
 
@@ -398,6 +398,118 @@ class TestParseOnce:
             make_system([["0", 1.0], ["x", "x"]], (0, 1))
 
 
+def reference_read(dist_rows, fmap):
+    """The table reader as it stood when every entry became a Fraction:
+    ``parse_rational`` on each entry in row-major order, the shape checks,
+    then the scaling onto the least common denominator. ``_read`` must
+    match its table or its BadParams text."""
+    dist = tuple(tuple(map(parse_rational, row)) for row in system_mod._rows(dist_rows))
+    n = len(dist)
+    if any(len(row) != n for row in dist):
+        raise BadParams("dist must be a square table")
+    fmap = check_collection("map", fmap)
+    if len(fmap) != n:
+        raise BadParams(f"map must list {n} image indices")
+    return system_mod._Table(*system_mod._over_common_denominator(dist)), fmap
+
+
+def _read_outcome(read, rows, fmap):
+    """The table's rows, denominator and map, with the type of every
+    entry, or the text of the BadParams raised."""
+    try:
+        table, fmap = read(rows, fmap)
+    except BadParams as exc:
+        return str(exc)
+    types = {type(v) for row in table.rows for v in row}
+    return table.rows, table.denominator, fmap, types
+
+
+# Odd spellings, refused strings and non-strings: each is also an example
+# (``_with_odd_examples``).
+_ODD_ENTRIES = (
+    "-0", " 3/4 ", "007/010", "+1/2", "0.25", "1e-3", "1_000", "\u0661\u0662", "1/0",
+    "1" * 4301, "1e4301", 2, Fraction(3, 4), True, 1.0,
+)
+_RAW_ENTRIES = st.one_of(
+    st.fractions(min_value=-3, max_value=40, max_denominator=12).flatmap(
+        lambda q: st.sampled_from([str(q), f" {q}\t", q, q.numerator if q.denominator == 1 else q])
+    ),
+    st.decimals(min_value=-3, max_value=40, places=3).map(str),
+    # "p/q" unreduced, and with q = 0.
+    st.builds("{}/{}".format, st.integers(-3, 60), st.integers(0, 24)),
+    st.sampled_from(_ODD_ENTRIES + (None, [1], "x", "")),
+)
+# Denominators 2**a * 3**b of up to 1335 bits: about a tenth of the tables
+# drawn pass the 1024-bit stop.
+_WIDE_ENTRIES = st.builds(
+    lambda a, b: 2**a * 3**b, st.integers(0, 700), st.integers(0, 400)
+).flatmap(lambda q: st.sampled_from([f"1/{q}", f"-7/{q}", Fraction(3, q), 5, f" 2/{q} "]))
+
+
+@st.composite
+def raw_tables(draw, entries, max_n: int = 5):
+    """Rows and a map, as a user may pass them: up to ``max_n`` rows whose
+    entries come from a small pool, so that rows share entries; now and then
+    a row or the map has one entry too many."""
+    n = draw(st.integers(0, max_n))
+    pool = draw(st.lists(entries, min_size=1, max_size=4))
+    cell = st.sampled_from(pool)
+    ragged = st.sampled_from((n,) * 19 + (n + 1,))
+    rows = [[draw(cell) for _ in range(draw(ragged))] for _ in range(n)]
+    return rows, list(range(draw(ragged)))
+
+
+def _with_odd_examples(test):
+    """``test`` with one example per odd entry, off the diagonal of a
+    two-point table."""
+    for odd in _ODD_ENTRIES:
+        test = example(([["0", odd], [odd, "0"]], [0, 1]))(test)
+    return test
+
+
+class TestTableReader:
+    """``_read`` takes raw rows straight onto integers: each distinct string
+    is read once into an int pair, with no Fraction in between."""
+
+    @given(raw_tables(_RAW_ENTRIES))
+    @_with_odd_examples
+    @settings(max_examples=300)
+    def test_matches_the_fraction_pipeline(self, table):
+        assert _read_outcome(system_mod._read, *table) == _read_outcome(reference_read, *table)
+
+    @given(raw_tables(_WIDE_ENTRIES, max_n=6))
+    @example(([[str(v) for v in row] for row in widest_table()[0]], range(10)))
+    @example(([[str(v) for v in row] for row in widest_table(1025)[0]], range(10)))
+    @settings(max_examples=100)
+    def test_matches_it_at_the_1024_bit_stop(self, table):
+        assert _read_outcome(system_mod._read, *table) == _read_outcome(reference_read, *table)
+
+    def test_the_first_refused_string_of_a_row_raises(self):
+        """Not the first one read: a row's distinct strings are read as a set."""
+        row = ["0", *(f"{k}x" for k in range(40))]
+        rows = [["0"] * len(row), row, *([["0"] * len(row)] * (len(row) - 2))]
+        with pytest.raises(BadParams, match=r"^cannot parse rational '0x'$"):
+            system_mod._read(rows, range(len(row)))
+
+    def test_plain_strings_build_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        rows = [["0", "3/7", "6/7"], ["3/7", "-0", "006/014"], ["6/7", "3/7", "0/5"]]
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        system = make_system(rows, (1, 2, 2))
+        monkeypatch.undo()
+        assert made == []
+        # The view still holds one shared Fraction per value.
+        dist = system.dist
+        assert dist[0][1] is dist[1][2] is dist[2][1] == Fraction(3, 7)
+        assert dist[0][0] is dist[1][1] is dist[2][2] == 0
+
+
 class TestDistanceOrder:
     @given(metric_systems())
     @settings(max_examples=40)
@@ -604,8 +716,8 @@ class TestIntegerTables:
         assert all(type(v) is Fraction for v in entries)
         assert len({id(v) for v in entries}) == len(set(entries))
         assert len({id(v) for v in ints}) == len(set(ints))
-        table, scaled = system._table, system_mod._table_of(system.dist)
-        assert (table.rows, table.denominator) == (scaled.rows, scaled.denominator)
+        table = system._table
+        assert (table.rows, table.denominator) == system_mod._over_common_denominator(system.dist)
         radii = _radii(system.dist)
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
