@@ -17,7 +17,6 @@ from .chain import (
     decomposition_report,
     hausdorff_distance,
     invariant_core,
-    reaches,
     refine_ladder,
 )
 from .errors import (

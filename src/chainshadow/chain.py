@@ -28,111 +28,10 @@ class DeltaGraph:
     delta: Fraction
     succ: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def _components(self):
-        """(scc_of, sccs, reach, k, class_reach, covers, above), sccs in class
-        order.
-
-        Ids 0..k-1 go to the k cyclic SCCs, by least point, so chain class i
-        is SCC i; the acyclic SCCs take the ids after them. reach[s] is a
-        bitmask over scc ids reachable from scc s, s included. For each class
-        i, class_reach[i] masks the other classes i reaches, covers[i] those
-        with no class between them, and above[i] the others that reach i.
-        """
-        succ = self.succ
-        n = self.system.n
-        # One iterative Tarjan pass. index[v] is v's discovery number, and n
-        # once v's SCC has closed, so lowlinks skip closed points.
-        index = [-1] * n
-        low = [0] * n
-        ticks = count()
-        open_stack: list[int] = []
-        closed: list[tuple[bool, tuple[int, ...]]] = []  # (acyclic, members) sinks first
-        for root in range(n):
-            if index[root] >= 0:
-                continue
-            index[root] = low[root] = next(ticks)
-            open_stack.append(root)
-            stack = [(root, iter(succ[root]))]
-            while stack:
-                v, edges = stack[-1]
-                for w in edges:
-                    if index[w] < 0:
-                        index[w] = low[w] = next(ticks)
-                        open_stack.append(w)
-                        stack.append((w, iter(succ[w])))
-                        break
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-                else:
-                    stack.pop()
-                    if low[v] == index[v]:
-                        members = [open_stack.pop()]
-                        while members[-1] != v:
-                            members.append(open_stack.pop())
-                        for w in members:
-                            index[w] = n
-                        # A cyclic SCC holds a cycle: a self-loop if a singleton.
-                        acyclic = len(members) == 1 and v not in succ[v]
-                        closed.append((acyclic, tuple(sorted(members))))
-                    if stack and low[v] < low[stack[-1][0]]:
-                        low[stack[-1][0]] = low[v]
-        # SCCs are disjoint, so (acyclic, members) pairs sort by least point.
-        sccs = tuple(members for _, members in sorted(closed))
-        scc_of = [0] * n
-        for sid, members in enumerate(sccs):
-            for v in members:
-                scc_of[v] = sid
-        k = sum(not acyclic for acyclic, _ in closed)
-        class_bits = (1 << k) - 1
-        # below[s] masks the classes strictly below some class that s reaches
-        # (s itself if a class), so a class's below is its strict class reach,
-        # and its covers are the classes in it but in no successor's below.
-        reach = [0] * len(sccs)
-        below = [0] * len(sccs)
-        covers = [0] * k
-        for _, members in closed:  # sinks first
-            sid = scc_of[members[0]]
-            mask = 1 << sid
-            under = 0
-            for v in members:
-                for w in succ[v]:
-                    t = scc_of[w]
-                    if t != sid:
-                        mask |= reach[t]
-                        under |= below[t]
-            reach[sid] = mask
-            if sid < k:
-                below[sid] = mask & class_bits & ~(1 << sid)
-                covers[sid] = below[sid] & ~under
-            else:
-                below[sid] = under
-        # above[s] masks the classes that reach s, s excluded.
-        above = [0] * len(sccs)
-        for _, members in reversed(closed):  # sources first
-            sid = scc_of[members[0]]
-            up = above[sid] | (1 << sid if sid < k else 0)
-            for v in members:
-                for w in succ[v]:
-                    t = scc_of[w]
-                    if t != sid:
-                        above[t] |= up
-        class_reach = tuple(below[:k])
-        return tuple(scc_of), sccs, tuple(reach), k, class_reach, tuple(covers), tuple(above[:k])
-
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     delta = parse_nonnegative(delta)
     return DeltaGraph(system, delta, system._successors(delta))
-
-
-def reaches(graph: DeltaGraph, x: int, y: int) -> bool:
-    """True when a directed path of length >= 1 runs from x to y."""
-    check_point(graph.system, x)
-    check_point(graph.system, y)
-    scc_of, _, reach, *_ = graph._components
-    target = 1 << scc_of[y]
-    return any(reach[scc_of[z]] & target for z in graph.succ[x])
 
 
 @dataclass(frozen=True)
@@ -195,19 +94,97 @@ class ChainDecomposition:
 
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
-    scc_of, sccs, _, k, class_reach, covers, above = graph._components
-    classes = tuple(frozenset(members) for members in sccs[:k])
+    """Chain classes from one iterative Tarjan pass, which closes the SCCs
+    sinks first. The k cyclic SCCs take ids 0..k-1 by least point, so chain
+    class i is SCC i; the acyclic SCCs take the ids after them."""
+    succ = graph.succ
+    n = graph.system.n
+    # index[v] is v's discovery number, and n once v's SCC has closed, so
+    # lowlinks skip closed points.
+    index = [-1] * n
+    low = [0] * n
+    ticks = count()
+    open_stack: list[int] = []
+    closed: list[tuple[bool, tuple[int, ...]]] = []  # (acyclic, members) sinks first
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(ticks)
+        open_stack.append(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = next(ticks)
+                    open_stack.append(w)
+                    stack.append((w, iter(succ[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                stack.pop()
+                if low[v] == index[v]:
+                    members = [open_stack.pop()]
+                    while members[-1] != v:
+                        members.append(open_stack.pop())
+                    for w in members:
+                        index[w] = n
+                    # A cyclic SCC holds a cycle: a self-loop if a singleton.
+                    acyclic = len(members) == 1 and v not in succ[v]
+                    closed.append((acyclic, tuple(sorted(members))))
+                if stack and low[v] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[v]
+    # SCCs are disjoint, so (acyclic, members) pairs sort by least point.
+    sccs = [members for _, members in sorted(closed)]
+    scc_of = [0] * n
+    for sid, members in enumerate(sccs):
+        for v in members:
+            scc_of[v] = sid
+    k = sum(not acyclic for acyclic, _ in closed)
+    # reach[s] masks the classes that s reaches, s included if a class.
+    # below[s] masks the classes strictly below some class that s reaches
+    # (s itself if a class), so a class's below is its strict class reach,
+    # and its covers are the classes in it but in no successor's below.
+    reach = [0] * len(sccs)
+    below = [0] * len(sccs)
+    covers = [0] * k
+    for _, members in closed:  # sinks first
+        sid = scc_of[members[0]]
+        mask = 1 << sid if sid < k else 0
+        under = 0
+        for v in members:
+            for w in succ[v]:
+                t = scc_of[w]
+                if t != sid:
+                    mask |= reach[t]
+                    under |= below[t]
+        reach[sid] = mask
+        if sid < k:
+            below[sid] = mask & ~(1 << sid)
+            covers[sid] = below[sid] & ~under
+        else:
+            below[sid] = under
+    # above[s] masks the classes that reach s, s excluded.
+    above = [0] * len(sccs)
+    for _, members in reversed(closed):  # sources first
+        sid = scc_of[members[0]]
+        up = above[sid] | (1 << sid if sid < k else 0)
+        for v in members:
+            for w in succ[v]:
+                t = scc_of[w]
+                if t != sid:
+                    above[t] |= up
     class_index = tuple(sid if sid < k else None for sid in scc_of)
-    separation = graph.system._separations(class_index, k)
     return ChainDecomposition(
         graph.system,
         graph.delta,
-        classes,
+        tuple(map(frozenset, sccs[:k])),
         class_index,
-        class_reach,
-        covers,
-        above,
-        separation,
+        tuple(below[:k]),
+        tuple(covers),
+        tuple(above[:k]),
+        graph.system._separations(class_index, k),
     )
 
 

@@ -511,14 +511,12 @@ def check_point(system: FiniteMetricSystem, p) -> int:
 
 def check_points(system: FiniteMetricSystem, points) -> frozenset[int]:
     """``points``, a collection of point indices of ``system``, as a frozenset;
-    otherwise BadParams."""
+    otherwise BadParams, raised at the first item read that is no index."""
     try:
-        pts = frozenset(points)
+        items = iter(points)
     except TypeError:
         raise BadParams(f"expected a collection of point indices, got {points!r}") from None
-    for p in pts:
-        check_point(system, p)
-    return pts
+    return frozenset(check_point(system, p) for p in items)
 
 
 def _check_invertible(invertible) -> bool:
@@ -729,19 +727,26 @@ def validate_system(spec) -> FiniteMetricSystem:
     return system if quantization is None else replace(system, quantization=quantization)
 
 
-def system_from_json(text: str) -> FiniteMetricSystem:
+def _decode(text: str):
+    """The JSON value of a system description, else BadParams."""
     try:
-        spec = json.loads(text)
+        return json.loads(text)
     except RecursionError as exc:
         raise BadParams("system description is nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise BadParams(f"system description is not JSON: {exc}") from exc
-    return validate_system(spec)
+
+
+def system_from_json(text: str) -> FiniteMetricSystem:
+    return validate_system(_decode(text))
 
 
 def load_system(path) -> FiniteMetricSystem:
+    # Only the decoded value outlives this block, so the file's text is
+    # freed before the table is read and its axioms checked.
     with open(path, "r", encoding="utf-8") as handle:
-        return system_from_json(handle.read())
+        spec = _decode(handle.read())
+    return validate_system(spec)
 
 
 def shortest_path_metric(n: int, edges) -> list[list[Fraction]]:

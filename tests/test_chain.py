@@ -28,7 +28,6 @@ from chainshadow import (
     make_system,
     north_south,
     parse_generator_string,
-    reaches,
     refine_ladder,
     rotation,
 )
@@ -92,7 +91,8 @@ def brute_decomposition(graph):
 def reference_components(graph):
     """The two-pass (Kosaraju) SCC search: a finish-order DFS, then a DFS
     over the reversed graph in reverse finish order, which meets the SCCs
-    sources first. Returns the 4-tuple of ``DeltaGraph._components``."""
+    sources first. Returns (classes, class_index, class_reach) numbered as
+    ``decompose`` numbers them: cyclic SCCs first, by least point."""
     n, succ = graph.system.n, graph.succ
     seen = [False] * n
     order = []
@@ -145,7 +145,13 @@ def reference_components(graph):
                 if scc_of[w] != sid:
                     mask |= reach[scc_of[w]]
         reach[sid] = mask
-    return scc_of, sccs, tuple(reach), acyclic.count(False)
+    k = acyclic.count(False)
+    class_bits = (1 << k) - 1
+    return (
+        tuple(map(frozenset, sccs[:k])),
+        tuple(sid if sid < k else None for sid in scc_of),
+        tuple(reach[i] & class_bits & ~(1 << i) for i in range(k)),
+    )
 
 
 def reached_from(dec, mask):
@@ -240,6 +246,10 @@ def check_exports(dec):
         assert decomposition_dot(dec, radius) == reference_dot(dec, radius)
 
 
+def classes_and_reach(dec):
+    return dec.classes, dec.class_index, dec.class_reach
+
+
 class TestComponents:
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
@@ -248,12 +258,12 @@ class TestComponents:
     def test_matches_reference(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
-        assert graph._components[:4] == reference_components(graph)
+        assert classes_and_reach(decompose(graph)) == reference_components(graph)
 
     @pytest.mark.parametrize("name,delta", bench_graphs(), ids=str)
     def test_matches_reference_on_bench_graphs(self, name, delta):
         graph = build_delta_graph(parse_generator_string(name), delta)
-        assert graph._components[:4] == reference_components(graph)
+        assert classes_and_reach(decompose(graph)) == reference_components(graph)
 
     def test_deep_cycle(self):
         # One DFS path runs through all 1024 points.
@@ -267,8 +277,9 @@ class TestComponents:
         assert system.orbit(1, sink + 1) == (*range(1, sink + 1), sink)
         dec = decompose(graph)
         assert dec.classes == (frozenset({0}), frozenset({sink}))
-        assert reaches(graph, 1, sink)
-        assert not reaches(graph, sink, 1)
+        # The sink is a fixed point at delta 0, so it reaches no other point.
+        assert graph.succ[sink] == (sink,)
+        assert dec.class_reach == (0, 0)
 
 
 def check_class_masks(dec):
@@ -394,24 +405,36 @@ class TestReachability:
     def test_exact_edge_reaches(self, parallel):
         graph = build_delta_graph(parallel, 0)
         for p in parallel.points:
-            assert reaches(graph, p, parallel.map[p])
+            assert parallel.map[p] in graph.succ[p]
 
     def test_no_return_to_transient(self, path_system):
         graph = build_delta_graph(path_system, Fraction(1, 10))
-        assert not reaches(graph, 2, 0)
+        assert not closure_reaches(graph, 2, 0)
+        dec = decompose(graph)
+        assert dec.class_of(0) is None
+        assert dec.is_terminal(dec.class_of(2))
 
     def test_parallel_cycles_cross_path(self, parallel):
         graph = build_delta_graph(parallel, 1)
-        assert reaches(graph, 0, 3)  # a -> e2 -> e1
+        assert closure_reaches(graph, 0, 3)  # a -> e2 -> e1
+        dec = decompose(graph)
+        assert dec.class_of(0) == dec.class_of(3)
 
-    @given(system_and_scales(), st.data())
+    @given(system_and_scales())
     @settings(max_examples=40)
-    def test_matches_transitive_closure(self, data, picks):
+    def test_matches_transitive_closure(self, data):
+        """Bit j of class i's reach is set exactly when i != j and a point of
+        class i reaches a point of class j; points of one class reach each
+        other."""
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
-        x = picks.draw(st.integers(0, system.n - 1))
-        y = picks.draw(st.integers(0, system.n - 1))
-        assert reaches(graph, x, y) == closure_reaches(graph, x, y)
+        reach = closure(graph)
+        dec = decompose(graph)
+        for x in dec.cr:
+            for y in dec.cr:
+                i, j = dec.class_of(x), dec.class_of(y)
+                assert dec.class_reach[i] >> j & 1 == (i != j and reach[x][y])
+                assert reach[x][y] or i != j
 
 
 class TestChainRecurrence:
@@ -433,9 +456,10 @@ class TestChainRecurrence:
     def test_cr_matches_cycle_membership(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
+        reach = closure(graph)
         cr = decompose(graph).cr
         for p in system.points:
-            assert (p in cr) == reaches(graph, p, p)
+            assert (p in cr) == reach[p][p]
 
 
 class TestDecomposition:
@@ -536,6 +560,7 @@ class TestDecomposition:
     def test_order_agrees_with_reachability(self, data):
         system, delta, _ = data
         graph = build_delta_graph(system, delta)
+        reach = closure(graph)
         dec = decompose(graph)
 
         def order(a, b):
@@ -543,9 +568,7 @@ class TestDecomposition:
 
         for a, cls_a in enumerate(dec.classes):
             for b, cls_b in enumerate(dec.classes):
-                expected = a == b or any(
-                    reaches(graph, q, p) for q in cls_b for p in cls_a
-                )
+                expected = a == b or any(reach[q][p] for q in cls_b for p in cls_a)
                 assert order(a, b) == expected
         if dec.classes:
             k = len(dec.classes)

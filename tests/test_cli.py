@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from chainshadow import format_rational, parse_generator_string
 from chainshadow.cli import main
 
 
@@ -492,6 +493,42 @@ class TestVerify:
         )
         assert code == 3 and out == ""
         assert err == "inconclusive: state cap 5 exceeded after 6 states\n"
+
+
+# Generator systems whose explicit tables must run as the generators do.
+FILE_GENS = ["north-south:64", "cantor-identity:7", "rotation:96:89", "tent:64"]
+
+# One run per command, given the system's four least positive distances.
+FILE_RUNS = {
+    "analyze": lambda v: ("analyze", "--delta", v[0]),
+    "shadowing": lambda v: ("shadow", "--property", "shadowing", "--delta", v[0], "--eps", v[1]),
+    "slimit": lambda v: ("shadow", "--property", "slimit", "--delta", v[0], "--eps", v[1]),
+    "ladder": lambda v: ("ladder", "--deltas", f"{v[2]},{v[1]},{v[0]},0"),
+    "verify": lambda v: ("verify", "--deltas", f"{v[3]},{v[1]},{v[0]}"),
+}
+
+
+class TestFileMatchesGenerator:
+    """A ``--file`` run on a generator's ``to_spec()`` table, which is read
+    and searched as an explicit table, matches the ``--gen`` run on the
+    generator's positions byte for byte: exit code, stdout and stderr.
+    Only a harness report differs, in the name of its system."""
+
+    @pytest.mark.parametrize("run", sorted(FILE_RUNS))
+    @pytest.mark.parametrize("name", FILE_GENS)
+    def test_file_run_matches_gen_run(self, capsys, tmp_path, name, run):
+        system = parse_generator_string(name)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system.to_spec()))
+        command, *args = FILE_RUNS[run](list(map(format_rational, system.distance_values)))
+        by_gen = run_cli(capsys, command, "--gen", name, *args)
+        by_file = run_cli(capsys, command, "--file", str(path), *args)
+        if command == "verify":
+            runs = (by_gen, by_file)
+            reports = [json.loads(out) for _, out, _ in runs]
+            assert [report.pop("system") for report in reports] == [name, str(path)]
+            by_gen, by_file = [(code, rep, err) for (code, _, err), rep in zip(runs, reports)]
+        assert by_gen[1] and by_gen == by_file
 
 
 class TestPlumbing:

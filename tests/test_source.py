@@ -1,5 +1,5 @@
 """Source checks that no linter makes here: every module-level import in
-``src/chainshadow`` is read by its module."""
+``src/chainshadow`` and in ``tests`` is read by its module."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import chainshadow
 MODULES = sorted(
     p for p in Path(chainshadow.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -33,7 +34,11 @@ def unread_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}",
+)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
 

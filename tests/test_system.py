@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
@@ -277,6 +278,29 @@ class TestValidation:
         deep.write_text(text)
         with pytest.raises(BadParams, match="nested too deeply"):
             load_system(deep)
+
+    def test_the_file_text_is_freed_before_validation(self, tmp_path, monkeypatch):
+        """A file padded with 1 MiB of whitespace holds no more memory while
+        its description is validated than the description itself: the
+        text is dropped once decoded."""
+        pad = 1 << 20
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps(rotation(4, 1).to_spec()) + " " * pad)
+        held = []
+        validate = system_mod.validate_system
+
+        def measured(spec):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return validate(spec)
+
+        monkeypatch.setattr(system_mod, "validate_system", measured)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert load_system(path) == rotation(4, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] - before < pad // 8
 
     @given(metric_systems())
     @settings(max_examples=40)
@@ -1271,6 +1295,25 @@ def test_malformed_arguments_raise_bad_params(call):
     not with whatever TypeError or IndexError the code meets first."""
     with pytest.raises(BadParams):
         call()
+
+
+def test_check_points_refuses_at_the_first_bad_point():
+    """Items are checked as they are read, so a long collection with an
+    early bad index is refused without reading the rest."""
+    read = []
+
+    def points():
+        for p in range(10**5):
+            read.append(p)
+            yield p
+
+    system = rotation(4, 1)
+    with pytest.raises(BadParams, match="point index out of range: 4 "):
+        system_mod.check_points(system, points())
+    assert len(read) <= system.n + 1
+    assert system_mod.check_points(system, iter([2, 0, 2])) == {0, 2}
+    with pytest.raises(BadParams, match="expected a collection of point indices, got 5"):
+        system_mod.check_points(system, 5)
 
 
 def test_a_direct_system_stores_tuples():
