@@ -56,7 +56,6 @@ from .system import (
     build_corpus_system,
     cantor_identity,
     doubling,
-    far_two_cycles,
     generator_names,
     load_system,
     make_system,
@@ -66,7 +65,6 @@ from .system import (
     parse_generator_string,
     rotation,
     shortest_path_metric,
-    system_from_json,
     tent,
     validate_system,
 )

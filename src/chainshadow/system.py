@@ -737,10 +737,6 @@ def _decode(text: str):
         raise BadParams(f"system description is not JSON: {exc}") from exc
 
 
-def system_from_json(text: str) -> FiniteMetricSystem:
-    return validate_system(_decode(text))
-
-
 def load_system(path) -> FiniteMetricSystem:
     # Only the decoded value outlives this block, so the file's text is
     # freed before the table is read and its axioms checked.
@@ -910,17 +906,6 @@ def tent(cells: int) -> FiniteMetricSystem:
     # A center at most 1/2 goes to (2i + 1) / n, the right end of cell 2i; one
     # past 1/2 goes to (2n - 2i - 1) / n, the right end of cell 2(n - i - 1).
     return _grid_system(n, False, [2 * i if 2 * i < n else 2 * (n - i - 1) for i in range(n)])
-
-
-def far_two_cycles() -> FiniteMetricSystem:
-    """Two 2-cycles of internal distance 1 separated by distance 4."""
-    rows = [
-        [0, 1, 4, 4],
-        [1, 0, 4, 4],
-        [4, 4, 0, 1],
-        [4, 4, 1, 0],
-    ]
-    return make_system(rows, (1, 0, 3, 2), invertible=True)
 
 
 _GENERATORS = {

@@ -27,7 +27,9 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
+    _checked_cap,
     _decide,
+    _domain_mask,
     check_shadowing_property,
     check_slimit_property,
 )
@@ -71,9 +73,9 @@ class _Answers:
 
     Each ``run_harness`` call makes one and shares it across its grid.
     The ball and image tables its searches read are the system's own, so
-    they outlive the object. The deciders are still looked up as module
-    globals each time they run, so a caller that swaps them still sees
-    every computation.
+    they outlive the object. The deciders are looked up as module globals
+    each time they run, so a caller that swaps them sees every search; a
+    forced shadowing verdict (``_forced_shadowing``) runs none.
 
     The whole-system searches of ``both`` stop at the first failing states
     of each property (``_decide`` in witness mode), so the
@@ -93,10 +95,24 @@ class _Answers:
         verdict = self.memo.get(key)
         if verdict is None:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
-            verdict = self.memo[key] = decide(
+            forced = check == "shadowing" and self._forced_shadowing(delta, eps, domain)
+            verdict = self.memo[key] = forced or decide(
                 self.system, delta, eps, domain=domain, state_cap=self.state_cap
             )
         return verdict
+
+    def _forced_shadowing(self, delta, eps, domain) -> ShadowVerdict | None:
+        """The passing shadowing verdict on a domain C with f(C) = C inside
+        the eps ball of each of its points, when |C| is within the state
+        cap; else None. Each state (p, C) steps to (q, f(C) & ball(q) & C) =
+        (q, C), so the search would visit just the |C| states (p, C)."""
+        system = self.system
+        cmask = _domain_mask(system, domain)
+        size = cmask.bit_count()
+        fits = size <= _checked_cap(self.state_cap) and system._image(cmask) == cmask
+        if fits and all(ball & cmask == cmask for ball in system._balls(eps, cmask, -1).values()):
+            return ShadowVerdict("shadowing", delta, eps, True, None, size)
+        return None
 
     def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
         """The whole-system slimit and shadowing verdicts at (delta, eps),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from chainshadow import (
     PseudoOrbit,
     build_delta_graph,
-    far_two_cycles,
     make_system,
     north_south,
     parallel_cycles,
     shortest_path_metric,
 )
+from corpus import far_two_cycles
 
 
 def sweep_values(system) -> list[Fraction]:

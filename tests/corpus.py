@@ -6,12 +6,23 @@ from chainshadow import (
     FiniteMetricSystem,
     cantor_identity,
     doubling,
-    far_two_cycles,
+    make_system,
     north_south,
     parallel_cycles,
     rotation,
     tent,
 )
+
+
+def far_two_cycles() -> FiniteMetricSystem:
+    """Two 2-cycles of internal distance 1 separated by distance 4."""
+    rows = [
+        [0, 1, 4, 4],
+        [1, 0, 4, 4],
+        [4, 4, 0, 1],
+        [4, 4, 1, 0],
+    ]
+    return make_system(rows, (1, 0, 3, 2), invertible=True)
 
 
 def standard_corpus() -> tuple[tuple[str, FiniteMetricSystem], ...]:

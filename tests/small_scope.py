@@ -10,6 +10,10 @@ their halves, and on every forward-invariant domain:
   or a longer witness meets an oracle pass;
 - the joint search of both properties (``shadow._decide``) returns the
   two single verdicts;
+- the harness's shadowing answer (``verify._Answers.verdict``, which
+  passes some domains without a search) is ``check_shadowing_property``'s
+  verdict, or the same ``Inconclusive`` text and count, at state caps
+  None, |domain| - 1 and |domain|;
 - each merge set of ``merge_sets`` holds the points whose orbit meets
   the point's orbit without leaving eps first, found by walking the pair
   of orbits;
@@ -28,6 +32,7 @@ import sys
 from fractions import Fraction
 
 from chainshadow import (
+    Inconclusive,
     brute_force_oracle,
     check_shadowing_property,
     check_slimit_property,
@@ -36,7 +41,7 @@ from chainshadow import (
     run_harness,
 )
 from chainshadow import shadow as shadow_mod
-from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING
+from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING, _Answers
 
 USAGE = "usage: python tests/small_scope.py N  (check every map on N points)"
 
@@ -67,8 +72,9 @@ def invariant_domains(fmap) -> list[frozenset[int] | None]:
 
 def small_scope(n: int) -> int:
     """Run every check on every map of n points, and return the number of
-    verdicts compared with the oracle. The first disagreement raises
-    AssertionError, naming the table, map, domain and (delta, eps)."""
+    verdicts compared with the oracle or with the harness's answers. The
+    first disagreement raises AssertionError, naming the table, map,
+    domain and (delta, eps)."""
     guard = shadow_mod._ORACLE_LENGTH_GUARD
     compared = 0
     for name, rows in tables(n).items():
@@ -112,6 +118,19 @@ def small_scope(n: int) -> int:
                     cap = shadow_mod.DEFAULT_STATE_CAP
                     both = shadow_mod._decide(system, delta, eps, domain, cap, props)[1]
                     _require(both == tuple(singles), f"joint check differs: {where}")
+                    size = len(points)
+                    for cap in (None, size - 1, size):
+                        answer = _outcome(
+                            _Answers(system, cap).verdict, "shadowing", delta, eps, domain
+                        )
+                        searched = _outcome(
+                            check_shadowing_property, system, delta, eps, domain, state_cap=cap
+                        )
+                        _require(
+                            answer == searched,
+                            f"harness shadowing answer differs at cap {cap}: {where}",
+                        )
+                        compared += 1
             report = run_harness(system, grid=[(system.diameter, d, e) for d, e in pairs])
             for bundle in report.results:
                 for result in bundle:
@@ -136,6 +155,14 @@ def _merges(system, x: int, p: int, eps) -> bool:
     return True
 
 
+def _outcome(decide, *args, **kwargs):
+    """The verdict of a call, or the text and count of its Inconclusive."""
+    try:
+        return decide(*args, **kwargs)
+    except Inconclusive as exc:
+        return str(exc), exc.states_explored
+
+
 def _require(holds: bool, message: str) -> None:
     if not holds:
         raise AssertionError(message)
@@ -146,4 +173,4 @@ if __name__ == "__main__":
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     n = int(sys.argv[1])
-    print(f"n = {n}: {small_scope(n)} verdicts agree with the oracle")
+    print(f"n = {n}: {small_scope(n)} verdicts agree with the oracle or the search")
