@@ -96,9 +96,15 @@ class ChainDecomposition:
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
     """Chain classes from one iterative Tarjan pass, which closes the SCCs
     sinks first. The k cyclic SCCs take ids 0..k-1 by least point, so chain
-    class i is SCC i; the acyclic SCCs take the ids after them."""
+    class i is SCC i; the acyclic SCCs take the ids after them. A graph
+    whose every successor row holds all n points, as at any delta past
+    the diameter, is one class with no pass."""
     succ = graph.succ
     n = graph.system.n
+    if sum(map(len, succ)) == n * n:
+        return ChainDecomposition(
+            graph.system, graph.delta, (frozenset(range(n)),), (0,) * n, (0,), (0,), (0,), (None,)
+        )
     # index[v] is v's discovery number, and n once v's SCC has closed, so
     # lowlinks skip closed points.
     index = [-1] * n

@@ -502,10 +502,17 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
 
     A check of the whole of a system that the shift i -> i + 1 maps onto
     itself (``system._rotation_step``) runs ``_explore_orbits`` instead,
-    with the same verdicts, counts and cap outcomes; states is then None."""
+    with the same verdicts, counts and cap outcomes; states is then None.
+
+    Where ``_forced_states`` knows the states, no search runs: states is
+    that list, on a rotation too, and every verdict passes with its count."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
+    states = _forced_states(system, delta, eps, dmask, state_cap)
+    if states is not None:
+        count = len(states)
+        return states, tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
     step = None
     if props and dmask == (1 << system.n) - 1:
         step = system._rotation_step
@@ -534,6 +541,33 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
             witness = PseudoOrbit(path, delta, tail)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
     return states, tuple(verdicts)
+
+
+def _forced_states(system, delta, eps, dmask: int, state_cap) -> list[tuple[int, int]] | None:
+    """The states ``_explore`` visits on the domain C of ``dmask``, in its
+    order, when C fits in the state cap and one of two rules holds; else
+    None. Under each rule every state has a nonempty candidate set Y that
+    holds its point p, and p lies in its own merge set, so both properties
+    pass.
+
+    (a) delta and eps are below the least distance: every ball is {p}, so
+    the states are the (p, {p}), and the only child of (p, {p}) is
+    (f(p), {f(p)}).
+    (b) f(C) = C and C lies inside the eps ball of each of its points:
+    every start state is (p, C), and every child (q, f(C) & ball(q) & C)
+    is (q, C), whatever delta is. The balls are read one point at a time,
+    so a C that some ball leaves is told apart at that ball."""
+    if dmask.bit_count() > _checked_cap(state_cap):
+        return None
+    least = system._least_distance
+    if least is None or max(system._bound(delta), system._bound(eps)) < least:
+        return [(p, 1 << p) for p in bits(dmask)]
+    balls = system._balls
+    if system._image(dmask) == dmask and all(
+        balls(eps, 1 << p, -1)[p] & dmask == dmask for p in bits(dmask)
+    ):
+        return [(p, dmask) for p in bits(dmask)]
+    return None
 
 
 def _checked_cap(state_cap) -> int:

@@ -103,6 +103,13 @@ class _Positions:
             masks.append(masks[-1] | 1 << p)
         return masks
 
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """The distance from each position to the next in position order,
+        and on the circle from the last to the first, times the
+        denominator."""
+        return tuple(self.distance(x, y) for x, y in self.neighbours(self.ascending))
+
     def neighbours(self, items: list) -> zip:
         """Each item beside the next one: ``items`` are in position order, and
         on the circle the last is beside the first."""
@@ -288,15 +295,18 @@ class FiniteMetricSystem:
 
     @cached_property
     def _full_balls(self) -> dict:
-        """Per radius r, the full r-ball mask of each point asked for so far."""
+        """Per bound ``_bound(r)``, the full r-ball mask of each point asked
+        for so far."""
         return {}
 
     def _balls(self, r, keys: int, dmask: int) -> dict[int, int]:
         """The closed r-ball within the domain ``dmask`` of each point of
-        the mask ``keys``, ascending. Each full ball is built the first time
-        any caller asks for its (point, radius) and kept for the life of
-        the system: one mask of n bits per (point, radius) asked for."""
-        full = self._full_balls.setdefault(r, {})
+        the mask ``keys``, ascending. A ball depends on r only through
+        ``_bound(r)``, so the full balls are kept under that int: each is
+        built the first time any caller asks for its point at a radius with
+        that bound, and kept for the life of the system, one mask of n bits
+        per (point, bound) asked for."""
+        full = self._full_balls.setdefault(self._bound(r), {})
         out = {}
         for p in bits(keys):
             ball = full.get(p)
@@ -452,6 +462,19 @@ class FiniteMetricSystem:
         return tuple(sorted(gaps))
 
     @cached_property
+    def _least_distance(self) -> int | None:
+        """The least distance between two points times the denominator, None
+        on one point: on a positioned system the least gap between
+        neighbours in position order, the circle's wrap included, and on a
+        table the least entry below the diagonal."""
+        if self.n < 2:
+            return None
+        positions = self._positions
+        if positions is None:
+            return min(min(row[:i]) for i, row in enumerate(self._table.rows) if i)
+        return min(positions.gaps)
+
+    @cached_property
     def diameter(self) -> Fraction:
         ints = self._distance_ints
         return self._values[ints[-1] if ints else 0]
@@ -463,8 +486,8 @@ class FiniteMetricSystem:
 
     @cached_property
     def min_gap(self) -> Fraction | None:
-        ints = self._distance_ints
-        return self._values[ints[0]] if ints else None
+        least = self._least_distance
+        return None if least is None else self._values[least]
 
     @cached_property
     def functional_threshold(self) -> Fraction | None:
@@ -482,7 +505,7 @@ class FiniteMetricSystem:
             rows = self._table.rows
             best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
             return self._values[best]
-        gaps = [positions.distance(x, y) for x, y in positions.neighbours(positions.ascending)]
+        gaps = positions.gaps
         # The gaps before and after each position; a line's ends have one.
         before = gaps[-1:] + gaps[:-1] if positions.circle else gaps[:1] + gaps
         after = gaps if positions.circle else gaps + gaps[-1:]

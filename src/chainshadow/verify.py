@@ -27,9 +27,7 @@ from .shadow import (
     DEFAULT_STATE_CAP,
     PseudoOrbit,
     ShadowVerdict,
-    _checked_cap,
     _decide,
-    _domain_mask,
     check_shadowing_property,
     check_slimit_property,
 )
@@ -73,9 +71,11 @@ class _Answers:
 
     Each ``run_harness`` call makes one and shares it across its grid.
     The ball and image tables its searches read are the system's own, so
-    they outlive the object. The deciders are looked up as module globals
-    each time they run, so a caller that swaps them sees every search; a
-    forced shadowing verdict (``_forced_shadowing``) runs none.
+    they outlive the object. Every verdict comes from a decider looked up
+    as a module global each time it runs, so a caller that swaps the
+    deciders sees every question, including those that ``_decide``
+    answers without a search. The memo keys radii by their integer
+    ratios, so a lookup hashes no Fraction.
 
     The whole-system searches of ``both`` stop at the first failing states
     of each property (``_decide`` in witness mode), so the
@@ -91,33 +91,20 @@ class _Answers:
     def verdict(self, check: str, delta, eps, domain=None) -> ShadowVerdict:
         """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
         ``domain`` (the whole system when None)."""
-        key = (check, delta, eps, domain)
+        key = (check, delta.as_integer_ratio(), eps.as_integer_ratio(), domain)
         verdict = self.memo.get(key)
         if verdict is None:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
-            forced = check == "shadowing" and self._forced_shadowing(delta, eps, domain)
-            verdict = self.memo[key] = forced or decide(
+            verdict = self.memo[key] = decide(
                 self.system, delta, eps, domain=domain, state_cap=self.state_cap
             )
         return verdict
 
-    def _forced_shadowing(self, delta, eps, domain) -> ShadowVerdict | None:
-        """The passing shadowing verdict on a domain C with f(C) = C inside
-        the eps ball of each of its points, when |C| is within the state
-        cap; else None. Each state (p, C) steps to (q, f(C) & ball(q) & C) =
-        (q, C), so the search would visit just the |C| states (p, C)."""
-        system = self.system
-        cmask = _domain_mask(system, domain)
-        size = cmask.bit_count()
-        fits = size <= _checked_cap(self.state_cap) and system._image(cmask) == cmask
-        if fits and all(ball & cmask == cmask for ball in system._balls(eps, cmask, -1).values()):
-            return ShadowVerdict("shadowing", delta, eps, True, None, size)
-        return None
-
     def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
         """The whole-system slimit and shadowing verdicts at (delta, eps),
         from one BFS when neither is known yet."""
-        keys = (("slimit", delta, eps, None), ("shadowing", delta, eps, None))
+        ratios = delta.as_integer_ratio(), eps.as_integer_ratio()
+        keys = (("slimit", *ratios, None), ("shadowing", *ratios, None))
         if not any(key in self.memo for key in keys):
             props = ("slimit", "shadowing")
             _, verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
@@ -125,7 +112,7 @@ class _Answers:
         return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
 
     def decomposition(self, delta) -> ChainDecomposition:
-        key = ("decompose", delta)
+        key = ("decompose", delta.as_integer_ratio())
         if key not in self.memo:
             self.memo[key] = decompose(build_delta_graph(self.system, delta))
         return self.memo[key]

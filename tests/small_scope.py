@@ -10,10 +10,16 @@ their halves, and on every forward-invariant domain:
   or a longer witness meets an oracle pass;
 - the joint search of both properties (``shadow._decide``) returns the
   two single verdicts;
-- the harness's shadowing answer (``verify._Answers.verdict``, which
-  passes some domains without a search) is ``check_shadowing_property``'s
-  verdict, or the same ``Inconclusive`` text and count, at state caps
-  None, |domain| - 1 and |domain|;
+- ``shadow._decide``, which answers some checks without a search, returns
+  what its BFS (``_explore``, or ``_explore_orbits`` on the whole of a
+  shift-invariant system) returns when run directly on the same ball
+  tables: the states and verdicts of both properties, in exact and in
+  witness mode, and the state list of ``reachable_shadow_states``, or
+  the same ``Inconclusive`` text and count, at state caps None,
+  |domain| - 1 and |domain|;
+- ``decompose`` gives every graph on the n points (each point's
+  successors any subset of the points) the classes, class masks and
+  separations read off its transitive closure;
 - each merge set of ``merge_sets`` holds the points whose orbit meets
   the point's orbit without leaving eps first, found by walking the pair
   of orbits;
@@ -33,17 +39,26 @@ from fractions import Fraction
 
 from chainshadow import (
     Inconclusive,
+    PseudoOrbit,
+    ShadowVerdict,
     brute_force_oracle,
     check_shadowing_property,
     check_slimit_property,
+    decompose,
     make_system,
     merge_sets,
     run_harness,
 )
 from chainshadow import shadow as shadow_mod
-from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING, _Answers
+from chainshadow.chain import DeltaGraph
+from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING
 
 USAGE = "usage: python tests/small_scope.py N  (check every map on N points)"
+
+# (props, exact) of each call of ``shadow._decide`` that ``same_decisions``
+# compares: both properties in exact mode, as the public checks run them,
+# and in the harness's witness mode, and reachable_shadow_states.
+DECISIONS = ((("slimit", "shadowing"), True), (("slimit", "shadowing"), False), ((), True))
 
 
 def tables(n: int) -> dict[str, list[list[int]]]:
@@ -71,10 +86,10 @@ def invariant_domains(fmap) -> list[frozenset[int] | None]:
 
 
 def small_scope(n: int) -> int:
-    """Run every check on every map of n points, and return the number of
-    verdicts compared with the oracle or with the harness's answers. The
-    first disagreement raises AssertionError, naming the table, map,
-    domain and (delta, eps)."""
+    """Run every check on every map of n points and every graph on them,
+    and return the number of answers compared with the oracle, the search
+    or the closure. The first disagreement raises AssertionError, naming
+    the table, map, domain and (delta, eps), or the graph."""
     guard = shadow_mod._ORACLE_LENGTH_GUARD
     compared = 0
     for name, rows in tables(n).items():
@@ -118,19 +133,7 @@ def small_scope(n: int) -> int:
                     cap = shadow_mod.DEFAULT_STATE_CAP
                     both = shadow_mod._decide(system, delta, eps, domain, cap, props)[1]
                     _require(both == tuple(singles), f"joint check differs: {where}")
-                    size = len(points)
-                    for cap in (None, size - 1, size):
-                        answer = _outcome(
-                            _Answers(system, cap).verdict, "shadowing", delta, eps, domain
-                        )
-                        searched = _outcome(
-                            check_shadowing_property, system, delta, eps, domain, state_cap=cap
-                        )
-                        _require(
-                            answer == searched,
-                            f"harness shadowing answer differs at cap {cap}: {where}",
-                        )
-                        compared += 1
+                    compared += same_decisions(system, delta, eps, domain, where)
             report = run_harness(system, grid=[(system.diameter, d, e) for d, e in pairs])
             for bundle in report.results:
                 for result in bundle:
@@ -140,7 +143,106 @@ def small_scope(n: int) -> int:
                             f"slimit without shadowing: {name} table, map {fmap}, "
                             f"{result.params}",
                         )
+    return compared + graph_scope(n)
+
+
+def searched(system, delta, eps, domain, state_cap, props, exact=True):
+    """What ``shadow._decide`` returns, from its BFS run directly and with
+    no verdict forced: ``_explore_orbits`` on the whole of a system that
+    the shift maps onto itself, else ``_explore`` over the eps balls of the
+    domain and the delta balls of its images."""
+    delta, eps = Fraction(delta), Fraction(eps)
+    dmask = shadow_mod._domain_mask(system, domain)
+    whole = props and dmask == (1 << system.n) - 1
+    step = system._rotation_step if whole else None
+    if step is not None:
+        states = None
+        count, found = shadow_mod._explore_orbits(system, step, delta, eps, props, state_cap)
+    else:
+        balls = system._balls(eps, dmask, dmask)
+        succ_balls = system._balls(delta, system._image(dmask), dmask)
+        asymp = shadow_mod._asymp_masks(system, balls) if "slimit" in props else None
+        tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
+        failing = tuple(tests[prop] for prop in props)
+        states, found = shadow_mod._explore(system, succ_balls, balls, failing, state_cap, exact)
+        count = len(states)
+    verdicts = []
+    for prop, hit in zip(props, found):
+        if hit is None:
+            verdicts.append(ShadowVerdict(prop, delta, eps, True, None, count))
+        else:
+            visited, path = hit
+            witness = PseudoOrbit(path, delta, len(path) - 1 if prop == "slimit" else None)
+            verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
+    return states, tuple(verdicts)
+
+
+def same_decisions(system, delta, eps, domain, where: str) -> int:
+    """Compare ``shadow._decide`` with ``searched`` for each of
+    ``DECISIONS`` at state caps None, |domain| - 1 and |domain|, and return
+    the number of answers compared; the first difference raises
+    AssertionError, after ``where``. Where the orbit search runs, only the
+    verdicts are compared."""
+    size = system.n if domain is None else len(domain)
+    compared = 0
+    for cap in (None, size - 1, size):
+        for props, exact in DECISIONS:
+            args = (system, delta, eps, domain, cap, props, exact)
+            ours, theirs = _outcome(shadow_mod._decide, *args), _outcome(searched, *args)
+            if theirs[0] is None:
+                # The orbit search lists no states; a forced answer does.
+                ours = None, ours[1]
+            _require(
+                ours == theirs,
+                f"decision differs from its search at cap {cap}, {props}, exact={exact}: {where}",
+            )
+            compared += 1
     return compared
+
+
+def graph_scope(n: int) -> int:
+    """Compare ``decompose`` with the closure of every graph on n points
+    of the equal-gap line, and return the number of graphs compared."""
+    system = make_system(tables(n)["equal"], range(n))
+    rows = [tuple(q for q in range(n) if row >> q & 1) for row in range(1 << n)]
+    compared = 0
+    for succ in itertools.product(rows, repeat=n):
+        graph = DeltaGraph(system, Fraction(0), succ)
+        dec = decompose(graph)
+        got = (dec.classes, dec.class_index, dec.class_reach, dec.class_covers, dec.class_above)
+        _require(got + (dec.separation,) == _closure_decomposition(graph), f"graph {succ}")
+        compared += 1
+    return compared
+
+
+def _closure_decomposition(graph) -> tuple:
+    """(classes, class_index, class_reach, class_covers, class_above,
+    separation) read off the transitive closure of ``graph``."""
+    n = graph.system.n
+    reach = [set(row) for row in graph.succ]  # reach[p]: the ends of walks from p
+    for k in range(n):
+        for p in range(n):
+            if k in reach[p]:
+                reach[p] |= reach[k]
+    cr = [p for p in range(n) if p in reach[p]]
+    mutual = {frozenset(q for q in cr if q in reach[p] and p in reach[q]) for p in cr}
+    classes = sorted(mutual, key=min)
+    index = tuple(next((i for i, cls in enumerate(classes) if p in cls), None) for p in range(n))
+    k = len(classes)
+
+    def reaches(i, j):
+        return i != j and any(q in reach[p] for p in classes[i] for q in classes[j])
+
+    below = [[j for j in range(k) if reaches(i, j)] for i in range(k)]
+    covers = [[j for j in js if not any(reaches(m, j) for m in js)] for js in below]
+    above = [[j for j in range(k) if reaches(j, i)] for i in range(k)]
+    dist = graph.system.dist
+    separation = tuple(
+        min((dist[p][q] for p in cls for q in range(n) if index[q] not in (None, i)), default=None)
+        for i, cls in enumerate(classes)
+    )
+    masks = (tuple(sum(1 << j for j in js) for js in each) for each in (below, covers, above))
+    return (tuple(classes), index, *masks, separation)
 
 
 def _merges(system, x: int, p: int, eps) -> bool:
@@ -173,4 +275,4 @@ if __name__ == "__main__":
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     n = int(sys.argv[1])
-    print(f"n = {n}: {small_scope(n)} verdicts agree with the oracle or the search")
+    print(f"n = {n}: {small_scope(n)} answers agree with the oracle, the search or the closure")

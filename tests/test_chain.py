@@ -31,9 +31,11 @@ from chainshadow import (
     refine_ladder,
     rotation,
 )
+from chainshadow import chain as chain_mod
 from chainshadow.bits import bits
 from chainshadow.rational import format_rational
 from conftest import metric_systems, system_and_scales, widest_table
+from corpus import standard_corpus
 
 
 # Fixed points at 0, 2 and 4 on a line, each reaching the next one down
@@ -250,6 +252,15 @@ def classes_and_reach(dec):
     return dec.classes, dec.class_index, dec.class_reach
 
 
+# The corpus and four one-point systems, positioned and tabled.
+ONE_POINT_GENERATORS = ("rotation:1:0", "cantor-identity:0", "tent:1")
+ONE_CLASS_SYSTEMS = [
+    *standard_corpus(),
+    *((gen, parse_generator_string(gen)) for gen in ONE_POINT_GENERATORS),
+    ("one-point-table", make_system([[0]], (0,))),
+]
+
+
 class TestComponents:
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
@@ -264,6 +275,26 @@ class TestComponents:
     def test_matches_reference_on_bench_graphs(self, name, delta):
         graph = build_delta_graph(parse_generator_string(name), delta)
         assert classes_and_reach(decompose(graph)) == reference_components(graph)
+
+    @pytest.mark.parametrize(
+        "name, system", ONE_CLASS_SYSTEMS, ids=[name for name, _ in ONE_CLASS_SYSTEMS]
+    )
+    def test_one_class_past_the_diameter(self, monkeypatch, name, system):
+        """At delta >= the diameter every successor row holds every point,
+        and the decomposition is one class, read without a Tarjan pass."""
+
+        def no_pass():
+            raise AssertionError("a Tarjan pass ran")
+
+        monkeypatch.setattr(chain_mod, "count", no_pass)
+        for delta in (system.diameter, 2 * system.diameter + 1):
+            graph = build_delta_graph(system, delta)
+            dec = decompose(graph)
+            assert classes_and_reach(dec) == reference_components(graph)
+            assert dec.classes == (frozenset(system.points),)
+            assert (dec.class_covers, dec.class_above, dec.separation) == ((0,), (0,), (None,))
+            check_class_masks(dec)
+            check_exports(dec)
 
     def test_deep_cycle(self):
         # One DFS path runs through all 1024 points.

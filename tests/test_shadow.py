@@ -865,13 +865,17 @@ class TestBallTables:
 
     def test_one_ball_per_point_and_radius(self, monkeypatch):
         """At delta = eps the successor masks, the BFS's balls and the merge
-        sets' balls are one table."""
+        sets' balls are one table. Below the least distance the verdicts
+        are forced, and no ball is built at all."""
         system = cantor_identity(4)
         calls = self._record_ball_masks(monkeypatch)
-        for v in sweep_values(system):
+        values = sweep_values(system)
+        assert values[0] < system.min_gap
+        for v in values:
             calls.clear()
             _both(system, v, v)
-            assert sorted(calls) == [(p, v) for p in system.points], v
+            built = [] if v < system.min_gap else [(p, v) for p in system.points]
+            assert sorted(calls) == built, v
 
     def test_delta_balls_only_at_the_images(self, monkeypatch):
         """At delta != eps the search reads the delta balls only at the
@@ -885,21 +889,29 @@ class TestBallTables:
         assert len(set(system.map)) < system.n
 
     def _harness_ball_builds(self, monkeypatch, system, grid=None, runs=1):
-        """The balls built by the searches of each of ``runs`` calls of
+        """The balls built by the decisions of each of ``runs`` calls of
         ``run_harness`` on ``system``, the balls they read, and each run's
-        report bytes: each search reads the eps balls of its domain and the
-        delta balls of the domain's images."""
+        report bytes. A decision below the least distance is forced and
+        reads no ball. Any other reads the eps balls of its domain, and,
+        when it searches, the delta balls of the domain's images too."""
         calls = self._record_ball_masks(monkeypatch)
         real = shadow_mod._decide
         read = set()
         made = []
+        searches = []
+        for name in ("_explore", "_explore_orbits"):
+            searches.append(mock.Mock(wraps=getattr(shadow_mod, name)))
+            monkeypatch.setattr(shadow_mod, name, searches[-1])
 
         def recording(system, delta, eps, domain, *rest):
             points = system.points if domain is None else domain
-            read.update((p, eps) for p in points)
-            read.update((system.map[p], delta) for p in points)
             calls.clear()
+            before = sum(search.call_count for search in searches)
             out = real(system, delta, eps, domain, *rest)
+            if max(delta, eps) >= system.min_gap:
+                read.update((p, eps) for p in points)
+                if sum(search.call_count for search in searches) > before:
+                    read.update((system.map[p], delta) for p in points)
             made[-1].extend(calls)
             return out
 
@@ -913,8 +925,12 @@ class TestBallTables:
         return made, read, reports
 
     def test_harness_searches_build_each_ball_once(self, monkeypatch):
-        (made,), read, _ = self._harness_ball_builds(monkeypatch, north_south(8))
+        """The grid's finest radius, half the least distance, builds no
+        ball."""
+        system = north_south(8)
+        (made,), read, _ = self._harness_ball_builds(monkeypatch, system)
         assert read and sorted(made) == sorted(read)
+        assert system.min_gap / 2 not in {r for _, r in made}
 
     def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
         """Radius 1/8 is the eps of both entries and the delta of one, so
@@ -961,6 +977,7 @@ class TestBallTables:
         maps = self._record_translation_runs(monkeypatch)
         (first, second), read, reports = self._harness_ball_builds(monkeypatch, system, runs=2)
         assert read and sorted(first) == sorted(read)
+        assert system.min_gap / 2 not in {r for _, r in first}
         assert second == []
         assert maps == [system.map]
         assert reports[0] == reports[1]

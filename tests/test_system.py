@@ -43,6 +43,7 @@ from chainshadow import (
     north_south,
     parse_generator_string,
     parse_rational,
+    reachable_shadow_states,
     refine_ladder,
     rotation,
     run_harness,
@@ -580,8 +581,9 @@ class TestDistanceOrder:
         for r in (0.5, -1, "-1/4", "1/0"):
             with pytest.raises(BadParams):
                 system.ball(0, r)
-        # A refused radius leaves no ball table behind.
-        assert list(system._full_balls) == [Fraction(1, 2), 0]
+        # Ball tables are keyed by the bound floor(r * L), here L = 4, and a
+        # refused radius leaves none behind.
+        assert list(system._full_balls) == [2, 0]
 
 
 # The generators as they were written on Fractions, one Fraction operation
@@ -855,6 +857,29 @@ class TestPositions:
     def test_checks_build_no_view(self, no_view, system, delta, eps):
         check_shadowing_property(system, delta, eps)
         check_slimit_property(system, delta, eps)
+
+    @pytest.mark.parametrize("gen", ["tent:4096", "north-south:4096"])
+    def test_checks_below_the_least_distance_read_no_table(self, no_view, monkeypatch, gen):
+        """Below the least distance every verdict is forced. The least gap
+        is read off the sorted positions, and neither the list of distance
+        values nor the table view is built."""
+
+        def refuse(system):
+            raise AssertionError("the distance values were listed")
+
+        monkeypatch.setattr(FiniteMetricSystem, "_distance_ints", property(refuse))
+        system = parse_generator_string(gen)
+        least = system.min_gap
+        for delta, eps in [(0, 0), (least / 2, 0), (0, least / 2), (least / 2, least / 2)]:
+            for check in (check_shadowing_property, check_slimit_property):
+                verdict = check(system, delta, eps)
+                assert verdict.passed and verdict.states_explored == system.n
+            states = reachable_shadow_states(system, delta, eps)
+            assert [tuple(state.candidates) for state in states] == [(p,) for p in system.points]
+        assert "table" not in vars(system._positions)
+        argv = ["shadow", "--gen", gen, "--delta", str(least / 2), "--eps", str(least / 2)]
+        for prop in ("shadowing", "slimit"):
+            assert cli.main([*argv, "--property", prop]) == 0
 
     @pytest.mark.parametrize(
         "gen",

@@ -6,6 +6,7 @@ import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ from chainshadow.verify import (
 )
 from conftest import system_and_scales
 from corpus import standard_corpus
-from small_scope import _outcome
+from small_scope import same_decisions
 
 
 def _alone(check, system, *params, state_cap=shadow_mod.DEFAULT_STATE_CAP):
@@ -354,18 +355,20 @@ class TestSharedAnswers:
         run_harness(system, "cantor-identity:3")
         assert deltas and len(deltas) == len(set(deltas))
 
-    @pytest.mark.parametrize("name, searches", [("cantor-identity:7", 4), ("north-south:64", 4)])
+    @pytest.mark.parametrize("name, searches", [("cantor-identity:7", 2), ("north-south:64", 3)])
     def test_a_core_of_every_point_is_asked_as_the_whole_system(
         self, monkeypatch, name, searches
     ):
         """The whole-system shadowing verdict at (delta, eps) also answers a
-        class core that holds every point, so that search runs once, and the
-        report is the one a search on the full core gives.
+        class core that holds every point, so that question is decided
+        once, and the report is the one a search on the full core gives.
 
-        Only the four whole-system searches run: every other core verdict
-        of these systems is forced (f maps the core onto itself inside one
-        eps ball). On north-south:64 a full core under a key of its own
-        would run a fifth search."""
+        Every verdict is decided by ``_decide``, but only these searches
+        run: each class-core verdict of these systems is forced (f maps the
+        core onto itself inside one eps ball), and so is every verdict at
+        the finest entry, half the least distance. cantor-identity:7 also
+        lies inside its coarse eps ball, the diameter, under a map onto
+        itself; north-south:64 does not."""
         system = parse_generator_string(name)
 
         def full_core(self, dec, i, eps):
@@ -385,30 +388,28 @@ class TestSharedAnswers:
         # The harness's joint searches call verify's own reference to it.
         monkeypatch.setattr(shadow_mod, "_decide", counting)
         monkeypatch.setattr(verify_mod, "_decide", counting)
+        runs = []
+        for attr in ("_explore", "_explore_orbits"):
+            runs.append(mock.Mock(wraps=getattr(shadow_mod, attr)))
+            monkeypatch.setattr(shadow_mod, attr, runs[-1])
         assert json.dumps(run_harness(system, name).to_json()) == expected
-        assert len(domains) == searches
-        assert all(domain is None or len(domain) < system.n for domain in domains)
+        assert sum(run.call_count for run in runs) == searches
+        assert domains and all(domain is None or len(domain) < system.n for domain in domains)
 
     @pytest.mark.parametrize(
         "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
     )
     def test_every_core_answer_is_the_search_verdict(self, name, system):
         """On each class core of the default grid, and on the whole system,
-        the harness's shadowing answer, forced or searched, is the public
-        check's verdict or its Inconclusive, at caps None, |C| - 1 and |C|."""
+        ``_decide``, forced or not, answers as its search run directly, at
+        caps None, |C| - 1 and |C|, for both properties in exact and
+        witness mode and for the state list."""
         for coarse, fine, eps in default_grid(system):
             for delta in (coarse, fine):
                 classes = decompose(build_delta_graph(system, delta)).classes
                 cores = {invariant_core(system, cls) for cls in classes} - {frozenset()}
-                for core in [None, *cores]:
-                    size = system.n if core is None else len(core)
-                    for cap in (None, size - 1, size):
-                        ans = verify_mod._Answers(system, cap)
-                        answer = _outcome(ans.verdict, "shadowing", delta, eps, core)
-                        searched = _outcome(
-                            check_shadowing_property, system, delta, eps, core, state_cap=cap
-                        )
-                        assert answer == searched, (delta, eps, core, cap)
+                for core in [None, *sorted(cores, key=min)]:
+                    assert same_decisions(system, delta, eps, core, f"{name} {core}")
 
     def test_the_inverse_system_shares_the_integer_table(self):
         ans = verify_mod._Answers(rotation(6, 2), None)
