@@ -24,6 +24,8 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .bits import bits, mask_of, min_bit, to_frozenset
@@ -505,7 +507,10 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     with the same verdicts, counts and cap outcomes; states is then None.
 
     Where ``_forced_states`` knows the states, no search runs: states is
-    that list, on a rotation too, and every verdict passes with its count."""
+    that list, on a rotation too, and every verdict passes with its count.
+    Where ``_small_domain_count`` finds the domain inside every eps ball,
+    no search runs either: states is None, and every verdict passes with
+    that count."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
@@ -513,6 +518,9 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     if states is not None:
         count = len(states)
         return states, tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
+    count = _small_domain_count(system, delta, eps, dmask, state_cap) if props else None
+    if count is not None:
+        return None, tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
     step = None
     if props and dmask == (1 << system.n) - 1:
         step = system._rotation_step
@@ -545,29 +553,61 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
 
 def _forced_states(system, delta, eps, dmask: int, state_cap) -> list[tuple[int, int]] | None:
     """The states ``_explore`` visits on the domain C of ``dmask``, in its
-    order, when C fits in the state cap and one of two rules holds; else
-    None. Under each rule every state has a nonempty candidate set Y that
-    holds its point p, and p lies in its own merge set, so both properties
-    pass.
-
-    (a) delta and eps are below the least distance: every ball is {p}, so
-    the states are the (p, {p}), and the only child of (p, {p}) is
-    (f(p), {f(p)}).
-    (b) f(C) = C and C lies inside the eps ball of each of its points:
-    every start state is (p, C), and every child (q, f(C) & ball(q) & C)
-    is (q, C), whatever delta is. The balls are read one point at a time,
-    so a C that some ball leaves is told apart at that ball."""
+    order, when C fits in the state cap and delta and eps are below the
+    least distance; else None. Every ball is then {p}, so the states are
+    the (p, {p}), the only child of (p, {p}) is (f(p), {f(p)}), and p lies
+    in its own merge set, so both properties pass."""
     if dmask.bit_count() > _checked_cap(state_cap):
         return None
     least = system._least_distance
     if least is None or max(system._bound(delta), system._bound(eps)) < least:
         return [(p, 1 << p) for p in bits(dmask)]
-    balls = system._balls
-    if system._image(dmask) == dmask and all(
-        balls(eps, 1 << p, -1)[p] & dmask == dmask for p in bits(dmask)
-    ):
-        return [(p, dmask) for p in bits(dmask)]
     return None
+
+
+def _small_domain_count(system, delta, eps, dmask: int, state_cap) -> int | None:
+    """The number of states ``_explore`` visits on the domain C of
+    ``dmask`` when C lies inside the eps ball of each of its points (read
+    lowest point first, up to the first ball that C leaves), else None.
+
+    Every state at BFS level k is then (q, f^k(C)): its children are the
+    (q', f^(k+1)(C)) for q' in ball(f(q), delta) & C. Each f^k(C) holds the
+    cycles of f in C, which f permutes, so it meets the merge set of every
+    point, and both properties pass. The sets f^k(C) shrink, so a level
+    whose set is new has visited none of its states. Each level counts its
+    new points, raises ``Inconclusive(cap + 1)`` past the cap as
+    ``_explore`` does, and reaches the delta balls of their images, once
+    per distinct set of new points; below the least distance the reach is
+    the image. When f(C) = C no delta ball is read."""
+    balls = system._balls
+    if any(balls(eps, 1 << p, -1)[p] & dmask != dmask for p in bits(dmask)):
+        return None
+    cap = _checked_cap(state_cap)
+    image = system._image
+    least = system._least_distance
+    centres = least is None or system._bound(delta) < least
+    reached: dict[int, int] = {}
+    y = new = visited = dmask
+    count = 0
+    while new:
+        count += new.bit_count()
+        if count > cap:
+            raise Inconclusive(cap + 1, state_cap)
+        child = image(y)
+        if child != y:
+            visited = 0
+        elif visited == dmask:
+            break
+        reach = reached.get(new)
+        if reach is None:
+            targets = image(new)
+            if not centres:
+                targets = reduce(or_, balls(delta, targets, -1).values(), 0) & dmask
+            reach = reached[new] = targets
+        new = reach & ~visited
+        visited |= new
+        y = child
+    return count
 
 
 def _checked_cap(state_cap) -> int:

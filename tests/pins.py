@@ -76,10 +76,16 @@ PINS = [
     Pin("shadow --gen doubling:2048 --property slimit --delta 1/2048 --eps 1/16", 1,
         "337d285c43a7fe058e236e9396ee620133a48715f80ff000d72b65c8d1e512d4",
         timeout=120, rss_kb=44550),
-    # Merge sets are solved along the map's orbits; at eps 1/2 the sink's
-    # sweep takes every point but the source ("states_explored": 262656).
+    # The system lies inside every ball at eps 1/2, so the states are counted
+    # a BFS level at a time, with no search and no merge set
+    # ("states_explored": 262656): 1.25 x the 19,260 KB read then.
     Pin("shadow --gen north-south:1024 --property slimit --delta 1/8192 --eps 1/2", 0,
-        "ee6bcccfec3ff02c26f285aff724bd0aac069dfc4dc198f97ce758a143b2b945"),
+        "ee6bcccfec3ff02c26f285aff724bd0aac069dfc4dc198f97ce758a143b2b945", rss_kb=24075),
+    # The same count passes the default cap at its 1,000,001st state, as the
+    # search does, in well under a second: 1.25 x the 20,592 KB read then.
+    Pin("shadow --gen north-south:2048 --delta 1/8192 --eps 1/2", 3, EMPTY,
+        "inconclusive: state cap 1000000 exceeded after 1000001 states", timeout=10,
+        rss_kb=25740),
     # Successor rows are built as the search reaches them, so a search
     # stopped at the state cap in its first level builds few of them.
     Pin("shadow --gen north-south:2048 --property slimit --delta 1365/5456"

@@ -13,10 +13,11 @@ their halves, and on every forward-invariant domain:
 - ``shadow._decide``, which answers some checks without a search, returns
   what its BFS (``_explore``, or ``_explore_orbits`` on the whole of a
   shift-invariant system) returns when run directly on the same ball
-  tables: the states and verdicts of both properties, in exact and in
-  witness mode, and the state list of ``reachable_shadow_states``, or
-  the same ``Inconclusive`` text and count, at state caps None,
-  |domain| - 1 and |domain|;
+  tables: the states (where both sides list them) and verdicts of both
+  properties, in exact and in witness mode, and the state list of
+  ``reachable_shadow_states``, or the same ``Inconclusive`` text and
+  count, at state caps None, |domain| - 1 and |domain|, and, where the
+  domain lies inside every eps ball, at the uncapped count - 1 and count;
 - ``decompose`` gives every graph on the n points (each point's
   successors any subset of the points) the classes, class masks and
   separations read off its transitive closure;
@@ -181,22 +182,31 @@ def same_decisions(system, delta, eps, domain, where: str) -> int:
     """Compare ``shadow._decide`` with ``searched`` for each of
     ``DECISIONS`` at state caps None, |domain| - 1 and |domain|, and return
     the number of answers compared; the first difference raises
-    AssertionError, after ``where``. Where the orbit search runs, only the
-    verdicts are compared."""
+    AssertionError, after ``where``. Where the domain lies inside every eps
+    ball, the decisions of properties, which ``_decide`` then answers
+    without a search, are also compared at the uncapped search's count - 1
+    and count. Where either side lists no states (the orbit search, or
+    ``_decide`` answering without a search), only the verdicts are
+    compared."""
     size = system.n if domain is None else len(domain)
+    caps = (None, size - 1, size)
+    asked = [(cap, props, exact) for cap in caps for props, exact in DECISIONS]
+    points = range(system.n) if domain is None else domain
+    if all(system.dist[p][q] <= eps for p in points for q in points):
+        count = searched(system, delta, eps, domain, None, ("shadowing",))[1][0].states_explored
+        caps = (count - 1, count)
+        asked += [(cap, props, exact) for cap in caps for props, exact in DECISIONS if props]
     compared = 0
-    for cap in (None, size - 1, size):
-        for props, exact in DECISIONS:
-            args = (system, delta, eps, domain, cap, props, exact)
-            ours, theirs = _outcome(shadow_mod._decide, *args), _outcome(searched, *args)
-            if theirs[0] is None:
-                # The orbit search lists no states; a forced answer does.
-                ours = None, ours[1]
-            _require(
-                ours == theirs,
-                f"decision differs from its search at cap {cap}, {props}, exact={exact}: {where}",
-            )
-            compared += 1
+    for cap, props, exact in dict.fromkeys(asked):
+        args = (system, delta, eps, domain, cap, props, exact)
+        ours, theirs = _outcome(shadow_mod._decide, *args), _outcome(searched, *args)
+        if props and None in (ours[0], theirs[0]):
+            ours, theirs = (None, ours[1]), (None, theirs[1])
+        _require(
+            ours == theirs,
+            f"decision differs from its search at cap {cap}, {props}, exact={exact}: {where}",
+        )
+        compared += 1
     return compared
 
 

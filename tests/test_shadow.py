@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -53,6 +54,8 @@ from conftest import (
     system_and_scales,
     widest_table,
 )
+from small_scope import _outcome, same_decisions, searched
+from small_scope import invariant_domains as every_invariant_domain
 
 
 def _both(system, delta, eps, domain=None, *, state_cap=shadow_mod.DEFAULT_STATE_CAP):
@@ -892,8 +895,10 @@ class TestBallTables:
         """The balls built by the decisions of each of ``runs`` calls of
         ``run_harness`` on ``system``, the balls they read, and each run's
         report bytes. A decision below the least distance is forced and
-        reads no ball. Any other reads the eps balls of its domain, and,
-        when it searches, the delta balls of the domain's images too."""
+        reads no ball. Any other reads the eps balls of its domain C. A
+        search reads the delta balls of the images f(C) too; a decision
+        with C inside every eps ball runs none, and reads them when
+        f(C) != C and delta is at least the least distance."""
         calls = self._record_ball_masks(monkeypatch)
         real = shadow_mod._decide
         read = set()
@@ -908,10 +913,12 @@ class TestBallTables:
             calls.clear()
             before = sum(search.call_count for search in searches)
             out = real(system, delta, eps, domain, *rest)
+            images = {system.map[p] for p in points}
             if max(delta, eps) >= system.min_gap:
                 read.update((p, eps) for p in points)
-                if sum(search.call_count for search in searches) > before:
-                    read.update((system.map[p], delta) for p in points)
+                searched = sum(search.call_count for search in searches) > before
+                if searched or delta >= system.min_gap and images != set(points):
+                    read.update((t, delta) for t in images)
             made[-1].extend(calls)
             return out
 
@@ -940,6 +947,19 @@ class TestBallTables:
         (made,), read, _ = self._harness_ball_builds(monkeypatch, tent(16), grid)
         assert {r for _, r in read} == {eighth, quarter}
         assert sorted(made) == sorted(read)
+
+    def test_a_decision_without_a_search_builds_the_delta_balls_it_reads(self, monkeypatch):
+        """north-south:8 lies inside its eps ball at its diameter 1/2, so
+        no decision searches. The whole system's, at delta 1/8, reads the
+        delta balls of the images, since f does not map it onto itself."""
+        system = north_south(8)
+        grid = [(Fraction(1, 2), Fraction(1, 8), system.diameter)]
+        searches = mock.Mock(wraps=shadow_mod._explore)
+        monkeypatch.setattr(shadow_mod, "_explore", searches)
+        (made,), read, _ = self._harness_ball_builds(monkeypatch, system, grid)
+        assert sorted(made) == sorted(read)
+        assert sorted(p for p, r in made if r == Fraction(1, 8)) == sorted(set(system.map))
+        assert searches.call_count == 0
 
     @staticmethod
     def _record_translation_runs(monkeypatch):
@@ -1099,8 +1119,7 @@ class TestSuccessorRowsOnDemand:
         system = north_south(64)
         delta = Fraction(1, 16)
         built = self._record_rows(monkeypatch)
-        verdict = check_slimit_property(system, delta, Fraction(1, 2))
-        assert verdict.passed and verdict.states_explored > system.n
+        assert len(reachable_shadow_states(system, delta, Fraction(1, 2))) > system.n
         masks = [system.ball(system.map[p], delta) for p in system.points]
         assert built == list(dict.fromkeys(masks))
 
@@ -1109,9 +1128,7 @@ class TestSuccessorRowsOnDemand:
         system = north_south(64)
         built = self._record_rows(monkeypatch)
         with pytest.raises(Inconclusive):
-            check_shadowing_property(
-                system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1
-            )
+            reachable_shadow_states(system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1)
         assert built == [system.ball(system.map[0], Fraction(1, 2))]
 
 
@@ -1348,6 +1365,70 @@ class TestRotationOrbits:
         ):
             states = reachable_shadow_states(rotation(64, 5), Fraction(1, 64), Fraction(1, 8))
         assert len(states) == 9856
+
+
+def _closure(system, points) -> frozenset[int]:
+    """The least forward-invariant set that holds ``points``."""
+    domain = set(points)
+    step = domain
+    while step:
+        step = {system.map[p] for p in step} - domain
+        domain |= step
+    return frozenset(domain)
+
+
+class TestDomainInsideEveryBall:
+    """A check whose domain C lies inside the eps ball of each of its
+    points counts its states without a search (``_small_domain_count``).
+    At eps = diam C it answers as ``_explore`` run directly, verdicts and
+    counts, or the same ``Inconclusive``, at the caps |C| (the first level
+    whose count passes it has more than one new state), count - 1, count
+    and None; ``tests/small_scope.py`` checks every other eps."""
+
+    @pytest.mark.parametrize(
+        "name, lowest",
+        [
+            ("north-south:256", 0),
+            ("north-south:256", 128),
+            ("tent:1024", 0),
+            ("doubling:512", 0),
+            ("cantor-identity:8", 0),
+        ],
+        ids=lambda v: v if isinstance(v, str) else f"from-{v}",
+    )
+    def test_answers_as_the_search(self, name, lowest):
+        system = parse_generator_string(name)
+        # The points from ``lowest`` up and their images; None is every point.
+        domain = _closure(system, range(lowest, system.n)) if lowest else None
+        points = system.points if domain is None else domain
+        eps = system.diameter
+        if domain is not None:
+            eps = max(system.d(p, q) for p in domain for q in domain)
+        props = ("slimit", "shadowing")
+        for delta in (system.min_gap / 2, system.min_gap, eps / 16):
+            count = searched(system, delta, eps, domain, None, props)[1][0].states_explored
+            for cap in dict.fromkeys((len(points), count - 1, count, None)):
+                args = (system, delta, eps, domain, cap, props)
+                theirs = _outcome(searched, *args)
+                with mock.patch.object(
+                    shadow_mod, "_explore", side_effect=AssertionError("searched")
+                ):
+                    ours = _outcome(shadow_mod._decide, *args)
+                assert ours == (theirs if isinstance(theirs[0], str) else (None, theirs[1]))
+
+    def test_a_domain_inside_one_ball_alone_is_searched(self):
+        """On the line 1, 0, 2 (point 0 in the middle) the ball of 0 at eps 1
+        holds every point, and the ball of each end does not. Every map,
+        invariant domain and delta there answers as its search. In the
+        tables of ``tests/small_scope.py`` the lowest point of a domain is
+        an end of a line, or the table is an ultrametric, so no domain lies
+        inside the ball of its lowest point alone."""
+        rows = [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+        for fmap in itertools.product(range(3), repeat=3):
+            system = make_system(rows, fmap)
+            for domain in every_invariant_domain(fmap):
+                for delta in (0, 1, 2):
+                    assert same_decisions(system, delta, 1, domain, f"map {fmap}, {domain}")
 
 
 class TestReachableStates:
