@@ -35,11 +35,9 @@ from .errors import (
 )
 from .rational import format_rational, parse_rational
 from .shadow import (
-    MergeSet,
     OracleVerdict,
     OrbitViolation,
     PseudoOrbit,
-    ShadowState,
     ShadowVerdict,
     brute_force_oracle,
     check_shadowing_property,
@@ -47,8 +45,6 @@ from .shadow import (
     first_violation,
     is_limit_shadowed,
     is_shadowed,
-    merge_sets,
-    reachable_shadow_states,
     validate_pseudo_orbit,
 )
 from .system import (
@@ -59,12 +55,10 @@ from .system import (
     generator_names,
     load_system,
     make_system,
-    metric_violations,
     north_south,
     parallel_cycles,
     parse_generator_string,
     rotation,
-    shortest_path_metric,
     tent,
     validate_system,
 )

@@ -28,7 +28,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .bits import bits, mask_of, min_bit, to_frozenset
+from .bits import bits, mask_of, min_bit
 from .errors import (
     BadParams,
     DomainNotInvariant,
@@ -149,13 +149,6 @@ def validate_pseudo_orbit(system: FiniteMetricSystem, po: PseudoOrbit) -> bool:
     return first_violation(system, po) is None
 
 
-class ShadowState(NamedTuple):
-    """One determinized state: current pseudo-point and candidate positions."""
-
-    point: int
-    candidates: frozenset[int]
-
-
 @dataclass(frozen=True)
 class ShadowVerdict:
     """Outcome of a system-level shadowing or slimit check."""
@@ -178,15 +171,6 @@ class ShadowVerdict:
         }
 
 
-@dataclass(frozen=True)
-class MergeSet:
-    """Per point p, the points whose orbit joins p's orbit after finitely
-    many steps while staying within eps beforehand (p always qualifies)."""
-
-    eps: Fraction
-    tracks: tuple[frozenset[int], ...]
-
-
 # ---------------------------------------------------------------------------
 # per-orbit checks
 
@@ -204,14 +188,6 @@ def is_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
     if any(m == 0 for m in masks):
         return None
     return _backtrack(system, masks)
-
-
-def merge_sets(system, eps, domain=None) -> MergeSet:
-    """Merge sets for every point, as a least fixpoint over preimages."""
-    eps = parse_nonnegative(eps)
-    dmask = _domain_mask(system, domain)
-    masks = _asymp_masks(system, system._balls(eps, dmask, dmask))
-    return MergeSet(eps, tuple(to_frozenset(m) for m in masks))
 
 
 def is_limit_shadowed(system, po: PseudoOrbit, eps, domain=None) -> int | None:
@@ -243,7 +219,7 @@ def check_shadowing_property(
     some reachable state has an empty candidate set, and then reports the
     lexicographically smallest shortest failing prefix as witness.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[1][0]
+    return _decide(system, delta, eps, domain, state_cap, ("shadowing",))[0]
 
 
 def check_slimit_property(
@@ -257,15 +233,7 @@ def check_slimit_property(
     requires a candidate in Y that merges into p's orbit. Failures are
     reported as the prefix plus tail marker.
     """
-    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[1][0]
-
-
-def reachable_shadow_states(
-    system, delta, eps, domain=None, *, state_cap=DEFAULT_STATE_CAP
-) -> list[ShadowState]:
-    """Every reachable determinized state, in canonical BFS order."""
-    states, _ = _decide(system, delta, eps, domain, state_cap, ())
-    return [ShadowState(p, to_frozenset(y)) for p, y in states]
+    return _decide(system, delta, eps, domain, state_cap, ("slimit",))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,40 +460,30 @@ def _asymp_masks(system, balls: dict[int, int]) -> list[int]:
 
 
 def _decide(system, delta, eps, domain, state_cap, props, exact=True):
-    """(states, verdicts): every state that one BFS over one ball table per
-    radius discovers, and the verdicts of ``props``, in that order. The
-    balls come from the system's own memo (``system._balls``), so a ball
-    built by an earlier search on the same system is read, not rebuilt.
-    The BFS reads the delta table only at the images f(p), so at
-    delta != eps it is built only there. ``exact=False`` is ``_explore``'s
-    witness mode: the same verdicts, witnesses and cap outcomes, but a
-    failing verdict counts the states visited where the search stopped.
-    The orbit search below is always exact.
+    """The verdicts of ``props`` (one or both of "slimit" and "shadowing"),
+    in that order, from one BFS over one ball table per radius. The balls
+    come from the system's own memo (``system._balls``), so a ball built by
+    an earlier search on the same system is read, not rebuilt. The BFS
+    reads the delta table only at the images f(p), so at delta != eps it is
+    built only there. ``exact=False`` is ``_explore``'s witness mode: the
+    same verdicts, witnesses and cap outcomes, but a failing verdict counts
+    the states visited where the search stopped. The orbit search below is
+    always exact.
 
     A check of the whole of a system that the shift i -> i + 1 maps onto
     itself (``system._rotation_step``) runs ``_explore_orbits`` instead,
-    with the same verdicts, counts and cap outcomes; states is then None.
+    with the same verdicts, counts and cap outcomes.
 
-    Where ``_forced_states`` knows the states, no search runs: states is
-    that list, on a rotation too, and every verdict passes with its count.
-    Where ``_small_domain_count`` finds the domain inside every eps ball,
-    no search runs either: states is None, and every verdict passes with
-    that count."""
+    Where ``_forced_count`` counts the states, no search runs, and every
+    verdict passes with that count."""
     delta = parse_nonnegative(delta)
     eps = parse_nonnegative(eps)
     dmask = _domain_mask(system, domain)
-    states = _forced_states(system, delta, eps, dmask, state_cap)
-    if states is not None:
-        count = len(states)
-        return states, tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
-    count = _small_domain_count(system, delta, eps, dmask, state_cap) if props else None
+    count = _forced_count(system, delta, eps, dmask, state_cap)
     if count is not None:
-        return None, tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
-    step = None
-    if props and dmask == (1 << system.n) - 1:
-        step = system._rotation_step
+        return tuple(ShadowVerdict(prop, delta, eps, True, None, count) for prop in props)
+    step = system._rotation_step if dmask == (1 << system.n) - 1 else None
     if step is not None:
-        states = None
         count, found = _explore_orbits(system, step, delta, eps, props, state_cap)
     else:
         balls = system._balls(eps, dmask, dmask)
@@ -548,44 +506,40 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
             tail = len(path) - 1 if prop == "slimit" else None
             witness = PseudoOrbit(path, delta, tail)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
-    return states, tuple(verdicts)
+    return tuple(verdicts)
 
 
-def _forced_states(system, delta, eps, dmask: int, state_cap) -> list[tuple[int, int]] | None:
-    """The states ``_explore`` visits on the domain C of ``dmask``, in its
-    order, when C fits in the state cap and delta and eps are below the
-    least distance; else None. Every ball is then {p}, so the states are
-    the (p, {p}), the only child of (p, {p}) is (f(p), {f(p)}), and p lies
-    in its own merge set, so both properties pass."""
-    if dmask.bit_count() > _checked_cap(state_cap):
-        return None
-    least = system._least_distance
-    if least is None or max(system._bound(delta), system._bound(eps)) < least:
-        return [(p, 1 << p) for p in bits(dmask)]
-    return None
-
-
-def _small_domain_count(system, delta, eps, dmask: int, state_cap) -> int | None:
+def _forced_count(system, delta, eps, dmask: int, state_cap) -> int | None:
     """The number of states ``_explore`` visits on the domain C of
-    ``dmask`` when C lies inside the eps ball of each of its points (read
-    lowest point first, up to the first ball that C leaves), else None.
+    ``dmask`` where one of two rules forces both properties to pass, else
+    None. Past the state cap it raises ``Inconclusive(cap + 1)``, as
+    ``_explore`` does.
 
-    Every state at BFS level k is then (q, f^k(C)): its children are the
-    (q', f^(k+1)(C)) for q' in ball(f(q), delta) & C. Each f^k(C) holds the
-    cycles of f in C, which f permutes, so it meets the merge set of every
-    point, and both properties pass. The sets f^k(C) shrink, so a level
-    whose set is new has visited none of its states. Each level counts its
-    new points, raises ``Inconclusive(cap + 1)`` past the cap as
-    ``_explore`` does, and reaches the delta balls of their images, once
-    per distinct set of new points; below the least distance the reach is
-    the image. When f(C) = C no delta ball is read."""
+    (a) delta and eps below the least distance: every ball is {p}, so the
+    states are the (p, {p}), the only child of (p, {p}) is (f(p), {f(p)}),
+    and p lies in its own merge set. The count is |C|.
+
+    (b) C inside the eps ball of each of its points (read lowest point
+    first, up to the first ball that C leaves): every state at BFS level k
+    is then (q, f^k(C)), and its children are the (q', f^(k+1)(C)) for q'
+    in ball(f(q), delta) & C. Each f^k(C) holds the cycles of f in C, which
+    f permutes, so it meets the merge set of every point. The sets f^k(C)
+    shrink, so a level whose set is new has visited none of its states.
+    Each level counts its new points and reaches the delta balls of their
+    images, once per distinct set of new points; below the least distance
+    the reach is the image. When f(C) = C no delta ball is read."""
+    cap = _checked_cap(state_cap)
+    least = system._least_distance
+    centres = least is None or system._bound(delta) < least
+    if centres and (least is None or system._bound(eps) < least):
+        count = dmask.bit_count()
+        if count > cap:
+            raise Inconclusive(cap + 1, state_cap)
+        return count
     balls = system._balls
     if any(balls(eps, 1 << p, -1)[p] & dmask != dmask for p in bits(dmask)):
         return None
-    cap = _checked_cap(state_cap)
     image = system._image
-    least = system._least_distance
-    centres = least is None or system._bound(delta) < least
     reached: dict[int, int] = {}
     y = new = visited = dmask
     count = 0
@@ -720,7 +674,7 @@ def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
 
 
 def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
-    """Level-synchronized BFS over determinized states, for any number of
+    """Level-synchronized BFS over determinized states, for one or more
     failing predicates.
 
     Returns (states, found). ``states`` lists every discovered state in
@@ -731,9 +685,9 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
     lexicographic order of the recorded shortest prefixes, so that path is
     the lexicographically smallest shortest failing prefix. Each open
     predicate is tested once per level, before the level is expanded; the
-    search stops once every predicate has held (never for an empty tuple)
-    or no state is left. ``state_cap`` (None, or an int >= 0) is checked
-    on every inserted state.
+    search stops once every predicate has held or no state is left.
+    ``state_cap`` (None, or an int >= 0) is checked on every inserted
+    state.
 
     With ``exact=False`` (witness mode) the open predicates are tested on
     the children of each state as soon as it is expanded, and the search
@@ -792,7 +746,7 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
         if exact or not start:
             _first_failing(failing, found, level, parents, len(states))
         start = scanned = len(states)
-        if failing and None not in found:
+        if None not in found:
             break
         for expanded, state in enumerate(level, 1):
             p, y = state
@@ -823,7 +777,7 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
                 if None in found:
                     _first_failing(failing, found, states[scanned:], parents, len(states))
                     scanned = len(states)
-                if failing and None not in found:
+                if None not in found:
                     if len(states) + (len(level) - expanded) * len(domain) <= cap:
                         return states, found
     return states, found

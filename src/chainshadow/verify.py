@@ -107,7 +107,7 @@ class _Answers:
         keys = (("slimit", *ratios, None), ("shadowing", *ratios, None))
         if not any(key in self.memo for key in keys):
             props = ("slimit", "shadowing")
-            _, verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
+            verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
             self.memo.update(zip(keys, verdicts))
         return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
 

@@ -13,9 +13,8 @@ from chainshadow import (
     make_system,
     north_south,
     parallel_cycles,
-    shortest_path_metric,
 )
-from corpus import far_two_cycles
+from corpus import far_two_cycles, shortest_path_metric
 
 
 def sweep_values(system) -> list[Fraction]:

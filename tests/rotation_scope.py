@@ -51,7 +51,7 @@ def pairs(system) -> list[tuple[Fraction, Fraction]]:
 def both_properties(system, delta, eps, *, state_cap):
     """The slimit and the shadowing verdict of the whole system from one
     exact BFS, the search the harness runs for each grid entry."""
-    return _decide(system, delta, eps, None, state_cap, ("slimit", "shadowing"))[1]
+    return _decide(system, delta, eps, None, state_cap, ("slimit", "shadowing"))
 
 
 def answer(check, system, delta, eps, cap) -> str:

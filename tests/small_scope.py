@@ -11,21 +11,24 @@ their halves, and on every forward-invariant domain:
 - the joint search of both properties (``shadow._decide``) returns the
   two single verdicts;
 - ``shadow._decide``, which answers some checks without a search, returns
-  what its BFS (``_explore``, or ``_explore_orbits`` on the whole of a
-  shift-invariant system) returns when run directly on the same ball
-  tables: the states (where both sides list them) and verdicts of both
-  properties, in exact and in witness mode, and the state list of
-  ``reachable_shadow_states``, or the same ``Inconclusive`` text and
-  count, at state caps None, |domain| - 1 and |domain|, and, where the
-  domain lies inside every eps ball, at the uncapped count - 1 and count;
+  the verdicts that its BFS (``_explore``, or ``_explore_orbits`` on the
+  whole of a shift-invariant system) returns when run directly on the
+  same ball tables, in exact and in witness mode, or the same
+  ``Inconclusive`` text and count, at state caps None, |domain| - 1 and
+  |domain|, and, where the domain lies inside every eps ball, at the
+  uncapped count - 1 and count;
 - ``decompose`` gives every graph on the n points (each point's
   successors any subset of the points) the classes, class masks and
   separations read off its transitive closure;
-- each merge set of ``merge_sets`` holds the points whose orbit meets
-  the point's orbit without leaving eps first, found by walking the pair
-  of orbits;
+- each merge set (``shadow._asymp_masks``) holds the points whose orbit
+  meets the point's orbit without leaving eps first, found by walking the
+  pair of orbits;
 - ``run_harness`` over those (delta, eps) never reports ``fails`` for
   ``slimit_implies_shadowing``.
+
+The "growing" line lists point 1 first and point 0 second, so point 0 lies
+strictly inside the line: from three points on, a domain can lie inside
+the ball of its lowest point and leave the ball of another.
 
 ``test_small_scope.py`` runs it for n <= 3. Run it for a larger n as a
 script, with the package installed or ``src`` on ``PYTHONPATH``:
@@ -47,10 +50,10 @@ from chainshadow import (
     check_slimit_property,
     decompose,
     make_system,
-    merge_sets,
     run_harness,
 )
 from chainshadow import shadow as shadow_mod
+from chainshadow.bits import to_frozenset
 from chainshadow.chain import DeltaGraph
 from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING
 
@@ -58,16 +61,19 @@ USAGE = "usage: python tests/small_scope.py N  (check every map on N points)"
 
 # (props, exact) of each call of ``shadow._decide`` that ``same_decisions``
 # compares: both properties in exact mode, as the public checks run them,
-# and in the harness's witness mode, and reachable_shadow_states.
-DECISIONS = ((("slimit", "shadowing"), True), (("slimit", "shadowing"), False), ((), True))
+# and in the harness's witness mode.
+DECISIONS = ((("slimit", "shadowing"), True), (("slimit", "shadowing"), False))
 
 
 def tables(n: int) -> dict[str, list[list[int]]]:
     """Line tables with equal gaps and with gaps that double and halve
-    along the line, and the ultrametric d(i, j) = bit length of i ^ j."""
+    along the line, and the ultrametric d(i, j) = bit length of i ^ j. The
+    growing line puts point 0 at 1 and point 1 at 0."""
+    growing = [2**i - 1 for i in range(n)]
+    growing[:2] = growing[1::-1]
     lines = {
         "equal": range(n),
-        "growing": [2**i - 1 for i in range(n)],
+        "growing": growing,
         "shrinking": [2 ** (n - 1) - 2 ** (n - 1 - i) for i in range(n)],
     }
     out = {name: [[abs(a - b) for b in xs] for a in xs] for name, xs in lines.items()}
@@ -102,7 +108,7 @@ def small_scope(n: int) -> int:
             for domain in invariant_domains(fmap):
                 points = range(n) if domain is None else sorted(domain)
                 for eps in scales:
-                    tracks = merge_sets(system, eps, domain).tracks
+                    tracks = merge_sets(system, eps, domain)
                     for p in points:
                         merging = frozenset(x for x in points if _merges(system, x, p, eps))
                         _require(
@@ -132,7 +138,7 @@ def small_scope(n: int) -> int:
                         compared += 1
                     props = ("slimit", "shadowing")
                     cap = shadow_mod.DEFAULT_STATE_CAP
-                    both = shadow_mod._decide(system, delta, eps, domain, cap, props)[1]
+                    both = shadow_mod._decide(system, delta, eps, domain, cap, props)
                     _require(both == tuple(singles), f"joint check differs: {where}")
                     compared += same_decisions(system, delta, eps, domain, where)
             report = run_harness(system, grid=[(system.diameter, d, e) for d, e in pairs])
@@ -147,25 +153,44 @@ def small_scope(n: int) -> int:
     return compared + graph_scope(n)
 
 
+def explored(system, delta, eps, domain, failing, state_cap, exact=True):
+    """``shadow._explore`` run directly for ``failing`` over the eps balls
+    of the domain and the delta balls of its images: (states, found)."""
+    dmask = shadow_mod._domain_mask(system, domain)
+    balls = system._balls(Fraction(eps), dmask, dmask)
+    succ_balls = system._balls(Fraction(delta), system._image(dmask), dmask)
+    return shadow_mod._explore(system, succ_balls, balls, failing, state_cap, exact)
+
+
+def reachable_states(system, delta, eps, domain=None, state_cap=shadow_mod.DEFAULT_STATE_CAP):
+    """Every state (p, Y) of that BFS, Y as a mask, in discovery order:
+    ``explored`` with a predicate that never holds."""
+    return explored(system, delta, eps, domain, (lambda p, y: False,), state_cap)[0]
+
+
+def merge_sets(system, eps, domain=None) -> tuple[frozenset[int], ...]:
+    """Per point, its merge set over the eps balls of the domain, as the
+    slimit check reads it (``shadow._asymp_masks``)."""
+    dmask = shadow_mod._domain_mask(system, domain)
+    masks = shadow_mod._asymp_masks(system, system._balls(Fraction(eps), dmask, dmask))
+    return tuple(map(to_frozenset, masks))
+
+
 def searched(system, delta, eps, domain, state_cap, props, exact=True):
     """What ``shadow._decide`` returns, from its BFS run directly and with
     no verdict forced: ``_explore_orbits`` on the whole of a system that
-    the shift maps onto itself, else ``_explore`` over the eps balls of the
-    domain and the delta balls of its images."""
+    the shift maps onto itself, else ``explored``."""
     delta, eps = Fraction(delta), Fraction(eps)
     dmask = shadow_mod._domain_mask(system, domain)
-    whole = props and dmask == (1 << system.n) - 1
-    step = system._rotation_step if whole else None
+    step = system._rotation_step if dmask == (1 << system.n) - 1 else None
     if step is not None:
-        states = None
         count, found = shadow_mod._explore_orbits(system, step, delta, eps, props, state_cap)
     else:
         balls = system._balls(eps, dmask, dmask)
-        succ_balls = system._balls(delta, system._image(dmask), dmask)
         asymp = shadow_mod._asymp_masks(system, balls) if "slimit" in props else None
         tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
         failing = tuple(tests[prop] for prop in props)
-        states, found = shadow_mod._explore(system, succ_balls, balls, failing, state_cap, exact)
+        states, found = explored(system, delta, eps, domain, failing, state_cap, exact)
         count = len(states)
     verdicts = []
     for prop, hit in zip(props, found):
@@ -175,7 +200,7 @@ def searched(system, delta, eps, domain, state_cap, props, exact=True):
             visited, path = hit
             witness = PseudoOrbit(path, delta, len(path) - 1 if prop == "slimit" else None)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
-    return states, tuple(verdicts)
+    return tuple(verdicts)
 
 
 def same_decisions(system, delta, eps, domain, where: str) -> int:
@@ -183,30 +208,23 @@ def same_decisions(system, delta, eps, domain, where: str) -> int:
     ``DECISIONS`` at state caps None, |domain| - 1 and |domain|, and return
     the number of answers compared; the first difference raises
     AssertionError, after ``where``. Where the domain lies inside every eps
-    ball, the decisions of properties, which ``_decide`` then answers
-    without a search, are also compared at the uncapped search's count - 1
-    and count. Where either side lists no states (the orbit search, or
-    ``_decide`` answering without a search), only the verdicts are
-    compared."""
+    ball, which ``_decide`` then answers without a search, they are also
+    compared at the uncapped search's count - 1 and count."""
     size = system.n if domain is None else len(domain)
-    caps = (None, size - 1, size)
-    asked = [(cap, props, exact) for cap in caps for props, exact in DECISIONS]
+    caps = [None, size - 1, size]
     points = range(system.n) if domain is None else domain
     if all(system.dist[p][q] <= eps for p in points for q in points):
-        count = searched(system, delta, eps, domain, None, ("shadowing",))[1][0].states_explored
-        caps = (count - 1, count)
-        asked += [(cap, props, exact) for cap in caps for props, exact in DECISIONS if props]
+        count = searched(system, delta, eps, domain, None, ("shadowing",))[0].states_explored
+        caps += [count - 1, count]
     compared = 0
-    for cap, props, exact in dict.fromkeys(asked):
-        args = (system, delta, eps, domain, cap, props, exact)
-        ours, theirs = _outcome(shadow_mod._decide, *args), _outcome(searched, *args)
-        if props and None in (ours[0], theirs[0]):
-            ours, theirs = (None, ours[1]), (None, theirs[1])
-        _require(
-            ours == theirs,
-            f"decision differs from its search at cap {cap}, {props}, exact={exact}: {where}",
-        )
-        compared += 1
+    for cap in dict.fromkeys(caps):
+        for props, exact in DECISIONS:
+            args = (system, delta, eps, domain, cap, props, exact)
+            _require(
+                _outcome(shadow_mod._decide, *args) == _outcome(searched, *args),
+                f"decision differs from its search at cap {cap}, {props}, exact={exact}: {where}",
+            )
+            compared += 1
     return compared
 
 

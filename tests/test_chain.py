@@ -563,17 +563,23 @@ class TestDecomposition:
             assert dec.separation[i] == expected
 
     def test_single_class_skips_separation_walk(self, monkeypatch):
-        calls = []
-        walk = FiniteMetricSystem.nearest_first
+        """On a table (no positions) the separations read each point's
+        nearest-first order when there are two classes, and none with one."""
+        rows = [[abs(a - b) for b in range(4)] for a in range(4)]
+        reads = []
+        order = FiniteMetricSystem.__dict__["_nearest_first"]
 
-        def counted(system, p):
-            calls.append(p)
-            return walk(system, p)
+        def counted(system):
+            reads.append(system)
+            return order.__get__(system, FiniteMetricSystem)
 
-        monkeypatch.setattr(FiniteMetricSystem, "nearest_first", counted)
-        dec = decompose(build_delta_graph(rotation(1024, 1), 0))
-        assert dec.separation == (None,)
-        assert calls == []
+        monkeypatch.setattr(FiniteMetricSystem, "_nearest_first", property(counted))
+        for fmap, separation in [((1, 2, 3, 0), (None,)), ((1, 0, 3, 2), (1, 1))]:
+            graph = build_delta_graph(make_system(rows, fmap), 0)
+            assert graph.system._positions is None
+            reads.clear()
+            assert decompose(graph).separation == separation
+            assert bool(reads) == (len(separation) > 1)
 
     @given(system_and_scales())
     @settings(max_examples=40)

@@ -33,10 +33,8 @@ from chainshadow import (
     is_limit_shadowed,
     is_shadowed,
     make_system,
-    merge_sets,
     north_south,
     parse_generator_string,
-    reachable_shadow_states,
     rotation,
     run_harness,
     tent,
@@ -54,14 +52,14 @@ from conftest import (
     system_and_scales,
     widest_table,
 )
-from small_scope import _outcome, same_decisions, searched
+from small_scope import _outcome, merge_sets, reachable_states, same_decisions, searched
 from small_scope import invariant_domains as every_invariant_domain
 
 
 def _both(system, delta, eps, domain=None, *, state_cap=shadow_mod.DEFAULT_STATE_CAP):
     """The slimit and the shadowing verdict from one exact BFS, as the two
     public checks give them one after the other."""
-    return shadow_mod._decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))[1]
+    return shadow_mod._decide(system, delta, eps, domain, state_cap, ("slimit", "shadowing"))
 
 
 def _shadow_sets(system, orbit, eps):
@@ -130,16 +128,12 @@ def reference_explore(system, succ_balls, balls, failing, state_cap):
 
 def reference_per_predicate(system, succ_balls, balls, failing, state_cap, exact=True):
     """``_explore``'s interface for a tuple of failing predicates, served by
-    one ``reference_explore`` run per predicate (one run that never fails
-    when the tuple is empty). ``exact`` is taken and not read: each run
-    finishes the level where its predicate first holds, as the exact
-    search does."""
-    runs = [
-        reference_explore(system, succ_balls, balls, fails, state_cap)
-        for fails in failing or (lambda p, y: False,)
-    ]
+    one ``reference_explore`` run per predicate. ``exact`` is taken and not
+    read: each run finishes the level where its predicate first holds, as
+    the exact search does."""
+    runs = [reference_explore(system, succ_balls, balls, fails, state_cap) for fails in failing]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
-    return max((visited for visited, _ in runs), key=len), found[: len(failing)]
+    return max((visited for visited, _ in runs), key=len), found
 
 
 def reference_image_fn(system):
@@ -430,27 +424,27 @@ class TestMergeSets:
     def test_identity_never_merges(self):
         system = cantor_identity(2)
         tracks = merge_sets(system, Fraction(1, 10))
-        assert all(tracks.tracks[p] == {p} for p in system.points)
+        assert all(tracks[p] == {p} for p in system.points)
 
     def test_parallel_cycles(self, parallel):
         tracks = merge_sets(parallel, 1)
-        assert [sorted(tracks.tracks[p]) for p in parallel.points] == [
+        assert [sorted(tracks[p]) for p in parallel.points] == [
             [0, 1], [0, 1], [2], [3], [4],
         ]
 
     def test_sink_with_vacuous_tracking(self, ns6):
         tracks = merge_sets(ns6, ns6.diameter)
         sink = 3
-        assert tracks.tracks[sink] == set(ns6.points) - {0}  # the source never arrives
+        assert tracks[sink] == set(ns6.points) - {0}  # the source never arrives
 
     def test_monotone_in_eps(self, parallel):
         small = merge_sets(parallel, Fraction(1, 2))
         large = merge_sets(parallel, 4)
-        assert all(small.tracks[p] <= large.tracks[p] for p in parallel.points)
+        assert all(small[p] <= large[p] for p in parallel.points)
 
     def test_restricted_domain(self, parallel):
         tracks = merge_sets(parallel, 1, domain={1, 2})
-        assert tracks.tracks[1] == {1} and tracks.tracks[2] == {2}
+        assert tracks[1] == {1} and tracks[2] == {2}
 
     @given(st.data())
     @settings(max_examples=60)
@@ -458,7 +452,7 @@ class TestMergeSets:
         system, _, eps = data.draw(system_and_scales())
         domain = invariant_domains(data.draw, system)
         tracks = merge_sets(system, eps, domain)
-        assert list(tracks.tracks) == pair_walk_merge_sets(system, eps, domain)
+        assert list(tracks) == pair_walk_merge_sets(system, eps, domain)
 
 
 @st.composite
@@ -524,7 +518,7 @@ class TestOrbitOrderedMergeSets:
         masks = shadow_mod._asymp_masks(system, balls)
         assert masks == reference_asymp_masks(system, balls)
         expected = pair_walk_merge_sets(system, eps, domain)
-        assert list(merge_sets(system, eps, domain).tracks) == expected
+        assert list(merge_sets(system, eps, domain)) == expected
         assert [set(bits(m)) for m in masks] == expected
 
     @pytest.mark.parametrize("over", [0, 1], ids=["diameter", "past-diameter"])
@@ -641,7 +635,7 @@ class TestSystemChecks:
                 check(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
             assert caught.value.states_explored == cap + 1
         with pytest.raises(Inconclusive) as caught:
-            reachable_shadow_states(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
+            reachable_states(system, Fraction(1, 64), Fraction(1, 8), state_cap=cap)
         assert caught.value.states_explored == cap + 1
 
     @pytest.mark.parametrize("cap", [True, False, 1.5, "3", -1, Fraction(2)], ids=repr)
@@ -649,7 +643,6 @@ class TestSystemChecks:
         for call in (
             check_shadowing_property,
             check_slimit_property,
-            reachable_shadow_states,
             lambda system, *_, state_cap: run_harness(system, state_cap=state_cap),
         ):
             with pytest.raises(BadParams, match="state_cap"):
@@ -795,7 +788,7 @@ def _outcomes(system, delta, eps, domain, cap):
 
     to_json = shadow_mod.ShadowVerdict.to_json
     return (
-        run(reachable_shadow_states, list),
+        run(reachable_states, list),
         run(check_shadowing_property, to_json),
         run(check_slimit_property, to_json),
         run(_both, lambda verdicts: [to_json(v) for v in verdicts]),
@@ -1119,7 +1112,7 @@ class TestSuccessorRowsOnDemand:
         system = north_south(64)
         delta = Fraction(1, 16)
         built = self._record_rows(monkeypatch)
-        assert len(reachable_shadow_states(system, delta, Fraction(1, 2))) > system.n
+        assert len(reachable_states(system, delta, Fraction(1, 2))) > system.n
         masks = [system.ball(system.map[p], delta) for p in system.points]
         assert built == list(dict.fromkeys(masks))
 
@@ -1128,7 +1121,7 @@ class TestSuccessorRowsOnDemand:
         system = north_south(64)
         built = self._record_rows(monkeypatch)
         with pytest.raises(Inconclusive):
-            reachable_shadow_states(system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1)
+            reachable_states(system, Fraction(1, 2), Fraction(1, 2), state_cap=system.n + 1)
         assert built == [system.ball(system.map[0], Fraction(1, 2))]
 
 
@@ -1188,7 +1181,7 @@ class TestTranslationRunImage:
 
         def answers(delta, eps):
             verdicts = _both(system, delta, eps)
-            return reachable_shadow_states(system, delta, eps), [v.to_json() for v in verdicts]
+            return reachable_states(system, delta, eps), [v.to_json() for v in verdicts]
 
         for delta in grid:
             for eps in grid:
@@ -1300,7 +1293,7 @@ class TestBothProperties:
 def _answers(system, delta, eps, domain=None):
     """The JSON of both verdicts and of every reachable state."""
     verdicts = _both(system, delta, eps, domain)
-    states = reachable_shadow_states(system, delta, eps, domain)
+    states = reachable_states(system, delta, eps, domain)
     return [v.to_json() for v in verdicts], states
 
 
@@ -1322,7 +1315,6 @@ class TestRotationOrbits:
     def test_detected_at_the_first_whole_system_check(self):
         system = rotation(12, 4)
         delta, eps = Fraction(1, 12), Fraction(1, 6)
-        reachable_shadow_states(system, delta, eps)
         check_shadowing_property(system, delta, eps, domain={0, 4, 8})
         assert "_rotation_step" not in vars(system)
         check_shadowing_property(system, delta, eps)
@@ -1360,11 +1352,16 @@ class TestRotationOrbits:
             assert _answers(system, delta, eps, domain) == expected
 
     def test_reachable_states_of_a_rotation_take_the_plain_bfs(self):
-        with mock.patch.object(
-            shadow_mod, "_explore_orbits", side_effect=AssertionError("orbits")
-        ):
-            states = reachable_shadow_states(rotation(64, 5), Fraction(1, 64), Fraction(1, 8))
+        """Only counts come from the orbit search; the states of a whole
+        rotation are listed by the plain BFS (``_explore`` run with a
+        predicate that never holds). The shift maps that list onto itself,
+        which is what lets ``_explore_orbits`` search one state per orbit."""
+        system = rotation(64, 5)
+        states = reachable_states(system, Fraction(1, 64), Fraction(1, 8))
         assert len(states) == 9856
+        n, full = system.n, (1 << system.n) - 1
+        shifted = {((p + 1) % n, (y << 1 | y >> (n - 1)) & full) for p, y in states}
+        assert shifted == set(states)
 
 
 def _closure(system, points) -> frozenset[int]:
@@ -1379,11 +1376,12 @@ def _closure(system, points) -> frozenset[int]:
 
 class TestDomainInsideEveryBall:
     """A check whose domain C lies inside the eps ball of each of its
-    points counts its states without a search (``_small_domain_count``).
-    At eps = diam C it answers as ``_explore`` run directly, verdicts and
+    points counts its states without a search (``_forced_count``). At
+    eps = diam C it answers as ``_explore`` run directly, verdicts and
     counts, or the same ``Inconclusive``, at the caps |C| (the first level
     whose count passes it has more than one new state), count - 1, count
-    and None; ``tests/small_scope.py`` checks every other eps."""
+    and None; ``tests/small_scope.py`` checks every other eps, and a
+    domain inside the ball of its lowest point alone."""
 
     @pytest.mark.parametrize(
         "name, lowest",
@@ -1406,7 +1404,7 @@ class TestDomainInsideEveryBall:
             eps = max(system.d(p, q) for p in domain for q in domain)
         props = ("slimit", "shadowing")
         for delta in (system.min_gap / 2, system.min_gap, eps / 16):
-            count = searched(system, delta, eps, domain, None, props)[1][0].states_explored
+            count = searched(system, delta, eps, domain, None, props)[0].states_explored
             for cap in dict.fromkeys((len(points), count - 1, count, None)):
                 args = (system, delta, eps, domain, cap, props)
                 theirs = _outcome(searched, *args)
@@ -1414,15 +1412,14 @@ class TestDomainInsideEveryBall:
                     shadow_mod, "_explore", side_effect=AssertionError("searched")
                 ):
                     ours = _outcome(shadow_mod._decide, *args)
-                assert ours == (theirs if isinstance(theirs[0], str) else (None, theirs[1]))
+                assert ours == theirs
 
     def test_a_domain_inside_one_ball_alone_is_searched(self):
         """On the line 1, 0, 2 (point 0 in the middle) the ball of 0 at eps 1
         holds every point, and the ball of each end does not. Every map,
-        invariant domain and delta there answers as its search. In the
-        tables of ``tests/small_scope.py`` the lowest point of a domain is
-        an end of a line, or the table is an ultrametric, so no domain lies
-        inside the ball of its lowest point alone."""
+        invariant domain and delta there answers as its search. The growing
+        line of ``tests/small_scope.py`` puts point 0 inside the line too;
+        this is the least table that does."""
         rows = [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
         for fmap in itertools.product(range(3), repeat=3):
             system = make_system(rows, fmap)
@@ -1431,19 +1428,47 @@ class TestDomainInsideEveryBall:
                     assert same_decisions(system, delta, 1, domain, f"map {fmap}, {domain}")
 
 
+class TestForcedCount:
+    """Each rule of ``_forced_count`` counts the states that ``_explore``
+    visits, and past the cap raises the ``Inconclusive`` that ``_explore``
+    raises there."""
+
+    @pytest.mark.parametrize(
+        "rule", ["a-below-the-least-distance", "b-inside-every-ball"]
+    )
+    def test_the_count_and_the_cap(self, rule):
+        system = parse_generator_string("north-south:64")
+        if rule.startswith("a"):
+            delta = eps = system.min_gap / 2
+        else:
+            delta, eps = Fraction(1, 16), Fraction(1, 2)
+        full = (1 << system.n) - 1
+        count = len(reachable_states(system, delta, eps, state_cap=None))
+        for cap in (None, count):
+            assert shadow_mod._forced_count(system, delta, eps, full, cap) == count
+        with pytest.raises(Inconclusive) as ours:
+            shadow_mod._forced_count(system, delta, eps, full, count - 1)
+        with pytest.raises(Inconclusive) as theirs:
+            reachable_states(system, delta, eps, state_cap=count - 1)
+        assert (ours.value.states_explored, ours.value.cap) == (count, count - 1)
+        assert str(ours.value) == str(theirs.value)
+
+
 class TestReachableStates:
+    """The states of the BFS run to its end (``reachable_states``)."""
+
     def test_invariant_and_count(self, parallel):
-        states = reachable_shadow_states(parallel, 1, 1)
+        states = reachable_states(parallel, 1, 1)
         verdict = check_shadowing_property(parallel, 1, 1)
         assert len(states) == verdict.states_explored
-        for state in states:
-            assert all(parallel.dist[x][state.point] <= 1 for x in state.candidates)
+        for p, y in states:
+            assert all(parallel.dist[x][p] <= 1 for x in bits(y))
 
     def test_domain_restricts_states(self, parallel):
-        states = reachable_shadow_states(parallel, Fraction(1, 2), 1, domain={1, 2})
-        assert {s.point for s in states} == {1, 2}
-        for state in states:
-            assert state.candidates <= {1, 2}
+        states = reachable_states(parallel, Fraction(1, 2), 1, domain={1, 2})
+        assert {p for p, _ in states} == {1, 2}
+        for _, y in states:
+            assert y & ~0b110 == 0
 
 
 class TestOracle:

@@ -15,7 +15,9 @@ def test_every_map_agrees_with_the_oracle(n):
 def test_the_scope():
     assert tables(3) == {
         "equal": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
-        "growing": [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+        # Point 0 between points 1 and 2: at eps 2 its ball holds every
+        # point, and the ball of point 1 does not.
+        "growing": [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
         "shrinking": [[0, 2, 3], [2, 0, 1], [3, 1, 0]],
         "ultrametric": [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
     }

@@ -39,15 +39,12 @@ from chainshadow import (
     invariant_core,
     load_system,
     make_system,
-    metric_violations,
     north_south,
     parse_generator_string,
     parse_rational,
-    reachable_shadow_states,
     refine_ladder,
     rotation,
     run_harness,
-    shortest_path_metric,
     tent,
     validate_pseudo_orbit,
     validate_system,
@@ -57,7 +54,16 @@ from chainshadow import system as system_mod
 from chainshadow.bits import to_frozenset
 from chainshadow.rational import check_collection, parse_int
 from conftest import metric_systems, sweep_values, widest_table
-from corpus import standard_corpus
+from corpus import shortest_path_metric, standard_corpus
+from small_scope import reachable_states
+
+
+def metric_violations(dist, fmap, invertible):
+    """The violated axioms that ``make_system`` raises in
+    ``InvalidSystem.violations``, from the same read and check, so that a
+    valid or an empty table can be asked too: [] for those."""
+    table, fmap = system_mod._read(dist, fmap)
+    return system_mod._violations(table, fmap, system_mod._check_invertible(invertible))
 
 
 def reference_violations(dist, fmap, invertible):
@@ -206,9 +212,9 @@ class TestValidation:
 
     def test_n_mismatch_is_found_before_the_table_is_checked(self, monkeypatch):
         def never(*args):
-            raise AssertionError("metric_violations called")
+            raise AssertionError("the axioms were checked")
 
-        monkeypatch.setattr(system_mod, "metric_violations", never)
+        monkeypatch.setattr(system_mod, "_violations", never)
         with pytest.raises(BadParams, match="declared n=1 but dist has 2 rows"):
             validate_system({"n": 1, "dist": [[0, 1], [1, 0]], "map": [0, 1]})
 
@@ -874,8 +880,8 @@ class TestPositions:
             for check in (check_shadowing_property, check_slimit_property):
                 verdict = check(system, delta, eps)
                 assert verdict.passed and verdict.states_explored == system.n
-            states = reachable_shadow_states(system, delta, eps)
-            assert [tuple(state.candidates) for state in states] == [(p,) for p in system.points]
+            states = reachable_states(system, delta, eps)
+            assert states == [(p, 1 << p) for p in system.points]
         assert "table" not in vars(system._positions)
         argv = ["shadow", "--gen", gen, "--delta", str(least / 2), "--eps", str(least / 2)]
         for prop in ("shadowing", "slimit"):

@@ -29,10 +29,8 @@ from chainshadow import (
     default_grid,
     invariant_core,
     parse_generator_string,
-    reachable_shadow_states,
     rotation,
     run_harness,
-    shortest_path_metric,
     validate_pseudo_orbit,
 )
 from chainshadow import cli
@@ -46,8 +44,8 @@ from chainshadow.verify import (
     _slimit_violation,
 )
 from conftest import system_and_scales
-from corpus import standard_corpus
-from small_scope import same_decisions
+from corpus import shortest_path_metric, standard_corpus
+from small_scope import explored, same_decisions
 
 
 def _alone(check, system, *params, state_cap=shadow_mod.DEFAULT_STATE_CAP):
@@ -402,7 +400,7 @@ class TestSharedAnswers:
         """On each class core of the default grid, and on the whole system,
         ``_decide``, forced or not, answers as its search run directly, at
         caps None, |C| - 1 and |C|, for both properties in exact and
-        witness mode and for the state list."""
+        witness mode."""
         for coarse, fine, eps in default_grid(system):
             for delta in (coarse, fine):
                 classes = decompose(build_delta_graph(system, delta)).classes
@@ -498,12 +496,17 @@ class TestWitnessMode:
         """At delta = eps = 127/496 on north-south:64 both properties first
         fail in the level of states 2,045 to 11,655. The exact joint search
         counts that whole level; the harness's search stops at 5,463 with
-        the same witnesses."""
+        the same witnesses, where ``_explore`` run directly in witness mode
+        stops."""
         system = parse_generator_string("north-south:64")
         v = Fraction(127, 496)
         props = ("slimit", "shadowing")
-        exact = shadow_mod._decide(system, v, v, None, None, props)[1]
-        states, early = shadow_mod._decide(system, v, v, None, None, props, False)
+        exact = shadow_mod._decide(system, v, v, None, None, props)
+        early = shadow_mod._decide(system, v, v, None, None, props, False)
+        full = (1 << system.n) - 1
+        asymp = shadow_mod._asymp_masks(system, system._balls(v, full, full))
+        failing = (lambda p, y: y & asymp[p] == 0, lambda p, y: y == 0)
+        states, _ = explored(system, v, v, None, failing, None, False)
         assert [verdict.states_explored for verdict in exact] == [11655, 11655]
         assert len(states) == early[1].states_explored == 5463
         assert early[0].states_explored < early[1].states_explored
@@ -515,7 +518,6 @@ class TestWitnessMode:
 _CAPPED = [
     (check_shadowing_property, (1, 1)),
     (check_slimit_property, (1, 1)),
-    (reachable_shadow_states, (1, 1)),
     (run_harness, ()),
 ]
 
@@ -532,14 +534,21 @@ class TestDefaultStateCap:
 
     @pytest.mark.parametrize("fn, args", _CAPPED, ids=[fn.__name__ for fn, _ in _CAPPED])
     def test_the_cap_reaches_the_search(self, monkeypatch, parallel, fn, args):
+        """The cap reaches the search, and the count without a search
+        (``_forced_count``) that may raise it first."""
         caps = []
-        real = shadow_mod._explore
 
-        def recording(system, succ_balls, balls, failing, state_cap, *rest):
-            caps.append(state_cap)
-            return real(system, succ_balls, balls, failing, state_cap, *rest)
+        def recording(name):
+            real = getattr(shadow_mod, name)
 
-        monkeypatch.setattr(shadow_mod, "_explore", recording)
+            def wrapper(*args):
+                caps.append(args[4])  # state_cap, the fifth argument of both
+                return real(*args)
+
+            monkeypatch.setattr(shadow_mod, name, wrapper)
+
+        recording("_forced_count")
+        recording("_explore")
         fn(parallel, *args)
         fn(parallel, *args, state_cap=None)
         explicit = len(caps)
@@ -548,7 +557,7 @@ class TestDefaultStateCap:
         with pytest.raises(Inconclusive) as err:
             fn(parallel, *args, state_cap=4)
         assert err.value.states_explored == 5
-        assert caps[explicit:] == [4]
+        assert caps[explicit:] and set(caps[explicit:]) == {4}
 
 
 def test_the_readme_python_example_prints_what_it_says(capsys):
