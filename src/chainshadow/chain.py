@@ -199,9 +199,10 @@ def hausdorff_distance(system: FiniteMetricSystem, a, b) -> Fraction:
     b = check_points(system, b)
     if not a or not b:
         raise EmptySet("Hausdorff distance needs nonempty sets")
-    rows = system._table.rows
-    forward = max(min(rows[x][y] for y in b) for x in a)
-    backward = max(min(rows[y][x] for x in a) for y in b)
+    # Point distances, so a positioned system builds no table view.
+    distance = system._metric.distance
+    forward = max(min(distance(x, y) for y in b) for x in a)
+    backward = max(min(distance(y, x) for x in a) for y in b)
     return system._values[max(forward, backward)]
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter, lshift, sub
-from typing import NamedTuple
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -54,29 +53,95 @@ _EXPLICIT_KEYS = frozenset({"n", "dist", "map", "invertible", "quantization"})
 _GENERATOR_KEYS = frozenset({"generator", "params"})
 
 
-class _Table(NamedTuple):
+class _Table:
     """The distance table, stored once: integer rows over L, the least
     common denominator of the table, whose entries order, and compare with
-    0, as the distances do. ``FiniteMetricSystem.dist`` is a view of it."""
+    0, as the distances do. ``FiniteMetricSystem.dist`` is a view of it.
+    Its queries, and those of ``_Positions``, take and give distances times
+    L; balls and separations read each point's nearest-first order."""
 
-    rows: tuple[tuple[int, ...], ...]
-    denominator: int
+    def __init__(self, rows: tuple[tuple[int, ...], ...], denominator: int):
+        self.rows, self.denominator = rows, denominator
+
+    def distance(self, i: int, j: int) -> int:
+        """The distance between the points i and j, times the denominator."""
+        return self.rows[i][j]
+
+    @cached_property
+    def nearest_first(self) -> tuple[array, ...]:
+        """Per point p, every point sorted by d(p, .), ties by index."""
+        return tuple(array("i", sorted(range(len(row)), key=row.__getitem__)) for row in self.rows)
+
+    def nearest_within(self, p: int, bound: int) -> array:
+        """The prefix of p's nearest-first order within ``bound``."""
+        order = self.nearest_first[p]
+        return order[: bisect_right(order, bound, key=self.rows[p].__getitem__)]
+
+    def ball(self, p: int, bound: int) -> int:
+        """The mask of every point within ``bound`` of p."""
+        return mask_of(self.nearest_within(p, bound))
+
+    def successors(self, fmap, bound: int) -> tuple[tuple[int, ...], ...]:
+        """Per point p, the sorted prefix of fmap[p]'s order within ``bound``;
+        an itemgetter of one index returns the item, not a 1-tuple."""
+        ids = tuple(range(len(self.rows)))
+        balls = (sorted(self.nearest_within(fp, bound)) for fp in fmap)
+        return tuple(itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls)
+
+    def separations(self, class_index, least: list) -> None:
+        """Lower each ``least[i]``, an int or inf, to the least distance from
+        class i to another: each class point walks its order to the first
+        point of another."""
+        rows = self.rows
+        for p, i in enumerate(class_index):
+            if i is None:
+                continue
+            for q in self.nearest_first[p]:
+                if class_index[q] not in (None, i):
+                    least[i] = min(least[i], rows[p][q])
+                    break
+
+    def shift_invariant(self) -> bool:
+        """Whether i -> i + 1 mod n is an isometry: each row is the row
+        before it rotated by one."""
+        rows = self.rows
+        return all(row[0] == above[-1] and row[1:] == above[:-1] for above, row in zip(rows, rows[1:]))
+
+    @cached_property
+    def distance_ints(self) -> tuple[int, ...]:
+        """The distinct positive distances times the denominator, ascending."""
+        return tuple(sorted(set().union(*(row[:i] for i, row in enumerate(self.rows)))))
+
+    @cached_property
+    def least_distance(self) -> int:
+        """The least entry below the diagonal, on two or more points."""
+        return min(min(row[:i]) for i, row in enumerate(self.rows) if i)
+
+    def nearest_other(self, targets) -> int:
+        """The least distance from a point of ``targets`` to another point,
+        on two or more points."""
+        rows = self.rows
+        return min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in targets)
 
 
 class _Positions:
     """Where a positioned generator puts its points: point p at
     ``at[p] / denominator`` on [0, 1], or on the circle of length 1, whose
     arc-length metric takes the shorter way round. The integer table these
-    stand for is built on its first read (``table``); balls, successor rows,
-    separations and distance values are read off the sorted positions."""
+    stand for is built on its first read (``rows``); every other query of
+    ``_Table`` is read off the sorted positions."""
 
     def __init__(self, at: tuple[int, ...], denominator: int, circle: bool):
         self.at, self.denominator, self.circle = at, denominator, circle
 
-    def distance(self, x: int, y: int) -> int:
+    def between(self, x: int, y: int) -> int:
         """The distance between the positions x and y, times the denominator."""
         gap = abs(x - y)
         return min(gap, self.denominator - gap) if self.circle else gap
+
+    def distance(self, i: int, j: int) -> int:
+        """The distance between the points i and j, times the denominator."""
+        return self.between(self.at[i], self.at[j])
 
     @cached_property
     def order(self) -> tuple[int, ...]:
@@ -108,7 +173,7 @@ class _Positions:
         """The distance from each position to the next in position order,
         and on the circle from the last to the first, times the
         denominator."""
-        return tuple(self.distance(x, y) for x, y in self.neighbours(self.ascending))
+        return tuple(self.between(x, y) for x, y in self.neighbours(self.ascending))
 
     def neighbours(self, items: list) -> zip:
         """Each item beside the next one: ``items`` are in position order, and
@@ -132,19 +197,95 @@ class _Positions:
             return ((0, bisect_right(xs, hi - unit)), (bisect_left(xs, lo), len(xs)))
         return ((bisect_left(xs, lo), bisect_right(xs, hi)),)
 
+    def ball(self, p: int, bound: int) -> int:
+        """The mask of every point within ``bound`` of p: the points of one
+        or two arcs of the sorted positions."""
+        prefix = self.prefix
+        mask = 0
+        for lo, hi in self.arcs(p, bound):
+            mask |= prefix[hi] ^ prefix[lo]
+        return mask
+
+    def successors(self, fmap, bound: int) -> tuple[tuple[int, ...], ...]:
+        """Per point p, the points within ``bound`` of fmap[p], ascending:
+        one or two slices of the position order, ascending already where
+        position order is index order, and sorted on north-south."""
+        order = self.order
+        arcs = (sum((order[lo:hi] for lo, hi in self.arcs(fp, bound)), ()) for fp in fmap)
+        return tuple(arcs) if self.in_order else tuple(tuple(sorted(arc)) for arc in arcs)
+
+    def separations(self, class_index, least: list) -> None:
+        """Lower ``least[i]`` to the least distance from class i to another.
+        Between the points of two classes, the least distance is met at two
+        that are neighbours in position order among the points in some
+        class."""
+        held = [
+            (x, class_index[p])
+            for x, p in zip(self.ascending, self.order)
+            if class_index[p] is not None
+        ]
+        for (x, i), (y, j) in self.neighbours(held):
+            if i != j:
+                d = self.between(x, y)
+                least[i] = min(least[i], d)
+                least[j] = min(least[j], d)
+
+    def shift_invariant(self) -> bool:
+        """Whether i -> i + 1 mod n is an isometry: on at most two points, as
+        is every table of at most two points, or when the points go round
+        the circle in index order with equal steps, so that the shift is a
+        rotation. A line of three or more points has one farthest pair,
+        which a shift of order n >= 3 cannot map onto itself.
+        ``tests/positions_scope.py`` checks this rule against the table on
+        every positioned generator."""
+        at, unit = self.at, self.denominator
+        steps = {(b - a) % unit for a, b in zip(at, at[1:] + at[:1])}
+        return len(at) <= 2 or self.circle and len(steps) == 1
+
     @cached_property
-    def table(self) -> _Table:
+    def distance_ints(self) -> tuple[int, ...]:
+        """The distinct positive distances times the denominator, ascending:
+        the gaps between sorted positions, folded on the circle. About
+        n**2 / 2 of them are read, as on a table."""
+        xs = self.ascending
+        gaps: set[int] = set()
+        for step in range(1, len(xs)):
+            gaps.update(map(sub, xs[step:], xs))
+        if self.circle:
+            gaps = {self.between(0, g) for g in gaps}
+        return tuple(sorted(gaps))
+
+    @cached_property
+    def least_distance(self) -> int:
+        """The least gap between neighbours in position order, the circle's
+        wrap included, on two or more points."""
+        return min(self.gaps)
+
+    def nearest_other(self, targets) -> int:
+        """The least distance from a point of ``targets`` to another point,
+        on two or more points: the nearest other point is a neighbour in
+        position order."""
+        gaps = self.gaps
+        # The gaps before and after each position; a line's ends have one.
+        before = gaps[-1:] + gaps[:-1] if self.circle else gaps[:1] + gaps
+        after = gaps if self.circle else gaps + gaps[-1:]
+        nearest = dict(zip(self.order, map(min, before, after)))
+        return min(nearest[t] for t in targets)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         """The integer table over the denominator, built on first read. Its
-        rows hold one shared int per distinct value, and it is the least
-        common denominator of the table when one position is 0 and the
-        positions have no factor in common with it."""
+        rows hold one shared int per distinct value, and the denominator is
+        the least common denominator of the table when one position is 0
+        and the positions have no factor in common with it."""
         at, unit, circle = self.at, self.denominator, self.circle
+
+        def row(a: int) -> list[int]:
+            gaps = [abs(a - b) for b in at]
+            return [g if g + g <= unit else unit - g for g in gaps] if circle else gaps
+
         ints: dict[int, int] = {}
-        rows = tuple(
-            tuple(map(ints.setdefault, gaps, gaps))
-            for gaps in (_gaps(a, at, unit, circle) for a in at)
-        )
-        return _Table(rows, unit)
+        return tuple(tuple(map(ints.setdefault, gaps, gaps)) for gaps in map(row, at))
 
 
 class _Memo(dict):
@@ -172,15 +313,16 @@ class FiniteMetricSystem:
     and ``quantization`` is None or a nonnegative rational. ``map`` is
     stored as a tuple and ``quantization`` as a Fraction.
 
-    The distances are stored once, in ``_metric``: the integer table
-    ``_table`` of an explicit system, or the integer positions on a line or
-    circle that a positioned generator gives its points. Builders that hold
-    one pass it and no ``dist``; ``dataclasses.replace`` hands it on, or
-    rebuilds a table for a new ``dist``. On a positioned system ``_table``
-    is a view of the positions built on its first read, as ``dist`` is a
-    read-only view of ``_table`` on every system. Equality and hashing read
-    n, ``map``, ``invertible``, ``quantization`` and the table, so they
-    build the view.
+    The distances are stored once, in ``_metric``: the integer ``_Table`` of
+    an explicit system, or the integer ``_Positions`` on a line or circle
+    that a positioned generator gives its points. Both answer the same
+    queries, and each distance query here is one call on the metric.
+    Builders that hold one pass it and no ``dist``; ``dataclasses.replace``
+    hands it on, or rebuilds a table for a new ``dist``. The metric's
+    ``rows`` are the integer table, on a positioned system a view built on
+    its first read, and ``dist`` is a read-only view of them. Equality and
+    hashing read n, ``map``, ``invertible``, ``quantization`` and the
+    table, so they build the view.
     """
 
     n: int
@@ -212,20 +354,9 @@ class FiniteMetricSystem:
         object.__setattr__(self, "quantization", quantization)
         object.__setattr__(self, "_metric", _metric)
 
-    @property
-    def _table(self) -> _Table:
-        """The integer table: the stored one, or the positions' view."""
-        metric = self._metric
-        return metric if isinstance(metric, _Table) else metric.table
-
-    @property
-    def _positions(self) -> _Positions | None:
-        """The sorted positions of a positioned system, else None."""
-        metric = self._metric
-        return metric if isinstance(metric, _Positions) else None
-
     def _key(self) -> tuple:
-        return self.n, self.map, self.invertible, self.quantization, self._table
+        metric = self._metric
+        return self.n, self.map, self.invertible, self.quantization, metric.rows, metric.denominator
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSystem):
@@ -250,15 +381,11 @@ class FiniteMetricSystem:
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distances as rows of Fractions, one shared object per value."""
         values = self._values.__getitem__
-        return tuple(tuple(map(values, row)) for row in self._table.rows)
+        return tuple(tuple(map(values, row)) for row in self._metric.rows)
 
     def d(self, i: int, j: int) -> Fraction:
         i, j = check_point(self, i), check_point(self, j)
-        # A positioned system answers from two positions, building no table.
-        positions = self._positions
-        if positions is None:
-            return self._values[self._table.rows[i][j]]
-        return self._values[positions.distance(positions.at[i], positions.at[j])]
+        return self._values[self._metric.distance(i, j)]
 
     @property
     def points(self) -> range:
@@ -272,20 +399,6 @@ class FiniteMetricSystem:
             out.append(x)
             x = self.map[x]
         return tuple(out)
-
-    @cached_property
-    def _nearest_first(self) -> tuple[array, ...]:
-        """Per point p, every point sorted by d(p, .), ties by index."""
-        return tuple(
-            array("i", sorted(self.points, key=row.__getitem__)) for row in self._table.rows
-        )
-
-    def nearest_first(self, p: int) -> memoryview:
-        """Every point ordered by its distance from ``p``, nearest first.
-
-        A read-only view: the order is cached and shared by every query.
-        """
-        return memoryview(self._nearest_first[check_point(self, p)]).toreadonly()
 
     def ball(self, p: int, r) -> int:
         """Bitmask of the closed ball: every q with d(p, q) <= r."""
@@ -306,91 +419,30 @@ class FiniteMetricSystem:
         built the first time any caller asks for its point at a radius with
         that bound, and kept for the life of the system, one mask of n bits
         per (point, bound) asked for."""
-        full = self._full_balls.setdefault(self._bound(r), {})
+        bound = self._bound(r)
+        full = self._full_balls.setdefault(bound, {})
         out = {}
         for p in bits(keys):
             ball = full.get(p)
             if ball is None:
-                ball = full[p] = self._ball_mask(p, r)
+                ball = full[p] = self._metric.ball(p, bound)
             out[p] = ball & dmask
         return out
 
-    def _ball_mask(self, p: int, r) -> int:
-        """The closed r-ball of ``p`` as a mask: the points of one or two
-        arcs of the sorted positions, or on a table the prefix of p's
-        nearest-first order within ``r``; ``p`` is not checked."""
-        positions = self._positions
-        if positions is None:
-            return mask_of(self._nearest_within(p, r))
-        prefix = positions.prefix
-        mask = 0
-        for lo, hi in positions.arcs(p, self._bound(r)):
-            mask |= prefix[hi] ^ prefix[lo]
-        return mask
-
-    def _nearest_within(self, p: int, r) -> array:
-        """The closed ball around ``p`` as the prefix of its nearest-first
-        order that lies within ``r``; ``p`` is not checked."""
-        order = self._nearest_first[p]
-        return order[: bisect_right(order, self._bound(r), key=self._table.rows[p].__getitem__)]
-
     def _successors(self, r) -> tuple[tuple[int, ...], ...]:
-        """Per point p, the closed r-ball of f(p) as an ascending tuple.
-
-        The tuples read their points from one tuple of n ints, so every
-        tuple shares one int object per point instead of one per edge. On
-        a positioned system that tuple is the position order, and a ball is
-        one or two slices of it: ascending already where position order is
-        index order, and sorted on north-south.
-        """
-        positions = self._positions
-        if positions is None:
-            # A nearest-first prefix, sorted; an itemgetter of one index
-            # returns the item, not a 1-tuple.
-            ids = tuple(range(self.n))
-            balls = (sorted(self._nearest_within(fp, r)) for fp in self.map)
-            return tuple(
-                itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls
-            )
-        bound, order = self._bound(r), positions.order
-        arcs = (sum((order[lo:hi] for lo, hi in positions.arcs(fp, bound)), ()) for fp in self.map)
-        return tuple(arcs) if positions.in_order else tuple(tuple(sorted(arc)) for arc in arcs)
+        """Per point p, the closed r-ball of f(p) as an ascending tuple of
+        points read from one tuple of n ints, so every tuple shares one
+        int object per point instead of one per edge."""
+        return self._metric.successors(self.map, self._bound(r))
 
     def _separations(self, class_index, k: int) -> tuple[Fraction | None, ...]:
         """Per class i of the k classes that ``class_index`` gives each point
         (None for a point in no class), the least distance from class i to
         another class; every entry is None when k < 2."""
-        least: list[int | None] = [None] * k
-        positions = self._positions
-
-        def lower(i, d):
-            if least[i] is None or d < least[i]:
-                least[i] = d
-
-        if k > 1 and positions is None:
-            rows = self._table.rows
-            for p, i in enumerate(class_index):
-                if i is None:
-                    continue
-                for q in self._nearest_first[p]:
-                    if class_index[q] not in (None, i):
-                        lower(i, rows[p][q])
-                        break
-        elif k > 1:
-            # Between the points of two classes, the least distance is met
-            # at two that are neighbours in position order among the points
-            # in some class.
-            held = [
-                (x, class_index[p])
-                for x, p in zip(positions.ascending, positions.order)
-                if class_index[p] is not None
-            ]
-            for (x, i), (y, j) in positions.neighbours(held):
-                if i != j:
-                    d = positions.distance(x, y)
-                    lower(i, d)
-                    lower(j, d)
-        return tuple(None if d is None else self._values[d] for d in least)
+        least = [math.inf] * k
+        if k > 1:
+            self._metric.separations(class_index, least)
+        return tuple(None if d == math.inf else self._values[d] for d in least)
 
     @cached_property
     def _map_runs(self) -> list[tuple[int, int]]:
@@ -419,70 +471,29 @@ class FiniteMetricSystem:
 
     @cached_property
     def _rotation_step(self) -> int | None:
-        """k when the shift i -> i + 1 mod n is an isometry of the table
-        that commutes with f(i) = i + k mod n, as on every
-        ``rotation:N:K``: each int row is the row before it rotated by one.
-        None for any other system.
-
-        On a positioned system the shift is an isometry when n <= 2, as is
-        every table of at most two points, or when the points go round the
-        circle in index order with equal steps, so that the shift is a
-        rotation. A line of three or more points has one farthest pair,
-        which a shift of order n >= 3 cannot map onto itself.
-        ``tests/positions_scope.py`` checks this rule against the table on
-        every positioned generator."""
+        """k when the shift i -> i + 1 mod n is an isometry of the metric
+        (``shift_invariant``) that commutes with f(i) = i + k mod n, as on
+        every ``rotation:N:K``. None for any other system."""
         n, k = self.n, self.map[0]
         if any(t != (i + k) % n for i, t in enumerate(self.map)):
             return None
-        positions = self._positions
-        if positions is not None:
-            at, unit = positions.at, positions.denominator
-            steps = {(b - a) % unit for a, b in zip(at, at[1:] + at[:1])}
-            return k if n <= 2 or positions.circle and len(steps) == 1 else None
-        rows = self._table.rows
-        for above, row in zip(rows, rows[1:]):
-            if row[0] != above[-1] or row[1:] != above[:-1]:
-                return None
-        return k
+        return k if self._metric.shift_invariant() else None
 
-    @cached_property
-    def _distance_ints(self) -> tuple[int, ...]:
-        """Distinct positive distances times the denominator, ascending: on
-        a positioned system, the gaps between sorted positions, folded on
-        the circle. About n**2 / 2 of them are read either way."""
-        positions = self._positions
-        if positions is None:
-            return tuple(sorted(set().union(*(row[:i] for i, row in enumerate(self._table.rows)))))
-        xs = positions.ascending
-        gaps: set[int] = set()
-        for step in range(1, len(xs)):
-            gaps.update(map(sub, xs[step:], xs))
-        if positions.circle:
-            gaps = {positions.distance(0, g) for g in gaps}
-        return tuple(sorted(gaps))
-
-    @cached_property
+    @property
     def _least_distance(self) -> int | None:
         """The least distance between two points times the denominator, None
-        on one point: on a positioned system the least gap between
-        neighbours in position order, the circle's wrap included, and on a
-        table the least entry below the diagonal."""
-        if self.n < 2:
-            return None
-        positions = self._positions
-        if positions is None:
-            return min(min(row[:i]) for i, row in enumerate(self._table.rows) if i)
-        return min(positions.gaps)
+        on one point."""
+        return None if self.n < 2 else self._metric.least_distance
 
     @cached_property
     def diameter(self) -> Fraction:
-        ints = self._distance_ints
+        ints = self._metric.distance_ints
         return self._values[ints[-1] if ints else 0]
 
     @cached_property
     def distance_values(self) -> tuple[Fraction, ...]:
         """Distinct positive distances, ascending."""
-        return tuple(map(self._values.__getitem__, self._distance_ints))
+        return tuple(map(self._values.__getitem__, self._metric.distance_ints))
 
     @cached_property
     def min_gap(self) -> Fraction | None:
@@ -495,22 +506,11 @@ class FiniteMetricSystem:
 
         Below this resolution a delta graph carries only the exact edges
         p -> f(p), so refining delta further cannot change anything.
-        None for a one-point system. On a positioned system the nearest
-        other point is a neighbour in position order.
+        None for a one-point system.
         """
         if self.n < 2:
             return None
-        positions = self._positions
-        if positions is None:
-            rows = self._table.rows
-            best = min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in set(self.map))
-            return self._values[best]
-        gaps = positions.gaps
-        # The gaps before and after each position; a line's ends have one.
-        before = gaps[-1:] + gaps[:-1] if positions.circle else gaps[:1] + gaps
-        after = gaps if positions.circle else gaps + gaps[-1:]
-        nearest = dict(zip(positions.order, map(min, before, after)))
-        return self._values[min(nearest[t] for t in set(self.map))]
+        return self._values[self._metric.nearest_other(set(self.map))]
 
     def to_spec(self) -> dict:
         """Explicit JSON-ready description (rationals as strings), with a
@@ -518,7 +518,7 @@ class FiniteMetricSystem:
         text = _Memo(lambda entry: format_rational(self._values[entry]))
         spec = {
             "n": self.n,
-            "dist": [list(map(text.__getitem__, row)) for row in self._table.rows],
+            "dist": [list(map(text.__getitem__, row)) for row in self._metric.rows],
             "map": list(self.map),
             "invertible": self.invertible,
         }
@@ -758,19 +758,12 @@ def load_system(path) -> FiniteMetricSystem:
     return validate_system(spec)
 
 
-def _gaps(a: int, positions, unit: int, circle: bool) -> list[int]:
-    """|a - b| for each position b, or the shorter arc on a circle of
-    length ``unit``."""
-    gaps = [abs(a - b) for b in positions]
-    return [g if g + g <= unit else unit - g for g in gaps] if circle else gaps
-
-
 def _points_system(
     positions, unit: int, circle: bool, fmap, quantization=None
 ) -> FiniteMetricSystem:
     """The points positions[i] / unit of [0, 1], or of the circle of length
     1, with the line or arc-length metric; invertible when ``fmap`` is a
-    bijection. No table is built until one is read (``_Positions.table``)."""
+    bijection. No table is built until one is read (``_Positions.rows``)."""
     fmap = tuple(fmap)
     return FiniteMetricSystem(
         len(fmap), map=fmap, invertible=len(set(fmap)) == len(fmap), quantization=quantization,

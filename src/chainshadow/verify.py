@@ -301,7 +301,7 @@ class GridEntry(NamedTuple):
 def default_grid(system: FiniteMetricSystem) -> tuple[GridEntry, ...]:
     """A small parameter grid derived from the system's distance values.
     Only the three that it reads become Fractions."""
-    ints = system._distance_ints
+    ints = system._metric.distance_ints
     if not ints:
         zero = Fraction(0)
         return (GridEntry(zero, zero, zero),)

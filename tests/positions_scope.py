@@ -5,17 +5,18 @@ The positioned generators (``rotation``, ``tent``, ``doubling``,
 build their integer table only when something reads it. This script builds
 each of them at the sizes asked for (``cantor-identity`` at every depth
 whose 2**depth points fit), puts the same system on the table path (below),
-and asks that both give:
+and asks that its ``_Positions`` metric answer each query as the ``_Table``
+metric does, and both systems alike:
 
-- ``distance_values`` (as their integers over the denominator, which the
-  equality check compares), ``min_gap``, ``diameter``,
-  ``functional_threshold`` and ``_rotation_step``, and equal systems with
-  equal hashes;
+- the metrics' ``distance_ints`` and ``shift_invariant()``; the systems'
+  ``min_gap``, ``diameter``, ``functional_threshold`` and
+  ``_rotation_step``, and equal systems with equal hashes;
 - at radius 0, at every distance value v, at v / 2 and at 3v / 2, and past
   the diameter: every point's ball mask and the successor tuples;
 - the separations of the classes of the delta graph at each of those
   radii, while its edges number at most 64 per point, and of three seeded
-  random labellings of the points.
+  random labellings of the points, with the Hausdorff distance between
+  the first two classes of each labelling.
 
 Every system of at most ``VALIDATED`` points is rebuilt through
 ``validate_system`` (``make_system`` with its exact axiom check, which
@@ -33,6 +34,7 @@ to N (``python tests/positions_scope.py 64``) or at given sizes only
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -42,17 +44,18 @@ from chainshadow import (
     cantor_identity,
     decompose,
     doubling,
+    hausdorff_distance,
     north_south,
     rotation,
     tent,
 )
-from chainshadow.system import FiniteMetricSystem, validate_system
+from chainshadow.system import FiniteMetricSystem, _Positions, _Table, validate_system
 
 VALIDATED = 1024
 EVERY_VALUE = 100
 SAMPLED = 6
 EDGES_PER_POINT = 64
-QUERIES = ("_distance_ints", "min_gap", "diameter", "functional_threshold", "_rotation_step")
+QUERIES = ("min_gap", "diameter", "functional_threshold", "_rotation_step")
 USAGE = "usage: python tests/positions_scope.py N | --only SIZE [SIZE ...]"
 
 
@@ -79,7 +82,8 @@ def on_the_table(system) -> FiniteMetricSystem:
         return validate_system(system.to_spec())
     return FiniteMetricSystem(
         system.n, map=system.map, invertible=system.invertible,
-        quantization=system.quantization, _metric=system._table,
+        quantization=system.quantization,
+        _metric=_Table(system._metric.rows, system._metric.denominator),
     )
 
 
@@ -87,7 +91,7 @@ def radii(system) -> list[Fraction]:
     """0, each distance value v (or a sample of them), v / 2, 3v / 2, and a
     radius past the diameter. Only the values used become Fractions:
     ``north-south:4095`` has about n**2 / 4 distance values."""
-    ints = system._distance_ints
+    ints = system._metric.distance_ints
     if len(ints) > EVERY_VALUE:
         last = len(ints) - 1
         ints = [ints[last * i // (SAMPLED - 1)] for i in range(SAMPLED)]
@@ -105,32 +109,57 @@ def labellings(system, rng: random.Random):
         yield [None if rng.random() < 0.2 else rng.randrange(k) for _ in range(n)], k
 
 
+def separations(metric, class_index, k: int) -> list:
+    """The metric's least distance from each of the k classes to another,
+    inf for a class with none."""
+    least = [math.inf] * k
+    metric.separations(class_index, least)
+    return least
+
+
 def compare(name: str, system, table) -> int:
-    """Check every answer of ``system`` against ``table`` and return the
-    number compared; the first difference raises AssertionError."""
-    assert table._positions is None and system._positions is not None, name
+    """Check every answer of ``system`` and its metric against ``table`` and
+    its metric, and return the number compared; the first difference raises
+    AssertionError."""
+    ours, theirs = system._metric, table._metric
+    assert isinstance(ours, _Positions) and isinstance(theirs, _Table), name
     compared = 0
     for query in QUERIES:
         _require(getattr(system, query) == getattr(table, query), f"{query} on {name}")
         compared += 1
+    _require(ours.distance_ints == theirs.distance_ints, f"distance_ints on {name}")
+    _require(ours.shift_invariant() == theirs.shift_invariant(), f"shift_invariant on {name}")
     _require(system == table and hash(system) == hash(table), f"equality on {name}")
+    compared += 3
     rng = random.Random(name)
     for class_index, k in labellings(system, rng):
-        ours, theirs = system._separations(class_index, k), table._separations(class_index, k)
-        _require(ours == theirs, f"separations of a random labelling on {name}")
+        where = f"a random labelling on {name}"
+        _require(
+            separations(ours, class_index, k) == separations(theirs, class_index, k),
+            f"separations of {where}",
+        )
         compared += 1
+        a, b = ({p for p, i in enumerate(class_index) if i == c} for c in (0, 1))
+        if a and b:
+            _require(
+                hausdorff_distance(system, a, b) == hausdorff_distance(table, a, b),
+                f"Hausdorff distance on {where}",
+            )
+            compared += 1
     for r in radii(system):
         where = f"{name} at radius {r}"
+        # Equal systems have one denominator, so one bound serves both metrics.
+        bound = system._bound(r)
         for p in system.points:
-            _require(system._ball_mask(p, r) == table._ball_mask(p, r), f"ball of {p} on {where}")
-        succ = system._successors(r)
-        _require(succ == table._successors(r), f"successors on {where}")
+            _require(ours.ball(p, bound) == theirs.ball(p, bound), f"ball of {p} on {where}")
+        succ = ours.successors(system.map, bound)
+        _require(succ == theirs.successors(table.map, bound), f"successors on {where}")
         compared += system.n + 1
         if sum(map(len, succ)) <= EDGES_PER_POINT * system.n:
             dec = decompose(build_delta_graph(system, r))
             k = len(dec.classes)
-            theirs = table._separations(dec.class_index, k)
-            _require(dec.separation == theirs, f"separations on {where}")
+            expected = table._separations(dec.class_index, k)
+            _require(dec.separation == expected, f"separations on {where}")
             compared += 1
     return compared
 

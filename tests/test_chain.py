@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from chainshadow import (
     BadParams,
     EmptySet,
-    FiniteMetricSystem,
     NotDecreasing,
     build_delta_graph,
     cantor_identity,
@@ -32,6 +31,7 @@ from chainshadow import (
     rotation,
 )
 from chainshadow import chain as chain_mod
+from chainshadow import system as system_mod
 from chainshadow.bits import bits
 from chainshadow.rational import format_rational
 from conftest import metric_systems, system_and_scales, widest_table
@@ -429,7 +429,7 @@ class TestSuccessors:
                 assert seen.setdefault(q, q) is q
 
     def test_widest_accepted_table(self):
-        assert make_system(*widest_table())._table.denominator.bit_length() == 1024
+        assert make_system(*widest_table())._metric.denominator.bit_length() == 1024
 
 
 class TestReachability:
@@ -567,16 +567,16 @@ class TestDecomposition:
         nearest-first order when there are two classes, and none with one."""
         rows = [[abs(a - b) for b in range(4)] for a in range(4)]
         reads = []
-        order = FiniteMetricSystem.__dict__["_nearest_first"]
+        order = system_mod._Table.__dict__["nearest_first"]
 
-        def counted(system):
-            reads.append(system)
-            return order.__get__(system, FiniteMetricSystem)
+        def counted(table):
+            reads.append(table)
+            return order.__get__(table, system_mod._Table)
 
-        monkeypatch.setattr(FiniteMetricSystem, "_nearest_first", property(counted))
+        monkeypatch.setattr(system_mod._Table, "nearest_first", property(counted))
         for fmap, separation in [((1, 2, 3, 0), (None,)), ((1, 0, 3, 2), (1, 1))]:
             graph = build_delta_graph(make_system(rows, fmap), 0)
-            assert graph.system._positions is None
+            assert isinstance(graph.system._metric, system_mod._Table)
             reads.clear()
             assert decompose(graph).separation == separation
             assert bool(reads) == (len(separation) > 1)

@@ -849,14 +849,15 @@ class TestBallTables:
 
     @staticmethod
     def _record_ball_masks(monkeypatch):
+        """The (point, bound) of each ball that a metric builds."""
         calls = []
-        real = FiniteMetricSystem._ball_mask
+        for metric in (system_mod._Table, system_mod._Positions):
 
-        def recording(self, p, r):
-            calls.append((p, r))
-            return real(self, p, r)
+            def recording(self, p, bound, real=metric.ball):
+                calls.append((p, bound))
+                return real(self, p, bound)
 
-        monkeypatch.setattr(FiniteMetricSystem, "_ball_mask", recording)
+            monkeypatch.setattr(metric, "ball", recording)
         return calls
 
     def test_one_ball_per_point_and_radius(self, monkeypatch):
@@ -870,7 +871,7 @@ class TestBallTables:
         for v in values:
             calls.clear()
             _both(system, v, v)
-            built = [] if v < system.min_gap else [(p, v) for p in system.points]
+            built = [] if v < system.min_gap else [(p, system._bound(v)) for p in system.points]
             assert sorted(calls) == built, v
 
     def test_delta_balls_only_at_the_images(self, monkeypatch):
@@ -880,8 +881,9 @@ class TestBallTables:
         delta, eps = Fraction(1, 32), Fraction(1, 8)
         calls = self._record_ball_masks(monkeypatch)
         check_slimit_property(system, delta, eps)
-        assert sorted(p for p, r in calls if r == delta) == sorted(set(system.map))
-        assert sorted(p for p, r in calls if r == eps) == list(system.points)
+        bound = system._bound
+        assert sorted(p for p, b in calls if b == bound(delta)) == sorted(set(system.map))
+        assert sorted(p for p, b in calls if b == bound(eps)) == list(system.points)
         assert len(set(system.map)) < system.n
 
     def _harness_ball_builds(self, monkeypatch, system, grid=None, runs=1):
@@ -908,10 +910,10 @@ class TestBallTables:
             out = real(system, delta, eps, domain, *rest)
             images = {system.map[p] for p in points}
             if max(delta, eps) >= system.min_gap:
-                read.update((p, eps) for p in points)
+                read.update((p, system._bound(eps)) for p in points)
                 searched = sum(search.call_count for search in searches) > before
                 if searched or delta >= system.min_gap and images != set(points):
-                    read.update((t, delta) for t in images)
+                    read.update((t, system._bound(delta)) for t in images)
             made[-1].extend(calls)
             return out
 
@@ -930,15 +932,16 @@ class TestBallTables:
         system = north_south(8)
         (made,), read, _ = self._harness_ball_builds(monkeypatch, system)
         assert read and sorted(made) == sorted(read)
-        assert system.min_gap / 2 not in {r for _, r in made}
+        assert system._bound(system.min_gap / 2) not in {b for _, b in made}
 
     def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
         """Radius 1/8 is the eps of both entries and the delta of one, so
         its balls at the images f(p) serve both tables."""
         eighth, quarter = Fraction(1, 8), Fraction(1, 4)
         grid = [(quarter, quarter, eighth), (quarter, eighth, eighth)]
-        (made,), read, _ = self._harness_ball_builds(monkeypatch, tent(16), grid)
-        assert {r for _, r in read} == {eighth, quarter}
+        system = tent(16)
+        (made,), read, _ = self._harness_ball_builds(monkeypatch, system, grid)
+        assert {b for _, b in read} == {system._bound(eighth), system._bound(quarter)}
         assert sorted(made) == sorted(read)
 
     def test_a_decision_without_a_search_builds_the_delta_balls_it_reads(self, monkeypatch):
@@ -951,7 +954,8 @@ class TestBallTables:
         monkeypatch.setattr(shadow_mod, "_explore", searches)
         (made,), read, _ = self._harness_ball_builds(monkeypatch, system, grid)
         assert sorted(made) == sorted(read)
-        assert sorted(p for p, r in made if r == Fraction(1, 8)) == sorted(set(system.map))
+        bound = system._bound(Fraction(1, 8))
+        assert sorted(p for p, b in made if b == bound) == sorted(set(system.map))
         assert searches.call_count == 0
 
     @staticmethod
@@ -990,7 +994,7 @@ class TestBallTables:
         maps = self._record_translation_runs(monkeypatch)
         (first, second), read, reports = self._harness_ball_builds(monkeypatch, system, runs=2)
         assert read and sorted(first) == sorted(read)
-        assert system.min_gap / 2 not in {r for _, r in first}
+        assert system._bound(system.min_gap / 2) not in {b for _, b in first}
         assert second == []
         assert maps == [system.map]
         assert reports[0] == reports[1]

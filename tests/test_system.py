@@ -361,11 +361,11 @@ class TestValidation:
     @given(metric_systems())
     @settings(max_examples=40)
     def test_packed_flags_on_a_stretched_metric(self, system):
-        rows = [list(row) for row in system._table.rows]
+        rows = [list(row) for row in system._metric.rows]
         if system.n > 1:
             rows[0][1] = rows[1][0] = 3 * max(map(max, rows))
         rows = tuple(map(tuple, rows))
-        table = system_mod._Table(rows, system._table.denominator)
+        table = system_mod._Table(rows, system._metric.denominator)
         assert list(system_mod._triangle_pairs(table)) == scalar_triangle_pairs(rows)
 
     def test_empty_table_has_no_violations(self):
@@ -543,7 +543,7 @@ class TestDistanceOrder:
         radii = [Fraction(0), *sweep_values(system), system.diameter + 1]
         for p in system.points:
             row = system.dist[p]
-            order = list(system.nearest_first(p))
+            order = list(system._metric.nearest_first[p])
             assert sorted(order) == list(system.points)
             assert [row[q] for q in order] == sorted(row)
             for r in radii:
@@ -551,10 +551,11 @@ class TestDistanceOrder:
                 assert to_frozenset(system.ball(p, r)) == expected
 
     def test_nearest_first_is_read_only(self):
-        system = rotation(4, 1)
-        assert list(system.nearest_first(0)) == [0, 1, 3, 2]
+        system = validate_system(rotation(4, 1).to_spec())
+        order = system._metric.nearest_first
+        assert list(order[0]) == [0, 1, 3, 2]
         with pytest.raises(TypeError):
-            system.nearest_first(0)[0] = 2
+            order[0] = order[1]
         assert system.ball(0, Fraction(1, 4)) == 0b1011
 
     @pytest.mark.parametrize("p", [-1, 4, 1.0, True, "0"])
@@ -562,8 +563,6 @@ class TestDistanceOrder:
         system = rotation(4, 1)
         with pytest.raises(BadParams, match="point index out of range"):
             system.ball(p, Fraction(1, 4))
-        with pytest.raises(BadParams, match="point index out of range"):
-            system.nearest_first(p)
 
     @pytest.mark.parametrize("p", [-1, 4, 1.0, True, "0"])
     @pytest.mark.parametrize(
@@ -713,11 +712,12 @@ def reference_queries(dist, fmap, radii):
 
 
 def queries(system, radii):
+    table = system_mod._Table(system._metric.rows, system._metric.denominator)
     return (
         system.distance_values,
         system.diameter,
         system.functional_threshold,
-        [list(system.nearest_first(p)) for p in system.points],
+        [list(table.nearest_first[p]) for p in system.points],
         [[to_frozenset(system.ball(p, r)) for r in radii] for p in system.points],
     )
 
@@ -739,18 +739,18 @@ class TestIntegerTables:
         # integer table is the Fraction table over its least common
         # denominator.
         entries = [v for row in system.dist for v in row]
-        ints = [v for row in system._table.rows for v in row]
+        ints = [v for row in system._metric.rows for v in row]
         assert all(type(v) is Fraction for v in entries)
         assert len({id(v) for v in entries}) == len(set(entries))
         assert len({id(v) for v in ints}) == len(set(ints))
-        table = system._table
+        table = system._metric
         assert (table.rows, table.denominator) == system_mod._over_common_denominator(system.dist)
         radii = _radii(system.dist)
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
     def test_the_widest_accepted_table_answers_as_its_fractions(self):
         system = make_system(*widest_table())
-        assert system._table.denominator.bit_length() == 1024
+        assert system._metric.denominator.bit_length() == 1024
         radii = _radii(system.dist)
         assert queries(system, radii) == reference_queries(system.dist, system.map, radii)
 
@@ -799,7 +799,9 @@ class TestOneTable:
             system.n, system.dist, system.map, system.invertible, system.quantization
         )
         assert again == system and hash(again) == hash(system)
-        assert again._table == system._table
+        assert (again._metric.rows, again._metric.denominator) == (
+            system._metric.rows, system._metric.denominator
+        )
 
     @_each_generator(("direct", FiniteMetricSystem(3, [[0, 2, 1], [2, 0, 1], [1, 1, 0]], [0, 0, 1])))
     def test_the_view_shares_one_fraction_per_value(self, system):
@@ -823,7 +825,7 @@ def no_view(monkeypatch):
     def refuse(positions):
         raise AssertionError("the table view was built")
 
-    monkeypatch.setattr(system_mod._Positions, "table", property(refuse))
+    monkeypatch.setattr(system_mod._Positions, "rows", property(refuse))
 
 
 class TestPositions:
@@ -873,7 +875,7 @@ class TestPositions:
         def refuse(system):
             raise AssertionError("the distance values were listed")
 
-        monkeypatch.setattr(FiniteMetricSystem, "_distance_ints", property(refuse))
+        monkeypatch.setattr(system_mod._Positions, "distance_ints", property(refuse))
         system = parse_generator_string(gen)
         least = system.min_gap
         for delta, eps in [(0, 0), (least / 2, 0), (0, least / 2), (least / 2, least / 2)]:
@@ -882,7 +884,7 @@ class TestPositions:
                 assert verdict.passed and verdict.states_explored == system.n
             states = reachable_states(system, delta, eps)
             assert states == [(p, 1 << p) for p in system.points]
-        assert "table" not in vars(system._positions)
+        assert "rows" not in vars(system._metric)
         argv = ["shadow", "--gen", gen, "--delta", str(least / 2), "--eps", str(least / 2)]
         for prop in ("shadowing", "slimit"):
             assert cli.main([*argv, "--property", prop]) == 0
@@ -899,7 +901,8 @@ class TestPositions:
     def test_the_json_round_trip_is_an_equal_system(self, gen):
         system = parse_generator_string(gen)
         again = validate_system(json.loads(json.dumps(system.to_spec())))
-        assert again._positions is None and system._positions is not None
+        assert isinstance(again._metric, system_mod._Table)
+        assert isinstance(system._metric, system_mod._Positions)
         assert again == system and hash(again) == hash(system)
 
     @pytest.mark.parametrize(
@@ -922,8 +925,8 @@ class TestPositions:
     @_each_generator()
     def test_d_is_the_table_entry_and_builds_no_view(self, system):
         values = [[system.d(p, q) for q in system.points] for p in system.points]
-        if system._positions is not None:
-            assert "table" not in vars(system._positions)
+        if isinstance(system._metric, system_mod._Positions):
+            assert "rows" not in vars(system._metric)
         assert values == [list(row) for row in system.dist]
 
     def test_a_pseudo_orbit_check_builds_no_view(self):
@@ -932,7 +935,18 @@ class TestPositions:
         step = Fraction(1, 4096)
         assert validate_pseudo_orbit(system, PseudoOrbit.plain([0, 2, 4], step))
         assert first_violation(system, PseudoOrbit.plain([0, 3], step)) == (0, 2 * step, step)
-        assert "table" not in vars(system._positions)
+        assert "rows" not in vars(system._metric)
+
+    @pytest.mark.parametrize("gen", ["rotation:4096:1", "north-south:4096"])
+    def test_hausdorff_distance_builds_no_view(self, no_view, gen):
+        """Two small sets are compared through point distances."""
+        system = parse_generator_string(gen)
+        a, b = {0, 1, 2}, {100, 2000}
+        expected = max(
+            max(min(system.d(x, y) for y in b) for x in a),
+            max(min(system.d(x, y) for x in a) for y in b),
+        )
+        assert hausdorff_distance(system, a, b) == expected
 
 
 class TestGenerators:
@@ -1375,7 +1389,7 @@ def test_a_replaced_table_is_rebuilt():
     assert wide.dist[0][1] == Fraction(1, 2) and wide.diameter == 1
     assert wide.ball(0, Fraction(1, 4)) == 0b1
     assert wide.ball(0, Fraction(1, 2)) == 0b1011
-    assert replace(system, map=(0, 1, 2, 3))._table is system._table
+    assert replace(system, map=(0, 1, 2, 3))._metric is system._metric
 
 
 def _fraction_or_bad(text: str):

@@ -412,7 +412,7 @@ class TestSharedAnswers:
         ans = verify_mod._Answers(rotation(6, 2), None)
         inverse = ans.reversed()
         assert inverse is not ans and inverse.system.map != ans.system.map
-        assert inverse.system._table is ans.system._table
+        assert inverse.system._metric is ans.system._metric
 
     @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
     @pytest.mark.parametrize(
