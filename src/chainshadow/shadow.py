@@ -464,10 +464,11 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     in that order, from one BFS over one ball table per radius. The balls
     come from the system's own memo (``system._balls``), so a ball built by
     an earlier search on the same system is read, not rebuilt. The BFS
-    reads the delta table only at the images f(p), so at delta != eps it is
-    built only there. ``exact=False`` is ``_explore``'s witness mode: the
-    same verdicts, witnesses and cap outcomes, but a failing verdict counts
-    the states visited where the search stopped. The orbit search below is
+    reads the delta table only at the images f(p), so it is taken only
+    there; at delta = eps it reads the eps table's cached balls.
+    ``exact=False`` is ``_explore``'s witness mode: the same verdicts,
+    witnesses and cap outcomes, but a failing verdict counts the states
+    visited where the search stopped. The orbit search below is
     always exact.
 
     A check of the whole of a system that the shift i -> i + 1 maps onto
@@ -487,10 +488,7 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
         count, found = _explore_orbits(system, step, delta, eps, props, state_cap)
     else:
         balls = system._balls(eps, dmask, dmask)
-        if delta == eps:
-            succ_balls = balls
-        else:
-            succ_balls = system._balls(delta, system._image(dmask), dmask)
+        succ_balls = system._balls(delta, system._image(dmask), dmask)
         asymp = _asymp_masks(system, balls) if "slimit" in props else None
         tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
         states, found = _explore(

@@ -126,18 +126,22 @@ class _Table:
 
 class _Positions:
     """Where a positioned generator puts its points: point p at
-    ``at[p] / denominator`` on [0, 1], or on the circle of length 1, whose
-    arc-length metric takes the shorter way round. The integer table these
-    stand for is built on its first read (``rows``); every other query of
-    ``_Table`` is read off the sorted positions."""
+    ``at[p] / denominator`` on the circle of length ``circumference /
+    denominator``, whose arc-length metric takes the shorter way round. The
+    circle of length 1 has ``circumference == denominator``. The line
+    [0, 1] is the circle of length 2: two of its points are at most half-way
+    round apart the direct way, so the shorter arc is |x - y|, and one
+    metric serves both. The integer table these stand for is built on its
+    first read (``rows``); every other query of ``_Table`` is read off the
+    sorted positions."""
 
-    def __init__(self, at: tuple[int, ...], denominator: int, circle: bool):
-        self.at, self.denominator, self.circle = at, denominator, circle
+    def __init__(self, at: tuple[int, ...], denominator: int, circumference: int):
+        self.at, self.denominator, self.circumference = at, denominator, circumference
 
     def between(self, x: int, y: int) -> int:
         """The distance between the positions x and y, times the denominator."""
         gap = abs(x - y)
-        return min(gap, self.denominator - gap) if self.circle else gap
+        return min(gap, self.circumference - gap)
 
     def distance(self, i: int, j: int) -> int:
         """The distance between the points i and j, times the denominator."""
@@ -170,31 +174,25 @@ class _Positions:
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
-        """The distance from each position to the next in position order,
-        and on the circle from the last to the first, times the
-        denominator."""
-        return tuple(self.between(x, y) for x, y in self.neighbours(self.ascending))
-
-    def neighbours(self, items: list) -> zip:
-        """Each item beside the next one: ``items`` are in position order, and
-        on the circle the last is beside the first."""
-        return zip(items, items[1:] + items[:1] if self.circle else items[1:])
+        """The distance from each position to the next in position order, and
+        from the last to the first, times the denominator. On a line that
+        last pair is its two ends, at least as far apart as any neighbours."""
+        xs = self.ascending
+        return tuple(map(self.between, xs, xs[1:] + xs[:1]))
 
     def arcs(self, p: int, bound: int) -> tuple[tuple[int, int], ...]:
         """Every point within ``bound`` (a distance times the denominator) of
-        p, as (lo, hi) ranges of position order, ascending: one on the line,
-        and on the circle two where the ball crosses position 0."""
-        xs, a, unit = self.ascending, self.at[p], self.denominator
-        if not self.circle:
-            return ((bisect_left(xs, a - bound), bisect_right(xs, a + bound)),)
-        # Every arc-length distance is at most unit / 2.
-        if bound + bound >= unit:
+        p, as (lo, hi) ranges of position order, ascending: two where the
+        ball crosses position 0, one otherwise."""
+        xs, a, full = self.ascending, self.at[p], self.circumference
+        # Every arc-length distance is at most full / 2.
+        if bound + bound >= full:
             return ((0, len(xs)),)
         lo, hi = a - bound, a + bound
         if lo < 0:
-            return ((0, bisect_right(xs, hi)), (bisect_left(xs, lo + unit), len(xs)))
-        if hi >= unit:
-            return ((0, bisect_right(xs, hi - unit)), (bisect_left(xs, lo), len(xs)))
+            return ((0, bisect_right(xs, hi)), (bisect_left(xs, lo + full), len(xs)))
+        if hi >= full:
+            return ((0, bisect_right(xs, hi - full)), (bisect_left(xs, lo), len(xs)))
         return ((bisect_left(xs, lo), bisect_right(xs, hi)),)
 
     def ball(self, p: int, bound: int) -> int:
@@ -217,14 +215,14 @@ class _Positions:
     def separations(self, class_index, least: list) -> None:
         """Lower ``least[i]`` to the least distance from class i to another.
         Between the points of two classes, the least distance is met at two
-        that are neighbours in position order among the points in some
-        class."""
+        that are neighbours in position order, the last beside the first,
+        among the points in some class."""
         held = [
             (x, class_index[p])
             for x, p in zip(self.ascending, self.order)
             if class_index[p] is not None
         ]
-        for (x, i), (y, j) in self.neighbours(held):
+        for (x, i), (y, j) in zip(held, held[1:] + held[:1]):
             if i != j:
                 d = self.between(x, y)
                 least[i] = min(least[i], d)
@@ -234,42 +232,40 @@ class _Positions:
         """Whether i -> i + 1 mod n is an isometry: on at most two points, as
         is every table of at most two points, or when the points go round
         the circle in index order with equal steps, so that the shift is a
-        rotation. A line of three or more points has one farthest pair,
-        which a shift of order n >= 3 cannot map onto itself.
+        rotation. Three or more points of a line lie within half its circle,
+        so they never go round with equal steps.
         ``tests/positions_scope.py`` checks this rule against the table on
         every positioned generator."""
-        at, unit = self.at, self.denominator
-        steps = {(b - a) % unit for a, b in zip(at, at[1:] + at[:1])}
-        return len(at) <= 2 or self.circle and len(steps) == 1
+        at, full = self.at, self.circumference
+        steps = {(b - a) % full for a, b in zip(at, at[1:] + at[:1])}
+        return len(at) <= 2 or len(steps) == 1
 
     @cached_property
     def distance_ints(self) -> tuple[int, ...]:
         """The distinct positive distances times the denominator, ascending:
-        the gaps between sorted positions, folded on the circle. About
-        n**2 / 2 of them are read, as on a table."""
+        the gaps between sorted positions, each taken the shorter way round
+        when the positions span more than half the circle (as no line's
+        do). About n**2 / 2 of them are read, as on a table."""
         xs = self.ascending
         gaps: set[int] = set()
         for step in range(1, len(xs)):
             gaps.update(map(sub, xs[step:], xs))
-        if self.circle:
+        if 2 * (xs[-1] - xs[0]) > self.circumference:
             gaps = {self.between(0, g) for g in gaps}
         return tuple(sorted(gaps))
 
     @cached_property
     def least_distance(self) -> int:
-        """The least gap between neighbours in position order, the circle's
-        wrap included, on two or more points."""
+        """The least gap between neighbours in position order, the last and
+        the first included, on two or more points."""
         return min(self.gaps)
 
     def nearest_other(self, targets) -> int:
         """The least distance from a point of ``targets`` to another point,
         on two or more points: the nearest other point is a neighbour in
-        position order."""
+        position order, the last beside the first."""
         gaps = self.gaps
-        # The gaps before and after each position; a line's ends have one.
-        before = gaps[-1:] + gaps[:-1] if self.circle else gaps[:1] + gaps
-        after = gaps if self.circle else gaps + gaps[-1:]
-        nearest = dict(zip(self.order, map(min, before, after)))
+        nearest = dict(zip(self.order, map(min, gaps[-1:] + gaps[:-1], gaps)))
         return min(nearest[t] for t in targets)
 
     @cached_property
@@ -278,11 +274,11 @@ class _Positions:
         rows hold one shared int per distinct value, and the denominator is
         the least common denominator of the table when one position is 0
         and the positions have no factor in common with it."""
-        at, unit, circle = self.at, self.denominator, self.circle
+        at, full = self.at, self.circumference
 
         def row(a: int) -> list[int]:
             gaps = [abs(a - b) for b in at]
-            return [g if g + g <= unit else unit - g for g in gaps] if circle else gaps
+            return [g if g + g <= full else full - g for g in gaps]
 
         ints: dict[int, int] = {}
         return tuple(tuple(map(ints.setdefault, gaps, gaps)) for gaps in map(row, at))
@@ -761,13 +757,14 @@ def load_system(path) -> FiniteMetricSystem:
 def _points_system(
     positions, unit: int, circle: bool, fmap, quantization=None
 ) -> FiniteMetricSystem:
-    """The points positions[i] / unit of [0, 1], or of the circle of length
-    1, with the line or arc-length metric; invertible when ``fmap`` is a
-    bijection. No table is built until one is read (``_Positions.rows``)."""
+    """The points positions[i] / unit of the circle of length 1, or of
+    [0, 1], the circle of length 2 under its arc-length metric; invertible
+    when ``fmap`` is a bijection. No table is built until one is read
+    (``_Positions.rows``)."""
     fmap = tuple(fmap)
     return FiniteMetricSystem(
         len(fmap), map=fmap, invertible=len(set(fmap)) == len(fmap), quantization=quantization,
-        _metric=_Positions(tuple(positions), unit, circle),
+        _metric=_Positions(tuple(positions), unit, unit if circle else 2 * unit),
     )
 
 

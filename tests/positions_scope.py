@@ -26,7 +26,8 @@ view, the one the smaller sizes check. Past ``EVERY_VALUE`` distance
 values, ``SAMPLED`` of them spread from the least to the largest stand in
 for all.
 
-``test_positions_scope.py`` runs every size up to 32. Run it as a script,
+``test_positions_scope.py`` runs every size up to 32, and ``compare`` on
+seeded random positions on the line and the circle. Run it as a script,
 with the package installed or ``src`` on ``PYTHONPATH``, for every size up
 to N (``python tests/positions_scope.py 64``) or at given sizes only
 (``python tests/positions_scope.py --only 255 256 1023 1024``).

@@ -83,6 +83,19 @@ MALFORMED_FILES = [
 ]
 
 
+# Files with a key missing or unknown, and the message that names the keys.
+KEY_FAULTS = [
+    ({"n": 2, "dist": [[0, 1], [1, 0]]}, "system spec missing keys: ['map']"),
+    ({"n": 2, "map": [1, 0]}, "system spec missing keys: ['dist']"),
+    ({"map": [1, 0]}, "system spec missing keys: ['dist', 'n']"),
+    ({"generator": "rotation", "params": {"n": 4}}, "rotation: missing params ['k']"),
+    ({"generator": "tent", "params": {}}, "tent: missing params ['cells']"),
+    ({"generator": "rotation", "params": {"n": 4, "k": 1, "m": 2}},
+     "rotation: unknown params ['m']"),
+    ({"generator": "parallel-cycles", "params": {"n": 5}}, "parallel-cycles: unknown params ['n']"),
+]
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("command", ["analyze", "shadow", "verify"])
     @pytest.mark.parametrize("spec", MALFORMED_FILES, ids=json.dumps)
@@ -93,6 +106,16 @@ class TestMalformedFiles:
         assert code == 2 and out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "shadow", "verify"])
+    @pytest.mark.parametrize(
+        "spec, message", KEY_FAULTS, ids=[json.dumps(spec) for spec, _ in KEY_FAULTS]
+    )
+    def test_exits_2_naming_the_keys(self, capsys, tmp_path, command, spec, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, command, "--file", str(bad), *COMMAND_ARGS[command])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestAnalyze:

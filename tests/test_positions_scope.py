@@ -1,17 +1,60 @@
-"""Every positioned generator on at most 32 points: the answers read off its
-sorted positions against its table."""
+"""Every positioned generator on at most 32 points, and seeded random
+positions on the line and the circle: the answers read off the sorted
+positions against a table."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from positions_scope import positions_scope, radii, systems
+import pytest
+from positions_scope import compare, positions_scope, radii, systems
 
-from chainshadow import rotation
+from chainshadow import make_system, rotation
+from chainshadow.system import _points_system
+
+RANDOM_SYSTEMS = 100
 
 
 def test_every_positioned_generator_agrees_with_its_table():
     assert positions_scope(range(1, 33)) > 0
+
+
+def random_positions(rng: random.Random, n: int, circle: bool) -> tuple[list[int], int]:
+    """n distinct positions over a denominator, shuffled, and the
+    denominator. 0 and 1 are among them, so the table's least common
+    denominator is the denominator; on the line, so is the denominator
+    itself, the point 1 of [0, 1]."""
+    if circle:
+        unit = rng.randint(n, 4 * n)
+        fixed = [0, 1]
+    else:
+        unit = 1 if n == 2 else rng.randint(n - 1, 4 * n)
+        fixed = sorted({0, 1, unit})
+    positions = fixed + rng.sample(range(2, unit), n - len(fixed))
+    rng.shuffle(positions)
+    return positions, unit
+
+
+@pytest.mark.parametrize("circle", [False, True], ids=["line", "circle"])
+def test_random_positions_agree_with_their_table(circle):
+    rng = random.Random(f"random positions, circle={circle}")
+    compared = 0
+    for _ in range(RANDOM_SYSTEMS):
+        n = rng.randint(2, 24)
+        positions, unit = random_positions(rng, n, circle)
+        fmap = rng.sample(range(n), n) if rng.random() < 0.3 else rng.choices(range(n), k=n)
+        system = _points_system(positions, unit, circle, fmap)
+
+        def distance(x: int, y: int) -> Fraction:
+            gap = abs(x - y)
+            return Fraction(min(gap, unit - gap) if circle else gap, unit)
+
+        rows = [[distance(x, y) for y in positions] for x in positions]
+        table = make_system(rows, fmap, invertible=len(set(fmap)) == n)
+        assert table._metric.denominator == unit
+        compared += compare(f"{positions} over {unit}", system, table)
+    assert compared > 0
 
 
 def test_the_systems_and_radii():

@@ -315,6 +315,9 @@ class TestPseudoOrbit:
             PseudoOrbit.from_json({"points": [0], "kind": "wavy", "delta": "1"})
         with pytest.raises(BadParams):
             PseudoOrbit.from_json({"points": [0], "kind": "eventually_exact", "delta": "1"})
+        for kind in ({}, {"kind": "plain"}):
+            with pytest.raises(BadParams, match="plain orbits take no tail_start"):
+                PseudoOrbit.from_json({"points": [0], "delta": "1", "tail_start": 0, **kind})
 
 
 class TestValidation:

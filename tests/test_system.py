@@ -811,6 +811,13 @@ class TestOneTable:
         assert system.diameter is max(entries)
         assert all(system.d(p, q) is system.dist[p][q] for p in system.points for q in system.points)
 
+    @pytest.mark.parametrize("other", [None, 4, "rotation:4:1", rotation(4, 1).to_spec()], ids=repr)
+    def test_a_system_is_unequal_to_a_non_system(self, other):
+        system = rotation(4, 1)
+        assert system.__eq__(other) is NotImplemented
+        assert system != other and other != system
+        assert "dist" not in vars(system)
+
     def test_the_view_is_read_only(self):
         system = rotation(4, 1)
         with pytest.raises(AttributeError):
