@@ -67,9 +67,10 @@ class ChainDecomposition:
     def is_initial(self, i: int) -> bool:
         return self.class_above[check_int("class index", i, 0, len(self.classes) - 1)] == 0
 
-    def is_isolated(self, i: int, r: Fraction) -> bool:
+    def is_isolated(self, i: int, r) -> bool:
         """Whether class i lies farther than r from every other class."""
         sep = self.separation[check_int("class index", i, 0, len(self.classes) - 1)]
+        r = parse_nonnegative(r)
         return sep is None or sep > r
 
     def terminal_classes(self) -> tuple[int, ...]:

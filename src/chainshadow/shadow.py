@@ -90,7 +90,9 @@ class PseudoOrbit:
         return PLAIN if self.tail_start is None else EVENTUALLY_EXACT
 
     def errors(self, system: FiniteMetricSystem) -> tuple[Fraction, ...]:
-        """Step errors d(f(x_i), x_{i+1}) along the stored sequence."""
+        """Step errors d(f(x_i), x_{i+1}) along the stored sequence; BadParams
+        unless every point is a point of ``system``."""
+        check_points(system, self.points)
         pts = self.points
         return tuple(system.d(system.map[x], y) for x, y in zip(pts, pts[1:]))
 
@@ -134,7 +136,6 @@ class OrbitViolation(NamedTuple):
 
 def first_violation(system: FiniteMetricSystem, po: PseudoOrbit) -> OrbitViolation | None:
     """First step breaking the orbit's own error bounds, if any."""
-    check_points(system, po.points)
     zero = Fraction(0)
     for i, err in enumerate(po.errors(system)):
         if po.tail_start is not None and i >= po.tail_start:

@@ -112,17 +112,6 @@ class _Table:
         """The distinct positive distances times the denominator, ascending."""
         return tuple(sorted(set().union(*(row[:i] for i, row in enumerate(self.rows)))))
 
-    @cached_property
-    def least_distance(self) -> int:
-        """The least entry below the diagonal, on two or more points."""
-        return min(min(row[:i]) for i, row in enumerate(self.rows) if i)
-
-    def nearest_other(self, targets) -> int:
-        """The least distance from a point of ``targets`` to another point,
-        on two or more points."""
-        rows = self.rows
-        return min(min(chain(rows[t][:t], rows[t][t + 1 :])) for t in targets)
-
 
 class _Positions:
     """Where a positioned generator puts its points: point p at
@@ -171,14 +160,6 @@ class _Positions:
         for p in self.order:
             masks.append(masks[-1] | 1 << p)
         return masks
-
-    @cached_property
-    def gaps(self) -> tuple[int, ...]:
-        """The distance from each position to the next in position order, and
-        from the last to the first, times the denominator. On a line that
-        last pair is its two ends, at least as far apart as any neighbours."""
-        xs = self.ascending
-        return tuple(map(self.between, xs, xs[1:] + xs[:1]))
 
     def arcs(self, p: int, bound: int) -> tuple[tuple[int, int], ...]:
         """Every point within ``bound`` (a distance times the denominator) of
@@ -253,20 +234,6 @@ class _Positions:
         if 2 * (xs[-1] - xs[0]) > self.circumference:
             gaps = {self.between(0, g) for g in gaps}
         return tuple(sorted(gaps))
-
-    @cached_property
-    def least_distance(self) -> int:
-        """The least gap between neighbours in position order, the last and
-        the first included, on two or more points."""
-        return min(self.gaps)
-
-    def nearest_other(self, targets) -> int:
-        """The least distance from a point of ``targets`` to another point,
-        on two or more points: the nearest other point is a neighbour in
-        position order, the last beside the first."""
-        gaps = self.gaps
-        nearest = dict(zip(self.order, map(min, gaps[-1:] + gaps[:-1], gaps)))
-        return min(nearest[t] for t in targets)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -475,11 +442,20 @@ class FiniteMetricSystem:
             return None
         return k if self._metric.shift_invariant() else None
 
-    @property
+    @cached_property
+    def _nearest(self) -> list:
+        """Per point, the distance to its nearest other point times the
+        denominator (inf on one point): the separations of the classes that
+        hold one point each."""
+        nearest = [math.inf] * self.n
+        self._metric.separations(range(self.n), nearest)
+        return nearest
+
+    @cached_property
     def _least_distance(self) -> int | None:
         """The least distance between two points times the denominator, None
         on one point."""
-        return None if self.n < 2 else self._metric.least_distance
+        return None if self.n < 2 else min(self._nearest)
 
     @cached_property
     def diameter(self) -> Fraction:
@@ -506,7 +482,8 @@ class FiniteMetricSystem:
         """
         if self.n < 2:
             return None
-        return self._values[self._metric.nearest_other(set(self.map))]
+        nearest = self._nearest
+        return self._values[min(nearest[t] for t in set(self.map))]
 
     def to_spec(self) -> dict:
         """Explicit JSON-ready description (rationals as strings), with a

@@ -10,7 +10,10 @@ metric does, and both systems alike:
 
 - the metrics' ``distance_ints`` and ``shift_invariant()``; the systems'
   ``min_gap``, ``diameter``, ``functional_threshold`` and
-  ``_rotation_step``, and equal systems with equal hashes;
+  ``_rotation_step``, and equal systems with equal hashes (``min_gap`` and
+  ``functional_threshold`` read each metric's separations of one-point
+  classes, so ``tests/test_system.py`` also checks them against pairwise
+  minima);
 - at radius 0, at every distance value v, at v / 2 and at 3v / 2, and past
   the diameter: every point's ball mask and the successor tuples;
 - the separations of the classes of the delta graph at each of those
@@ -27,7 +30,7 @@ values, ``SAMPLED`` of them spread from the least to the largest stand in
 for all.
 
 ``test_positions_scope.py`` runs every size up to 32, and ``compare`` on
-seeded random positions on the line and the circle. Run it as a script,
+seeded random positions on the line and the circle (``random_positions``). Run it as a script,
 with the package installed or ``src`` on ``PYTHONPATH``, for every size up
 to N (``python tests/positions_scope.py 64``) or at given sizes only
 (``python tests/positions_scope.py --only 255 256 1023 1024``).
@@ -74,6 +77,22 @@ def systems(n: int):
     depth = n.bit_length() - 1
     if n == 2**depth and depth <= 10:
         yield f"cantor-identity:{depth}", cantor_identity(depth)
+
+
+def random_positions(rng: random.Random, n: int, circle: bool) -> tuple[list[int], int]:
+    """n distinct positions over a denominator, shuffled, and the
+    denominator. 0 and 1 are among them, so the table's least common
+    denominator is the denominator; on the line, so is the denominator
+    itself, the point 1 of [0, 1]."""
+    if circle:
+        unit = rng.randint(n, 4 * n)
+        fixed = [0, 1]
+    else:
+        unit = 1 if n == 2 else rng.randint(n - 1, 4 * n)
+        fixed = sorted({0, 1, unit})
+    positions = fixed + rng.sample(range(2, unit), n - len(fixed))
+    rng.shuffle(positions)
+    return positions, unit
 
 
 def on_the_table(system) -> FiniteMetricSystem:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from positions_scope import compare, positions_scope, radii, systems
+from positions_scope import compare, positions_scope, radii, random_positions, systems
 
 from chainshadow import make_system, rotation
 from chainshadow.system import _points_system
@@ -18,22 +18,6 @@ RANDOM_SYSTEMS = 100
 
 def test_every_positioned_generator_agrees_with_its_table():
     assert positions_scope(range(1, 33)) > 0
-
-
-def random_positions(rng: random.Random, n: int, circle: bool) -> tuple[list[int], int]:
-    """n distinct positions over a denominator, shuffled, and the
-    denominator. 0 and 1 are among them, so the table's least common
-    denominator is the denominator; on the line, so is the denominator
-    itself, the point 1 of [0, 1]."""
-    if circle:
-        unit = rng.randint(n, 4 * n)
-        fixed = [0, 1]
-    else:
-        unit = 1 if n == 2 else rng.randint(n - 1, 4 * n)
-        fixed = sorted({0, 1, unit})
-    positions = fixed + rng.sample(range(2, unit), n - len(fixed))
-    rng.shuffle(positions)
-    return positions, unit
 
 
 @pytest.mark.parametrize("circle", [False, True], ids=["line", "circle"])

@@ -1,5 +1,6 @@
 """Source checks that no linter makes here: every module-level import in
-``src/chainshadow`` and in ``tests`` is read by its module."""
+``src/chainshadow`` and in ``tests`` is read by its module, and a system
+asks its metric only the queries that both metrics answer."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import chainshadow
+from chainshadow import system
 
 MODULES = sorted(
     p for p in Path(chainshadow.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -46,3 +48,41 @@ def test_every_import_is_read(path):
 def test_an_unread_import_is_caught():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unread_imports(source) == ["os", "a"]
+
+
+# The queries that a system asks of its metric, ``_Table`` or ``_Positions``.
+METRIC_INTERFACE = (
+    "distance",
+    "ball",
+    "successors",
+    "separations",
+    "shift_invariant",
+    "distance_ints",
+    "rows",
+    "denominator",
+)
+
+
+def metric_reads(source: str) -> set[str]:
+    """The names read as ``<expr>._metric.<name>`` in a module."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "_metric"
+    }
+
+
+@pytest.mark.parametrize(
+    "metric", [system._Table(((0,),), 1), system._Positions((0,), 1, 2)], ids=["table", "positions"]
+)
+def test_each_metric_answers_the_interface(metric):
+    assert [name for name in METRIC_INTERFACE if not hasattr(metric, name)] == []
+
+
+def test_a_system_reads_only_the_interface_of_its_metric():
+    reads = set().union(*(metric_reads(path.read_text()) for path in MODULES))
+    assert reads - set(METRIC_INTERFACE) == set()
+    source = "x.y._metric.rows\nz._metric.ball(0, 1)\n_metric.ball\n"
+    assert metric_reads(source) == {"rows", "ball"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import tracemalloc
 from bisect import bisect_left
@@ -55,6 +56,7 @@ from chainshadow.bits import to_frozenset
 from chainshadow.rational import check_collection, parse_int
 from conftest import metric_systems, sweep_values, widest_table
 from corpus import shortest_path_metric, standard_corpus
+from positions_scope import random_positions, systems
 from small_scope import reachable_states
 
 
@@ -956,6 +958,61 @@ class TestPositions:
         assert hausdorff_distance(system, a, b) == expected
 
 
+def assert_nearest(system) -> None:
+    """``min_gap``, ``_least_distance`` and ``functional_threshold`` against
+    pairwise minima of d(i, j); all None on one point."""
+    least = scaled = threshold = None
+    if system.n > 1:
+        nearest = [min(system.d(p, q) for q in system.points if q != p) for p in system.points]
+        least, threshold = min(nearest), min(nearest[t] for t in set(system.map))
+        scaled = least * system._metric.denominator
+    assert (system.min_gap, system._least_distance, system.functional_threshold) == (
+        least, scaled, threshold
+    )
+
+
+class TestNearestPoints:
+    """The least distance and the functional threshold, read from the
+    separations of one-point classes, against pairwise minima."""
+
+    def test_the_corpus(self):
+        for _, system in standard_corpus():
+            assert_nearest(system)
+
+    def test_every_generator_up_to_16_points(self):
+        for n in range(1, 17):
+            for _, system in systems(n):
+                assert_nearest(system)
+
+    @pytest.mark.parametrize("circle", [False, True], ids=["line", "circle"])
+    def test_random_positions(self, circle):
+        """Circle positions are turned by a random angle, so the nearest
+        pair may lie across position 0, and each map's image is a random
+        subset of the points, at times one point."""
+        rng = random.Random(f"nearest points, circle={circle}")
+        for _ in range(100):
+            n = rng.randint(2, 24)
+            positions, unit = random_positions(rng, n, circle)
+            if circle:
+                turn = rng.randrange(unit)
+                positions = [(x + turn) % unit for x in positions]
+            fmap = rng.choices(rng.sample(range(n), rng.randint(1, n)), k=n)
+            assert_nearest(system_mod._points_system(positions, unit, circle, fmap))
+
+    @given(metric_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_tables(self, system):
+        assert_nearest(system)
+
+    def test_an_asymmetric_table_takes_the_least_entry_of_any_row(self):
+        """A direct system skips the axiom checks. Below its least distance
+        every ball is {p}, and a ball reads a row, so the least distance is
+        the least entry off the diagonal of any row."""
+        system = FiniteMetricSystem(2, [[0, 1], [5, 0]], (1, 1))
+        assert system.min_gap == 1 and system.functional_threshold == 5
+        assert system.ball(0, 1) == 0b11
+
+
 class TestGenerators:
     def test_cantor_level_one(self):
         system = cantor_identity(1)
@@ -1259,6 +1316,13 @@ def _ns6_classes():
         lambda: validate_system({"n": 2, "dist": _ROWS, "map": [1, 0], "quantization": 0.5}),
         lambda: validate_system({"n": 2, "dist": _ROWS, "map": [1, 0], "quantization": "-1/2"}),
         lambda: validate_system({"generator": "tent", "params": [4], "quantization": "1/8"}),
+        lambda: _ns6_classes().is_isolated(0, 0.5),
+        lambda: _ns6_classes().is_isolated(0, True),
+        lambda: _ns6_classes().is_isolated(0, -1),
+        lambda: _ns6_classes().is_isolated(0, "x"),
+        lambda: decompose(build_delta_graph(rotation(4, 1), 0)).is_isolated(0, "x"),
+        lambda: decompose(build_delta_graph(rotation(4, 1), 0)).is_isolated(0, -1),
+        lambda: PseudoOrbit((99, 0), 1).errors(north_south(8)),
     ],
     ids=[
         "grid-pair",
@@ -1335,6 +1399,13 @@ def _ns6_classes():
         "spec-float-quantization",
         "spec-negative-quantization",
         "spec-generator-quantization",
+        "isolated-float-radius",
+        "isolated-bool-radius",
+        "isolated-negative-radius",
+        "isolated-text-radius",
+        "one-class-isolated-text-radius",
+        "one-class-isolated-negative-radius",
+        "pseudo-orbit-errors-point-past-end",
     ],
 )
 def test_malformed_arguments_raise_bad_params(call):
@@ -1385,6 +1456,11 @@ def test_rational_strings_are_valid_arguments():
     ]
     system = FiniteMetricSystem(2, _ROWS, (1, 0), quantization="1/8")
     assert system.quantization == Fraction(1, 8) and type(system.quantization) is Fraction
+    classes = _ns6_classes()
+    for i, sep in enumerate(classes.separation):
+        for r in (sep / 2, sep):
+            isolated = classes.is_isolated(i, r)
+            assert classes.is_isolated(i, format_rational(r)) is isolated is (r < sep)
 
 
 def test_a_replaced_table_is_rebuilt():
