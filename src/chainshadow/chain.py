@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
-from .bits import bits as _bits, runs
+from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
 from .rational import check_collection, check_int, format_rational, parse_nonnegative
 from .system import FiniteMetricSystem, check_point, check_points
@@ -30,8 +30,19 @@ class DeltaGraph:
 
 
 def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
+    """The successors of p are the delta ball of f(p), ascending. Each ball
+    comes from the system's ball memo, which the shadow searches read too,
+    and is read a run of its mask at a time as slices of one tuple of n
+    ints, so every edge to a point shares that point's one int object."""
     delta = parse_nonnegative(delta)
-    return DeltaGraph(system, delta, system._successors(delta))
+    ids = tuple(range(system.n))
+    rows = {}
+    for t, ball in system._balls(delta, mask_of(set(system.map)), -1).items():
+        row: list[int] = []
+        for lo, hi in runs(ball):
+            row += ids[lo:hi]
+        rows[t] = tuple(row)
+    return DeltaGraph(system, delta, tuple(map(rows.__getitem__, system.map)))
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,7 @@ class ChainDecomposition:
     def is_isolated(self, i: int, r) -> bool:
         """Whether class i lies farther than r from every other class."""
         sep = self.separation[check_int("class index", i, 0, len(self.classes) - 1)]
-        r = parse_nonnegative(r)
-        return sep is None or sep > r
+        return _isolated(sep, parse_nonnegative(r))
 
     def terminal_classes(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.classes)) if self.is_terminal(i))
@@ -92,6 +102,12 @@ class ChainDecomposition:
             for i, mask in enumerate(self.class_above)
             for start, stop in runs(mask)
         )
+
+
+def _isolated(sep: Fraction | None, r: Fraction) -> bool:
+    """Whether a class whose separation is ``sep`` lies farther than the
+    parsed radius r from every other class: a lone class always does."""
+    return sep is None or sep > r
 
 
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
@@ -317,7 +333,7 @@ def decomposition_dot(dec: ChainDecomposition, isolation_radius=None) -> str:
         if above == 0:
             # initial classes are exactly the maximal ones of the class order
             flags += ["initial", "maximal"]
-        if isolation_radius is not None and (sep is None or sep > isolation_radius):
+        if isolation_radius is not None and _isolated(sep, isolation_radius):
             flags.append("isolated")
         label = f"C{i}|size={len(cls)}"
         if flags:

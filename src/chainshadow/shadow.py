@@ -464,9 +464,10 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     """The verdicts of ``props`` (one or both of "slimit" and "shadowing"),
     in that order, from one BFS over one ball table per radius. The balls
     come from the system's own memo (``system._balls``), so a ball built by
-    an earlier search on the same system is read, not rebuilt. The BFS
-    reads the delta table only at the images f(p), so it is taken only
-    there; at delta = eps it reads the eps table's cached balls.
+    an earlier search or delta graph on the same system is read, not
+    rebuilt. The BFS reads the delta table only at the images f(p), so it
+    is taken only there; at delta = eps it reads the eps table's cached
+    balls.
     ``exact=False`` is ``_explore``'s witness mode: the same verdicts,
     witnesses and cap outcomes, but a failing verdict counts the states
     visited where the search stopped. The orbit search below is

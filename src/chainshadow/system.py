@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, filterfalse, repeat
-from operator import itemgetter, lshift, sub
+from operator import lshift, sub
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -72,21 +72,11 @@ class _Table:
         """Per point p, every point sorted by d(p, .), ties by index."""
         return tuple(array("i", sorted(range(len(row)), key=row.__getitem__)) for row in self.rows)
 
-    def nearest_within(self, p: int, bound: int) -> array:
-        """The prefix of p's nearest-first order within ``bound``."""
-        order = self.nearest_first[p]
-        return order[: bisect_right(order, bound, key=self.rows[p].__getitem__)]
-
     def ball(self, p: int, bound: int) -> int:
-        """The mask of every point within ``bound`` of p."""
-        return mask_of(self.nearest_within(p, bound))
-
-    def successors(self, fmap, bound: int) -> tuple[tuple[int, ...], ...]:
-        """Per point p, the sorted prefix of fmap[p]'s order within ``bound``;
-        an itemgetter of one index returns the item, not a 1-tuple."""
-        ids = tuple(range(len(self.rows)))
-        balls = (sorted(self.nearest_within(fp, bound)) for fp in fmap)
-        return tuple(itemgetter(*ball)(ids) if len(ball) > 1 else (ids[ball[0]],) for ball in balls)
+        """The mask of every point within ``bound`` of p: the prefix of p's
+        nearest-first order within it."""
+        order = self.nearest_first[p]
+        return mask_of(order[: bisect_right(order, bound, key=self.rows[p].__getitem__)])
 
     def separations(self, class_index, least: list) -> None:
         """Lower each ``least[i]``, an int or inf, to the least distance from
@@ -147,12 +137,6 @@ class _Positions:
         return [self.at[p] for p in self.order]
 
     @cached_property
-    def in_order(self) -> bool:
-        """Whether index order is position order, as on every positioned
-        generator but north-south."""
-        return self.order == tuple(range(len(self.at)))
-
-    @cached_property
     def prefix(self) -> list[int]:
         """prefix[j]: the mask of the first j points in position order, so
         the points of positions lo..hi-1 are ``prefix[hi] ^ prefix[lo]``."""
@@ -161,37 +145,22 @@ class _Positions:
             masks.append(masks[-1] | 1 << p)
         return masks
 
-    def arcs(self, p: int, bound: int) -> tuple[tuple[int, int], ...]:
-        """Every point within ``bound`` (a distance times the denominator) of
-        p, as (lo, hi) ranges of position order, ascending: two where the
-        ball crosses position 0, one otherwise."""
-        xs, a, full = self.ascending, self.at[p], self.circumference
+    def ball(self, p: int, bound: int) -> int:
+        """The mask of every point within ``bound`` (a distance times the
+        denominator) of p: the points of the arc of positions within it,
+        found by two bisections of the sorted positions, and cut in two
+        where it crosses position 0."""
+        xs, prefix, full = self.ascending, self.prefix, self.circumference
         # Every arc-length distance is at most full / 2.
         if bound + bound >= full:
-            return ((0, len(xs)),)
+            return prefix[-1]
+        a = self.at[p]
         lo, hi = a - bound, a + bound
         if lo < 0:
-            return ((0, bisect_right(xs, hi)), (bisect_left(xs, lo + full), len(xs)))
+            return prefix[bisect_right(xs, hi)] | prefix[-1] ^ prefix[bisect_left(xs, lo + full)]
         if hi >= full:
-            return ((0, bisect_right(xs, hi - full)), (bisect_left(xs, lo), len(xs)))
-        return ((bisect_left(xs, lo), bisect_right(xs, hi)),)
-
-    def ball(self, p: int, bound: int) -> int:
-        """The mask of every point within ``bound`` of p: the points of one
-        or two arcs of the sorted positions."""
-        prefix = self.prefix
-        mask = 0
-        for lo, hi in self.arcs(p, bound):
-            mask |= prefix[hi] ^ prefix[lo]
-        return mask
-
-    def successors(self, fmap, bound: int) -> tuple[tuple[int, ...], ...]:
-        """Per point p, the points within ``bound`` of fmap[p], ascending:
-        one or two slices of the position order, ascending already where
-        position order is index order, and sorted on north-south."""
-        order = self.order
-        arcs = (sum((order[lo:hi] for lo, hi in self.arcs(fp, bound)), ()) for fp in fmap)
-        return tuple(arcs) if self.in_order else tuple(tuple(sorted(arc)) for arc in arcs)
+            return prefix[bisect_right(xs, hi - full)] | prefix[-1] ^ prefix[bisect_left(xs, lo)]
+        return prefix[bisect_right(xs, hi)] ^ prefix[bisect_left(xs, lo)]
 
     def separations(self, class_index, least: list) -> None:
         """Lower ``least[i]`` to the least distance from class i to another.
@@ -269,23 +238,25 @@ class FiniteMetricSystem:
 
     ``quantization`` is the resolution floor that the grid maps record; it
     is informational only and never enforced. Construction checks the
-    shape, not the axioms: BadParams unless ``dist`` is n rows (at most
-    ``_MAX_POINTS``) of n ints or Fractions with a least common denominator
-    of at most ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point
-    indices, ``invertible`` is a bool that is True only for a bijective map
-    and ``quantization`` is None or a nonnegative rational. ``map`` is
-    stored as a tuple and ``quantization`` as a Fraction.
+    shape: BadParams unless ``dist`` is n rows (at most ``_MAX_POINTS``) of
+    n ints or Fractions with a least common denominator of at most
+    ``_MAX_COMMON_DENOMINATOR_BITS`` bits, ``map`` lists n point indices,
+    ``invertible`` is a bool that is True only for a bijective map and
+    ``quantization`` is None or a nonnegative rational. A ``dist`` that
+    passes is then checked against the metric axioms, as ``make_system``
+    checks it, and InvalidSystem lists what it breaks. ``map`` is stored
+    as a tuple and ``quantization`` as a Fraction.
 
     The distances are stored once, in ``_metric``: the integer ``_Table`` of
     an explicit system, or the integer ``_Positions`` on a line or circle
     that a positioned generator gives its points. Both answer the same
     queries, and each distance query here is one call on the metric.
     Builders that hold one pass it and no ``dist``; ``dataclasses.replace``
-    hands it on, or rebuilds a table for a new ``dist``. The metric's
-    ``rows`` are the integer table, on a positioned system a view built on
-    its first read, and ``dist`` is a read-only view of them. Equality and
-    hashing read n, ``map``, ``invertible``, ``quantization`` and the
-    table, so they build the view.
+    hands it on unchecked, or rebuilds and checks a table for a new
+    ``dist``. The metric's ``rows`` are the integer table, on a positioned
+    system a view built on its first read, and ``dist`` is a read-only view
+    of them. Equality and hashing read n, ``map``, ``invertible``,
+    ``quantization`` and the table, so they build the view.
     """
 
     n: int
@@ -312,6 +283,9 @@ class FiniteMetricSystem:
             if not {type(v) for row in rows for v in row} <= {int, Fraction}:
                 raise BadParams("distances must be ints or Fractions")
             _metric = _Table(*_over_common_denominator(rows))
+            violations = _violations(_metric, fmap, invertible)
+            if violations:
+                raise InvalidSystem(violations)
         object.__setattr__(self, "map", fmap)
         object.__setattr__(self, "invertible", invertible)
         object.__setattr__(self, "quantization", quantization)
@@ -381,22 +355,19 @@ class FiniteMetricSystem:
         ``_bound(r)``, so the full balls are kept under that int: each is
         built the first time any caller asks for its point at a radius with
         that bound, and kept for the life of the system, one mask of n bits
-        per (point, bound) asked for."""
+        per (point, bound) asked for. The shadow searches and
+        ``build_delta_graph`` both read their balls here, so a search and a
+        delta graph at one bound build each ball once between them."""
         bound = self._bound(r)
         full = self._full_balls.setdefault(bound, {})
+        build = self._metric.ball
         out = {}
         for p in bits(keys):
             ball = full.get(p)
             if ball is None:
-                ball = full[p] = self._metric.ball(p, bound)
+                ball = full[p] = build(p, bound)
             out[p] = ball & dmask
         return out
-
-    def _successors(self, r) -> tuple[tuple[int, ...], ...]:
-        """Per point p, the closed r-ball of f(p) as an ascending tuple of
-        points read from one tuple of n ints, so every tuple shares one
-        int object per point instead of one per edge."""
-        return self._metric.successors(self.map, self._bound(r))
 
     def _separations(self, class_index, k: int) -> tuple[Fraction | None, ...]:
         """Per class i of the k classes that ``class_index`` gives each point

@@ -15,7 +15,8 @@ metric does, and both systems alike:
   classes, so ``tests/test_system.py`` also checks them against pairwise
   minima);
 - at radius 0, at every distance value v, at v / 2 and at 3v / 2, and past
-  the diameter: every point's ball mask and the successor tuples;
+  the diameter: every point's ball mask and the successor tuples of the
+  two systems' delta graphs;
 - the separations of the classes of the delta graph at each of those
   radii, while its edges number at most 64 per point, and of three seeded
   random labellings of the points, with the Hausdorff distance between
@@ -172,11 +173,12 @@ def compare(name: str, system, table) -> int:
         bound = system._bound(r)
         for p in system.points:
             _require(ours.ball(p, bound) == theirs.ball(p, bound), f"ball of {p} on {where}")
-        succ = ours.successors(system.map, bound)
-        _require(succ == theirs.successors(table.map, bound), f"successors on {where}")
+        graph = build_delta_graph(system, r)
+        succ = graph.succ
+        _require(succ == build_delta_graph(table, r).succ, f"successors on {where}")
         compared += system.n + 1
         if sum(map(len, succ)) <= EDGES_PER_POINT * system.n:
-            dec = decompose(build_delta_graph(system, r))
+            dec = decompose(graph)
             k = len(dec.classes)
             expected = table._separations(dec.class_index, k)
             _require(dec.separation == expected, f"separations on {where}")

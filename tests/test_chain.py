@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -18,6 +19,7 @@ from chainshadow import (
     NotDecreasing,
     build_delta_graph,
     cantor_identity,
+    check_slimit_property,
     decompose,
     decomposition_dot,
     decomposition_report,
@@ -240,12 +242,20 @@ def bench_graphs():
 
 def check_exports(dec):
     """The report, both DOT forms and ``order_pairs`` against the references
-    built from ``class_reach``."""
+    built from ``class_reach``, and each class's DOT ``isolated`` flag
+    against ``is_isolated``, also at the least separation, which some
+    classes meet and others exceed."""
     report = reference_report(dec)
     assert json.dumps(decomposition_report(dec), indent=2) == json.dumps(report, indent=2)
     assert dec.order_pairs() == tuple(map(tuple, report["order"]))
     for radius in (None, dec.delta):
         assert decomposition_dot(dec, radius) == reference_dot(dec, radius)
+    seps = [sep for sep in dec.separation if sep is not None]
+    for radius in [None, dec.delta] + ([min(seps)] if seps else []):
+        labels = re.findall(r'^  C\d+ \[label="(.*)"\];$', decomposition_dot(dec, radius), re.M)
+        isolated = ["isolated" in re.split(r"[|,]", label) for label in labels]
+        k = range(len(dec.classes))
+        assert isolated == [radius is not None and dec.is_isolated(i, radius) for i in k]
 
 
 def classes_and_reach(dec):
@@ -379,8 +389,9 @@ class TestDeltaGraph:
 
 
 def mask_path_succ(system, delta):
-    """Successor tuples read back off ball bitmasks, as ``build_delta_graph``
-    built them before it took nearest-first prefixes."""
+    """Successor tuples read a bit at a time off ``system.ball`` masks, the
+    reference for ``build_delta_graph``, which reads the same masks a run
+    of bits at a time."""
     return tuple(tuple(bits(system.ball(fp, delta))) for fp in system.map)
 
 
@@ -394,9 +405,17 @@ TIED_TABLES = [
 ]
 
 
+def tied_radii(system) -> list[Fraction]:
+    """0, every distance value v, v less a sliver, and past the diameter."""
+    values = system.distance_values
+    tiny = values[0] / 2**20
+    return [Fraction(0), *values, *(v - tiny for v in values), values[-1] + 1]
+
+
 class TestSuccessors:
-    """Successor tuples are sorted nearest-first prefixes; the ball
-    bitmasks are the reference."""
+    """Successor tuples are the delta balls of the images, read from the
+    system's ball memo; the ball bitmasks read a bit at a time are the
+    reference."""
 
     @given(system_and_scales())
     @settings(max_examples=60)
@@ -410,11 +429,26 @@ class TestSuccessors:
         ids=[name for name, _ in TIED_TABLES] + ["1024-bit-denominator"],
     )
     def test_match_the_mask_path_on_explicit_tables(self, system):
-        values = system.distance_values
-        tiny = values[0] / 2**20
-        radii = [Fraction(0), *values, *(v - tiny for v in values), values[-1] + 1]
-        for delta in radii:
+        for delta in tied_radii(system):
             assert build_delta_graph(system, delta).succ == mask_path_succ(system, delta)
+
+    @pytest.mark.parametrize(
+        "system",
+        [system for _, system in (*standard_corpus(), *TIED_TABLES)],
+        ids=[name for name, _ in (*standard_corpus(), *TIED_TABLES)],
+    )
+    def test_a_warm_memo_gives_the_graph_of_a_fresh_system(self, system):
+        """A graph at a bound whose balls a search has built, some or all of
+        them, is the graph of a fresh copy, whose memo is empty; ``replace``
+        copies a system without its balls. Below the least distance the
+        search is forced and builds none."""
+        for delta in tied_radii(system):
+            warm = replace(system)
+            check_slimit_property(warm, delta, delta)
+            built = vars(warm).get("_full_balls", {}).get(warm._bound(delta))
+            assert bool(built) is (delta >= system.min_gap)
+            fresh = replace(system)
+            assert build_delta_graph(warm, delta).succ == build_delta_graph(fresh, delta).succ
 
     def test_one_int_object_per_point(self):
         """Every successor tuple reads its points from one shared int per

@@ -890,17 +890,22 @@ class TestBallTables:
         assert len(set(system.map)) < system.n
 
     def _harness_ball_builds(self, monkeypatch, system, grid=None, runs=1):
-        """The balls built by the decisions of each of ``runs`` calls of
-        ``run_harness`` on ``system``, the balls they read, and each run's
-        report bytes. A decision below the least distance is forced and
-        reads no ball. Any other reads the eps balls of its domain C. A
-        search reads the delta balls of the images f(C) too; a decision
-        with C inside every eps ball runs none, and reads them when
-        f(C) != C and delta is at least the least distance."""
+        """The balls built in each of ``runs`` calls of ``run_harness`` on
+        ``system``, the balls that its decisions and delta graphs read, those
+        that both read, and each run's report bytes. A graph at delta reads
+        the delta balls of the images f(p). A decision below the least
+        distance is forced and reads no ball. Any other reads the eps balls
+        of its domain C. A search reads the delta balls of the images f(C)
+        too; a decision with C inside every eps ball runs none, and reads
+        them when f(C) != C and delta is at least the least distance. The
+        system's map is not a bijection, so the harness asks no graph of
+        the inverse map, whose system would keep balls of its own."""
+        assert not system.invertible
         calls = self._record_ball_masks(monkeypatch)
         real = shadow_mod._decide
-        read = set()
-        made = []
+        real_graph = verify_mod.build_delta_graph
+        decided = set()
+        graphs = set()
         searches = []
         for name in ("_explore", "_explore_orbits"):
             searches.append(mock.Mock(wraps=getattr(shadow_mod, name)))
@@ -908,34 +913,39 @@ class TestBallTables:
 
         def recording(system, delta, eps, domain, *rest):
             points = system.points if domain is None else domain
-            calls.clear()
             before = sum(search.call_count for search in searches)
             out = real(system, delta, eps, domain, *rest)
             images = {system.map[p] for p in points}
             if max(delta, eps) >= system.min_gap:
-                read.update((p, system._bound(eps)) for p in points)
+                decided.update((p, system._bound(eps)) for p in points)
                 searched = sum(search.call_count for search in searches) > before
                 if searched or delta >= system.min_gap and images != set(points):
-                    read.update((t, system._bound(delta)) for t in images)
-            made[-1].extend(calls)
+                    decided.update((t, system._bound(delta)) for t in images)
             return out
+
+        def recording_graph(system, delta):
+            graphs.update((t, system._bound(delta)) for t in system.map)
+            return real_graph(system, delta)
 
         # The harness's joint searches call verify's own reference to it.
         monkeypatch.setattr(shadow_mod, "_decide", recording)
         monkeypatch.setattr(verify_mod, "_decide", recording)
+        monkeypatch.setattr(verify_mod, "build_delta_graph", recording_graph)
+        made = []
         reports = []
         for _ in range(runs):
-            made.append([])
+            calls.clear()
             reports.append(json.dumps(run_harness(system, "system", grid).to_json()))
-        return made, read, reports
+            made.append(list(calls))
+        return made, decided | graphs, decided & graphs, reports
 
     def test_harness_searches_build_each_ball_once(self, monkeypatch):
-        """The grid's finest radius, half the least distance, builds no
-        ball."""
+        """Searches and delta graphs read one ball memo, so a run builds
+        each (point, bound) ball at most once between them, and only the
+        balls that they read. Some balls are read by both."""
         system = north_south(8)
-        (made,), read, _ = self._harness_ball_builds(monkeypatch, system)
-        assert read and sorted(made) == sorted(read)
-        assert system._bound(system.min_gap / 2) not in {b for _, b in made}
+        (made,), read, shared, _ = self._harness_ball_builds(monkeypatch, system)
+        assert shared and len(made) == len(set(made)) and set(made) == read
 
     def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
         """Radius 1/8 is the eps of both entries and the delta of one, so
@@ -943,7 +953,7 @@ class TestBallTables:
         eighth, quarter = Fraction(1, 8), Fraction(1, 4)
         grid = [(quarter, quarter, eighth), (quarter, eighth, eighth)]
         system = tent(16)
-        (made,), read, _ = self._harness_ball_builds(monkeypatch, system, grid)
+        (made,), read, _, _ = self._harness_ball_builds(monkeypatch, system, grid)
         assert {b for _, b in read} == {system._bound(eighth), system._bound(quarter)}
         assert sorted(made) == sorted(read)
 
@@ -955,7 +965,7 @@ class TestBallTables:
         grid = [(Fraction(1, 2), Fraction(1, 8), system.diameter)]
         searches = mock.Mock(wraps=shadow_mod._explore)
         monkeypatch.setattr(shadow_mod, "_explore", searches)
-        (made,), read, _ = self._harness_ball_builds(monkeypatch, system, grid)
+        (made,), read, _, _ = self._harness_ball_builds(monkeypatch, system, grid)
         assert sorted(made) == sorted(read)
         bound = system._bound(Fraction(1, 8))
         assert sorted(p for p, b in made if b == bound) == sorted(set(system.map))
@@ -992,12 +1002,12 @@ class TestBallTables:
 
     def test_a_second_run_builds_no_table(self, monkeypatch):
         """The tables are the system's: a second run on the same system
-        builds no ball and no run table, and writes the same bytes."""
+        builds no ball, for a search or a delta graph, and no run table,
+        and writes the same bytes."""
         system = north_south(8)
         maps = self._record_translation_runs(monkeypatch)
-        (first, second), read, reports = self._harness_ball_builds(monkeypatch, system, runs=2)
-        assert read and sorted(first) == sorted(read)
-        assert system._bound(system.min_gap / 2) not in {b for _, b in first}
+        (first, second), read, _, reports = self._harness_ball_builds(monkeypatch, system, runs=2)
+        assert read and len(first) == len(set(first)) and set(first) == read
         assert second == []
         assert maps == [system.map]
         assert reports[0] == reports[1]

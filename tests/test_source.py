@@ -54,7 +54,6 @@ def test_an_unread_import_is_caught():
 METRIC_INTERFACE = (
     "distance",
     "ball",
-    "successors",
     "separations",
     "shift_invariant",
     "distance_ints",

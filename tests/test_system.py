@@ -1005,10 +1005,11 @@ class TestNearestPoints:
         assert_nearest(system)
 
     def test_an_asymmetric_table_takes_the_least_entry_of_any_row(self):
-        """A direct system skips the axiom checks. Below its least distance
-        every ball is {p}, and a ball reads a row, so the least distance is
-        the least entry off the diagonal of any row."""
-        system = FiniteMetricSystem(2, [[0, 1], [5, 0]], (1, 1))
+        """A system handed its metric skips the axiom checks. Below its least
+        distance every ball is {p}, and a ball reads a row, so the least
+        distance is the least entry off the diagonal of any row."""
+        table = system_mod._Table(((0, 1), (5, 0)), 1)
+        system = FiniteMetricSystem(2, map=(1, 1), _metric=table)
         assert system.min_gap == 1 and system.functional_threshold == 5
         assert system.ball(0, 1) == 0b11
 
@@ -1446,6 +1447,28 @@ def test_a_direct_system_stores_tuples():
     for built in (rotation(4, 1), make_system(_ROWS, (1, 0))):
         assert "dist" not in vars(built)
         assert built.dist is built.dist and "dist" in vars(built)
+
+
+def test_a_direct_system_checks_the_axioms(monkeypatch):
+    """A ``dist`` handed in directly, or to ``replace``, is checked as
+    ``make_system`` checks it; a metric handed on is not checked again."""
+    with pytest.raises(InvalidSystem, match=re.escape("symmetry(1, 0)")) as err:
+        FiniteMetricSystem(2, [[0, 1], [5, 0]], (1, 1))
+    assert err.value.violations == (Violation("symmetry", (1, 0)),)
+    with pytest.raises(InvalidSystem) as err:
+        replace(make_system(_ROWS, (1, 0)), dist=((0, 1), (1, 1)))
+    assert err.value.violations == (Violation("identity", (1, 1)),)
+    checked = []
+    real = system_mod._violations
+    monkeypatch.setattr(
+        system_mod, "_violations", lambda *args: checked.append(args) or real(*args)
+    )
+    system = FiniteMetricSystem(2, _ROWS, (1, 0))
+    assert len(checked) == 1
+    replace(system, map=(0, 0))
+    replace(system, quantization="1/8")
+    FiniteMetricSystem(2, map=(1, 1), _metric=system._metric)
+    assert len(checked) == 1
 
 
 def test_rational_strings_are_valid_arguments():
