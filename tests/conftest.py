@@ -48,10 +48,10 @@ def path_system():
 
 
 @st.composite
-def metric_systems(draw, max_n: int = 7):
+def metric_systems(draw, max_n: int = 7, bijective: bool = False):
     """Random valid systems: shortest-path-completed random weights plus a
-    random total map; the completion makes the triangle inequality hold by
-    construction."""
+    random total map, a permutation when ``bijective``; the completion
+    makes the triangle inequality hold by construction."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     edges = []
     for i in range(n):
@@ -59,7 +59,10 @@ def metric_systems(draw, max_n: int = 7):
             w = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 3)))
             edges.append((j, i, w))
     dist = shortest_path_metric(n, edges)
-    fmap = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
+    if bijective:
+        fmap = tuple(draw(st.permutations(range(n))))
+    else:
+        fmap = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
     return make_system(dist, fmap, invertible=len(set(fmap)) == n)
 
 

@@ -24,7 +24,11 @@ their halves, and on every forward-invariant domain:
   meets the point's orbit without leaving eps first, found by walking the
   pair of orbits;
 - ``run_harness`` over those (delta, eps) never reports ``fails`` for
-  ``slimit_implies_shadowing``.
+  ``slimit_implies_shadowing``;
+- for each bijective map f, at each of those deltas, the terminal classes
+  of the inverse map's delta graph are f's initial classes, and f maps
+  each class onto itself: the identity that the harness's
+  ``inverse_cross_check`` records without computing it.
 
 The "growing" line lists point 1 first and point 0 second, so point 0 lies
 strictly inside the line: from three points on, a domain can lie inside
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from chainshadow import (
@@ -46,6 +51,7 @@ from chainshadow import (
     PseudoOrbit,
     ShadowVerdict,
     brute_force_oracle,
+    build_delta_graph,
     check_shadowing_property,
     check_slimit_property,
     decompose,
@@ -141,6 +147,13 @@ def small_scope(n: int) -> int:
                     both = shadow_mod._decide(system, delta, eps, domain, cap, props)
                     _require(both == tuple(singles), f"joint check differs: {where}")
                     compared += same_decisions(system, delta, eps, domain, where)
+            if system.invertible:
+                for delta in scales:
+                    _require(
+                        inverse_identity(system, delta),
+                        f"inverse identity: {name} table, map {fmap}, delta {delta}",
+                    )
+                    compared += 1
             report = run_harness(system, grid=[(system.diameter, d, e) for d, e in pairs])
             for bundle in report.results:
                 for result in bundle:
@@ -151,6 +164,27 @@ def small_scope(n: int) -> int:
                             f"{result.params}",
                         )
     return compared + graph_scope(n)
+
+
+def inverse_classes(system, delta):
+    """At ``delta``, for a bijective map f: the terminal classes of the
+    inverse map's delta graph, f's initial classes, and f's classes, each
+    a set of point sets."""
+    # Sorting the points by their image inverts a bijection.
+    inverse = tuple(sorted(system.points, key=system.map.__getitem__))
+    forward = decompose(build_delta_graph(system, delta))
+    backward = decompose(build_delta_graph(replace(system, map=inverse), delta))
+    terminal = {backward.classes[i] for i in backward.terminal_classes()}
+    initial = {forward.classes[i] for i in forward.initial_classes()}
+    return terminal, initial, set(forward.classes)
+
+
+def inverse_identity(system, delta) -> bool:
+    """Whether, at ``delta``, the terminal classes of the inverse map's
+    delta graph are f's initial classes and f maps each class onto itself."""
+    terminal, initial, classes = inverse_classes(system, delta)
+    onto = all(frozenset(map(system.map.__getitem__, cls)) == cls for cls in classes)
+    return terminal == initial and onto
 
 
 def explored(system, delta, eps, domain, failing, state_cap, exact=True):
@@ -303,4 +337,5 @@ if __name__ == "__main__":
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     n = int(sys.argv[1])
-    print(f"n = {n}: {small_scope(n)} answers agree with the oracle, the search or the closure")
+    agree = "agree with the oracle, the search, the closure or the inverse map"
+    print(f"n = {n}: {small_scope(n)} answers {agree}")

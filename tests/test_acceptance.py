@@ -32,6 +32,7 @@ from chainshadow.shadow import DEFAULT_STATE_CAP
 from chainshadow.verify import _Answers, _class_denseness, _initial_classes_shadow
 from conftest import sweep_values
 from corpus import standard_corpus
+from small_scope import inverse_identity
 
 ORACLE_MAX_LEN = 8
 
@@ -147,6 +148,10 @@ def test_criterion_4_initial_classes_shadow(sweep):
         ans = _Answers(system, DEFAULT_STATE_CAP)
         values = sweep_values(system)
         for delta in values:
+            # The harness records the inverse map's terminal classes as f's
+            # initial classes without computing them; this computes them.
+            if system.invertible and not inverse_identity(system, delta):
+                failures.append((name, delta, "inverse cross-check"))
             for eps in values:
                 if not sweep.cells[(name, "slimit", delta, eps)].automaton.passed:
                     continue
@@ -154,8 +159,6 @@ def test_criterion_4_initial_classes_shadow(sweep):
                 checked += 1
                 if result.status != HOLDS:
                     failures.append((name, delta, eps, result.status))
-                if system.invertible and result.details["inverse_cross_check"] is not True:
-                    failures.append((name, delta, eps, "inverse cross-check"))
     report(4, "initial classes pass restricted shadowing", not failures,
            f"{checked} non-vacuous checks")
     assert failures == []

@@ -897,10 +897,7 @@ class TestBallTables:
         distance is forced and reads no ball. Any other reads the eps balls
         of its domain C. A search reads the delta balls of the images f(C)
         too; a decision with C inside every eps ball runs none, and reads
-        them when f(C) != C and delta is at least the least distance. The
-        system's map is not a bijection, so the harness asks no graph of
-        the inverse map, whose system would keep balls of its own."""
-        assert not system.invertible
+        them when f(C) != C and delta is at least the least distance."""
         calls = self._record_ball_masks(monkeypatch)
         real = shadow_mod._decide
         real_graph = verify_mod.build_delta_graph
@@ -942,10 +939,13 @@ class TestBallTables:
     def test_harness_searches_build_each_ball_once(self, monkeypatch):
         """Searches and delta graphs read one ball memo, so a run builds
         each (point, bound) ball at most once between them, and only the
-        balls that they read. Some balls are read by both."""
-        system = north_south(8)
-        (made,), read, shared, _ = self._harness_ball_builds(monkeypatch, system)
-        assert shared and len(made) == len(set(made)) and set(made) == read
+        balls that they read. Some balls are read by both. That holds on a
+        bijection too: the harness builds no system of the inverse map,
+        which would keep a ball memo of its own."""
+        for system in (north_south(8), rotation(12, 5)):
+            with monkeypatch.context() as patch:
+                (made,), read, shared, _ = self._harness_ball_builds(patch, system)
+            assert shared and len(made) == len(set(made)) and set(made) == read
 
     def test_harness_searches_build_each_ball_once_at_delta_ne_eps(self, monkeypatch):
         """Radius 1/8 is the eps of both entries and the delta of one, so
@@ -984,21 +984,21 @@ class TestBallTables:
         return maps
 
     def test_one_run_table_per_harness_run(self, monkeypatch):
-        """The run table of the map is built once, and never for the
-        inverse map, whose answers only decompose."""
+        """The run table of the map is built once, and every delta graph is
+        one of the system it was given: none is built for the inverse map."""
         system = rotation(6, 2)
         maps = self._record_translation_runs(monkeypatch)
-        graphs = []
+        graphed = []
         real_graph = verify_mod.build_delta_graph
 
         def recording_graph(system, delta):
-            graphs.append(system.map)
+            graphed.append(system)
             return real_graph(system, delta)
 
         monkeypatch.setattr(verify_mod, "build_delta_graph", recording_graph)
         run_harness(system, "rotation:6:2")
         assert maps == [system.map]
-        assert set(graphs) == {system.map, tuple(sorted(system.points, key=system.map.__getitem__))}
+        assert graphed and all(each is system for each in graphed)
 
     def test_a_second_run_builds_no_table(self, monkeypatch):
         """The tables are the system's: a second run on the same system

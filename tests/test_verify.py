@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from chainshadow import (
     FAILS,
     HOLDS,
+    FiniteMetricSystem,
     VACUOUS,
     BadParams,
     GridEntry,
@@ -36,6 +37,7 @@ from chainshadow import (
 from chainshadow import cli
 from chainshadow import shadow as shadow_mod
 from chainshadow import verify as verify_mod
+from chainshadow.system import _Table
 from chainshadow.verify import (
     _class_denseness,
     _initial_classes_shadow,
@@ -43,9 +45,9 @@ from chainshadow.verify import (
     _slimit_implies_shadowing,
     _slimit_violation,
 )
-from conftest import system_and_scales
+from conftest import metric_systems, system_and_scales
 from corpus import shortest_path_metric, standard_corpus
-from small_scope import explored, same_decisions
+from small_scope import explored, inverse_classes, inverse_identity, same_decisions
 
 
 def _alone(check, system, *params, state_cap=shadow_mod.DEFAULT_STATE_CAP):
@@ -132,6 +134,52 @@ class TestInitialClasses:
         assert result.status == HOLDS
         assert [c["class"] for c in result.details["checked"]] == [0, 1]
         assert result.details["inverse_cross_check"] is True
+
+
+def _identity_scales(system) -> list[Fraction]:
+    """0, each distance value, each half and a delta past the diameter."""
+    values = system.distance_values
+    return sorted({Fraction(0), *values, *(v / 2 for v in values), system.diameter + 1})
+
+
+class TestInverseIdentity:
+    """On a symmetric table and a bijective map f, the terminal classes of
+    the inverse map's delta graph are f's initial classes, and f maps each
+    class onto itself, at every delta: what ``inverse_cross_check`` records
+    without computing it."""
+
+    @staticmethod
+    def _holds(system):
+        assert system.invertible
+        for delta in _identity_scales(system):
+            assert inverse_identity(system, delta), delta
+
+    @pytest.mark.parametrize(
+        "name, system",
+        [(name, system) for name, system in standard_corpus() if system.invertible],
+        ids=[name for name, system in standard_corpus() if system.invertible],
+    )
+    def test_invertible_corpus_systems(self, name, system):
+        self._holds(system)
+
+    def test_every_rotation_on_at_most_twelve_points(self):
+        for n in range(1, 13):
+            for k in range(n):
+                self._holds(rotation(n, k))
+
+    @given(metric_systems(max_n=7, bijective=True))
+    @settings(max_examples=100, deadline=None)
+    def test_random_tables_and_permutations(self, system):
+        self._holds(system)
+
+    def test_an_asymmetric_table_breaks_it(self):
+        """Handed in unchecked, a table with d(0, 1) = 1 and d(1, 0) = 4 breaks
+        the identity at delta 1: the axiom checks are what make
+        ``inverse_cross_check`` constant."""
+        rows = ((0, 1, 2, 4), (4, 0, 3, 4), (3, 1, 0, 1), (3, 4, 3, 0))
+        system = FiniteMetricSystem(4, map=(2, 0, 1, 3), invertible=True, _metric=_Table(rows, 1))
+        terminal, initial, _ = inverse_classes(system, Fraction(1))
+        assert initial == {frozenset({0, 1, 2})} and terminal == {frozenset({3})}
 
 
 class TestIsolatedClasses:
@@ -313,9 +361,8 @@ class TestSharedAnswers:
 
         def counting(prop, real):
             def wrapper(system, delta, eps=None, domain=None, *args, **kwargs):
-                # The reversed system of the inverse cross-check is its own
-                # object, so systems are told apart by identity. The joint
-                # decider asks the slimit and the shadowing question at once.
+                # The joint decider asks the slimit and the shadowing
+                # question at once.
                 if prop == "both":
                     joint.append(delta)
                 for asks in ("slimit", "shadowing") if prop == "both" else (prop,):
@@ -407,12 +454,6 @@ class TestSharedAnswers:
                 cores = {invariant_core(system, cls) for cls in classes} - {frozenset()}
                 for core in [None, *sorted(cores, key=min)]:
                     assert same_decisions(system, delta, eps, core, f"{name} {core}")
-
-    def test_the_inverse_system_shares_the_integer_table(self):
-        ans = verify_mod._Answers(rotation(6, 2), None)
-        inverse = ans.reversed()
-        assert inverse is not ans and inverse.system.map != ans.system.map
-        assert inverse.system._metric is ans.system._metric
 
     @pytest.mark.parametrize("crossed", [False, True], ids=["default", "crossed"])
     @pytest.mark.parametrize(
