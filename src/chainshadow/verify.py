@@ -2,10 +2,29 @@
 
 Each check is a conditional: its hypothesis is probed first and a failed
 hypothesis yields an explicit ``vacuous`` status so that vacuous truth is
-never counted as evidence. Every failure carries a machine-checkable
-witness (a class, a pseudo-orbit, or both). Per-class dynamical checks
-run on the invariant core of the class; classes with an empty core are
-flagged degenerate and excluded from the quantifiers.
+never counted as evidence. The harness searches the whole system only:
+three facts answer the checks on class cores (``tests/small_scope.py``
+checks each law on every map of up to four points).
+
+- (S0) slimit at (delta, eps) on a domain implies shadowing there: a
+  state with no candidate misses every merge set.
+- (S) whole-system slimit at (delta, eps) implies shadowing at (delta,
+  eps) on every nonempty forward-invariant set inside the
+  delta-chain-recurrent set, so on every class core. Put n steps around a
+  delta-cycle through the start of a pseudo-orbit in the set before it,
+  and its last point's orbit after it: a shadow that merges into that
+  orbit is on that point's cycle after n steps, so its n-th image lies in
+  the set and shadows the pseudo-orbit.
+- (I) whole-system shadowing at (delta, eps) implies shadowing on the
+  core of every class whose separation exceeds eps: as for (S), with 2n
+  steps in front, the shadow's 2n-th image is periodic, and each point of
+  its cycle is chain recurrent and within eps of the class, so in it.
+
+So every check holds or is vacuous, except that
+``shadowing_class_denseness`` fails, with no witness, on a coarse class
+that holds no fine class or only fine classes with empty cores, as on
+both entries of ``verify --gen north-south:8 --deltas 7/32,3/16 --eps
+1/2``.
 """
 
 from __future__ import annotations
@@ -66,16 +85,17 @@ class TheoremResult:
 
 
 class _Answers:
-    """The verdicts and decompositions of one system, each computed on
-    first use and read back after that.
+    """The whole-system verdicts and the decompositions of one system, each
+    computed on first use and read back after that.
 
-    Each ``run_harness`` call makes one and shares it across its grid.
-    The ball and image tables its searches read are the system's own, so
-    they outlive the object. Every verdict comes from a decider looked up
-    as a module global each time it runs, so a caller that swaps the
-    deciders sees every question, including those that ``_decide``
-    answers without a search. The memo keys radii by their integer
-    ratios, so a lookup hashes no Fraction.
+    Each ``run_harness`` call makes one and shares it across its grid. It
+    holds no verdict on a class core: (S) and (I) give those from the
+    whole-system verdicts. The ball and image tables its searches read
+    are the system's own, so they outlive the object. Every verdict comes
+    from a decider looked up as a module global each time it runs, so a
+    caller that swaps the deciders sees every question, including those
+    that ``_decide`` answers without a search. The memo keys radii by
+    their integer ratios, so a lookup hashes no Fraction.
 
     The whole-system searches of ``both`` stop at the first failing states
     of each property (``_decide`` in witness mode), so the
@@ -88,23 +108,21 @@ class _Answers:
         self.state_cap = state_cap
         self.memo: dict = {}
 
-    def verdict(self, check: str, delta, eps, domain=None) -> ShadowVerdict:
-        """The ``"slimit"`` or ``"shadowing"`` verdict at (delta, eps) on
-        ``domain`` (the whole system when None)."""
-        key = (check, delta.as_integer_ratio(), eps.as_integer_ratio(), domain)
+    def verdict(self, check: str, delta, eps) -> ShadowVerdict:
+        """The whole-system ``"slimit"`` or ``"shadowing"`` verdict at
+        (delta, eps)."""
+        key = (check, delta.as_integer_ratio(), eps.as_integer_ratio())
         verdict = self.memo.get(key)
         if verdict is None:
             decide = check_slimit_property if check == "slimit" else check_shadowing_property
-            verdict = self.memo[key] = decide(
-                self.system, delta, eps, domain=domain, state_cap=self.state_cap
-            )
+            verdict = self.memo[key] = decide(self.system, delta, eps, state_cap=self.state_cap)
         return verdict
 
     def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
         """The whole-system slimit and shadowing verdicts at (delta, eps),
         from one BFS when neither is known yet."""
         ratios = delta.as_integer_ratio(), eps.as_integer_ratio()
-        keys = (("slimit", *ratios, None), ("shadowing", *ratios, None))
+        keys = (("slimit", *ratios), ("shadowing", *ratios))
         if not any(key in self.memo for key in keys):
             props = ("slimit", "shadowing")
             verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
@@ -117,19 +135,10 @@ class _Answers:
             self.memo[key] = decompose(build_delta_graph(self.system, delta))
         return self.memo[key]
 
-    def core_verdict(self, dec: ChainDecomposition, i: int, eps) -> ShadowVerdict | None:
-        """Shadowing verdict at ``dec.delta`` on the invariant core of class
-        ``i``, or None when that core is empty (a degenerate class)."""
-        core = invariant_core(self.system, dec.classes[i])
-        if not core:
-            return None
-        # A core of every point asks the whole system's question, under its key.
-        domain = None if len(core) == self.system.n else core
-        return self.verdict("shadowing", dec.delta, eps, domain)
-
 
 def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
-    """slimit passing at (delta, eps) must force shadowing to pass too."""
+    """slimit passing at (delta, eps) must force shadowing to pass too, as
+    (S0) says it does: this compares the two whole-system searches."""
     slimit, shadowing = ans.both(delta, eps)
     broken = slimit.passed and not shadowing.passed
     witness = shadowing.witness if broken else None
@@ -143,11 +152,17 @@ def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
 
 
 def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremResult:
-    """Under a passing slimit check, every coarse class must contain a fine
-    class whose invariant core has the shadowing property.
+    """Under a passing slimit check at (delta_fine, eps), every coarse
+    class must contain a fine class whose invariant core has the shadowing
+    property.
 
-    Fine classes inside a coarse class are tried maximal-first under the
-    fine class order, but any certifying class is accepted.
+    By (S), that slimit check gives every nonempty fine core the shadowing
+    property. So the certifier of a coarse class is the first fine class
+    inside it, maximal-first under the fine class order, whose core is
+    nonempty; the empty-core classes tried before it are listed as
+    degenerate. A coarse class that holds no fine class, or only fine
+    classes with empty cores, has no certifier, and the check fails with
+    no witness.
     """
     params = _params(delta_coarse=delta_coarse, delta_fine=delta_fine, eps=eps)
     if not ans.verdict("slimit", delta_fine, eps).passed:
@@ -155,36 +170,27 @@ def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremRes
     coarse = ans.decomposition(delta_coarse)
     fine = ans.decomposition(delta_fine)
     per_class = []
-    witnesses: list[PseudoOrbit] = []
     for i, coarse_cls in enumerate(coarse.classes):
         inside = [j for j, cls in enumerate(fine.classes) if cls <= coarse_cls]
         entry = {"coarse": i, "fine_classes": inside, "certifier": None, "degenerate": []}
         per_class.append(entry)
-        failing_witness = None
         for j in _maximal_first(fine, inside):
-            verdict = ans.core_verdict(fine, j, eps)
-            if verdict is None:
-                entry["degenerate"].append(j)
-            elif verdict.passed:
+            if invariant_core(ans.system, fine.classes[j]):
                 entry["certifier"] = j
                 break
-            elif failing_witness is None:
-                failing_witness = verdict.witness
-        if entry["certifier"] is None and failing_witness is not None:
-            witnesses.append(failing_witness)
+            entry["degenerate"].append(j)
     certified = all(entry["certifier"] is not None for entry in per_class)
     return TheoremResult(
         CLASS_DENSENESS,
         params,
         HOLDS if certified else FAILS,
         {"slimit_pass": True, "coarse_classes": per_class},
-        tuple(witnesses),
     )
 
 
 def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
     """Under a passing slimit check, the invariant core of every initial
-    class must have the shadowing property.
+    class must have the shadowing property, as (S) says it has.
 
     Finite systems with transients cannot be bijections, so the check runs
     on any system and records whether it is invertible. For an invertible
@@ -214,17 +220,16 @@ def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
         "degenerate": [],
         "inverse_cross_check": True if ans.system.invertible else None,
     }
-    return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, eps, details)
+    return _check_class_cores(ans, INITIAL_CLASSES, params, dec, initial, details)
 
 
 def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
-    """Under a passing full-system shadowing check, every class separated
-    from all others by more than 2*eps + delta must pass the restricted
-    shadowing check on its invariant core.
+    """Under a passing full-system shadowing check, the invariant core of
+    every class separated from all others by more than 2*eps + delta must
+    have the shadowing property.
 
-    The margin guarantees that pseudo-orbits started in the class, and
-    their shadows, cannot involve any other class, which is what makes the
-    restriction meaningful.
+    By (I), a separation above eps already gives every such core the
+    property, so the margin asks for more than the law needs.
     """
     params = _params(delta=delta, eps=eps)
     if not ans.verdict("shadowing", delta, eps).passed:
@@ -238,7 +243,7 @@ def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
         "isolated_classes": isolated,
         "degenerate": [],
     }
-    return _check_class_cores(ans, ISOLATED_CLASSES, params, dec, isolated, eps, details)
+    return _check_class_cores(ans, ISOLATED_CLASSES, params, dec, isolated, details)
 
 
 @dataclass(frozen=True)
@@ -372,28 +377,20 @@ def _params(**values: Fraction) -> dict:
 
 
 def _check_class_cores(
-    ans: _Answers, theorem, params, dec: ChainDecomposition, indices, eps, details
+    ans: _Answers, theorem, params, dec: ChainDecomposition, indices, details
 ) -> TheoremResult:
-    """Run the restricted shadowing check at ``dec.delta`` on the invariant
-    core of each listed class.
-
-    Classes with an empty core go to ``details["degenerate"]``; the others
-    are listed under ``details["checked"]``. The theorem fails with the
-    witnesses of the failing classes, if any.
-    """
-    witnesses: list[PseudoOrbit] = []
+    """The theorem, holding, for the listed classes: the caller's
+    hypothesis gives each nonempty core the shadowing property, by (S) or
+    (I). Classes with an empty core go to ``details["degenerate"]``; the
+    others are listed as passing under ``details["checked"]``."""
     checked = []
     for i in indices:
-        verdict = ans.core_verdict(dec, i, eps)
-        if verdict is None:
+        if invariant_core(ans.system, dec.classes[i]):
+            checked.append({"class": i, "pass": True})
+        else:
             details["degenerate"].append(i)
-            continue
-        checked.append({"class": i, "pass": verdict.passed})
-        if not verdict.passed:
-            witnesses.append(verdict.witness)
     details["checked"] = checked
-    status = FAILS if witnesses else HOLDS
-    return TheoremResult(theorem, params, status, details, tuple(witnesses))
+    return TheoremResult(theorem, params, HOLDS, details)
 
 
 def _maximal_first(dec: ChainDecomposition, subset: list[int]) -> list[int]:

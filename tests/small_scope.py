@@ -25,6 +25,11 @@ their halves, and on every forward-invariant domain:
   pair of orbits;
 - ``run_harness`` over those (delta, eps) never reports ``fails`` for
   ``slimit_implies_shadowing``;
+- each shadowing verdict on a domain keeps the two laws of ``CoreLaws``,
+  read off the whole system's verdicts at the same (delta, eps): (S),
+  where slimit passes, on every domain inside the recurrent set, and (I),
+  where shadowing passes, on every class core whose separation exceeds
+  eps. The harness's class checks state these laws instead of searching;
 - for each bijective map f, at each of those deltas, the terminal classes
   of the inverse map's delta graph are f's initial classes, and f maps
   each class onto itself: the identity that the harness's
@@ -55,6 +60,7 @@ from chainshadow import (
     check_shadowing_property,
     check_slimit_property,
     decompose,
+    invariant_core,
     make_system,
     run_harness,
 )
@@ -111,6 +117,8 @@ def small_scope(n: int) -> int:
             values = system.distance_values
             scales = sorted({Fraction(0), *values, *(v / 2 for v in values)})
             pairs = list(itertools.product(scales, repeat=2))
+            laws = {delta: CoreLaws(system, delta) for delta in scales}
+            whole = {}  # (delta, eps): the whole system's verdicts, domain None first
             for domain in invariant_domains(fmap):
                 points = range(n) if domain is None else sorted(domain)
                 for eps in scales:
@@ -146,6 +154,11 @@ def small_scope(n: int) -> int:
                     cap = shadow_mod.DEFAULT_STATE_CAP
                     both = shadow_mod._decide(system, delta, eps, domain, cap, props)
                     _require(both == tuple(singles), f"joint check differs: {where}")
+                    if domain is None:
+                        whole[delta, eps] = both
+                    for law in laws[delta].laws(whole[delta, eps], domain, eps):
+                        _require(singles[1].passed, f"shadowing breaks {law}: {where}")
+                        compared += 1
                     compared += same_decisions(system, delta, eps, domain, where)
             if system.invertible:
                 for delta in scales:
@@ -164,6 +177,58 @@ def small_scope(n: int) -> int:
                             f"{result.params}",
                         )
     return compared + graph_scope(n)
+
+
+class CoreLaws:
+    """The laws that make the harness's class checks theorems, at one
+    delta of one system. Given the whole system's slimit and shadowing
+    verdicts at (delta, eps), shadowing passes at (delta, eps) on a
+    forward-invariant domain K:
+
+    - (S) if whole-system slimit passes and K lies inside the
+      delta-chain-recurrent set (so on every class core);
+    - (I) if whole-system shadowing passes and K is the invariant core of
+      a class whose separation exceeds eps.
+
+    Neither law holds without its hypothesis (``tests/test_verify.py``,
+    ``TestCoreLaws``)."""
+
+    def __init__(self, system, delta):
+        dec = decompose(build_delta_graph(system, delta))
+        self.points = frozenset(system.points)
+        self.recurrent = frozenset().union(*dec.classes)
+        cores = (invariant_core(system, cls) for cls in dec.classes)
+        # A class core and the separation of its class; None: no other class.
+        self.separation = {core: sep for core, sep in zip(cores, dec.separation) if core}
+
+    def laws(self, whole, domain, eps) -> list[str]:
+        """The laws whose hypotheses hold on ``domain`` (None for every
+        point) at eps, given ``whole``, the whole system's slimit and
+        shadowing verdicts at (delta, eps)."""
+        slimit, shadowing = whole
+        points = self.points if domain is None else domain
+        laws = []
+        if slimit.passed and points <= self.recurrent:
+            laws.append("(S)")
+        if shadowing.passed and points in self.separation:
+            separation = self.separation[points]
+            if separation is None or separation > eps:
+                laws.append("(I)")
+        return laws
+
+
+def law_counterexamples(system, delta, eps, law: str) -> list[frozenset[int] | None]:
+    """Every forward-invariant domain on which ``check_shadowing_property``
+    fails at (delta, eps) although the hypotheses of ``law``, "(S)" or
+    "(I)" of ``CoreLaws``, hold there."""
+    laws = CoreLaws(system, delta)
+    whole = (check_slimit_property(system, delta, eps), check_shadowing_property(system, delta, eps))
+    return [
+        domain
+        for domain in invariant_domains(system.map)
+        if law in laws.laws(whole, domain, eps)
+        and not check_shadowing_property(system, delta, eps, domain).passed
+    ]
 
 
 def inverse_classes(system, delta):
@@ -337,5 +402,5 @@ if __name__ == "__main__":
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     n = int(sys.argv[1])
-    agree = "agree with the oracle, the search, the closure or the inverse map"
+    agree = "agree with the oracle, the search, the closure, the inverse map or a core law"
     print(f"n = {n}: {small_scope(n)} answers {agree}")

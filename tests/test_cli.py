@@ -5,10 +5,17 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from chainshadow import format_rational, parse_generator_string
+from chainshadow import (
+    build_delta_graph,
+    decompose,
+    format_rational,
+    invariant_core,
+    parse_generator_string,
+)
 from chainshadow.cli import main
 
 
@@ -486,29 +493,29 @@ class TestVerify:
             "nonvacuous failures: 0\n"
         )
 
-    def test_mutated_checker_breaks_the_gate(self, capsys, monkeypatch):
-        import chainshadow.verify as verify_mod
-        from chainshadow import PseudoOrbit, ShadowVerdict
-
-        real = verify_mod.check_shadowing_property
-
-        def sabotaged(system, delta, eps, domain=None, **kwargs):
-            verdict = real(system, delta, eps, domain=domain, **kwargs)
-            if domain is None:
-                return verdict
-            return ShadowVerdict(
-                "shadowing", verdict.delta, verdict.eps, False,
-                PseudoOrbit.plain((min(domain),), verdict.delta),
-                verdict.states_explored,
-            )
-
-        monkeypatch.setattr(verify_mod, "check_shadowing_property", sabotaged)
-        # rotation:6:2 is two 3-cycles, so its class cores are proper subsets
-        # and take restricted checks. Every core of rotation:4:1 is the whole
-        # system, which the harness asks under the whole-system key.
-        code, out, _ = run_cli(capsys, "verify", "--gen", "rotation:6:2")
-        assert code == 1
-        assert json.loads(out)["nonvacuous_failures"] > 0
+    def test_a_coarse_class_of_empty_cores_fails_with_no_witness(self, capsys):
+        """Under a passing slimit check every nonempty fine core shadows, so
+        a denseness failure comes from structure alone. On north-south:8 at
+        coarse delta 7/32, coarse classes 1 ({2}) and 3 ({6}) each hold one
+        fine class, whose invariant core is empty; at both fine deltas they
+        have no certifier, and the run exits 1 with no witness."""
+        code, out, err = run_cli(
+            capsys, "verify", "--gen", "north-south:8", "--deltas", "7/32,3/16", "--eps", "1/2"
+        )
+        report = json.loads(out)
+        assert (code, err, report["nonvacuous_failures"]) == (1, "", 2)
+        system = parse_generator_string("north-south:8")
+        for entry in report["entries"]:
+            failed = [r for r in entry["results"] if r["status"] == "fails"]
+            assert [r["theorem"] for r in failed] == ["shadowing_class_denseness"]
+            assert failed[0]["witnesses"] == []
+            coarse = failed[0]["details"]["coarse_classes"]
+            uncertified = [c for c in coarse if c["certifier"] is None]
+            assert [c["coarse"] for c in uncertified] == [1, 3]
+            fine = decompose(build_delta_graph(system, Fraction(entry["delta_fine"])))
+            for c in uncertified:
+                assert c["degenerate"] == c["fine_classes"] != []
+                assert not any(invariant_core(system, fine.classes[j]) for j in c["fine_classes"])
 
     def test_harness_state_cap_exit_3(self, capsys):
         code, out, err = run_cli(

@@ -21,6 +21,8 @@ from chainshadow import (
     GridEntry,
     HarnessReport,
     Inconclusive,
+    PseudoOrbit,
+    ShadowVerdict,
     brute_force_oracle,
     build_delta_graph,
     cantor_identity,
@@ -29,6 +31,7 @@ from chainshadow import (
     check_slimit_property,
     default_grid,
     invariant_core,
+    make_system,
     parse_generator_string,
     rotation,
     run_harness,
@@ -47,7 +50,16 @@ from chainshadow.verify import (
 )
 from conftest import metric_systems, system_and_scales
 from corpus import shortest_path_metric, standard_corpus
-from small_scope import explored, inverse_classes, inverse_identity, same_decisions
+import small_scope
+from small_scope import (
+    CoreLaws,
+    explored,
+    inverse_classes,
+    inverse_identity,
+    law_counterexamples,
+    same_decisions,
+    tables,
+)
 
 
 def _alone(check, system, *params, state_cap=shadow_mod.DEFAULT_STATE_CAP):
@@ -252,13 +264,38 @@ class TestCertifierReproducibility:
             assert check_shadowing_property(ns6, delta, eps, domain=core).passed
 
 
-class TestMutatedCheckerSentinel:
-    def test_forced_failure_is_reported_with_witness(self, monkeypatch):
-        """A broken restricted checker must surface as a non-vacuous failure."""
-        import chainshadow.verify as verify_mod
-        from chainshadow import PseudoOrbit, ShadowVerdict
+class TestCoreLaws:
+    """(S) and (I) of ``small_scope.CoreLaws``: the laws that the harness's
+    class checks state instead of searching."""
 
-        real = verify_mod.check_shadowing_property
+    @pytest.mark.parametrize("law", ["(S)", "(I)"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=system_and_scales())
+    def test_random_tables_keep_the_law(self, law, case):
+        assert law_counterexamples(*case, law) == []
+
+    def test_the_laws_need_their_hypotheses(self):
+        """On the growing four-point line with map (0, 3, 2, 0) at delta 1
+        and eps 4, whole-system shadowing passes and slimit fails. The
+        class core {0, 1, 3} lies inside the recurrent set, and its
+        separation, 2, is at most eps. Shadowing fails on it, so (S) with
+        shadowing in place of slimit, or (I) with no margin, is false."""
+        system = make_system(tables(4)["growing"], (0, 3, 2, 0))
+        core = frozenset({0, 1, 3})
+        laws = CoreLaws(system, 1)
+        whole = (check_slimit_property(system, 1, 4), check_shadowing_property(system, 1, 4))
+        assert [verdict.passed for verdict in whole] == [False, True]
+        assert core <= laws.recurrent and laws.separation[core] == 2
+        assert not check_shadowing_property(system, 1, 4, domain=core).passed
+        assert laws.laws(whole, core, 4) == []
+        assert law_counterexamples(system, 1, 4, "(S)") == []
+        assert law_counterexamples(system, 1, 4, "(I)") == []
+
+    def test_a_broken_restricted_checker_breaks_a_law(self, monkeypatch):
+        """A restricted checker that fails every proper domain must surface
+        as a counterexample to (S); the harness, which asks no restricted
+        question, reports as before."""
+        real = shadow_mod.check_shadowing_property
 
         def sabotaged(system, delta, eps, domain=None, **kwargs):
             verdict = real(system, delta, eps, domain=domain, **kwargs)
@@ -269,15 +306,17 @@ class TestMutatedCheckerSentinel:
                 PseudoOrbit.plain((min(domain),), verdict.delta), verdict.states_explored,
             )
 
-        monkeypatch.setattr(verify_mod, "check_shadowing_property", sabotaged)
-        # Two 3-cycles: the class cores are proper subsets, so they take
-        # restricted checks (a core of every point is asked as the whole system).
+        # Two 3-cycles: at delta 0 slimit passes, and the class cores are
+        # proper subsets of the recurrent set.
         system = rotation(6, 2)
-        result = _alone(_initial_classes_shadow, system, 0, Fraction(1, 4))
-        assert result.status == FAILS
-        assert result.witnesses
-        report = run_harness(system, "rot")
-        assert report.nonvacuous_failures > 0
+        expected = json.dumps(run_harness(system, "rot").to_json())
+        for module in (small_scope, verify_mod):
+            monkeypatch.setattr(module, "check_shadowing_property", sabotaged)
+        assert law_counterexamples(system, 0, Fraction(1, 4), "(S)") == [
+            frozenset({0, 2, 4}),
+            frozenset({1, 3, 5}),
+        ]
+        assert json.dumps(run_harness(system, "rot").to_json()) == expected
 
 
 class TestHarness:
@@ -385,43 +424,14 @@ class TestSharedAnswers:
         assert {prop for prop, *_ in asked} == {"slimit", "shadowing", "graph"}
         assert len(asked) == len(set(asked))
 
-    def test_a_self_inverse_map_reuses_its_answers(self, monkeypatch):
-        import chainshadow.verify as verify_mod
-
-        system = dict(standard_corpus())["cantor-identity:3"]
-        deltas = []
-        real = verify_mod.build_delta_graph
-
-        def counting(system, delta):
-            deltas.append(delta)
-            return real(system, delta)
-
-        monkeypatch.setattr(verify_mod, "build_delta_graph", counting)
-        run_harness(system, "cantor-identity:3")
-        assert deltas and len(deltas) == len(set(deltas))
-
-    @pytest.mark.parametrize("name, searches", [("cantor-identity:7", 2), ("north-south:64", 2)])
-    def test_a_core_of_every_point_is_asked_as_the_whole_system(
-        self, monkeypatch, name, searches
-    ):
-        """The whole-system shadowing verdict at (delta, eps) also answers a
-        class core that holds every point, so that question is decided
-        once, and the report is the one a search on the full core gives.
-
-        Every verdict is decided by ``_decide``, but only these searches
-        run: each class-core verdict of these systems is answered without
-        one (the core lies inside the eps ball of each of its points), and
-        so is every verdict at the finest entry, half the least distance,
-        and at the coarse eps, the diameter."""
+    @pytest.mark.parametrize("name", ["cantor-identity:7", "north-south:64"])
+    def test_every_question_is_asked_of_the_whole_system(self, monkeypatch, name):
+        """Every verdict of the harness is decided by ``_decide`` on the
+        whole system; (S) and (I) answer the class cores. Only two
+        searches run on each system: every verdict at the finest entry,
+        half the least distance, and at the coarse eps, the diameter, is
+        answered without one."""
         system = parse_generator_string(name)
-
-        def full_core(self, dec, i, eps):
-            core = invariant_core(self.system, dec.classes[i])
-            return self.verdict("shadowing", dec.delta, eps, core) if core else None
-
-        with monkeypatch.context() as patch:
-            patch.setattr(verify_mod._Answers, "core_verdict", full_core)
-            expected = json.dumps(run_harness(system, name).to_json())
         domains = []
         real = shadow_mod._decide
 
@@ -436,9 +446,9 @@ class TestSharedAnswers:
         for attr in ("_explore", "_explore_orbits"):
             runs.append(mock.Mock(wraps=getattr(shadow_mod, attr)))
             monkeypatch.setattr(shadow_mod, attr, runs[-1])
-        assert json.dumps(run_harness(system, name).to_json()) == expected
-        assert sum(run.call_count for run in runs) == searches
-        assert domains and all(domain is None or len(domain) < system.n for domain in domains)
+        run_harness(system, name)
+        assert sum(run.call_count for run in runs) == 2
+        assert domains and set(domains) == {None}
 
     @pytest.mark.parametrize(
         "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
