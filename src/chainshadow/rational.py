@@ -7,6 +7,7 @@ outright: verdicts must not depend on rounding.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from .errors import BadParams
 # unread, as Fraction builds 10**exponent at a cost that grows faster.
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**_MAX_DIGITS
+_PLAIN = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
@@ -49,19 +51,21 @@ def parse_rational(value) -> Fraction:
     return q
 
 
+def plain_texts(texts) -> bool:
+    """Whether each of ``texts`` is plain: ``"[-]digits"`` or
+    ``"[-]digits/digits"`` in ASCII digits, of at most 4300 characters.
+    Such a text needs neither Fraction's regex nor the digit bound:
+    reducing only shortens it. Its denominator may still be 0."""
+    return max(map(len, texts), default=0) <= _MAX_DIGITS and all(map(_PLAIN.fullmatch, texts))
+
+
 def plain_pair(text: str) -> tuple[int, int] | None:
-    """The reduced (numerator, denominator) of a plain ``"[-]digits"`` or
-    ``"[-]digits/digits"`` of at most 4300 characters whose denominator is
-    not 0, else None. Such a text needs neither Fraction's regex nor the
-    digit bound: reducing only shortens it."""
-    num, slash, den = text.partition("/")
-    if not (
-        len(text) <= _MAX_DIGITS
-        and _is_ascii_digits(num.removeprefix("-"))
-        and (not slash or _is_ascii_digits(den))
-    ):
+    """The reduced (numerator, denominator) of a plain text (``plain_texts``)
+    whose denominator is not 0, else None."""
+    if not plain_texts((text,)):
         return None
-    p, q = int(num), int(den) if slash else 1
+    num, _, den = text.partition("/")
+    p, q = int(num), int(den or 1)
     if not q:
         return None
     g = gcd(p, q)

@@ -16,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, filterfalse, repeat
-from operator import lshift, sub
+from itertools import chain, cycle, filterfalse, repeat
+from operator import floordiv, lshift, mul, sub
 
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
@@ -29,6 +29,7 @@ from .rational import (
     parse_nonnegative,
     parse_rational,
     plain_pair,
+    plain_texts,
 )
 
 _ZERO = Fraction(0)
@@ -536,14 +537,19 @@ def _violations(table: _Table, fmap, invertible: bool) -> list[Violation]:
     # Once the list is full nothing more is added, so the rest is skipped.
     if len(out) == _MAX_VIOLATIONS:
         return out
-    for i, j in _triangle_pairs(table):
-        row_i, row_j = rows[i], rows[j]
-        dij = row_i[j]
-        for k in range(n):
-            if row_i[k] - row_j[k] > dij:
-                out.append(Violation("triangle", (i, j, k)))
-                if len(out) == _MAX_VIOLATIONS:
-                    return out
+    lanes = _lanes(rows)
+    # A table with no other violation is a symmetric one of positive
+    # distances, on which the pair check finds the first row to list.
+    start = _first_triangle_row(rows, lanes) if not out else 0
+    if start is not None:
+        for i, j in _triangle_pairs(rows, lanes, start):
+            row_i, row_j = rows[i], rows[j]
+            dij = row_i[j]
+            for k in range(n):
+                if row_i[k] - row_j[k] > dij:
+                    out.append(Violation("triangle", (i, j, k)))
+                    if len(out) == _MAX_VIOLATIONS:
+                        return out
     total = True
     for i, target in enumerate(fmap):
         if not isinstance(target, int) or isinstance(target, bool) or not 0 <= target < n:
@@ -554,25 +560,60 @@ def _violations(table: _Table, fmap, invertible: bool) -> list[Violation]:
     return out
 
 
-def _triangle_pairs(table: _Table):
-    """Every (i, j), in row-major order, for which some k has
-    d(i, k) > d(i, j) + d(j, k), that is, the largest row_i[k] - row_j[k]
-    exceeds row_i[j]."""
-    rows = table.rows
-    # SIMD within a register (Lamport, CACM 1975): row i is packed as N_i,
-    # the sum of row_i[k] << k*w, with w three bits wider than the largest
-    # |entry|. Lane k of N_j + HIGH - N_i + row_i[j] * ONES is
-    # row_j[k] - row_i[k] + row_i[j] + 2**(w-1), strictly between 0 and 2**w,
+def _lanes(rows) -> tuple[list[int], int, int]:
+    """The rows packed for SIMD within a register (Lamport, CACM 1975). With
+    w three bits wider than the largest |entry| and B = 2**(w-2), row i is
+    N_i, the sum of (row_i[k] + B) << k*w, each lane in [0, 2**w); ONES has
+    1 in each lane, and HIGH, with the top bit of each lane set, is
+    2B * ONES. Eight lanes make w whole bytes, so a row is summed eight
+    lanes at a time and its groups joined as bytes, where a running sum
+    would copy the growing int once per lane."""
+    n = len(rows)
+    w = max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length() + 3
+    shifts = range(0, 8 * w, w)
+    bias = sum(map(lshift, repeat(1 << (w - 2)), shifts))
+    pad = (0,) * (-n % 8)
+
+    def pack(row) -> int:
+        lanes = map(lshift, chain(row, pad), cycle(shifts))
+        groups = map(sum, zip(*[lanes] * 8), repeat(bias))
+        data = b"".join(map(int.to_bytes, groups, repeat(w), repeat("little")))
+        return int.from_bytes(data, "little")
+
+    # The sum of 2**(k*w) for k < n.
+    ones = ((1 << n * w) - 1) // ((1 << w) - 1)
+    return list(map(pack, rows)), ones, ones << (w - 1)
+
+
+def _first_triangle_row(rows, lanes) -> int | None:
+    """The first row i for which some (j, k) has d(i, k) > d(i, j) + d(j, k),
+    None when no row has one, on a symmetric table with a zero diagonal
+    and positive entries elsewhere. On such a table (i, j, k) breaks the
+    inequality exactly when (k, j, i) does, so each unordered pair i < k is
+    tested once, for a j with d(i, j) + d(j, k) < d(i, k). Lane j of
+    N_i + N_k - d(i, k) * ONES is row_i[j] + row_k[j] - d(i, k) + 2**(w-1),
+    strictly between 0 and 2**w, and its top bit is clear exactly when j
+    is such a point."""
+    packed, ones, high = lanes
+    for i, (n_i, row_i) in enumerate(zip(packed, rows)):
+        for n_k, dik in zip(packed[i + 1 :], row_i[i + 1 :]):
+            if (n_k + n_i - dik * ones) & high != high:
+                return i
+    return None
+
+
+def _triangle_pairs(rows, lanes, start: int):
+    """Every (i, j), in row-major order from row ``start``, for which some k
+    has d(i, k) > d(i, j) + d(j, k), that is, the largest row_i[k] - row_j[k]
+    exceeds row_i[j]; ``lanes`` are the rows' ``_lanes``."""
+    packed, ones, high = lanes
+    # Lane k of N_j + HIGH - N_i + row_i[j] * ONES, where the biases cancel,
+    # is row_j[k] - row_i[k] + row_i[j] + 2**(w-1), strictly between 0 and 2**w,
     # so no lane borrows from or carries into the next, and its top bit is
     # clear exactly when k breaks the triangle inequality.
-    w = max(max(map(max, rows), default=0), -min(map(min, rows), default=0)).bit_length() + 3
-    shifts = range(0, len(rows) * w, w)
-    packed = [sum(map(lshift, row, shifts)) for row in rows]
-    ones = sum(map(lshift, repeat(1), shifts))
-    high = ones << (w - 1)
-    for i, row_i in enumerate(rows):
+    for i in range(start, len(rows)):
         offset = high - packed[i]
-        for j, (n_j, dij) in enumerate(zip(packed, row_i)):
+        for j, (n_j, dij) in enumerate(zip(packed, rows[i])):
             if (n_j + offset + dij * ones) & high != high:
                 yield i, j
 
@@ -596,17 +637,51 @@ def _pair(value) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _read(dist_rows, fmap) -> tuple[_Table, tuple]:
-    """The rows as an integer table and the map as a tuple with one entry
-    per row. BadParams, first to last: as ``_rows`` raises, for the first
-    entry in row-major order that ``parse_rational`` refuses, for a table
-    that is not square, for a map of another length, and for a common
-    denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits."""
-    rows = _rows(dist_rows)
-    # Each distinct string is read once into a (numerator, denominator) pair,
-    # and scaled once into the int its entries share. A row that holds
-    # anything else is read entry by entry: 1, 1.0, True and Fraction(1) hash
-    # alike, and the float and the bool must still be refused.
+def _plain_table(rows) -> tuple[tuple, int] | None:
+    """The integer rows over L, the least common denominator, and L, when
+    every entry of ``rows`` is a str that ``plain_texts`` accepts, with a
+    denominator that is not 0, and L_raw, the least common multiple of the
+    denominators as written, has at most ``_MAX_COMMON_DENOMINATOR_BITS``
+    bits; else None. Each distinct text p/q is read once, unreduced, and
+    scaled to p * (L_raw / q). With h the gcd of L_raw and every scaled
+    entry, L is L_raw / h and each entry is its scaled int over h: the
+    reduced denominators divide L_raw, so L_raw / L divides h, and
+    L_raw / h is a common denominator, so L divides it."""
+    # 1, 1.0, True and Fraction(1) hash alike, so the types are checked
+    # entry by entry before the entries are merged into a set.
+    if not set(map(type, chain.from_iterable(rows))) <= {str}:
+        return None
+    texts = tuple(set(chain.from_iterable(rows)))
+    if not plain_texts(texts):
+        return None
+    numerators, denominators = [], []
+    for text in texts:
+        num, _, den = text.partition("/")
+        numerators.append(int(num))
+        denominators.append(den)
+    values = {den: int(den or 1) for den in set(denominators)}
+    if 0 in values.values():
+        return None
+    try:
+        raw = _common_denominator(values.values())
+    except BadParams:
+        # Reducing the entries first may bring the table under the limit.
+        return None
+    scale = {den: raw // q for den, q in values.items()}
+    scaled = list(map(mul, numerators, map(scale.__getitem__, denominators)))
+    h = math.gcd(raw, *scaled)
+    ints = dict(zip(texts, scaled if h == 1 else map(floordiv, scaled, repeat(h))))
+    return tuple(tuple(map(ints.__getitem__, row)) for row in rows), raw // h
+
+
+def _parse(rows) -> tuple[_Memo, dict]:
+    """Each distinct string of ``rows`` as its reduced (numerator,
+    denominator), and per row that holds anything else, its entries' pairs.
+    BadParams for the first entry in row-major order that
+    ``parse_rational`` refuses."""
+    # Each distinct string is read once into a (numerator, denominator) pair.
+    # A row that holds anything else is read entry by entry: 1, 1.0, True and
+    # Fraction(1) hash alike, and the float and the bool must still be refused.
     pairs = _Memo(_pair)
     mixed = {}
     for i, row in enumerate(rows):
@@ -620,12 +695,30 @@ def _read(dist_rows, fmap) -> tuple[_Table, tuple]:
                 raise
         else:
             mixed[i] = [pairs[v] if type(v) is str else _pair(v) for v in row]
+    return pairs, mixed
+
+
+def _read(dist_rows, fmap) -> tuple[_Table, tuple]:
+    """The rows as an integer table and the map as a tuple with one entry
+    per row. BadParams, first to last: as ``_rows`` raises, for the first
+    entry in row-major order that ``parse_rational`` refuses, for a table
+    that is not square, for a map of another length, and for a common
+    denominator wider than ``_MAX_COMMON_DENOMINATOR_BITS`` bits. A table of
+    plain strings is read by ``_plain_table``, which refuses nothing; any
+    other goes through ``_parse``, each string scaled once onto L and every
+    entry spelled alike sharing that one int."""
+    rows = _rows(dist_rows)
+    plain = _plain_table(rows)
+    if plain is None:
+        pairs, mixed = _parse(rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise BadParams("dist must be a square table")
     fmap = check_collection("map", fmap)
     if len(fmap) != n:
         raise BadParams(f"map must list {n} image indices")
+    if plain is not None:
+        return _Table(*plain), fmap
     denominators = {q for _, q in chain(pairs.values(), *mixed.values())}
     common = _common_denominator(denominators)
     scale = {q: common // q for q in denominators}

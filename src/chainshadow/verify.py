@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .bits import mask_of
 from .chain import (
     ChainDecomposition,
+    _isolated,
     build_delta_graph,
     decompose,
     invariant_core,
@@ -234,9 +235,10 @@ def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     params = _params(delta=delta, eps=eps)
     if not ans.verdict("shadowing", delta, eps).passed:
         return TheoremResult(ISOLATED_CLASSES, params, VACUOUS, {"shadowing_pass": False})
+    # delta and eps are parsed Fractions, so the margin is one too.
     margin = 2 * eps + delta
     dec = ans.decomposition(delta)
-    isolated = [i for i in range(len(dec.classes)) if dec.is_isolated(i, margin)]
+    isolated = [i for i, sep in enumerate(dec.separation) if _isolated(sep, margin)]
     details: dict = {
         "shadowing_pass": True,
         "margin": format_rational(margin),

@@ -71,6 +71,53 @@ def test_a_96_point_file_of_mixed_spellings_loads_and_a_stretched_copy_exits_2(t
     assert check(good, tmp_path) == check(bad, tmp_path) == []
 
 
+def plain_l1_spec(seed: int, n: int) -> dict:
+    """n distinct plane points with coordinates over 1 to 8 under the L1
+    metric, and a random map. Each entry is a plain "p/q" text (a whole
+    number as "p/1"), and about one in three is written unreduced, p and q
+    both times 2 or 3; d(i, j) and d(j, i) are spelled on their own."""
+    rng = random.Random(seed)
+    points: set = set()
+    while len(points) < n:
+        points.add(tuple(Fraction(rng.randrange(100), rng.randrange(1, 9)) for _ in "xy"))
+    ordered = sorted(points)
+
+    def spell(d: Fraction) -> str:
+        k = rng.choice((1, 1, 1, 1, 2, 3))
+        return f"{k * d.numerator}/{k * d.denominator}"
+
+    dist = [[spell(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in ordered] for a in ordered]
+    return {"n": n, "dist": dist, "map": [rng.randrange(n) for _ in range(n)]}
+
+
+def test_padded_entries_of_a_128_point_file_report_as_plain_ones(tmp_path):
+    """A file of plain texts and a copy with every entry padded as " p/q ",
+    which reads each entry on its own, give byte-equal reports, and their
+    stretched copies byte-equal errors."""
+    spec = plain_l1_spec(128, 128)
+    padded = {**spec, "dist": [[f" {v} " for v in row] for row in spec["dist"]]}
+    runs = []
+    # Every distance is under 200, so 1000 is longer than any two-step path.
+    for name, base, far in (("plain", spec, "1000/1"), ("padded", padded, " 1000/1 ")):
+        stretched = {**base, "dist": [list(row) for row in base["dist"]]}
+        stretched["dist"][3][70] = stretched["dist"][70][3] = far
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "l1.json").write_text(json.dumps(base))
+        (tmp_path / name / "bad.json").write_text(json.dumps(stretched))
+        runs.append([
+            run(args, 60, tmp_path / name)[:3]
+            for args in (
+                "analyze --file l1.json --delta 1",
+                "ladder --file l1.json --deltas 2,1,1/2",
+                "analyze --file bad.json --delta 1",
+            )
+        ])
+    assert runs[0] == runs[1]
+    (code, report, _), (ladder_code, ladder, _), (bad_code, _, error) = runs[0]
+    assert (code, ladder_code, bad_code) == (0, 0, 2)
+    assert report and ladder and "triangle" in error
+
+
 def test_a_table_wider_than_1024_bits_is_refused_within_10_s(tmp_path):
     """64 points with one ~40-bit denominator per pair: refused before the
     axioms are checked, with a message and no traceback."""

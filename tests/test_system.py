@@ -135,6 +135,11 @@ def scalar_triangle_pairs(rows):
     ]
 
 
+def all_triangle_pairs(rows):
+    """Every pair that ``_triangle_pairs`` flags, from the first row."""
+    return list(system_mod._triangle_pairs(rows, system_mod._lanes(rows), 0))
+
+
 @st.composite
 def integer_rows(draw, max_n: int = 7):
     """Square integer tables whose entries reach +-2**b and +-(2**b - 1)
@@ -157,6 +162,59 @@ def _extreme_rows(m: int):
     """A table whose lanes reach both ends of their range when m is the
     largest |entry|: row_j[k] - row_i[k] + row_i[j] runs from -3m to 3m."""
     return ((m, -m, m), (-m, m, -m), (m, m, -m))
+
+
+def symmetric_rows(rows):
+    """``rows`` as a table that passes identity, positivity and symmetry:
+    a zero diagonal and, on both sides of it, the |entry| above it, or 1
+    for 0."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i][j] = out[j][i] = abs(rows[i][j]) or 1
+    return tuple(map(tuple, out))
+
+
+def _extreme_metric_rows(m: int):
+    """Symmetric tables of positive entries of at most m whose pair lanes
+    row_i[j] + row_k[j] - d(i, k) reach both ends of their range, 2 - m and
+    2m - 1, and 0, where no point breaks the inequality."""
+    return (
+        ((0, m, 1), (m, 0, 1), (1, 1, 0)),
+        ((0, 1, m), (1, 0, m), (m, m, 0)),
+        ((0, m, m), (m, 0, m), (m, m, 0)),
+    )
+
+
+@st.composite
+def stretched_metric_rows(draw):
+    """The integer rows of a valid system, with, now and then, one pair
+    i < j stretched to 3 times the largest entry."""
+    system = draw(metric_systems())
+    rows = [list(row) for row in system._metric.rows]
+    if system.n > 1 and draw(st.booleans()):
+        pair = st.lists(st.integers(0, system.n - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(draw(pair))
+        rows[i][j] = rows[j][i] = 3 * max(map(max, rows))
+    return tuple(map(tuple, rows))
+
+
+def _with_extreme_metric_examples(test):
+    """``test`` with each ``_extreme_metric_rows`` table as an example, at
+    the widths of ``_extreme_rows``'s examples."""
+    for m in (2**4 - 1, 2**4, 2**61 - 1, 2**61):
+        for rows in _extreme_metric_rows(m):
+            test = example(rows)(test)
+    return test
+
+
+def assert_first_row(rows) -> None:
+    """The pair check flags no row when the scalar test finds no pair, and
+    otherwise the row of its first pair."""
+    pairs = scalar_triangle_pairs(rows)
+    found = system_mod._first_triangle_row(rows, system_mod._lanes(rows))
+    assert found == (pairs[0][0] if pairs else None)
 
 
 class TestValidation:
@@ -357,8 +415,7 @@ class TestValidation:
     @example(((0, 0, 0), (0, 0, 5), (0, -3, 0)))
     @settings(max_examples=300)
     def test_packed_flags_match_the_scalar_test(self, rows):
-        table = system_mod._Table(rows, 1)
-        assert list(system_mod._triangle_pairs(table)) == scalar_triangle_pairs(rows)
+        assert all_triangle_pairs(rows) == scalar_triangle_pairs(rows)
 
     @given(metric_systems())
     @settings(max_examples=40)
@@ -367,14 +424,26 @@ class TestValidation:
         if system.n > 1:
             rows[0][1] = rows[1][0] = 3 * max(map(max, rows))
         rows = tuple(map(tuple, rows))
-        table = system_mod._Table(rows, system._metric.denominator)
-        assert list(system_mod._triangle_pairs(table)) == scalar_triangle_pairs(rows)
+        assert all_triangle_pairs(rows) == scalar_triangle_pairs(rows)
+
+    @given(integer_rows().map(symmetric_rows))
+    @_with_extreme_metric_examples
+    @example(((0,),))
+    @example(((0, 1), (1, 0)))
+    @settings(max_examples=300)
+    def test_the_pair_check_flags_the_first_row(self, rows):
+        assert_first_row(rows)
+
+    @given(stretched_metric_rows())
+    @settings(max_examples=60)
+    def test_the_pair_check_on_a_stretched_metric(self, rows):
+        assert_first_row(rows)
 
     def test_empty_table_has_no_violations(self):
         assert metric_violations((), (), False) == []
 
     def test_a_full_list_skips_the_triangle_pass(self, monkeypatch):
-        def never(table):
+        def never(*args):
             raise AssertionError("triangle pass run")
 
         monkeypatch.setattr(system_mod, "_triangle_pairs", never)
@@ -387,8 +456,8 @@ class TestValidation:
         flagged = []
         pairs = system_mod._triangle_pairs
 
-        def counted(table):
-            for pair in pairs(table):
+        def counted(*args):
+            for pair in pairs(*args):
                 flagged.append(pair)
                 yield pair
 
@@ -474,6 +543,23 @@ _WIDE_ENTRIES = st.builds(
 ).flatmap(lambda q: st.sampled_from([f"1/{q}", f"-7/{q}", Fraction(3, q), 5, f" 2/{q} "]))
 
 
+_WIDE_RAW = 2**1100
+# Plain texts, unreduced "p/q" included, whose raw denominators may pass
+# 1024 bits while their reduced ones do not, and plain-looking texts that
+# parse_rational refuses.
+_PLAIN_EXAMPLES = (
+    "-0", "0/7", "007/010", "6/4", f"{_WIDE_RAW}/{_WIDE_RAW}", f"{3 * _WIDE_RAW}/{2 * _WIDE_RAW}",
+    f"{3**400}/{3**400}", f"{2**600}/{2**600}", f"1/{_WIDE_RAW}",
+)
+_REFUSED_PLAIN_LOOKING = ("5/", "/5", "-", "1/0", "1" * 4301)
+_PLAIN = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 60), st.integers(1, 24)),
+    st.integers(-3, 60).map(str),
+    st.sampled_from(_PLAIN_EXAMPLES),
+)
+_PLAIN_ENTRIES = st.one_of(_PLAIN, _PLAIN, _PLAIN, st.sampled_from(_REFUSED_PLAIN_LOOKING))
+
+
 @st.composite
 def raw_tables(draw, entries, max_n: int = 5):
     """Rows and a map, as a user may pass them: up to ``max_n`` rows whose
@@ -511,6 +597,29 @@ class TestTableReader:
     @settings(max_examples=100)
     def test_matches_it_at_the_1024_bit_stop(self, table):
         assert _read_outcome(system_mod._read, *table) == _read_outcome(reference_read, *table)
+
+    @given(raw_tables(_PLAIN_ENTRIES))
+    @settings(max_examples=300)
+    def test_matches_it_on_plain_strings(self, table):
+        assert _read_outcome(system_mod._read, *table) == _read_outcome(reference_read, *table)
+
+    @pytest.mark.parametrize("text", _PLAIN_EXAMPLES + _REFUSED_PLAIN_LOOKING, ids=lambda t: t[:12])
+    def test_matches_it_on_each_plain_example(self, text):
+        table = ([["0", text, "3/4"], [text, "0", "1/2"], ["3/4", "1/2", "0"]], [0, 1, 2])
+        assert _read_outcome(system_mod._read, *table) == _read_outcome(reference_read, *table)
+
+    def test_plain_strings_skip_the_entry_reader(self, monkeypatch):
+        """A table of plain strings is read in one pass, so it is that pass
+        that a timed load of such a file measures."""
+
+        def never(value):
+            raise AssertionError(f"{value!r} read on its own")
+
+        rows = [["0", "3/7", "12/14"], ["6/14", "-0", "006/014"], ["6/7", "3/7", "0/5"]]
+        expected = _read_outcome(reference_read, rows, (1, 2, 2))
+        monkeypatch.setattr(system_mod, "_pair", never)
+        assert _read_outcome(system_mod._read, rows, (1, 2, 2)) == expected
+        make_system(rows, (1, 2, 2))
 
     def test_the_first_refused_string_of_a_row_raises(self):
         """Not the first one read: a row's distinct strings are read as a set."""
