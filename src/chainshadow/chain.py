@@ -110,18 +110,27 @@ def _isolated(sep: Fraction | None, r: Fraction) -> bool:
     return sep is None or sep > r
 
 
+def _one_class(graph: DeltaGraph) -> ChainDecomposition:
+    """The decomposition of a graph that is one cyclic SCC: one class of
+    every point, with nothing above, below or beside it."""
+    n = graph.system.n
+    return ChainDecomposition(
+        graph.system, graph.delta, (frozenset(range(n)),), (0,) * n, (0,), (0,), (0,), (None,)
+    )
+
+
 def decompose(graph: DeltaGraph) -> ChainDecomposition:
     """Chain classes from one iterative Tarjan pass, which closes the SCCs
     sinks first. The k cyclic SCCs take ids 0..k-1 by least point, so chain
     class i is SCC i; the acyclic SCCs take the ids after them. A graph
     whose every successor row holds all n points, as at any delta past
-    the diameter, is one class with no pass."""
+    the diameter, is one class with no pass. A graph whose pass closes
+    one cyclic SCC, which then holds every point, is that one class with
+    no pass over the edges after Tarjan's."""
     succ = graph.succ
     n = graph.system.n
     if sum(map(len, succ)) == n * n:
-        return ChainDecomposition(
-            graph.system, graph.delta, (frozenset(range(n)),), (0,) * n, (0,), (0,), (0,), (None,)
-        )
+        return _one_class(graph)
     # index[v] is v's discovery number, and n once v's SCC has closed, so
     # lowlinks skip closed points.
     index = [-1] * n
@@ -158,6 +167,8 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
                     closed.append((acyclic, tuple(sorted(members))))
                 if stack and low[v] < low[stack[-1][0]]:
                     low[stack[-1][0]] = low[v]
+    if len(closed) == 1 and not closed[0][0]:
+        return _one_class(graph)
     # SCCs are disjoint, so (acyclic, members) pairs sort by least point.
     sccs = [members for _, members in sorted(closed)]
     scc_of = [0] * n

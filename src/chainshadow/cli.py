@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .chain import (
     _require_decreasing,
@@ -213,7 +214,67 @@ def _warn_below_quantization(system, deltas) -> None:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, written in one pass: one
+    recursive writer appends to a list, joined once. ``json.dumps`` indents
+    only in its pure-Python encoder, which builds every item through a
+    chain of generators. Strings go through ``encode_basestring_ascii``,
+    as ``json.dumps`` writes them, and a list of ints is written with one
+    join. A value of any other type (a float, a non-str key, a subclass)
+    sends the whole object to ``json.dumps``, so the bytes, or the
+    exception, are always json's."""
+    out: list[str] = []
+    try:
+        _write(obj, "\n", out)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append ``value`` as ``json.dumps(indent=2)`` writes it, where
+    ``newline`` is a line break followed by the indent of its own line;
+    TypeError for a value it leaves to ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise TypeError
 
 
 def _analyze_table(dec) -> str:

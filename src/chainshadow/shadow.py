@@ -491,11 +491,8 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
     else:
         balls = system._balls(eps, dmask, dmask)
         succ_balls = system._balls(delta, system._image(dmask), dmask)
-        asymp = _asymp_masks(system, balls) if "slimit" in props else None
-        tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
-        states, found = _explore(
-            system, succ_balls, balls, tuple(tests[prop] for prop in props), state_cap, exact
-        )
+        failing, screen = _predicates(system, balls, props)
+        states, found = _explore(system, succ_balls, balls, failing, state_cap, exact, screen)
         count = len(states)
     verdicts = []
     for prop, hit in zip(props, found):
@@ -507,6 +504,18 @@ def _decide(system, delta, eps, domain, state_cap, props, exact=True):
             witness = PseudoOrbit(path, delta, tail)
             verdicts.append(ShadowVerdict(prop, delta, eps, False, witness, visited))
     return tuple(verdicts)
+
+
+def _predicates(system, balls: dict[int, int], props) -> tuple[tuple, list[int]]:
+    """``_explore``'s failing predicates for ``props`` over the eps balls
+    ``balls``, and its screen: (p, Y) fails shadowing when Y is empty and
+    slimit when Y misses p's merge set. An empty Y misses every merge set
+    too, so where slimit is asked the merge sets screen for both; for
+    shadowing alone the screen is all ones."""
+    asymp = _asymp_masks(system, balls) if "slimit" in props else None
+    tests = {"shadowing": lambda p, y: y == 0, "slimit": lambda p, y: y & asymp[p] == 0}
+    screen = [-1] * system.n if asymp is None else asymp
+    return tuple(tests[prop] for prop in props), screen
 
 
 def _forced_count(system, delta, eps, dmask: int, state_cap) -> int | None:
@@ -673,7 +682,7 @@ def _successor_row(m: int, balls: dict[int, int], parents: dict) -> tuple:
     return tuple((q, balls[q], parents[q]) for q in bits(m))
 
 
-def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
+def _explore(system, succ_balls, balls, failing, state_cap, exact=True, screen=None):
     """Level-synchronized BFS over determinized states, for one or more
     failing predicates.
 
@@ -684,10 +693,20 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
     on the first level where it holds at all. Level order is the
     lexicographic order of the recorded shortest prefixes, so that path is
     the lexicographically smallest shortest failing prefix. Each open
-    predicate is tested once per level, before the level is expanded; the
-    search stops once every predicate has held or no state is left.
-    ``state_cap`` (None, or an int >= 0) is checked on every inserted
-    state.
+    predicate is tested once per level, before the level is expanded, on
+    the states of that level that passed the screen; the search stops once
+    every predicate has held or no state is left. ``state_cap`` (None, or
+    an int >= 0) is checked on every inserted state.
+
+    ``screen`` (one mask per point, or None to screen nothing) must pass
+    every state where a predicate can hold: a state (q, Y) can fail only
+    if Y & screen[q] == 0. Each new state is screened as it is inserted,
+    and only those it passes, kept in insertion order, reach the
+    predicates; the first level is tested in full. Every failing state
+    passes and the kept list keeps level order, so the first failing
+    state, its path and its count are those of the unscreened search.
+    The exact search still tests at every level boundary, with an empty
+    list where nothing passed.
 
     With ``exact=False`` (witness mode) the open predicates are tested on
     the children of each state as soon as it is expanded, and the search
@@ -731,6 +750,9 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
     succ: list[tuple | None] = [None] * len(fmap)
     image = system._image
     images: dict[int, int] = {}
+    # A zero mask passes every state.
+    if screen is None:
+        screen = [0] * len(fmap)
 
     states: list[tuple[int, int]] = []
     for p in domain:
@@ -740,12 +762,14 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
             raise Inconclusive(len(states), state_cap)
     found = [None] * len(failing)
     start = 0
+    screened = states[:]
     while start < len(states):
         level = states[start:]
         # Witness mode has tested every later level as it was built.
         if exact or not start:
-            _first_failing(failing, found, level, parents, len(states))
-        start = scanned = len(states)
+            _first_failing(failing, found, screened, parents, len(states))
+        start = len(states)
+        screened = []
         if None not in found:
             break
         for expanded, state in enumerate(level, 1):
@@ -770,13 +794,16 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
                 child = iy & ball
                 if child not in seen:
                     seen[child] = state
-                    states.append((q, child))
+                    new = (q, child)
+                    states.append(new)
                     if len(states) > cap:
                         raise Inconclusive(len(states), state_cap)
+                    if not child & screen[q]:
+                        screened.append(new)
             if not exact:
-                if None in found:
-                    _first_failing(failing, found, states[scanned:], parents, len(states))
-                    scanned = len(states)
+                if screened and None in found:
+                    _first_failing(failing, found, screened, parents, len(states))
+                    screened = []
                 if None not in found:
                     if len(states) + (len(level) - expanded) * len(domain) <= cap:
                         return states, found
@@ -785,7 +812,12 @@ def _explore(system, succ_balls, balls, failing, state_cap, exact=True):
 
 def _first_failing(failing, found, states, parents, count) -> None:
     """Record in ``found`` (as ``_explore`` gives it, with ``count``) the
-    first of ``states`` where each predicate not yet found holds."""
+    first of ``states`` where each predicate not yet found holds.
+    ``_explore`` passes the states that its screen let through since the
+    last call, in insertion order: the whole first level, then, in the
+    exact search, one level's at each level boundary, even none, so this
+    runs once per level; in witness mode, the children of a parent after
+    its expansion, where the screen passed any."""
     for i, fails in enumerate(failing):
         if found[i] is None:
             bad = next((s for s in states if fails(*s)), None)

@@ -143,6 +143,9 @@ PINS = [
     # 380 classes and 36,289 order lines, read a run of class ids at a time.
     Pin("analyze --gen north-south:384 --delta 479/146688 --format table", 0,
         "e00393bf30644e398e713bd32fb1faed7e49dc9e39e49694dfe5b0a708d6e42d"),
+    # The same report as JSON, 1.27 MB, written in one pass by ``cli._dumps``.
+    Pin("analyze --gen north-south:384 --delta 479/146688", 0,
+        "d6e21237590c5bc2ec4ebe20aba04c2488ec7154ac86db1ff906b74060bde22d"),
     # A rational of 4300 digits parses and prints (4301 would exit 2).
     Pin("analyze --gen rotation:4:1 --delta 1e4299", 0,
         "b8ea0b743a3156622fd7d93bbcec635b2a00ef0c903a0bbf717accbf7ad408d9"),

@@ -65,7 +65,7 @@ from chainshadow import (
     run_harness,
 )
 from chainshadow import shadow as shadow_mod
-from chainshadow.bits import to_frozenset
+from chainshadow.bits import bits, to_frozenset
 from chainshadow.chain import DeltaGraph
 from chainshadow.verify import FAILS, SLIMIT_IMPLIES_SHADOWING
 
@@ -267,6 +267,25 @@ def reachable_states(system, delta, eps, domain=None, state_cap=shadow_mod.DEFAU
     return explored(system, delta, eps, domain, (lambda p, y: False,), state_cap)[0]
 
 
+def level_ends(system, delta, eps, domain=None) -> list[int]:
+    """The state count at the end of each level of the plain BFS
+    (``reachable_states`` with no cap), read off its discovery order: a
+    state's level is one past the level of the first listed state that
+    has it as a child."""
+    states = reachable_states(system, delta, eps, domain, None)
+    dmask = shadow_mod._domain_mask(system, domain)
+    balls = system._balls(Fraction(eps), dmask, dmask)
+    succ_balls = system._balls(Fraction(delta), system._image(dmask), dmask)
+    level = dict.fromkeys(states[: len(balls)], 0)
+    for p, y in states:
+        image = system._image(y)
+        for q in bits(succ_balls[system.map[p]]):
+            level.setdefault((q, image & balls[q]), level[p, y] + 1)
+    depths = [level[state] for state in states]
+    _require(depths == sorted(depths), "the plain BFS does not list its states in level order")
+    return [i for i in range(1, len(states)) if depths[i] != depths[i - 1]] + [len(states)]
+
+
 def merge_sets(system, eps, domain=None) -> tuple[frozenset[int], ...]:
     """Per point, its merge set over the eps balls of the domain, as the
     slimit check reads it (``shadow._asymp_masks``)."""
@@ -278,7 +297,9 @@ def merge_sets(system, eps, domain=None) -> tuple[frozenset[int], ...]:
 def searched(system, delta, eps, domain, state_cap, props, exact=True):
     """What ``shadow._decide`` returns, from its BFS run directly and with
     no verdict forced: ``_explore_orbits`` on the whole of a system that
-    the shift maps onto itself, else ``explored``."""
+    the shift maps onto itself, else ``explored``. ``explored`` passes no
+    screen, so every new state reaches the predicates, and comparing with
+    ``_decide``, which screens them, tests that screen too."""
     delta, eps = Fraction(delta), Fraction(eps)
     dmask = shadow_mod._domain_mask(system, domain)
     step = system._rotation_step if dmask == (1 << system.n) - 1 else None

@@ -35,6 +35,7 @@ from chainshadow import (
 from chainshadow import chain as chain_mod
 from chainshadow import system as system_mod
 from chainshadow.bits import bits
+from chainshadow.chain import DeltaGraph
 from chainshadow.rational import format_rational
 from conftest import metric_systems, system_and_scales, widest_table
 from corpus import standard_corpus
@@ -271,6 +272,23 @@ ONE_CLASS_SYSTEMS = [
 ]
 
 
+def _no_walk(*args):
+    raise AssertionError("the separations were walked")
+
+
+@st.composite
+def strongly_connected_graphs(draw):
+    """A graph on the points of a random system that holds a cycle through
+    every point in a drawn order, plus random edges, so that it is one SCC."""
+    system = draw(metric_systems())
+    n = system.n
+    order = draw(st.permutations(range(n)))
+    rows = [draw(st.sets(st.integers(0, n - 1))) for _ in range(n)]
+    for i in range(n):
+        rows[order[i]].add(order[(i + 1) % n])
+    return DeltaGraph(system, Fraction(1), tuple(tuple(sorted(row)) for row in rows))
+
+
 class TestComponents:
     @given(system_and_scales())
     @example((_STAIRCASE, Fraction(1, 2), Fraction(1, 2)))
@@ -305,6 +323,44 @@ class TestComponents:
             assert (dec.class_covers, dec.class_above, dec.separation) == ((0,), (0,), (None,))
             check_class_masks(dec)
             check_exports(dec)
+
+    @pytest.mark.parametrize(
+        "name, delta",
+        [
+            ("cantor-identity:7", Fraction(1094, 2187)),
+            ("north-south:64", Fraction(127, 496)),
+            *LADDER_GRAPHS[:2],
+        ],
+        ids=str,
+    )
+    def test_one_scc_skips_the_class_passes(self, monkeypatch, name, delta):
+        """Graphs with a successor row that misses a point, whose Tarjan
+        pass closes one SCC: each is one class, read with no pass after
+        Tarjan's and no separation walk."""
+        system = parse_generator_string(name)
+        graph = build_delta_graph(system, delta)
+        assert sum(map(len, graph.succ)) < system.n**2
+        monkeypatch.setattr(system_mod.FiniteMetricSystem, "_separations", _no_walk)
+        dec = decompose(graph)
+        assert classes_and_reach(dec) == reference_components(graph)
+        assert dec.classes == (frozenset(system.points),)
+        check_class_masks(dec)
+        check_exports(dec)
+
+    @given(strongly_connected_graphs())
+    @settings(max_examples=100)
+    def test_strongly_connected_graphs(self, graph):
+        dec = decompose(graph)
+        assert classes_and_reach(dec) == reference_components(graph)
+        assert dec.classes == (frozenset(graph.system.points),)
+        check_class_masks(dec)
+        check_exports(dec)
+
+    def test_one_point_with_no_edge_is_no_class(self):
+        """One SCC, but acyclic: a point with no self-loop is not recurrent."""
+        graph = DeltaGraph(make_system([[0]], (0,)), Fraction(0), ((),))
+        dec = decompose(graph)
+        assert classes_and_reach(dec) == reference_components(graph) == ((), (None,), ())
 
     def test_deep_cycle(self):
         # One DFS path runs through all 1024 points.

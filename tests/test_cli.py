@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshadow import (
     build_delta_graph,
@@ -16,7 +18,7 @@ from chainshadow import (
     invariant_core,
     parse_generator_string,
 )
-from chainshadow.cli import main
+from chainshadow.cli import _dumps, main
 
 
 def run_cli(capsys, *argv):
@@ -643,3 +645,87 @@ class TestPlumbing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+# json escapes the quote, the backslash and every character outside
+# " ".."~": controls, DEL, non-ASCII, astral and lone surrogates. It leaves
+# "/" as it is.
+_SPECIAL = '"\\/\x00\x08\t\n\x1f\x7f\x80\u00e9\u2028\ud800\udfff\U0001f600'
+_TEXT = st.text(st.one_of(st.characters(blacklist_categories=()), st.sampled_from(_SPECIAL)))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**300), 2**300),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(_TEXT, children),
+    ),
+    max_leaves=30,
+)
+
+
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def _circular():
+    loop = [1]
+    loop.append(loop)
+    return loop
+
+
+class TestReportWriter:
+    """``_dumps`` writes ``json.dumps(value, indent=2)`` and a newline."""
+
+    @given(_VALUES)
+    @settings(max_examples=200)
+    def test_matches_json(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1.5,
+            [1, 2.5],
+            {"a": [float("nan")]},
+            {1: "a"},
+            {True: 1, "b": 2},
+            {None: 0},
+            {(1, 2): 3},
+            {"a": _Text("b")},
+            [_Text("x"), 1],
+            {_Text("k"): 1},
+            [1, _Int(2)],
+            {"a": {1, 2}},
+            [object()],
+            _circular(),
+            [10**5000],
+        ],
+        ids=[
+            "float", "float-in-ints", "nan", "int-key", "bool-key", "none-key", "tuple-key",
+            "str-subclass", "str-subclass-in-list", "str-subclass-key", "int-subclass",
+            "set", "object", "circular", "int-past-the-digit-limit",
+        ],
+    )
+    def test_other_values_take_json(self, value):
+        """A value of another type sends the whole object to json, so the
+        bytes, or the exception, are json's."""
+        try:
+            expected = json.dumps(value, indent=2) + "\n"
+        except Exception as exc:
+            with pytest.raises(type(exc)) as caught:
+                _dumps(value)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _dumps(value) == expected

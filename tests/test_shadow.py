@@ -52,7 +52,14 @@ from conftest import (
     system_and_scales,
     widest_table,
 )
-from small_scope import _outcome, merge_sets, reachable_states, same_decisions, searched
+from small_scope import (
+    _outcome,
+    level_ends,
+    merge_sets,
+    reachable_states,
+    same_decisions,
+    searched,
+)
 from small_scope import invariant_domains as every_invariant_domain
 
 
@@ -126,11 +133,13 @@ def reference_explore(system, succ_balls, balls, failing, state_cap):
     return visited, None
 
 
-def reference_per_predicate(system, succ_balls, balls, failing, state_cap, exact=True):
+def reference_per_predicate(
+    system, succ_balls, balls, failing, state_cap, exact=True, screen=None
+):
     """``_explore``'s interface for a tuple of failing predicates, served by
-    one ``reference_explore`` run per predicate. ``exact`` is taken and not
-    read: each run finishes the level where its predicate first holds, as
-    the exact search does."""
+    one ``reference_explore`` run per predicate. ``exact`` and ``screen``
+    are taken and not read: each run tests every state, and finishes the
+    level where its predicate first holds, as the exact search does."""
     runs = [reference_explore(system, succ_balls, balls, fails, state_cap) for fails in failing]
     found = [None if path is None else (len(visited), path) for visited, path in runs]
     return max((visited for visited, _ in runs), key=len), found
@@ -1067,6 +1076,44 @@ class TestExploreAgainstReference:
     def test_same_states_verdicts_and_caps(self, data):
         ours, theirs = _against_reference(*data)
         assert ours == theirs
+
+
+@st.composite
+def screened_searches(draw):
+    """A system, scales, a forward-invariant domain (or None), the
+    properties of a public check or of the harness's joint search, and
+    exact or witness mode."""
+    system = draw(metric_systems())
+    pool = [Fraction(0), *sweep_values(system)]
+    delta, eps = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    props = draw(st.sampled_from([("shadowing",), ("slimit",), ("slimit", "shadowing")]))
+    return system, delta, eps, invariant_domains(draw, system), props, draw(st.booleans())
+
+
+class TestScreen:
+    """``_explore`` tests a new state only where ``_decide``'s screen
+    passes it; with no screen it tests every state. Both searches list the
+    same states, find the same failures with the same counts, and stop at
+    the same caps, at every level boundary."""
+
+    @given(screened_searches())
+    @settings(max_examples=200, deadline=None)
+    def test_same_states_found_and_caps(self, data):
+        system, delta, eps, domain, props, exact = data
+        dmask = shadow_mod._domain_mask(system, domain)
+        balls = system._balls(eps, dmask, dmask)
+        succ_balls = system._balls(delta, system._image(dmask), dmask)
+        failing, screen = shadow_mod._predicates(system, balls, props)
+
+        def search(cap, masks):
+            try:
+                return shadow_mod._explore(system, succ_balls, balls, failing, cap, exact, masks)
+            except Inconclusive as exc:
+                return str(exc), exc.states_explored
+
+        ends = level_ends(system, delta, eps, domain)
+        for cap in [None, *sorted({cap for end in ends for cap in (end - 1, end)})]:
+            assert search(cap, screen) == search(cap, None), cap
 
 
 class TestSharedSuccessorSkip:

@@ -57,6 +57,7 @@ from small_scope import (
     inverse_classes,
     inverse_identity,
     law_counterexamples,
+    level_ends,
     same_decisions,
     tables,
 )
@@ -542,6 +543,21 @@ class TestWitnessMode:
             expected = [_report_or_cap(system, grid, cap) for cap in caps]
         assert [_report_or_cap(system, grid, cap) for cap in caps] == expected
         assert isinstance(expected[0], str)
+
+    def test_the_hook_sees_every_level(self, monkeypatch):
+        """``_exact_joint_searches`` reads its caps off the level ends, so it
+        must see every level of the exact search, also those where no state
+        passes the screen: at delta = eps = 127/496 on north-south:64, one
+        count for each level of the plain BFS up to the level that ends at
+        11,655 states, where both properties first fail."""
+        system = parse_generator_string("north-south:64")
+        v = Fraction(127, 496)
+        counts: set[int] = set()
+        _exact_joint_searches(monkeypatch, counts)
+        verify_mod._decide(system, v, v, None, None, ("slimit", "shadowing"), False)
+        ends = level_ends(system, v, v)
+        assert 11655 in ends
+        assert sorted(counts) == [end for end in ends if end <= 11655]
 
     def test_the_search_stops_inside_the_level(self):
         """At delta = eps = 127/496 on north-south:64 both properties first
