@@ -9,10 +9,9 @@ order is reachability between classes (possibly through transient points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 
 from .bits import bits as _bits, mask_of, runs
 from .errors import BadParams, EmptySet, NotDecreasing
@@ -33,11 +32,19 @@ def build_delta_graph(system: FiniteMetricSystem, delta) -> DeltaGraph:
     """The successors of p are the delta ball of f(p), ascending. Each ball
     comes from the system's ball memo, which the shadow searches read too,
     and is read a run of its mask at a time as slices of one tuple of n
-    ints, so every edge to a point shares that point's one int object."""
+    ints, so every edge to a point shares that point's one int object. A
+    ball of one run of set bits is its one slice, and a full ball is that
+    tuple itself."""
     delta = parse_nonnegative(delta)
     ids = tuple(range(system.n))
     rows = {}
     for t, ball in system._balls(delta, mask_of(set(system.map)), -1).items():
+        # Adding the lowest bit carries through the first run (as in runs).
+        low = ball & -ball
+        carried = ball + low
+        if not ball & carried:
+            rows[t] = ids[low.bit_length() - 1 : (ball ^ carried).bit_length() - 1]
+            continue
         row: list[int] = []
         for lo, hi in runs(ball):
             row += ids[lo:hi]
@@ -132,41 +139,58 @@ def decompose(graph: DeltaGraph) -> ChainDecomposition:
     if sum(map(len, succ)) == n * n:
         return _one_class(graph)
     # index[v] is v's discovery number, and n once v's SCC has closed, so
-    # lowlinks skip closed points.
+    # lowlinks skip closed points. path holds the DFS path and edges the
+    # iterator over each path point's successors; a point's lowlink is
+    # kept in a local while its edges are read, and stored when the DFS
+    # leaves it for a child.
     index = [-1] * n
     low = [0] * n
-    ticks = count()
+    tick = 0
     open_stack: list[int] = []
     closed: list[tuple[bool, tuple[int, ...]]] = []  # (acyclic, members) sinks first
     for root in range(n):
         if index[root] >= 0:
             continue
-        index[root] = low[root] = next(ticks)
+        index[root] = low[root] = tick
+        tick += 1
         open_stack.append(root)
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            v, edges = stack[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = next(ticks)
+        path = [root]
+        edges = [iter(succ[root])]
+        while path:
+            v = path[-1]
+            low_v = low[v]
+            for w in edges[-1]:
+                seen = index[w]
+                if seen < 0:
+                    low[v] = low_v
+                    index[w] = low[w] = tick
+                    tick += 1
                     open_stack.append(w)
-                    stack.append((w, iter(succ[w])))
+                    path.append(w)
+                    edges.append(iter(succ[w]))
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if seen < low_v:
+                    low_v = seen
             else:
-                stack.pop()
-                if low[v] == index[v]:
-                    members = [open_stack.pop()]
-                    while members[-1] != v:
-                        members.append(open_stack.pop())
-                    for w in members:
+                path.pop()
+                edges.pop()
+                if low_v < index[v]:
+                    # Not a root, so v's parent is on the path.
+                    if low_v < low[path[-1]]:
+                        low[path[-1]] = low_v
+                elif open_stack[-1] == v:
+                    # A singleton SCC is cyclic exactly when v has a self-loop.
+                    open_stack.pop()
+                    index[v] = n
+                    closed.append((v not in succ[v], (v,)))
+                else:
+                    members = []
+                    w = -1
+                    while w != v:
+                        w = open_stack.pop()
                         index[w] = n
-                    # A cyclic SCC holds a cycle: a self-loop if a singleton.
-                    acyclic = len(members) == 1 and v not in succ[v]
-                    closed.append((acyclic, tuple(sorted(members))))
-                if stack and low[v] < low[stack[-1][0]]:
-                    low[stack[-1][0]] = low[v]
+                        members.append(w)
+                    closed.append((False, tuple(sorted(members))))
     if len(closed) == 1 and not closed[0][0]:
         return _one_class(graph)
     # SCCs are disjoint, so (acyclic, members) pairs sort by least point.
@@ -277,18 +301,29 @@ def refine_ladder(system: FiniteMetricSystem, deltas) -> DeltaLadder:
     if not resolved:
         raise BadParams("need at least one delta")
     _require_decreasing(resolved)
-    levels = [decompose(build_delta_graph(system, d)) for d in resolved]
+    # decompose reads only a graph's rows (and its system), and graphs
+    # shrink as delta falls, so equal rows can only be those of the level
+    # before: that level's decomposition is taken at the new delta.
+    levels: list[ChainDecomposition] = []
+    previous = None
+    for d in resolved:
+        graph = build_delta_graph(system, d)
+        if graph.succ == previous:
+            levels.append(replace(levels[-1], delta=graph.delta))
+        else:
+            levels.append(decompose(graph))
+        previous = graph.succ
     refinement = []
     for coarse, fine in zip(levels, levels[1:]):
-        if not fine.cr <= coarse.cr:
+        # (fine class, coarse class) of each fine recurrent point: a fine
+        # class inside one coarse class gives one pair.
+        pairs = {(j, i) for j, i in zip(fine.class_index, coarse.class_index) if j is not None}
+        if any(i is None for _, i in pairs):
             raise RuntimeError("recurrence monotonicity violated")
-        mapping = []
-        for cls in fine.classes:
-            parents = {coarse.class_index[p] for p in cls}
-            if len(parents) != 1 or None in parents:
-                raise RuntimeError("class containment violated across levels")
-            mapping.append(parents.pop())
-        refinement.append(tuple(mapping))
+        if len(pairs) != len(fine.classes):
+            raise RuntimeError("class containment violated across levels")
+        parent = dict(pairs)
+        refinement.append(tuple(map(parent.__getitem__, range(len(fine.classes)))))
     threshold = system.functional_threshold
     # A one-point system has no threshold: it is always the plain orbit graph.
     stabilized = next(

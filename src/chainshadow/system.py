@@ -168,16 +168,22 @@ class _Positions:
         Between the points of two classes, the least distance is met at two
         that are neighbours in position order, the last beside the first,
         among the points in some class."""
+        full = self.circumference
         held = [
-            (x, class_index[p])
-            for x, p in zip(self.ascending, self.order)
-            if class_index[p] is not None
+            (x, i)
+            for x, i in zip(self.ascending, map(class_index.__getitem__, self.order))
+            if i is not None
         ]
         for (x, i), (y, j) in zip(held, held[1:] + held[:1]):
             if i != j:
-                d = self.between(x, y)
-                least[i] = min(least[i], d)
-                least[j] = min(least[j], d)
+                # between(x, y), inline: the shorter way round.
+                d = abs(x - y)
+                if d + d > full:
+                    d = full - d
+                if d < least[i]:
+                    least[i] = d
+                if d < least[j]:
+                    least[j] = d
 
     def shift_invariant(self) -> bool:
         """Whether i -> i + 1 mod n is an isometry: on at most two points, as

@@ -134,6 +134,12 @@ PINS = [
         "3f6d196c11f2c2fe3fbedb358be782491040390e9a9ea695f413867655842c91"),
     Pin("ladder --gen north-south:16 --deltas 1/2,1/64 --format table", 0,
         "7faaa01072d680374b721650edd901f1289980a771a75b62864d3f89a732c0c0"),
+    # The bench ladder: levels of up to 382 classes, and two levels whose
+    # graph equals the one before (2683/586752 and 383/97792, 1/768 and
+    # 1/1536), which are decomposed once.
+    Pin("ladder --gen north-south:384 --deltas 5369/293376,767/146688,2683/586752,"
+        "383/97792,479/146688,767/293376,1/768,1/1536", 0,
+        "3bf55927e92a32a02da67e374c875c556d1c24e79a82db518861b6c6fe90e286"),
     # 62 classes: the DOT edges ("C61 -> C31;") and the order lines
     # ("C61 <= C60") are read off the class masks of the component pass.
     Pin("analyze --gen north-south:64 --delta 127/7936 --format dot", 0,

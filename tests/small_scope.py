@@ -17,6 +17,12 @@ their halves, and on every forward-invariant domain:
   ``Inconclusive`` text and count, at state caps None, |domain| - 1 and
   |domain|, and, where the domain lies inside every eps ball, at the
   uncapped count - 1 and count;
+- each level of ``refine_ladder`` over 0, every distance value, its
+  half and the midpoint to the next, in decreasing order, is the
+  decomposition of that delta's graph on its own, and each refinement
+  entry names the coarse class holding the fine class: a ladder reuses a
+  level whose graph equals the one before, as graphs in one regime of
+  delta do;
 - ``decompose`` gives every graph on the n points (each point's
   successors any subset of the points) the classes, class masks and
   separations read off its transitive closure;
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from chainshadow import (
@@ -62,6 +68,7 @@ from chainshadow import (
     decompose,
     invariant_core,
     make_system,
+    refine_ladder,
     run_harness,
 )
 from chainshadow import shadow as shadow_mod
@@ -160,6 +167,7 @@ def small_scope(n: int) -> int:
                         _require(singles[1].passed, f"shadowing breaks {law}: {where}")
                         compared += 1
                     compared += same_decisions(system, delta, eps, domain, where)
+            compared += ladder_law(system, f"{name} table, map {fmap}")
             if system.invertible:
                 for delta in scales:
                     _require(
@@ -250,6 +258,37 @@ def inverse_identity(system, delta) -> bool:
     terminal, initial, classes = inverse_classes(system, delta)
     onto = all(frozenset(map(system.map.__getitem__, cls)) == cls for cls in classes)
     return terminal == initial and onto
+
+
+def ladder_law(system, where: str) -> int:
+    """Compare each level of ``refine_ladder`` over 0, every distance
+    value, its half and the midpoint to the next, in decreasing order,
+    with its delta's graph decomposed on its own, field by field, and each
+    refinement entry with the coarse class of the fine class's least
+    point; return the number of levels compared."""
+    values = system.distance_values
+    mids = ((a + b) / 2 for a, b in zip(values, values[1:]))
+    deltas = sorted({Fraction(0), *values, *(v / 2 for v in values), *mids}, reverse=True)
+    ladder = refine_ladder(system, deltas)
+    for delta, level in zip(deltas, ladder.levels):
+        alone = decompose(build_delta_graph(system, delta))
+        _require(
+            _fields(level) == _fields(alone),
+            f"ladder level at {delta} differs from its graph decomposed: {where}",
+        )
+    for coarse, fine, mapping in zip(ladder.levels, ladder.levels[1:], ladder.refinement):
+        parents = [coarse.class_index[min(cls)] for cls in fine.classes]
+        inside = all(cls <= coarse.classes[i] for cls, i in zip(fine.classes, mapping))
+        _require(
+            list(mapping) == parents and inside,
+            f"ladder refinement at {fine.delta} differs: {where}",
+        )
+    return len(deltas)
+
+
+def _fields(dec) -> list:
+    """Every field of a decomposition, ``delta`` included."""
+    return [getattr(dec, f.name) for f in fields(dec)]
 
 
 def explored(system, delta, eps, domain, failing, state_cap, exact=True):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -39,6 +39,7 @@ from chainshadow.chain import DeltaGraph
 from chainshadow.rational import format_rational
 from conftest import metric_systems, system_and_scales, widest_table
 from corpus import standard_corpus
+from positions_scope import systems as positioned_systems
 
 
 # Fixed points at 0, 2 and 4 on a line, each reaching the next one down
@@ -276,6 +277,14 @@ def _no_walk(*args):
     raise AssertionError("the separations were walked")
 
 
+class _Unindexed(tuple):
+    """Successor rows that can be iterated but not read by index, as a
+    Tarjan pass reads them."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a Tarjan pass ran")
+
+
 @st.composite
 def strongly_connected_graphs(draw):
     """A graph on the points of a random system that holds a cycle through
@@ -307,17 +316,13 @@ class TestComponents:
     @pytest.mark.parametrize(
         "name, system", ONE_CLASS_SYSTEMS, ids=[name for name, _ in ONE_CLASS_SYSTEMS]
     )
-    def test_one_class_past_the_diameter(self, monkeypatch, name, system):
+    def test_one_class_past_the_diameter(self, name, system):
         """At delta >= the diameter every successor row holds every point,
-        and the decomposition is one class, read without a Tarjan pass."""
-
-        def no_pass():
-            raise AssertionError("a Tarjan pass ran")
-
-        monkeypatch.setattr(chain_mod, "count", no_pass)
+        and the decomposition is one class, read without a Tarjan pass: the
+        pass reads rows by index, and these rows refuse it."""
         for delta in (system.diameter, 2 * system.diameter + 1):
             graph = build_delta_graph(system, delta)
-            dec = decompose(graph)
+            dec = decompose(replace(graph, succ=_Unindexed(graph.succ)))
             assert classes_and_reach(dec) == reference_components(graph)
             assert dec.classes == (frozenset(system.points),)
             assert (dec.class_covers, dec.class_above, dec.separation) == ((0,), (0,), (None,))
@@ -505,6 +510,25 @@ class TestSuccessors:
             assert bool(built) is (delta >= system.min_gap)
             fresh = replace(system)
             assert build_delta_graph(warm, delta).succ == build_delta_graph(fresh, delta).succ
+
+    def test_match_the_mask_path_on_positioned_generators(self):
+        """Every positioned generator on 2 to 32 points. Its ball masks
+        come in the three kinds that ``build_delta_graph`` reads apart, and
+        each kind is met: every point, one run of set bits (one slice), and
+        more runs, as where a ball wraps round position 0."""
+        kinds = set()
+        for n in range(2, 33):
+            for _, system in positioned_systems(n):
+                for delta in tied_radii(system):
+                    succ = build_delta_graph(system, delta).succ
+                    assert succ == mask_path_succ(system, delta)
+                    for row in succ:
+                        kinds.add(
+                            "full" if len(row) == n
+                            else "one run" if row[-1] - row[0] == len(row) - 1
+                            else "runs"
+                        )
+        assert kinds == {"full", "one run", "runs"}
 
     def test_one_int_object_per_point(self):
         """Every successor tuple reads its points from one shared int per
@@ -788,6 +812,41 @@ class TestSetUtilities:
                     assert set(combo) <= core
 
 
+def standalone_levels(system, deltas) -> tuple:
+    """The decomposition of each delta's graph on its own."""
+    return tuple(decompose(build_delta_graph(system, d)) for d in deltas)
+
+
+def level_fields(levels) -> list[tuple]:
+    """Every field of each decomposition, ``delta`` included."""
+    return [tuple(getattr(dec, f.name) for f in fields(dec)) for dec in levels]
+
+
+def regime_deltas(system) -> list[Fraction]:
+    """Decreasing deltas with two in each regime where the balls stay put:
+    each distance value v and the midpoint to the next (past the largest,
+    twice it), and 0 and half the least, both below every distance."""
+    values = system.distance_values
+    if not values:
+        return [Fraction(1), Fraction(0)]
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])] + [2 * values[-1]]
+    return sorted({*values, *mids, values[0] / 2, Fraction(0)}, reverse=True)
+
+
+def doctored_ladder(monkeypatch, coarse_index):
+    """``refine_ladder`` on cantor-identity:2 at deltas 1 and 1/4, whose
+    classes by point are (0, 0, 0, 0) and (0, 0, 1, 1), with the coarse
+    level's ``class_index`` replaced by ``coarse_index``."""
+    real = chain_mod.decompose
+
+    def doctored(graph):
+        dec = real(graph)
+        return replace(dec, class_index=coarse_index) if graph.delta == 1 else dec
+
+    monkeypatch.setattr(chain_mod, "decompose", doctored)
+    return refine_ladder(cantor_identity(2), [1, Fraction(1, 4)])
+
+
 class TestLadder:
     def test_cantor_counts(self):
         ladder = refine_ladder(cantor_identity(2), [1, Fraction(1, 4), Fraction(1, 20)])
@@ -833,6 +892,61 @@ class TestLadder:
             assert fine.cr <= coarse.cr
             for child, parent in enumerate(mapping):
                 assert fine.classes[child] <= coarse.classes[parent]
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_every_level_is_its_graph_decomposed(self, data):
+        """Each level equals its delta's graph decomposed on its own, field
+        by field, on every regime delta and on a drawn subset of them, so
+        that a level reused from the one before stands beside neighbours
+        of every kind."""
+        system = data.draw(metric_systems(max_n=6))
+        pool = regime_deltas(system)
+        drawn = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        for deltas in (pool, sorted(drawn, reverse=True)):
+            ladder = refine_ladder(system, deltas)
+            assert level_fields(ladder.levels) == level_fields(standalone_levels(system, deltas))
+
+    def test_every_bench_level_is_its_graph_decomposed(self):
+        system = north_south(384)
+        deltas = ladder_deltas()
+        ladder = refine_ladder(system, deltas)
+        assert level_fields(ladder.levels) == level_fields(standalone_levels(system, deltas))
+
+    def test_equal_graphs_are_decomposed_once(self, monkeypatch):
+        """On the bench deltas the graphs at 2683/586752 and 383/97792 are
+        equal, and so are those at 1/768 and 1/1536: six of the eight
+        levels run a Tarjan pass, and each of the other two is the level
+        before it at its own delta."""
+        real = chain_mod.decompose
+        decomposed = []
+
+        def counted(graph):
+            decomposed.append(graph.delta)
+            return real(graph)
+
+        monkeypatch.setattr(chain_mod, "decompose", counted)
+        deltas = ladder_deltas()
+        ladder = refine_ladder(north_south(384), deltas)
+        assert decomposed == [deltas[k] for k in (0, 1, 2, 4, 5, 6)]
+        for k in (3, 7):
+            assert ladder.levels[k] == replace(ladder.levels[k - 1], delta=deltas[k])
+            assert ladder.refinement[k - 1] == tuple(range(len(ladder.levels[k].classes)))
+
+    def test_a_fine_class_across_two_coarse_classes(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="^class containment violated across levels$"):
+            doctored_ladder(monkeypatch, (0, 1, 0, 0))
+
+    def test_a_fine_recurrent_point_transient_above(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="^recurrence monotonicity violated$"):
+            doctored_ladder(monkeypatch, (0, 0, 0, None))
+
+    def test_monotonicity_is_checked_first(self, monkeypatch):
+        """Fine class 0 leaves its coarse class at its second point, before
+        point 3, the last, turns transient one level up; monotonicity is
+        still the error raised."""
+        with pytest.raises(RuntimeError, match="^recurrence monotonicity violated$"):
+            doctored_ladder(monkeypatch, (0, 1, 0, None))
 
 
 class TestExports:
