@@ -9,6 +9,7 @@ exploration hit the state cap before a verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -59,7 +60,11 @@ def _add_common(sub: argparse.ArgumentParser, formats=("json", "table")) -> None
     sub.add_argument("--state-cap", type=_state_cap_arg, default=DEFAULT_STATE_CAP)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the
+    process: ``parse_args`` returns a fresh namespace on every call, and
+    the argument converters keep no state."""
     parser = argparse.ArgumentParser(
         prog="chainshadow",
         description="Exact chain-recurrence and shadowing analysis of finite systems.",
@@ -106,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # The parser is built once per process, on the first call.
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

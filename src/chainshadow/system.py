@@ -202,11 +202,18 @@ class _Positions:
         """The distinct positive distances times the denominator, ascending:
         the gaps between sorted positions, each taken the shorter way round
         when the positions span more than half the circle (as no line's
-        do). About n**2 / 2 of them are read, as on a table."""
+        do). On equally spaced positions the gaps are the n - 1 multiples
+        of the spacing; otherwise about n**2 / 2 of them are read, as on a
+        table."""
         xs = self.ascending
-        gaps: set[int] = set()
-        for step in range(1, len(xs)):
-            gaps.update(map(sub, xs[step:], xs))
+        spacings = set(map(sub, xs[1:], xs))
+        if len(spacings) == 1:
+            (spacing,) = spacings
+            gaps = set(range(spacing, xs[-1] - xs[0] + 1, spacing))
+        else:
+            gaps = set()
+            for step in range(1, len(xs)):
+                gaps.update(map(sub, xs[step:], xs))
         if 2 * (xs[-1] - xs[0]) > self.circumference:
             gaps = {self.between(0, g) for g in gaps}
         return tuple(sorted(gaps))
@@ -409,6 +416,18 @@ class FiniteMetricSystem:
         return _bit_map(
             [(run << s if s >= 0 else run >> -s, -s) for run, s in self._map_runs], pre_bit
         )
+
+    @cached_property
+    def _periodic(self) -> frozenset[int]:
+        """The periodic points of f: its eventual image, the images f^k of
+        the whole point set taken until they stop shrinking. Each image
+        lies inside the one before, so they stop at a set that f maps onto
+        itself, which is a union of cycles, and every cycle lies in every
+        image."""
+        image, mask = self._image, (1 << self.n) - 1
+        while (smaller := image(mask)) != mask:
+            mask = smaller
+        return frozenset(bits(mask))
 
     @cached_property
     def _rotation_step(self) -> int | None:

@@ -36,6 +36,9 @@ their halves, and on every forward-invariant domain:
   where slimit passes, on every domain inside the recurrent set, and (I),
   where shadowing passes, on every class core whose separation exceeds
   eps. The harness's class checks state these laws instead of searching;
+- at each of those deltas, each class's invariant core is nonempty iff
+  the class holds a periodic point of the map: the rule by which the
+  harness's class checks tell an empty core without building it;
 - for each bijective map f, at each of those deltas, the terminal classes
   of the inverse map's delta graph are f's initial classes, and f maps
   each class onto itself: the identity that the harness's
@@ -125,6 +128,7 @@ def small_scope(n: int) -> int:
             scales = sorted({Fraction(0), *values, *(v / 2 for v in values)})
             pairs = list(itertools.product(scales, repeat=2))
             laws = {delta: CoreLaws(system, delta) for delta in scales}
+            compared += sum(len(law.classes) for law in laws.values())
             whole = {}  # (delta, eps): the whole system's verdicts, domain None first
             for domain in invariant_domains(fmap):
                 points = range(n) if domain is None else sorted(domain)
@@ -199,13 +203,21 @@ class CoreLaws:
       a class whose separation exceeds eps.
 
     Neither law holds without its hypothesis (``tests/test_verify.py``,
-    ``TestCoreLaws``)."""
+    ``TestCoreLaws``). Building one checks, on each class, the rule by
+    which the harness tells an empty core: the core of a class is
+    nonempty iff the class holds a periodic point."""
 
     def __init__(self, system, delta):
         dec = decompose(build_delta_graph(system, delta))
         self.points = frozenset(system.points)
+        self.classes = dec.classes
         self.recurrent = frozenset().union(*dec.classes)
-        cores = (invariant_core(system, cls) for cls in dec.classes)
+        cores = [invariant_core(system, cls) for cls in dec.classes]
+        for cls, core in zip(dec.classes, cores):
+            _require(
+                bool(core) != system._periodic.isdisjoint(cls),
+                f"periodic-point rule: map {system.map}, delta {delta}, class {sorted(cls)}",
+            )
         # A class core and the separation of its class; None: no other class.
         self.separation = {core: sep for core, sep in zip(cores, dec.separation) if core}
 
@@ -462,5 +474,8 @@ if __name__ == "__main__":
         print(USAGE, file=sys.stderr)
         sys.exit(2)
     n = int(sys.argv[1])
-    agree = "agree with the oracle, the search, the closure, the inverse map or a core law"
+    agree = (
+        "agree with the oracle, the search, the closure, the inverse map, a core law "
+        "or the periodic-point rule"
+    )
     print(f"n = {n}: {small_scope(n)} answers {agree}")

@@ -18,6 +18,7 @@ from chainshadow import (
     invariant_core,
     parse_generator_string,
 )
+from chainshadow import cli
 from chainshadow.cli import _dumps, main
 
 
@@ -645,6 +646,30 @@ class TestPlumbing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_the_parser_built_once_keeps_no_state(self, capsys):
+        """``main`` builds its parser on the first call of the process and
+        keeps it. Starting from no parser, a usage error and ``--help``
+        build it, and then every run, made twice and after the others,
+        gives the exit code, stdout and stderr of its first run."""
+        cli._build_parser.cache_clear()
+        runs = [
+            ("shadow", "--gen", "parallel-cycles", "--delta", "1"),
+            ("--help",),
+            ("shadow", "--gen", "parallel-cycles", "--delta", "x", "--eps", "1"),
+            ("verify", "--gen", "parallel-cycles"),
+            ("shadow", "--gen", "parallel-cycles", "--delta", "1", "--eps", "1",
+             "--property", "slimit"),
+            ("shadow", "--gen", "rotation:4:1", "--delta", "0", "--eps", "0", "--format", "table"),
+            ("analyze", "--gen", "parallel-cycles", "--delta", "1/2", "--format", "dot"),
+            ("ladder", "--gen", "north-south:6", "--deltas", "1/2,1/8"),
+        ]
+        first = [run_cli(capsys, *argv) for argv in runs]
+        assert [code for code, _, _ in first] == [2, 0, 2, 0, 1, 0, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
+        for _ in range(2):
+            assert [run_cli(capsys, *argv) for argv in runs] == first
+        assert cli._build_parser.cache_info().misses == 1
 
 
 # json escapes the quote, the backslash and every character outside

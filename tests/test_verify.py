@@ -320,6 +320,88 @@ class TestCoreLaws:
         assert json.dumps(run_harness(system, "rot").to_json()) == expected
 
 
+# Positioned generators at small sizes: every rotation on at most 8
+# points, and the other three up to 16.
+SMALL_POSITIONED = (
+    [f"rotation:{n}:{k}" for n in range(1, 9) for k in range(n)]
+    + [f"{name}:{n}" for name in ("tent", "doubling") for n in range(1, 17)]
+    + [f"north-south:{n}" for n in range(3, 17)]
+)
+
+
+def _empty_cores(system, dec) -> tuple[list[int], list[int]]:
+    """The classes of ``dec`` whose invariant core is empty, as the
+    harness's class checks list them (``degenerate``), and as
+    ``invariant_core`` finds them."""
+    result = verify_mod._check_class_cores(
+        verify_mod._Answers(system, None), "rule", {}, dec, range(len(dec.classes)),
+        {"degenerate": []},
+    )
+    return result.details["degenerate"], [
+        i for i, cls in enumerate(dec.classes) if not invariant_core(system, cls)
+    ]
+
+
+class TestPeriodicPointRule:
+    """The harness's class checks read a class core as empty exactly when
+    the class holds no periodic point of the map; each test compares that
+    rule with ``bool(invariant_core(system, cls))``."""
+
+    @staticmethod
+    def scales(system) -> list[Fraction]:
+        """Every distance value and half the least one."""
+        values = system.distance_values
+        return [values[0] / 2, *values] if values else [Fraction(0)]
+
+    def empty_counts(self, system) -> tuple[int, int]:
+        """(classes, classes with an empty core) over ``scales``; the first
+        difference between the rule and ``invariant_core`` fails."""
+        periodic = system._periodic
+        classes = empty = 0
+        for delta in self.scales(system):
+            dec = decompose(build_delta_graph(system, delta))
+            harness, cores = _empty_cores(system, dec)
+            assert harness == cores, delta
+            assert [i for i, cls in enumerate(dec.classes) if periodic.isdisjoint(cls)] == cores
+            classes += len(dec.classes)
+            empty += len(cores)
+        return classes, empty
+
+    def test_the_periodic_points_are_the_points_on_cycles(self):
+        for _, system in standard_corpus():
+            on_cycles = {p for p in system.points if p in system.orbit(system.map[p], system.n)}
+            assert system._periodic == on_cycles
+
+    def test_every_corpus_class(self):
+        counts = [self.empty_counts(system) for _, system in standard_corpus()]
+        assert sum(empty for _, empty in counts) > 0
+        assert sum(classes - empty for classes, empty in counts) > 0
+
+    @pytest.mark.parametrize("gen", SMALL_POSITIONED)
+    def test_every_class_of_a_positioned_generator(self, gen):
+        self.empty_counts(parse_generator_string(gen))
+
+    @pytest.mark.parametrize("delta", [Fraction(7, 32), Fraction(3, 16)])
+    def test_north_south_classes_with_empty_cores(self, delta):
+        """The negative controls: on north-south:8 the classes {2} and {6}
+        hold no periodic point (the map sends 2 to 3 and 6 to 7), and their
+        cores are empty."""
+        system = parse_generator_string("north-south:8")
+        dec = decompose(build_delta_graph(system, delta))
+        assert [sorted(cls) for cls in dec.classes] == [[0, 1, 5], [2], [3, 4, 7], [6]]
+        assert _empty_cores(system, dec) == ([1, 3], [1, 3])
+
+    def test_a_core_beyond_the_periodic_points(self):
+        """The positive control: on the growing four-point line with map
+        (0, 3, 2, 0) at delta 1, the class {0, 1, 3} holds the fixed point
+        0, and its core is the whole class."""
+        system = make_system(tables(4)["growing"], (0, 3, 2, 0))
+        dec = decompose(build_delta_graph(system, 1))
+        assert dec.classes[0] == {0, 1, 3} and system._periodic & dec.classes[0] == {0}
+        assert invariant_core(system, dec.classes[0]) == {0, 1, 3}
+        assert _empty_cores(system, dec) == ([], [])
+
+
 class TestHarness:
     def test_default_grid_shape(self, parallel):
         grid = default_grid(parallel)
