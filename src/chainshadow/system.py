@@ -22,6 +22,7 @@ from operator import floordiv, lshift, mul, sub
 from .bits import _bit_map, _translation_runs, bits, mask_of
 from .errors import BadParams, InvalidSystem, UnknownGenerator, Violation
 from .rational import (
+    _MAX_DIGITS,
     check_collection,
     check_int,
     format_rational,
@@ -810,6 +811,11 @@ def _decode(text: str):
         raise BadParams("system description is nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise BadParams(f"system description is not JSON: {exc}") from exc
+    except ValueError as exc:
+        # The interpreter's limit on int() of a long digit string.
+        raise BadParams(
+            f"system description holds an integer of more than {_MAX_DIGITS} digits"
+        ) from exc
 
 
 def load_system(path) -> FiniteMetricSystem:

@@ -44,23 +44,21 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import chain as _chain
+from . import shadow as _shadow
 from .bits import mask_of
 from .chain import ChainDecomposition, _isolated, build_delta_graph, decompose
 from .errors import BadParams
 from .rational import check_collection, format_rational, parse_nonnegative
-from .shadow import (
-    DEFAULT_STATE_CAP,
-    PseudoOrbit,
-    ShadowVerdict,
-    _decide,
-    check_shadowing_property,
-    check_slimit_property,
-)
+from .shadow import DEFAULT_STATE_CAP, PseudoOrbit, ShadowVerdict, _decide
 from .system import FiniteMetricSystem
 
-# No check here calls it: a class core is nonempty iff the class holds a
-# periodic point. The name stays bound because ``bench/spans.py`` swaps
-# ``verify.invariant_core`` for a timing wrapper when it traces a run.
+# Nothing here calls these three: the harness decides both properties in
+# one ``_decide`` search, and reads a class core's emptiness off the
+# periodic points. They stay bound because ``bench/spans.py`` looks each
+# one up on this module and swaps it for a timing wrapper when it traces a
+# run.
+check_shadowing_property = _shadow.check_shadowing_property
+check_slimit_property = _shadow.check_slimit_property
 invariant_core = _chain.invariant_core
 
 HOLDS = "holds"
@@ -101,50 +99,39 @@ class _Answers:
 
     Each ``run_harness`` call makes one and shares it across its grid. It
     holds no verdict on a class core: (S) and (I) give those from the
-    whole-system verdicts. The ball and image tables its searches read
-    are the system's own, so they outlive the object. Every verdict comes
-    from a decider looked up as a module global each time it runs, so a
-    caller that swaps the deciders sees every question, including those
-    that ``_decide`` answers without a search. The memo keys radii by
-    their integer ratios, so a lookup hashes no Fraction.
+    whole-system verdicts. Both verdicts at (delta, eps) come from one
+    joint search, ``_decide`` in witness mode, and are kept as a pair; a
+    decomposition is kept per delta. The memos key radii by their integer
+    ratios, so a lookup hashes no Fraction. The ball and image tables the
+    searches read are the system's own, so they outlive the object.
 
-    The whole-system searches of ``both`` stop at the first failing states
-    of each property (``_decide`` in witness mode), so the
-    ``states_explored`` of a failing verdict is where its search stopped,
-    not the full count of that level; no report reads it.
+    The joint search stops at the first failing states of each property,
+    so the ``states_explored`` of a failing verdict is where that search
+    stopped, not the full count of that level; no report reads it. A
+    theorem that needs one verdict still pays for the joint search, which
+    can reach the state cap where a search of that property alone would
+    not.
     """
 
     def __init__(self, system: FiniteMetricSystem, state_cap):
         self.system = system
         self.state_cap = state_cap
-        self.memo: dict = {}
-
-    def verdict(self, check: str, delta, eps) -> ShadowVerdict:
-        """The whole-system ``"slimit"`` or ``"shadowing"`` verdict at
-        (delta, eps)."""
-        key = (check, delta.as_integer_ratio(), eps.as_integer_ratio())
-        verdict = self.memo.get(key)
-        if verdict is None:
-            decide = check_slimit_property if check == "slimit" else check_shadowing_property
-            verdict = self.memo[key] = decide(self.system, delta, eps, state_cap=self.state_cap)
-        return verdict
+        self.verdicts: dict = {}
+        self.decompositions: dict = {}
 
     def both(self, delta, eps) -> tuple[ShadowVerdict, ShadowVerdict]:
-        """The whole-system slimit and shadowing verdicts at (delta, eps),
-        from one BFS when neither is known yet."""
-        ratios = delta.as_integer_ratio(), eps.as_integer_ratio()
-        keys = (("slimit", *ratios), ("shadowing", *ratios))
-        if not any(key in self.memo for key in keys):
+        """The whole-system slimit and shadowing verdicts at (delta, eps)."""
+        key = delta.as_integer_ratio(), eps.as_integer_ratio()
+        if key not in self.verdicts:
             props = ("slimit", "shadowing")
-            verdicts = _decide(self.system, delta, eps, None, self.state_cap, props, False)
-            self.memo.update(zip(keys, verdicts))
-        return self.verdict("slimit", delta, eps), self.verdict("shadowing", delta, eps)
+            self.verdicts[key] = _decide(self.system, delta, eps, None, self.state_cap, props, False)
+        return self.verdicts[key]
 
     def decomposition(self, delta) -> ChainDecomposition:
-        key = ("decompose", delta.as_integer_ratio())
-        if key not in self.memo:
-            self.memo[key] = decompose(build_delta_graph(self.system, delta))
-        return self.memo[key]
+        key = delta.as_integer_ratio()
+        if key not in self.decompositions:
+            self.decompositions[key] = decompose(build_delta_graph(self.system, delta))
+        return self.decompositions[key]
 
 
 def _slimit_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
@@ -176,7 +163,7 @@ def _class_denseness(ans: _Answers, delta_coarse, delta_fine, eps) -> TheoremRes
     no witness.
     """
     params = _params(delta_coarse=delta_coarse, delta_fine=delta_fine, eps=eps)
-    if not ans.verdict("slimit", delta_fine, eps).passed:
+    if not ans.both(delta_fine, eps)[0].passed:
         return TheoremResult(CLASS_DENSENESS, params, VACUOUS, {"slimit_pass": False})
     coarse = ans.decomposition(delta_coarse)
     fine = ans.decomposition(delta_fine)
@@ -221,7 +208,7 @@ def _initial_classes_shadow(ans: _Answers, delta, eps) -> TheoremResult:
       share a class.
     """
     params = _params(delta=delta, eps=eps)
-    if not ans.verdict("slimit", delta, eps).passed:
+    if not ans.both(delta, eps)[0].passed:
         return TheoremResult(INITIAL_CLASSES, params, VACUOUS, {"slimit_pass": False})
     dec = ans.decomposition(delta)
     initial = dec.initial_classes()
@@ -244,7 +231,7 @@ def _isolated_implies_shadowing(ans: _Answers, delta, eps) -> TheoremResult:
     property, so the margin asks for more than the law needs.
     """
     params = _params(delta=delta, eps=eps)
-    if not ans.verdict("shadowing", delta, eps).passed:
+    if not ans.both(delta, eps)[1].passed:
         return TheoremResult(ISOLATED_CLASSES, params, VACUOUS, {"shadowing_pass": False})
     # delta and eps are parsed Fractions, so the margin is one too.
     margin = 2 * eps + delta
@@ -279,7 +266,7 @@ class SlimitViolation:
 
 def _slimit_violation(ans: _Answers, delta, eps) -> SlimitViolation | None:
     """Canonical slimit counterexample at (delta, eps), if one exists."""
-    verdict = ans.verdict("slimit", delta, eps)
+    verdict = ans.both(delta, eps)[0]
     if verdict.passed:
         return None
     orbit = verdict.witness

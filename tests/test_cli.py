@@ -203,6 +203,18 @@ class TestAnalyze:
             "error: system description is not JSON: Expecting value: line 1 column 1 (char 0)\n"
         )
 
+    def test_file_with_an_oversized_integer_exits_2(self, capsys, tmp_path):
+        """An integer literal past the interpreter's 4300-digit limit on
+        int() is a bad description, as the same number in a string is; the
+        interpreter's hint to raise the limit is not passed on. ``json.dumps``
+        cannot write such an int, so the file is written as text."""
+        huge = tmp_path / "huge.json"
+        big = "1" + "0" * 4300
+        huge.write_text(f'{{"n": 2, "dist": [[0, {big}], [{big}, 0]], "map": [1, 0]}}')
+        code, out, err = run_cli(capsys, "analyze", "--file", str(huge), "--delta", "1")
+        assert code == 2 and out == ""
+        assert err == "error: system description holds an integer of more than 4300 digits\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         code, out, err = run_cli(capsys, "analyze", "--file", str(missing), "--delta", "1")

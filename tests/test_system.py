@@ -334,6 +334,17 @@ class TestValidation:
         with pytest.raises(BadParams, match="system description is not JSON"):
             load_system(path)
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["int", "str"])
+    def test_an_integer_past_4300_digits_is_bad_params(self, tmp_path, quote):
+        """As a JSON int, the interpreter's limit on int() refuses it while
+        decoding; as a string, the rational parser refuses it. ``json.dumps`` cannot write
+        such an int, so the file is written as text."""
+        big = quote + "1" + "0" * 4300 + quote
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"n": 2, "dist": [[0, {big}], [{big}, 0]], "map": [1, 0]}}')
+        with pytest.raises(BadParams):
+            load_system(path)
+
     def test_deep_nesting_is_bad_params(self, tmp_path):
         text = "[" * 2000 + "]" * 2000
         deep = tmp_path / "deep.json"

@@ -31,6 +31,7 @@ from chainshadow import (
     check_slimit_property,
     default_grid,
     invariant_core,
+    is_shadowed,
     make_system,
     parse_generator_string,
     rotation,
@@ -280,14 +281,24 @@ class TestCoreLaws:
         and eps 4, whole-system shadowing passes and slimit fails. The
         class core {0, 1, 3} lies inside the recurrent set, and its
         separation, 2, is at most eps. Shadowing fails on it, so (S) with
-        shadowing in place of slimit, or (I) with no margin, is false."""
+        shadowing in place of slimit, or (I) with no margin, is false.
+
+        The failing witness, the 1-pseudo-orbit (0, 1, 3) in the core, is
+        shadowed within 4 by the fixed point 2 outside the core and by no
+        point of the core: plain shadowing does not give the core the
+        shadowing property that the paper's conclusion asks for."""
         system = make_system(tables(4)["growing"], (0, 3, 2, 0))
         core = frozenset({0, 1, 3})
         laws = CoreLaws(system, 1)
         whole = (check_slimit_property(system, 1, 4), check_shadowing_property(system, 1, 4))
         assert [verdict.passed for verdict in whole] == [False, True]
         assert core <= laws.recurrent and laws.separation[core] == 2
-        assert not check_shadowing_property(system, 1, 4, domain=core).passed
+        restricted = check_shadowing_property(system, 1, 4, domain=core)
+        assert not restricted.passed
+        witness = restricted.witness
+        assert set(witness.points) <= core and validate_pseudo_orbit(system, witness)
+        assert is_shadowed(system, witness, 4, domain=core) is None
+        assert is_shadowed(system, witness, 4) == 2
         assert laws.laws(whole, core, 4) == []
         assert law_counterexamples(system, 1, 4, "(S)") == []
         assert law_counterexamples(system, 1, 4, "(I)") == []
@@ -311,7 +322,7 @@ class TestCoreLaws:
         # proper subsets of the recurrent set.
         system = rotation(6, 2)
         expected = json.dumps(run_harness(system, "rot").to_json())
-        for module in (small_scope, verify_mod):
+        for module in (small_scope, shadow_mod):
             monkeypatch.setattr(module, "check_shadowing_property", sabotaged)
         assert law_counterexamples(system, 0, Fraction(1, 4), "(S)") == [
             frozenset({0, 2, 4}),
@@ -469,43 +480,63 @@ class TestHarness:
 
 
 class TestSharedAnswers:
-    """One harness run computes each verdict and decomposition once, and
-    answers exactly as its checks do when each has answers of its own."""
+    """One harness run computes each verdict pair and decomposition once,
+    and answers exactly as its checks do when each has answers of its own."""
 
     @pytest.mark.parametrize("name", ["cantor-identity:3", "north-south:6"])
     def test_no_question_is_asked_twice(self, monkeypatch, name):
-        import chainshadow.verify as verify_mod
-
         system = dict(standard_corpus())[name]
         asked = []
 
-        joint = []
-
-        def counting(prop, real):
-            def wrapper(system, delta, eps=None, domain=None, *args, **kwargs):
+        def counting(kind, real):
+            def wrapper(system, delta, *args):
                 # The joint decider asks the slimit and the shadowing
-                # question at once.
-                if prop == "both":
-                    joint.append(delta)
-                for asks in ("slimit", "shadowing") if prop == "both" else (prop,):
-                    asked.append((asks, id(system), delta, eps, domain))
-                if prop == "graph":
-                    return real(system, delta)
-                return real(system, delta, eps, domain, *args, **kwargs)
+                # question at once; a delta graph is asked at delta alone.
+                asked.append((kind, id(system), delta, *args[:2]))
+                return real(system, delta, *args)
 
             return wrapper
 
-        for prop, attr in [
-            ("both", "_decide"),
-            ("slimit", "check_slimit_property"),
-            ("shadowing", "check_shadowing_property"),
-            ("graph", "build_delta_graph"),
-        ]:
-            monkeypatch.setattr(verify_mod, attr, counting(prop, getattr(verify_mod, attr)))
+        for kind, attr in [("both", "_decide"), ("graph", "build_delta_graph")]:
+            monkeypatch.setattr(verify_mod, attr, counting(kind, getattr(verify_mod, attr)))
         report = run_harness(system, name)
-        assert report.results and joint
-        assert {prop for prop, *_ in asked} == {"slimit", "shadowing", "graph"}
+        assert report.results
+        assert {kind for kind, *_ in asked} == {"both", "graph"}
         assert len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize(
+        "name, system", standard_corpus(), ids=[name for name, _ in standard_corpus()]
+    )
+    def test_each_theorem_asks_one_joint_search(self, monkeypatch, name, system):
+        """On answers of its own, each of the harness's five functions, and
+        all five in a row at one (delta, eps), runs ``_decide`` once: both
+        properties on the whole system, in witness mode. No public check
+        is called."""
+        searches = []
+        real = verify_mod._decide
+
+        def counting(system, delta, eps, domain, state_cap, props, exact=True):
+            searches.append((domain, props, exact))
+            return real(system, delta, eps, domain, state_cap, props, exact)
+
+        monkeypatch.setattr(verify_mod, "_decide", counting)
+        for attr in ("check_slimit_property", "check_shadowing_property"):
+            monkeypatch.setattr(verify_mod, attr, mock.Mock(side_effect=AssertionError(attr)))
+        checks = [
+            lambda ans, coarse, fine, eps: _slimit_implies_shadowing(ans, fine, eps),
+            _class_denseness,
+            lambda ans, coarse, fine, eps: _initial_classes_shadow(ans, fine, eps),
+            lambda ans, coarse, fine, eps: _isolated_implies_shadowing(ans, fine, eps),
+            lambda ans, coarse, fine, eps: _slimit_violation(ans, fine, eps),
+        ]
+        joint = (None, ("slimit", "shadowing"), False)
+        for coarse, fine, eps in default_grid(system):
+            for run in [[check] for check in checks] + [checks]:
+                searches.clear()
+                ans = verify_mod._Answers(system, shadow_mod.DEFAULT_STATE_CAP)
+                for check in run:
+                    check(ans, coarse, fine, eps)
+                assert searches == [joint]
 
     @pytest.mark.parametrize("name", ["cantor-identity:7", "north-south:64"])
     def test_every_question_is_asked_of_the_whole_system(self, monkeypatch, name):
